@@ -12,8 +12,8 @@ import argparse
 import json
 import os
 import sys
-import time
 from fractions import Fraction
+from typing import BinaryIO
 
 from . import gw, kahler, tropical
 from .fukaya import functor_check
@@ -47,10 +47,8 @@ def _fmt(value):
     return value
 
 
-def emit(report: dict, fmt: str = "json") -> bytes:
-    if fmt == "json":
-        return (json.dumps(_fmt(report), indent=2) + "\n").encode()
-    raise ValueError(f"cannot emit a report as {fmt!r}")
+def emit(report: dict) -> bytes:
+    return (json.dumps(_fmt(report), indent=2) + "\n").encode()
 
 
 def _parse_rational_list(text: str, n: int) -> list[Fraction]:
@@ -79,8 +77,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="mirrorlab", description=__doc__)
     parser.add_argument("--config", help="key=value file overriding defaults")
     parser.add_argument("--out", help="write the report to this path")
-    parser.add_argument("--timing", action="store_true",
-                        help="include wall-clock timing (breaks byte stability)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("functor", help="theta structure constants vs triangle counts")
@@ -142,20 +138,29 @@ def _seed_from(args, config: dict[str, str]) -> int:
     return kahler.DEFAULT_SEED
 
 
-def run(argv: list[str]) -> tuple[bytes, int]:
-    """Execute one command; returns (output bytes, exit code)."""
+def run(argv: list[str] | None, stdout: BinaryIO | None = None) -> tuple[bytes, int]:
+    """Execute one command; returns (output bytes, exit code).
+
+    The report is also written to --out when given, else to the binary
+    stream stdout if one is passed.  A ValueError from the command means an
+    argument outside its domain, which is a usage error.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    out, code = _dispatch(args)
+    try:
+        out, code = _dispatch(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(out)
+    elif stdout is not None:
+        stdout.write(out)
     return out, code
 
 
 def _dispatch(args: argparse.Namespace) -> tuple[bytes, int]:
     config = _load_config(args.config) if args.config else {}
-    started = time.monotonic()
 
     if args.command == "trop":
         window = tuple(float(v) for v in _parse_rational_list(args.window, 4))
@@ -217,8 +222,6 @@ def _dispatch(args: argparse.Namespace) -> tuple[bytes, int]:
 
     report = {"command": args.command, "status": status}
     report.update(body)
-    if args.timing:
-        report["timing_s"] = time.monotonic() - started
     return emit(report), _STATUS_CODE[status]
 
 
@@ -260,14 +263,7 @@ def _monodromy_report(samples: int, seed: int) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
-    out, code = _dispatch(args)
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.buffer.write(out)
-    return code
+    return run(argv, sys.stdout.buffer)[1]
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from .lattice import (
     LatticeVector,
@@ -164,25 +163,6 @@ class SphereClass:
 
     def degree_map(self) -> dict[Tile, int]:
         return dict(self.degrees)
-
-
-def effective_candidates(walls: list[WallCurve], max_total: int) -> list[SphereClass]:
-    """All nonnegative combinations of the walls with at most max_total terms."""
-    out = []
-    seen = set()
-    for k in range(1, max_total + 1):
-        for combo in combinations_with_replacement(range(len(walls)), k):
-            acc: dict[Tile, int] = {}
-            for idx in combo:
-                for t, d in walls[idx].degrees.items():
-                    acc[t] = acc.get(t, 0) + d
-            acc = {t: d for t, d in acc.items() if d != 0}
-            key = tuple(sorted((t.m1, t.m2, d) for t, d in acc.items()))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(SphereClass(tuple(sorted(acc.items())), k))
-    return out
 
 
 def g_series(

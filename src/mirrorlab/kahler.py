@@ -18,6 +18,21 @@ only.  Conventions:
   under which the deep interior block is T^2 diag(8/3, 8/3, 8/3);
 * positive definiteness is decided on the diagonally normalized matrix,
   which is scale-invariant and numerically robust for graded matrices.
+
+The potential is invariant under the cyclic symmetry sigma: (x, y, z) ->
+(y, z, x) of the superpotential v0 = xyz.  On points, sigma moves the norm
+of coordinate i to coordinate i + 1 (mod 3), so a point in region I (x
+dominant) goes to region III (y dominant); on formula keys it is a step
+along one of the six orbits
+
+    g_yz -> g_xz -> g_xy      I -> III -> V      axis_x -> axis_y -> axis_z
+    IIA -> IVA -> VIA         IIB -> IVB -> VIB  VIC -> IIC -> IVC
+
+while VII is fixed.  Each orbit's formula, classifier branch, sampler and
+seams are written once for its first key (the x-family member) and
+rotated; the key sigma^k(base) is the base formula applied to the norms
+(r_x, r_y, r_z) read in the order sigma^-k, each norm keeping its own
+derivative index.
 """
 
 from __future__ import annotations
@@ -52,6 +67,29 @@ _FORMULA_TO_REGION = {
     "VIA": "VI", "VIB": "VI", "VIC": "VI",
 }
 
+# The sigma-orbits of the formula keys; entry k of an orbit is sigma^k of
+# its first entry.
+_ORBITS = (
+    ("g_yz", "g_xz", "g_xy"),
+    ("I", "III", "V"),
+    ("axis_x", "axis_y", "axis_z"),
+    ("IIA", "IVA", "VIA"),
+    ("IIB", "IVB", "VIB"),
+    ("VIC", "IIC", "IVC"),
+)
+_ROTATION = {key: (orbit, k) for orbit in _ORBITS for k, key in enumerate(orbit)}
+
+
+def _rotate(t: tuple, k: int) -> tuple:
+    """sigma^k of a coordinate triple: entry i moves to position i + k (mod 3)."""
+    return tuple(t[(i - k) % 3] for i in range(3))
+
+
+def _sigma(key: str, k: int) -> str:
+    """sigma^k of a formula key other than VII."""
+    orbit, j = _ROTATION[key]
+    return orbit[(j + k) % 3]
+
 
 @dataclass(frozen=True)
 class FiberPoint:
@@ -81,11 +119,7 @@ class FiberPoint:
     def logs(self) -> tuple[float, float, float]:
         """log_T of the three norms."""
         ln_t = math.log(self.T)
-        return (
-            math.log(self.r_x) / ln_t,
-            math.log(self.r_y) / ln_t,
-            math.log(self.r_z) / ln_t,
-        )
+        return tuple(math.log(r) / ln_t for r in self.r)
 
     @staticmethod
     def from_logs(
@@ -96,6 +130,10 @@ class FiberPoint:
         if c is None:
             c = l - a - b
         return FiberPoint(T ** a, T ** b, T ** c, T, l, p)
+
+    def rotated(self, k: int) -> "FiberPoint":
+        """sigma^k of the point: the norm of coordinate i moves to i + k."""
+        return FiberPoint(*_rotate(self.r, k), self.T, self.l, self.p)
 
 
 @dataclass(frozen=True)
@@ -245,10 +283,10 @@ def formula_key(q: FiberPoint) -> str:
     if len(moderate) >= 2:
         if len(moderate) == 3:
             raise ValueError("point is not near a deep fiber")
-        pair = {0, 1, 2} - set(moderate)
-        return {2: "g_xy", 1: "g_xz", 0: "g_yz"}[pair.pop()]
+        (far,) = {0, 1, 2} - set(moderate)
+        return _sigma("g_yz", far)
     if len(moderate) == 1:
-        return ("axis_x", "axis_y", "axis_z")[moderate[0]]
+        return _sigma("axis_x", moderate[0])
     px, py, pz = _float_phis(q)
     d_i = px - 0.5 * (py + pz)
     d_iii = py - 0.5 * (px + pz)
@@ -258,27 +296,19 @@ def formula_key(q: FiberPoint) -> str:
         return "VII"
     prof = BumpProfile(q.l, q.p, q.T)
     t0, t1 = prof.t0, prof.t1
+    # Classify sigma^-fam(q), whose x family dominates, and rotate the label
+    # back.  A tie u == v < t1 puts all three logs within l/12 of l/3, which
+    # is VII (returned above), so no tie reaches the u <= v test below.
     fam = max(range(3), key=lambda i: (d_i, d_iii, d_v)[i])
-    if fam == 0:  # x dominant
-        u, v = b - a, c - a
-        if u >= t1 and v >= t1:
-            return "I"
-        if u <= v:
-            return "IIA" if u >= t0 else "IIB"
-        return "VIC" if v >= t0 else "VIB"
-    if fam == 1:  # y dominant
-        u, v = a - b, c - b
-        if u >= t1 and v >= t1:
-            return "III"
-        if u <= v:
-            return "IIC" if u >= t0 else "IIB"
-        return "IVA" if v >= t0 else "IVB"
-    u, v = b - c, a - c  # z dominant
+    a, b, c = _rotate((a, b, c), -fam)
+    u, v = b - a, c - a
     if u >= t1 and v >= t1:
-        return "V"
-    if u <= v:
-        return "IVC" if u >= t0 else "IVB"
-    return "VIA" if v >= t0 else "VIB"
+        base = "I"
+    elif u <= v:
+        base = "IIA" if u >= t0 else "IIB"
+    else:
+        base = "VIC" if v >= t0 else "VIB"
+    return _sigma(base, fam)
 
 
 def region_classify(q: FiberPoint) -> str:
@@ -294,92 +324,51 @@ def region_classify(q: FiberPoint) -> str:
 def _potential_ad(q: FiberPoint, prof: BumpProfile, key: str) -> D2:
     T = q.T
     ln_t = math.log(T)
-    rx = D2.var(q.r_x, 0)
-    ry = D2.var(q.r_y, 1)
-    rz = D2.var(q.r_z, 2)
+    r = (D2.var(q.r_x, 0), D2.var(q.r_y, 1), D2.var(q.r_z, 2))
 
     def lp(k: int, u: D2) -> D2:
         return _log1p(u * u * T ** (2 * k))
 
-    g_xy = lp(1, rx) + lp(1, ry) + lp(2, rx * ry)
-    g_xz = lp(1, rx) + lp(1, rz) + lp(2, rx * rz)
-    g_yz = lp(1, ry) + lp(1, rz) + lp(2, ry * rz)
-    if key == "g_xy":
-        return g_xy
-    if key == "g_xz":
-        return g_xz
-    if key == "g_yz":
-        return g_yz
+    def g(u: D2, v: D2) -> D2:  # the two-coordinate toric potential
+        return lp(1, u) + lp(1, v) + lp(2, u * v)
+
+    def w(u: D2, v: D2) -> D2:  # log_T(|u| / |v|), an angular profile argument
+        return (_log(u) - _log(v)) * (1.0 / ln_t)
+
     if key == "VII":
-        return (g_xy + g_xz + g_yz) * (1.0 / 3.0)
-
-    px = lp(1, rx) - lp(2, ry * rz)
-    py = lp(1, ry) - lp(2, rx * rz)
-    pz = lp(1, rz) - lp(2, rx * ry)
-    d_i = px - (py + pz) * 0.5
-    d_iii = py - (px + pz) * 0.5
-    d_v = pz - (px + py) * 0.5
-    th_i = py - pz
-    th_iii = pz - px
-    th_v = px - py
-    # Angular log_T ratios for the odd profile and the sector blends.
-    w_i = (_log(rz) - _log(ry)) * (1.0 / ln_t)
-    w_iii = (_log(rx) - _log(rz)) * (1.0 / ln_t)
-    w_v = (_log(ry) - _log(rx)) * (1.0 / ln_t)
-
-    if key == "I":
-        return g_yz + prof.a3(d_i) * d_i + prof.a4(w_i) * prof.a5(d_i) * th_i
-    if key == "III":
-        return g_xz + prof.a3(d_iii) * d_iii + prof.a4(w_iii) * prof.a5(d_iii) * th_iii
-    if key == "V":
-        return g_xy + prof.a3(d_v) * d_v + prof.a4(w_v) * prof.a5(d_v) * th_v
-    if key == "axis_x":
-        return g_yz + d_i + prof.a4(w_i) * th_i
-    if key == "axis_y":
-        return g_xz + d_iii + prof.a4(w_iii) * th_iii
-    if key == "axis_z":
-        return g_xy + d_v + prof.a4(w_v) * th_v
-
-    if key == "IIA":
-        a6 = prof.a6(w_v)  # w_v = log_T(r_y / r_x)
-        d = d_i + 1.5 * a6 * py
-        return g_yz - a6 * py + prof.a3(d) * d + 0.5 * prof.a5(d) * (py - pz - a6 * py)
-    if key == "IIB":
+        rx, ry, rz = r
+        return (g(rx, ry) + g(rx, rz) + g(ry, rz)) * (1.0 / 3.0)
+    if key not in _ROTATION:
+        raise ValueError(f"unknown region formula {key!r}")
+    orbit, k = _ROTATION[key]
+    # The x-family formula of the orbit, on the norms read in sigma^-k order.
+    x, y, z = _rotate(r, -k)
+    g_yz = g(y, z)
+    if orbit[0] == "g_yz":
+        return g_yz
+    px = lp(1, x) - lp(2, y * z)
+    py = lp(1, y) - lp(2, x * z)
+    pz = lp(1, z) - lp(2, x * y)
+    if orbit[0] == "IIB":
         d = px + py - pz * 0.5
         return (g_yz - py) + prof.a3(d) * d - 0.5 * prof.a5(d) * pz
-    if key == "IIC":
-        a6 = prof.a6(-w_v)
-        d = d_iii + 1.5 * a6 * px
-        return g_xz - a6 * px + prof.a3(d) * d + 0.5 * prof.a5(d) * (px - pz - a6 * px)
-    if key == "IVA":
-        a6 = prof.a6(w_i)  # w_i = log_T(r_z / r_y)
-        d = d_iii + 1.5 * a6 * pz
-        return g_xz - a6 * pz + prof.a3(d) * d + 0.5 * prof.a5(d) * (pz - px - a6 * pz)
-    if key == "IVB":
-        d = py + pz - px * 0.5
-        return (g_xz - pz) + prof.a3(d) * d - 0.5 * prof.a5(d) * px
-    if key == "IVC":
-        a6 = prof.a6(-w_i)
-        d = d_v + 1.5 * a6 * py
-        return g_xy - a6 * py + prof.a3(d) * d + 0.5 * prof.a5(d) * (py - px - a6 * py)
-    if key == "VIA":
-        a6 = prof.a6(w_iii)  # w_iii = log_T(r_x / r_z)
-        d = d_v + 1.5 * a6 * px
-        return g_xy - a6 * px + prof.a3(d) * d + 0.5 * prof.a5(d) * (px - py - a6 * px)
-    if key == "VIB":
-        d = pz + px - py * 0.5
-        return (g_xy - px) + prof.a3(d) * d - 0.5 * prof.a5(d) * py
-    if key == "VIC":
-        a6 = prof.a6(-w_iii)
-        d = d_i + 1.5 * a6 * pz
-        return g_yz - a6 * pz + prof.a3(d) * d + 0.5 * prof.a5(d) * (pz - py - a6 * pz)
-    raise ValueError(f"unknown region formula {key!r}")
+    d_x = px - (py + pz) * 0.5
+    if orbit[0] == "I":
+        return g_yz + prof.a3(d_x) * d_x + prof.a4(w(z, y)) * prof.a5(d_x) * (py - pz)
+    if orbit[0] == "axis_x":
+        return g_yz + d_x + prof.a4(w(z, y)) * (py - pz)
+    # IIA blends toward the xy band as r_y / r_x grows, VIC toward the zx band.
+    if orbit[0] == "IIA":
+        a6, near, far = prof.a6(w(y, x)), py, pz
+    else:
+        a6, near, far = prof.a6(-w(x, z)), pz, py
+    d = d_x + 1.5 * a6 * near
+    return g_yz - a6 * near + prof.a3(d) * d + 0.5 * prof.a5(d) * (near - far - a6 * near)
 
 
 def kahler_F(q: FiberPoint, prof: BumpProfile | None = None) -> float:
     """Value of the regional potential at a fiber point."""
-    prof = prof or BumpProfile(q.l, q.p, q.T)
-    return _potential_ad(q, prof, formula_key(q)).v
+    return potential_value(q, formula_key(q), prof)
 
 
 @dataclass(frozen=True)
@@ -389,16 +378,11 @@ class MetricSample:
     matrix: np.ndarray
     min_eigenvalue: float  # of the diagonally normalized matrix
 
-    @property
-    def raw_min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
 
 def metric(
     q: FiberPoint,
     prof: BumpProfile | None = None,
     c_base: float = DEFAULT_C_BASE,
-    key: str | None = None,
 ) -> MetricSample:
     """Polar-coordinate metric sample at q, base term included.
 
@@ -407,23 +391,12 @@ def metric(
     a two-coordinate one.
     """
     prof = prof or BumpProfile(q.l, q.p, q.T)
-    key = key or formula_key(q)
+    key = formula_key(q)
     f = _potential_ad(q, prof, key)
     if c_base:
-        rx = D2.var(q.r_x, 0)
-        ry = D2.var(q.r_y, 1)
-        rz = D2.var(q.r_z, 2)
-        u = rx * ry * rz
+        u = D2.var(q.r_x, 0) * D2.var(q.r_y, 1) * D2.var(q.r_z, 2)
         f = f + (u * u) * c_base
-    h = _ad.hessian_matrix(f)
-    g = f.g
-    mat = np.array(
-        [
-            [h[0][0] + g[0] / q.r_x, h[0][1], h[0][2]],
-            [h[1][0], h[1][1] + g[1] / q.r_y, h[1][2]],
-            [h[2][0], h[2][1], h[2][2] + g[2] / q.r_z],
-        ]
-    )
+    mat = np.array(_ad.hessian_matrix(f)) + np.diag(np.divide(f.g, q.r))
     diag = np.diagonal(mat)
     if np.any(diag <= 0):
         min_eig = -float("inf")
@@ -448,46 +421,27 @@ def derivative_check(
     prof = prof or BumpProfile(q.l, q.p, q.T)
     key = formula_key(q)
 
-    def f_at(da: float, db: float, dc: float) -> float:
-        qq = FiberPoint(
-            q.r_x * math.exp(da), q.r_y * math.exp(db), q.r_z * math.exp(dc),
-            q.T, q.l, q.p,
-        )
+    def f_at(*steps: tuple[int, float]) -> float:
+        """Potential after moving log r_i by s for each (i, s) in steps."""
+        d = [0.0, 0.0, 0.0]
+        for i, s in steps:
+            d[i] += s
+        qq = FiberPoint(*(r * math.exp(s) for r, s in zip(q.r, d)), q.T, q.l, q.p)
         return _potential_ad(qq, prof, key).v
 
     f = _potential_ad(q, prof, key)
-    g_log = np.array([f.g[i] * q.r[i] for i in range(3)])
-    h = _ad.hessian_matrix(f)
-    h_log = np.array(
-        [
-            [
-                h[i][j] * q.r[i] * q.r[j] + (g_log[i] if i == j else 0.0)
-                for j in range(3)
-            ]
-            for i in range(3)
-        ]
+    g_log = np.multiply(f.g, q.r)
+    h_log = np.array(_ad.hessian_matrix(f)) * np.outer(q.r, q.r) + np.diag(g_log)
+    fd_g = np.array(
+        [(f_at((i, h_grad)) - f_at((i, -h_grad))) / (2 * h_grad) for i in range(3)]
     )
-    fd_g = np.zeros(3)
-    for i in range(3):
-        step = [0.0, 0.0, 0.0]
-        step[i] = h_grad
-        fd_g[i] = (f_at(*step) - f_at(*[-s for s in step])) / (2 * h_grad)
+    # Central mixed differences; on the diagonal they take the step 2 h_hess.
     fd_h = np.zeros((3, 3))
-    f0 = f_at(0.0, 0.0, 0.0)
     for i in range(3):
-        step = [0.0, 0.0, 0.0]
-        step[i] = h_hess
-        fd_h[i][i] = (f_at(*step) + f_at(*[-s for s in step]) - 2 * f0) / h_hess ** 2
-    for i in range(3):
-        for j in range(i + 1, 3):
-            pp = [0.0, 0.0, 0.0]
-            pp[i], pp[j] = h_hess, h_hess
-            pm = [0.0, 0.0, 0.0]
-            pm[i], pm[j] = h_hess, -h_hess
-            mp = [-v for v in pm]
-            mm = [-v for v in pp]
-            fd_h[i][j] = fd_h[j][i] = (
-                f_at(*pp) - f_at(*pm) - f_at(*mp) + f_at(*mm)
+        for j in range(i, 3):
+            fd_h[i][j] = fd_h[j][i] = sum(
+                si * sj * f_at((i, si * h_hess), (j, sj * h_hess))
+                for si in (1, -1) for sj in (1, -1)
             ) / (4 * h_hess ** 2)
     rel_g = float(np.linalg.norm(g_log - fd_g) / max(np.linalg.norm(g_log), 1e-300))
     rel_h = float(np.linalg.norm(h_log - fd_h) / max(np.linalg.norm(h_log), 1e-300))
@@ -506,10 +460,12 @@ def moment_coords(q: FiberPoint, prof: BumpProfile | None = None) -> tuple[float
     convention (no additive adjustment).
     """
     prof = prof or BumpProfile(q.l, q.p, q.T)
-    f = _potential_ad(q, prof, formula_key(q))
-    fx = f.g[0] * q.r_x
-    fy = f.g[1] * q.r_y
-    fz = f.g[2] * q.r_z
+    return _moment(q, _potential_ad(q, prof, formula_key(q)))
+
+
+def _moment(q: FiberPoint, f: D2) -> tuple[float, float, float]:
+    """Action coordinates from the log-derivatives of the potential f at q."""
+    fx, fy, fz = (gi * ri for gi, ri in zip(f.g, q.r))
     return (0.5 * (fx - fz), 0.5 * (fy - fz), 0.5 * fz)
 
 
@@ -523,19 +479,10 @@ def moment_shift_gamma_prime(q: FiberPoint, prof: BumpProfile | None = None) -> 
     prof = prof or BumpProfile(q.l, q.p, q.T)
     key = formula_key(q)
     base = _potential_ad(q, prof, key)
-
-    def coords(f: D2) -> tuple[float, float]:
-        fx = f.g[0] * q.r_x
-        fy = f.g[1] * q.r_y
-        fz = f.g[2] * q.r_z
-        return (0.5 * (fx - fz), 0.5 * (fy - fz))
-
     rx = D2.var(q.r_x, 0)
     rz = D2.var(q.r_z, 2)
-    f_zglue = base - _log(rz * rz * q.T * q.T)
-    f_xglue = base - _log(rx * rx * q.T * q.T)
-    cz = coords(f_zglue)
-    cx = coords(f_xglue)
+    cz = _moment(q, base - _log(rz * rz * q.T * q.T))
+    cx = _moment(q, base - _log(rx * rx * q.T * q.T))
     return (cz[0] - cx[0], cz[1] - cx[1])
 
 
@@ -609,19 +556,6 @@ def harmonic_sixfold_check(q: FiberPoint) -> float:
 # Region samplers and the positivity certificate
 
 
-def _sampler_windows(l: int, p: int) -> dict:
-    prof = BumpProfile(l, p)  # band edges do not involve T
-    a_lo = l / 8 - l / (2 * p) - 1 + 0.02
-    a_hi = l / 8 - 1 - 0.02
-    return {
-        "prof": prof,
-        "a_lo": a_lo,
-        "a_hi": a_hi,
-        "t0": prof.t0,
-        "t1": prof.t1,
-    }
-
-
 def region_samples(
     region: str,
     count: int,
@@ -637,8 +571,11 @@ def region_samples(
     """
     if region not in REGION_IDS:
         raise ValueError(f"unknown region {region!r}")
-    win = _sampler_windows(l, p)
-    a_lo, a_hi, t0, t1 = win["a_lo"], win["a_hi"], win["t0"], win["t1"]
+    prof = BumpProfile(l, p)  # band edges do not involve T
+    a_lo = l / 8 - l / (2 * p) - 1 + 0.02
+    a_hi = l / 8 - 1 - 0.02
+    t0, t1 = prof.t0, prof.t1
+    orbit, k = _ROTATION.get(region, ((region,), 0))  # IV, VI, VII: no orbit
     ridx = REGION_IDS.index(region)
     out = []
     for idx in range(count):
@@ -651,61 +588,36 @@ def region_samples(
             a = l / 3 + u(-0.5, 0.5)
             b = l / 3 + u(-0.5, 0.5)
             q = FiberPoint.from_logs(a, b, None, T, l, p)
-        elif region == "I":
+        elif orbit[0] in ("I", "axis_x"):
+            # sigma^k of a point whose x log is drawn first, then the spread
+            # w between the other two
+            a = u(a_lo, a_hi) if orbit[0] == "I" else u(-1.0, 1.0)
+            w = u(-8.0, 8.0) if orbit[0] == "I" else u(-3.0, 3.0)
+            logs = _rotate((a, (l - a - w) / 2, (l - a + w) / 2), k)
+            q = FiberPoint.from_logs(*logs, T, l, p)
+        elif orbit[0] == "g_yz":
+            # two moderate logs in x < y < z order; the k-th closes the fiber
+            logs = [u(-1.0, 1.0), u(-1.0, 1.0)]
+            logs.insert(k, l - logs[0] - logs[1])
+            q = FiberPoint.from_logs(*logs, T, l, p)
+        elif region in ("IIA", "IIB"):
             a = u(a_lo, a_hi)
-            w = u(-8.0, 8.0)
-            q = FiberPoint.from_logs(a, (l - a - w) / 2, (l - a + w) / 2, T, l, p)
-        elif region == "IIA":
-            a = u(a_lo, a_hi)
-            th = u(t0 + 0.02, t1 - 0.02)
-            q = FiberPoint.from_logs(a, a + th, None, T, l, p)
-        elif region == "IIB":
-            a = u(a_lo, a_hi)
-            th = u(-t0 + 0.02, t0 - 0.02)
+            th = u(t0 + 0.02, t1 - 0.02) if region == "IIA" else u(-t0 + 0.02, t0 - 0.02)
             q = FiberPoint.from_logs(a, a + th, None, T, l, p)
         elif region == "IIC":
             b = u(a_lo, a_hi)
             th = u(t0 + 0.02, t1 - 0.02)
             q = FiberPoint.from_logs(b + th, b, None, T, l, p)
-        elif region == "III":
-            b = u(a_lo, a_hi)
-            w = u(-8.0, 8.0)
-            q = FiberPoint.from_logs((l - b + w) / 2, b, (l - b - w) / 2, T, l, p)
         elif region == "IV":
             m = u(a_lo, a_hi)
             d = u(-t1 + 0.02, t1 - 0.02)
             b, c = (m, m + d) if d >= 0 else (m - d, m)
             q = FiberPoint.from_logs(l - b - c, b, c, T, l, p)
-        elif region == "V":
-            c = u(a_lo, a_hi)
-            w = u(-8.0, 8.0)
-            q = FiberPoint.from_logs((l - c - w) / 2, (l - c + w) / 2, c, T, l, p)
-        elif region == "VI":
+        else:  # VI
             m = u(a_lo, a_hi)
             d = u(-t1 + 0.02, t1 - 0.02)
             c, a = (m, m + d) if d >= 0 else (m - d, m)
             q = FiberPoint.from_logs(a, l - a - c, c, T, l, p)
-        elif region == "g_xy":
-            a, b = u(-1.0, 1.0), u(-1.0, 1.0)
-            q = FiberPoint.from_logs(a, b, None, T, l, p)
-        elif region == "g_xz":
-            a, c = u(-1.0, 1.0), u(-1.0, 1.0)
-            q = FiberPoint.from_logs(a, l - a - c, c, T, l, p)
-        elif region == "g_yz":
-            b, c = u(-1.0, 1.0), u(-1.0, 1.0)
-            q = FiberPoint.from_logs(l - b - c, b, c, T, l, p)
-        elif region == "axis_x":
-            a = u(-1.0, 1.0)
-            w = u(-3.0, 3.0)
-            q = FiberPoint.from_logs(a, (l - a - w) / 2, (l - a + w) / 2, T, l, p)
-        elif region == "axis_y":
-            b = u(-1.0, 1.0)
-            w = u(-3.0, 3.0)
-            q = FiberPoint.from_logs((l - b + w) / 2, b, (l - b - w) / 2, T, l, p)
-        else:  # axis_z
-            c = u(-1.0, 1.0)
-            w = u(-3.0, 3.0)
-            q = FiberPoint.from_logs((l - c - w) / 2, (l - c + w) / 2, c, T, l, p)
         out.append(q)
     return out
 
@@ -763,7 +675,8 @@ def boundary_pair_catalog(
 
     The regional formulas agree exactly on the seams (bump endpoints), so
     the potential jump across each pair is bounded by eps times a local
-    derivative scale.
+    derivative scale.  The seams of the x family, of VII and of the x axis
+    are placed by hand; sigma and sigma^2 carry them to all the others.
     """
     prof = BumpProfile(l, p, T)
     t0, t1 = prof.t0, prof.t1
@@ -780,41 +693,19 @@ def boundary_pair_catalog(
         # th_x = a - b toward the x sector
         return FiberPoint.from_logs(b + th_x, b, None, T, l, p)
 
-    def yz(b: float, v: float) -> FiberPoint:
-        # v = c - b toward the z sector
-        return FiberPoint.from_logs(l - 2 * b - v, b, b + v, T, l, p)
-
-    def zx(c: float, v: float) -> FiberPoint:
-        # v = a - c toward the x sector
-        return FiberPoint.from_logs(c + v, l - 2 * c - v, c, T, l, p)
-
-    pairs = [
+    seams = [
         (sym(a_inner - eps), sym(a_inner + eps)),            # I <-> VII
         (xfam(a_mid, t1 + eps), xfam(a_mid, t1 - eps)),      # I <-> IIA
         (xfam(a_mid, t0 + eps), xfam(a_mid, t0 - eps)),      # IIA <-> IIB
         (xfam(a_mid, -t0 + eps), xfam(a_mid, -t0 - eps)),    # IIB <-> IIC
         (yfam(a_mid, t1 - eps), yfam(a_mid, t1 + eps)),      # IIC <-> III
-        (yz(a_mid, t1 + eps), yz(a_mid, t1 - eps)),          # III <-> IVA
-        (yz(a_mid, t0 + eps), yz(a_mid, t0 - eps)),          # IVA <-> IVB
-        (yz(a_mid, -t0 + eps), yz(a_mid, -t0 - eps)),        # IVB <-> IVC
-        (
-            FiberPoint.from_logs(l - 2 * a_mid - t1 + eps, a_mid + t1 - eps, a_mid, T, l, p),
-            FiberPoint.from_logs(l - 2 * a_mid - t1 - eps, a_mid + t1 + eps, a_mid, T, l, p),
-        ),                                                   # IVC <-> V (z anchored)
-        (zx(a_mid, t1 + eps), zx(a_mid, t1 - eps)),          # V <-> VIA
-        (zx(a_mid, t0 + eps), zx(a_mid, t0 - eps)),          # VIA <-> VIB
-        (zx(a_mid, -t0 + eps), zx(a_mid, -t0 - eps)),        # VIB <-> VIC
-        (
-            FiberPoint.from_logs(a_mid, l - 2 * a_mid - t1 + eps, a_mid + t1 - eps, T, l, p),
-            FiberPoint.from_logs(a_mid, l - 2 * a_mid - t1 - eps, a_mid + t1 + eps, T, l, p),
-        ),                                                   # VIC <-> I (x anchored)
         (sym(2.0 - eps), sym(2.0 + eps)),                    # axis_x <-> clamped I
         (
             FiberPoint.from_logs(0.5, 2.0 - eps, None, T, l, p),
             FiberPoint.from_logs(0.5, 2.0 + eps, None, T, l, p),
         ),                                                   # g_xy <-> axis_x
     ]
-    return pairs
+    return [(q1.rotated(k), q2.rotated(k)) for k in range(3) for q1, q2 in seams]
 
 
 def calibrate_c_base(

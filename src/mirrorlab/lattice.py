@@ -169,8 +169,8 @@ def enumerate_shifted_ball(shift: Vec2, bound: Rational) -> list[LatticeVector]:
 def min_norm_in_coset(residue: tuple[int, int], modulus: int) -> int:
     """Minimal N over the coset residue + modulus*Z^2.
 
-    Scans a box around the reduced representative and certifies the minimum
-    by checking that widening the box does not improve it.
+    Scans the 6x6 box of coset points around the reduced representative;
+    the inline bound shows that no point outside the box does better.
     """
     r1 = residue[0] % modulus
     r2 = residue[1] % modulus

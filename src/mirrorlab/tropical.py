@@ -164,26 +164,6 @@ def monomial_mul(*ms: Monomial) -> Monomial:
     return tuple(out)  # type: ignore[return-value]
 
 
-def monomial_str(m: Monomial) -> str:
-    """Render with the v0 = xyz factor pulled out when it shortens things."""
-    if min(m[:3]) >= 1:
-        k = min(m[:3])
-    elif max(m[:3]) <= -1:
-        k = max(m[:3])
-    else:
-        k = 0
-    rest = (m[0] - k, m[1] - k, m[2] - k, m[3])
-    parts = []
-    if rest[3]:
-        parts.append(f"T^{rest[3]}" if rest[3] != 1 else "T")
-    if k:
-        parts.append(f"v0^{k}" if k != 1 else "v0")
-    for name, e in zip("xyz", rest[:3]):
-        if e:
-            parts.append(f"{name}^{e}" if e != 1 else name)
-    return "*".join(parts) if parts else "1"
-
-
 @dataclass(frozen=True)
 class MonomialMap:
     """A substitution x, y, z -> monomials (T fixed), acting on exponents."""

@@ -80,13 +80,30 @@ def test_monodromy_command():
     assert all(r["expected"] == r["got"] for r in rep["corners"])
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["functor", "--i", "0"])
     assert exc.value.code == 64
     with pytest.raises(SystemExit) as exc:
         run(["no-such-command"])
     assert exc.value.code == 64
+    # arguments outside a command's domain
+    for argv in (
+        ["functor", "--i", "0", "--j", "0", "--k", "1"],
+        ["leibniz", "--i", "0", "--j", "2", "--tau", "1.5"],
+        ["leibniz", "--i", "0", "--j", "2", "--x", "0,1"],
+        ["differential", "--i", "0", "--j", "1"],
+        ["disc-series", "--A", "0,0,-1"],
+        ["sphere-c", "--max-order", "-1"],
+        ["functor", "--i", "0", "--j", "1", "--k", "2", "--cutoff", "abc"],
+    ):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 64, argv
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("mirrorlab: error: "), argv
+        assert "Traceback" not in "\n".join(err), argv
 
 
 def test_config_file_and_env_seed(tmp_path, monkeypatch):
@@ -102,11 +119,16 @@ def test_config_file_and_env_seed(tmp_path, monkeypatch):
         cli._load_config(str(bad))
 
 
-def test_out_flag_writes_file(tmp_path):
+def test_out_flag_writes_file(tmp_path, capsysbinary):
     path = tmp_path / "facets.csv"
     out, code = run(["--out", str(path), "facets", "--radius", "0"])
     assert code == 0
     assert path.read_bytes() == out
+    # main writes the report to stdout only when --out is not given
+    assert cli.main(["--out", str(path), "facets", "--radius", "1"]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert cli.main(["facets", "--radius", "1"]) == 0
+    assert capsysbinary.readouterr().out == path.read_bytes()
 
 
 def test_svg_golden_prefix():

@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrorlab.gw import (
+    SphereClass,
     admitted_classes,
     differential_table,
     disc_area,
     disc_series,
-    effective_candidates,
     g_series,
     leibniz_check,
     shifted_basis_value,
@@ -134,7 +134,7 @@ def test_wall_degrees_kernel_and_equivariance():
 def test_g_series_rejects_single_wall_and_signs():
     anchor = Tile(0, 0)
     walls = wall_curves_window(3)
-    singles = effective_candidates(walls, 1)
+    singles = [SphereClass(tuple(sorted(w.degrees.items())), 1) for w in walls]
     assert g_series(anchor, singles, 3).is_zero
     classes = admitted_classes(walls, anchor, 3)
     for cand in classes:

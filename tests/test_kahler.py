@@ -15,6 +15,7 @@ from mirrorlab.kahler import (
     boundary_pair_catalog,
     calibrate_c_base,
     derivative_check,
+    formula_key,
     harmonic_difference_check,
     harmonic_sixfold_check,
     hex_orbit,
@@ -31,6 +32,26 @@ from mirrorlab.kahler import (
     region_samples,
     transport_fractions,
 )
+
+
+# The sigma-orbits of the formula keys, sigma: (x, y, z) -> (y, z, x).
+ORBITS = (
+    ("g_yz", "g_xz", "g_xy"),
+    ("I", "III", "V"),
+    ("axis_x", "axis_y", "axis_z"),
+    ("IIA", "IVA", "VIA"),
+    ("IIB", "IVB", "VIB"),
+    ("VIC", "IIC", "IVC"),
+)
+
+
+def sigma(key, k):
+    """sigma^k of a formula key; VII is fixed."""
+    for orbit in ORBITS:
+        if key in orbit:
+            return orbit[(orbit.index(key) + k) % 3]
+    assert key == "VII"
+    return key
 
 
 def center_point():
@@ -152,6 +173,36 @@ def test_derivative_cross_validation():
             rel_g, rel_h = derivative_check(q)
             assert rel_g < 1e-6, (region, rel_g)
             assert rel_h < 1e-6, (region, rel_h)
+
+
+def test_cyclic_equivariance():
+    q = region_samples("I", 1, seed=5)[0]
+    assert q.rotated(1).r == (q.r_z, q.r_x, q.r_y)
+    assert q.rotated(2).r == (q.r_y, q.r_z, q.r_x)
+    for region in REGION_IDS:
+        for q in region_samples(region, 10, seed=5):
+            key = formula_key(q)
+            for k in (1, 2):
+                qk = q.rotated(k)
+                assert formula_key(qk) == sigma(key, k), (region, k, q.logs())
+                value = potential_value(q, key)
+                if key == "VII":
+                    # one symmetric body, summed in a fixed order: exact up to rounding
+                    assert potential_value(qk, key) == pytest.approx(value, rel=1e-15)
+                else:
+                    assert potential_value(qk, sigma(key, k)) == value
+
+
+def test_seam_catalog_covers_every_formula_key():
+    base = {
+        ("I", "VII"), ("I", "IIA"), ("IIA", "IIB"), ("IIB", "IIC"), ("IIC", "III"),
+        ("axis_x", "I"), ("g_xy", "axis_x"),
+    }
+    expected = {(sigma(a, k), sigma(b, k)) for a, b in base for k in range(3)}
+    got = {(formula_key(q1), formula_key(q2)) for q1, q2 in boundary_pair_catalog()}
+    assert got == expected
+    keys = {key for pair in got for key in pair}
+    assert keys == {key for orbit in ORBITS for key in orbit} | {"VII"}
 
 
 def test_potential_continuity_across_seams():
