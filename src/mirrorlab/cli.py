@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -148,6 +149,7 @@ def run(argv: list[str] | None, stdout: BinaryIO | None = None) -> tuple[bytes, 
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_domains(args)
         out, code = _dispatch(args)
     except ValueError as exc:
         parser.error(str(exc))
@@ -157,6 +159,34 @@ def run(argv: list[str] | None, stdout: BinaryIO | None = None) -> tuple[bytes, 
     elif stdout is not None:
         stdout.write(out)
     return out, code
+
+
+def _check_domains(args: argparse.Namespace) -> None:
+    """Raise ValueError, naming the flag, for an argument outside its domain."""
+    if args.command == "metric-check":
+        if not 0.0 < args.T < 1.0:
+            raise ValueError(f"--T must lie in (0, 1), got {args.T!r}")
+        for flag, value in (("--p", args.p), ("--l", args.l)):
+            if value < 1:
+                raise ValueError(f"{flag} must be >= 1, got {value}")
+        if args.c_base != "auto":
+            try:
+                c_base = float(args.c_base)
+            except ValueError:
+                c_base = math.nan
+            if not (math.isfinite(c_base) and c_base >= 0):
+                raise ValueError(
+                    f"--c-base must be auto or a finite float >= 0, got {args.c_base!r}"
+                )
+    if args.command == "leibniz":
+        try:
+            x = _parse_rational_list(args.x, 2)
+        except ValueError as exc:
+            raise ValueError(f"--x: {exc}") from None
+        if min(x) <= 0:
+            raise ValueError(f"--x coordinates must be positive, got {args.x!r}")
+    if args.command in ("metric-check", "monodromy") and args.samples < 0:
+        raise ValueError(f"--samples must be >= 0, got {args.samples}")
 
 
 def _dispatch(args: argparse.Namespace) -> tuple[bytes, int]:
@@ -254,7 +284,7 @@ def _monodromy_report(samples: int, seed: int) -> dict:
     fracs = kahler.transport_fractions(kahler.FiberPoint(1.0, 1.0, 1.0))
     ok = ok and abs(sum(fracs) - 1.0) <= 1e-14
     return {
-        "status": "pass" if ok else "fail",
+        "status": "fail" if not ok else "pass" if anti else "indeterminate",
         "corners": corner_rows,
         "antisymmetry_samples": samples,
         "antisymmetry_all": all(anti) if anti else None,

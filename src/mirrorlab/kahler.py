@@ -391,20 +391,60 @@ def metric(
     a two-coordinate one.
     """
     prof = prof or BumpProfile(q.l, q.p, q.T)
-    key = formula_key(q)
-    f = _potential_ad(q, prof, key)
-    if c_base:
+    (key,), jets = _jets([q], prof)
+    mats, min_eigs = _metric_from_jets(jets, c_base)
+    return MetricSample(q, _FORMULA_TO_REGION.get(key, key), mats[0], float(min_eigs[0]))
+
+
+def _jets(points: list[FiberPoint], prof: BumpProfile) -> tuple[list[str], tuple]:
+    """Formula keys and stacked jets of the potential F and the base term.
+
+    The jets are (r, F.g, F.h, U.g, U.h) with one row per point, where U is
+    |xyz|^2 and h is packed xx, xy, xz, yy, yz, zz.  The metric is linear in
+    the base coefficient c (F + c U), so one set of jets serves every c.
+    """
+    keys = []
+    jets = tuple(np.empty((len(points), w)) for w in (3, 3, 6, 3, 6))
+    for i, q in enumerate(points):
+        key = formula_key(q)
+        f = _potential_ad(q, prof, key)
         u = D2.var(q.r_x, 0) * D2.var(q.r_y, 1) * D2.var(q.r_z, 2)
-        f = f + (u * u) * c_base
-    mat = np.array(_ad.hessian_matrix(f)) + np.diag(np.divide(f.g, q.r))
-    diag = np.diagonal(mat)
-    if np.any(diag <= 0):
-        min_eig = -float("inf")
-    else:
-        d = 1.0 / np.sqrt(diag)
-        normalized = mat * np.outer(d, d)
-        min_eig = float(np.linalg.eigvalsh(normalized)[0])
-    return MetricSample(q, _FORMULA_TO_REGION.get(key, key), mat, min_eig)
+        u = u * u
+        keys.append(key)
+        for col, row in zip(jets, (q.r, f.g, f.h, u.g, u.h)):
+            col[i] = row
+    return keys, jets
+
+
+# Row-major index of each 3x3 Hessian entry in the packed order.
+_HESSIAN_INDEX = [[0, 1, 2], [1, 3, 4], [2, 4, 5]]
+
+
+def _metric_from_jets(jets: tuple, c_base: float) -> tuple[np.ndarray, np.ndarray]:
+    """Metric matrices and normalized min-eigenvalues at stacked jets.
+
+    G = Hess(F + c U) + diag(grad(F + c U) / r), with the base term skipped
+    when c is zero; a row whose diagonal is not positive gets -inf, the rest
+    the least eigenvalue of the diagonally normalized matrix.  Each row
+    takes the same float operations in the same order as a lone point, so
+    batching changes no bits.
+    """
+    r, f_g, f_h, u_g, u_h = jets
+    if c_base:
+        f_g = f_g + u_g * c_base
+        f_h = f_h + u_h * c_base
+    n = len(r)
+    grad_term = np.zeros((n, 3, 3))
+    grad_term[:, range(3), range(3)] = np.divide(f_g, r)
+    mats = f_h[:, _HESSIAN_INDEX] + grad_term
+    diag = np.diagonal(mats, axis1=1, axis2=2)
+    ok = ~np.any(diag <= 0, axis=1)
+    min_eigs = np.full(n, -np.inf)
+    if ok.any():
+        d = 1.0 / np.sqrt(diag[ok])
+        normalized = mats[ok] * (d[:, :, None] * d[:, None, :])
+        min_eigs[ok] = np.linalg.eigvalsh(normalized)[:, 0]
+    return mats, min_eigs
 
 
 def derivative_check(
@@ -639,15 +679,16 @@ def metric_certificate(
     for region in REGION_IDS:
         worst = None
         worst_point = None
-        for q in region_samples(region, samples, seed, T, l, p):
-            ms = metric(q, prof, c_base)
-            if worst is None or ms.min_eigenvalue < worst:
-                worst = ms.min_eigenvalue
-                worst_point = q.logs()
+        pts = region_samples(region, samples, seed, T, l, p)
+        if pts:
+            min_eigs = _metric_from_jets(_jets(pts, prof)[1], c_base)[1]
+            i = int(np.argmin(min_eigs))  # the first of equal minima
+            worst = float(min_eigs[i])
+            worst_point = list(pts[i].logs())
         regions[region] = {
             "samples": samples,
-            "min_eig": None if worst is None else worst,
-            "worst_point": None if worst_point is None else list(worst_point),
+            "min_eig": worst,
+            "worst_point": worst_point,
         }
         if worst is not None and worst <= 0:
             status = "fail"
@@ -716,15 +757,20 @@ def calibrate_c_base(
     seed: int = DEFAULT_SEED,
     margin: float = 1e-9,
 ) -> float:
-    """Smallest power of two whose sampled min-eigenvalues all clear margin."""
+    """Smallest power of two whose sampled min-eigenvalues all clear margin.
+
+    The jets at the sample points are taken once; each power of two tried
+    costs only one batched `_metric_from_jets`.
+    """
     prof = BumpProfile(l, p, T)
     pts = [
         q
         for region in REGION_IDS
         for q in region_samples(region, samples, seed, T, l, p)
     ]
+    jets = _jets(pts, prof)[1]
     for k in range(-80, 200):
         c = 2.0 ** k
-        if all(metric(q, prof, c).min_eigenvalue > margin for q in pts):
+        if np.all(_metric_from_jets(jets, c)[1] > margin):
             return c
     raise RuntimeError("no power-of-two base coefficient certified positivity")

@@ -78,6 +78,12 @@ def test_monodromy_command():
         (0, 0), (0, 1), (1, 0), (1, 1)
     }
     assert all(r["expected"] == r["got"] for r in rep["corners"])
+    # no antisymmetry samples checks nothing
+    out, code = run(["monodromy", "--samples", "0"])
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["status"] == "indeterminate"
+    assert rep["antisymmetry_all"] is None
 
 
 def test_usage_error_exit_code(capsys):
@@ -87,15 +93,25 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["no-such-command"])
     assert exc.value.code == 64
-    # arguments outside a command's domain
-    for argv in (
-        ["functor", "--i", "0", "--j", "0", "--k", "1"],
-        ["leibniz", "--i", "0", "--j", "2", "--tau", "1.5"],
-        ["leibniz", "--i", "0", "--j", "2", "--x", "0,1"],
-        ["differential", "--i", "0", "--j", "1"],
-        ["disc-series", "--A", "0,0,-1"],
-        ["sphere-c", "--max-order", "-1"],
-        ["functor", "--i", "0", "--j", "1", "--k", "2", "--cutoff", "abc"],
+    # arguments outside a command's domain, with the flag the message names
+    for argv, flag in (
+        (["functor", "--i", "0", "--j", "0", "--k", "1"], None),
+        (["leibniz", "--i", "0", "--j", "2", "--tau", "1.5"], None),
+        (["leibniz", "--i", "0", "--j", "2", "--x", "0,1"], "--x"),
+        (["differential", "--i", "0", "--j", "1"], None),
+        (["disc-series", "--A", "0,0,-1"], None),
+        (["sphere-c", "--max-order", "-1"], None),
+        (["functor", "--i", "0", "--j", "1", "--k", "2", "--cutoff", "abc"], None),
+        (["metric-check", "--T", "1"], "--T"),
+        (["metric-check", "--T", "1.5"], "--T"),
+        (["metric-check", "--T", "0"], "--T"),
+        (["metric-check", "--p", "0"], "--p"),
+        (["metric-check", "--l", "0"], "--l"),
+        (["metric-check", "--samples", "-1"], "--samples"),
+        (["metric-check", "--c-base", "nan"], "--c-base"),
+        (["metric-check", "--c-base", "inf"], "--c-base"),
+        (["metric-check", "--c-base", "-1"], "--c-base"),
+        (["monodromy", "--samples", "-2"], "--samples"),
     ):
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
@@ -104,6 +120,8 @@ def test_usage_error_exit_code(capsys):
         err = capsys.readouterr().err.splitlines()
         assert err[-1].startswith("mirrorlab: error: "), argv
         assert "Traceback" not in "\n".join(err), argv
+        if flag is not None:
+            assert flag in err[-1], argv
 
 
 def test_config_file_and_env_seed(tmp_path, monkeypatch):

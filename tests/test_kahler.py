@@ -4,6 +4,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from mirrorlab import _ad, kahler
+from mirrorlab._ad import D2
 from mirrorlab.kahler import (
     DEFAULT_C_BASE,
     DEFAULT_L,
@@ -345,11 +347,60 @@ def test_hex_orbit_closes():
 def test_certificate_statuses():
     cert = metric_certificate(samples=5)
     assert cert["status"] == "pass"
+    for region, row in cert["regions"].items():
+        pts = region_samples(region, 5)
+        eigs = [metric(q).min_eigenvalue for q in pts]
+        worst = eigs.index(min(eigs))  # the first of equal minima
+        assert row["min_eig"] == eigs[worst]
+        assert row["worst_point"] == list(pts[worst].logs())
     empty = metric_certificate(samples=0)
     assert empty["status"] == "indeterminate"
 
 
 def test_calibration_is_power_of_two():
-    c = calibrate_c_base(samples=3)
+    c = calibrate_c_base()
     assert math.log2(c) == int(math.log2(c))
-    assert c <= DEFAULT_C_BASE
+    assert c == DEFAULT_C_BASE
+
+
+def _metric_per_point(q, prof, c_base):
+    """The per-point metric: jet of F + c|xyz|^2, then one 3x3 eigvalsh."""
+    f = kahler._potential_ad(q, prof, formula_key(q))
+    if c_base:
+        u = D2.var(q.r_x, 0) * D2.var(q.r_y, 1) * D2.var(q.r_z, 2)
+        f = f + (u * u) * c_base
+    mat = np.array(_ad.hessian_matrix(f)) + np.diag(np.divide(f.g, q.r))
+    diag = np.diagonal(mat)
+    if np.any(diag <= 0):
+        return mat, -float("inf")
+    d = 1.0 / np.sqrt(diag)
+    return mat, float(np.linalg.eigvalsh(mat * np.outer(d, d))[0])
+
+
+def test_batched_finisher_is_bit_identical():
+    prof = BumpProfile()
+    pts = [q for region in REGION_IDS for q in region_samples(region, 4, seed=19)]
+    keys, jets = kahler._jets(pts, prof)
+    assert keys == [formula_key(q) for q in pts]
+    saw_inf = False
+    for c in (0.0, 1.0, 2.0 ** 100, 2.0 ** 139):
+        mats, min_eigs = kahler._metric_from_jets(jets, c)
+        for q, mat, eig in zip(pts, mats, min_eigs):
+            ms = metric(q, prof, c)
+            want_mat, want_eig = _metric_per_point(q, prof, c)
+            assert mat.tobytes() == ms.matrix.tobytes() == want_mat.tobytes()
+            assert eig.tobytes() == np.float64(ms.min_eigenvalue).tobytes()
+            assert eig.tobytes() == np.float64(want_eig).tobytes()
+            saw_inf = saw_inf or eig == -np.inf
+    assert saw_inf  # c = 0 leaves non-positive diagonals, e.g. in the g regions
+
+
+def test_calibration_matches_per_point_scan():
+    prof = BumpProfile()
+    pts = [q for region in REGION_IDS for q in region_samples(region, 3)]
+    want = next(
+        2.0 ** k
+        for k in range(-80, 200)
+        if all(metric(q, prof, 2.0 ** k).min_eigenvalue > 1e-9 for q in pts)
+    )
+    assert calibrate_c_base(samples=3) == want
