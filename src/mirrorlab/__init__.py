@@ -12,7 +12,6 @@ from .lattice import (
     LatticeVector,
     MomentPoint,
     coset_reps,
-    enumerate_norm_ball,
     gamma_act_moment,
     kappa,
     lambda_map,
@@ -30,7 +29,6 @@ __all__ = [
     "MomentPoint",
     "TauSeries",
     "coset_reps",
-    "enumerate_norm_ball",
     "gamma_act_moment",
     "kappa",
     "lambda_map",

@@ -161,6 +161,11 @@ def run(argv: list[str] | None, stdout: BinaryIO | None = None) -> tuple[bytes, 
     return out, code
 
 
+# The rational argument, >= 0, of each command that truncates a sum or a window.
+_NONNEGATIVE = dict.fromkeys(("functor", "differential", "disc-series", "leibniz"), "--cutoff")
+_NONNEGATIVE.update({"sphere-c": "--window", "facets": "--radius"})
+
+
 def _check_domains(args: argparse.Namespace) -> None:
     """Raise ValueError, naming the flag, for an argument outside its domain."""
     if args.command == "metric-check":
@@ -169,6 +174,12 @@ def _check_domains(args: argparse.Namespace) -> None:
         for flag, value in (("--p", args.p), ("--l", args.l)):
             if value < 1:
                 raise ValueError(f"{flag} must be >= 1, got {value}")
+        empty = [k for k, (lo, hi) in kahler.sampler_windows(args.l, args.p).items() if lo >= hi]
+        if empty:
+            raise ValueError(f"--l {args.l} --p {args.p}: empty sampler windows {', '.join(empty)}")
+        deep = 3 * kahler.MODERATE_LOG  # below it a fiber point can have three moderate logs
+        if args.l <= deep:
+            raise ValueError(f"--l must exceed {deep:g} (a deep fiber), got {args.l}")
         if args.c_base != "auto":
             try:
                 c_base = float(args.c_base)
@@ -185,6 +196,17 @@ def _check_domains(args: argparse.Namespace) -> None:
             raise ValueError(f"--x: {exc}") from None
         if min(x) <= 0:
             raise ValueError(f"--x coordinates must be positive, got {args.x!r}")
+        if not 0.0 < args.tau < 1.0:
+            raise ValueError(f"--tau must lie in (0, 1), got {args.tau!r}")
+    flag = _NONNEGATIVE.get(args.command)
+    if flag is not None:
+        text = getattr(args, flag[2:])
+        try:
+            value = Fraction(text)
+        except ValueError:
+            raise ValueError(f"{flag} must be a rational, got {text!r}") from None
+        if value < 0:
+            raise ValueError(f"{flag} must be >= 0, got {text!r}")
     if args.command in ("metric-check", "monodromy") and args.samples < 0:
         raise ValueError(f"--samples must be >= 0, got {args.samples}")
 
@@ -231,7 +253,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[bytes, int]:
             args.i, args.j, x, args.tau, Fraction(args.cutoff), args.c_order
         )
         body = rep.to_json()
-        status = "pass" if rep.passed else "fail"
+        status = rep.status
     elif args.command == "metric-check":
         seed = _seed_from(args, config)
         c_base = (

@@ -27,6 +27,7 @@ from .lattice import (
 from .series import (
     NumericValue,
     TauSeries,
+    shell_tail,
     shifted_theta_value,
     theta_product_constants,
 )
@@ -136,14 +137,7 @@ def wall_degrees(edge: tuple[Tile, Tile]) -> WallCurve:
 
 def wall_curves_window(radius: Rational) -> list[WallCurve]:
     """Wall curves whose both tiles satisfy N(m) <= radius, deduplicated."""
-    bound = Fraction(radius)
-    half = math.isqrt(int(4 * bound / 3) + 1) + 1
-    tiles = sorted(
-        Tile(m1, m2)
-        for m1 in range(-half, half + 1)
-        for m2 in range(-half, half + 1)
-        if m1 * m1 + m1 * m2 + m2 * m2 <= bound
-    )
+    tiles = sorted(Tile(n.n1, n.n2) for n in enumerate_shifted_ball((0, 0), radius))
     tile_set = set(tiles)
     walls = []
     for t in tiles:
@@ -319,6 +313,14 @@ class LeibnizReport:
     def passed(self) -> bool:
         return all(it["residual"] <= it["tail_bound"] for it in self.items)
 
+    @property
+    def status(self) -> str:
+        """Indeterminate if a tail bound admits every residual |lhs| + |rhs| allows."""
+        for it in self.items:
+            if it["tail_bound"] >= abs(float(it["lhs"])) + abs(float(it["rhs"])):
+                return "indeterminate"
+        return "pass" if self.passed else "fail"
+
     def to_json(self) -> dict:
         return {
             "i": self.i,
@@ -381,6 +383,10 @@ def leibniz_check(
     s_tail = s_num.tail_bound * tau ** (-n_u)
 
     table = differential_table(i, j, cutoff)
+    # Unknown tail of each structure-constant series: its terms are
+    # tau^(N(w)/(l(l-1))) over a lattice coset, and shells of radius r hold
+    # at most 8(r+2) of them, with N >= r^2/2.
+    t_tail = shell_tail(tau, 1.0 / (2.0 * level * (level - 1)), 0.0, cut_f, 0)
     items = []
     for e in coset_reps(level - 1):
         ne = shifted_basis_value(e, level - 1, xi, tau, cut_f)
@@ -393,9 +399,6 @@ def leibniz_check(
         for f, ts in table.entries[e].items():
             nf = shifted_basis_value(f, level, xi, tau, cut_f)
             t_val = ts.evaluate(tau)
-            # Unknown tail of the structure-constant series: exponents grow
-            # like N/(l(l-1)); bound with the generic shell estimate.
-            t_tail = _structure_tail(level, cut_f, tau)
             rhs += t_val * nf.value
             rhs_tail += (
                 abs(t_val) * nf.tail_bound
@@ -416,23 +419,3 @@ def leibniz_check(
         )
     return LeibnizReport(i, j, x_sample, tau, cut_f, tuple(items))
 
-
-def _structure_tail(level: int, cutoff: float, tau: float) -> float:
-    """Tail bound for a differential-table series beyond its cutoff.
-
-    Terms are tau^(N(w)/(level*(level-1))) over a lattice coset; shells of
-    radius r contribute at most 8(r+2) terms with N >= r^2/2.
-    """
-    scale = level * (level - 1)
-    r = 0
-    tail = 0.0
-    while True:
-        emin = max(cutoff, r * r / (2.0 * scale))
-        term = 8.0 * (r + 2) * tau ** emin
-        tail += term
-        r += 1
-        if r * r / (2.0 * scale) > cutoff and term < 1e-300:
-            break
-        if r > 200000:
-            break
-    return tail

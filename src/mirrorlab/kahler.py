@@ -55,6 +55,9 @@ DEFAULT_SEED = 7
 # Smallest power of two making every sampled normalized eigenvalue positive
 # with margin at the defaults; frozen from calibrate_c_base().
 DEFAULT_C_BASE = 2.0 ** 139
+# A log_T norm at most this is "moderate"; a fiber point with three moderate
+# logs is not near a deep fiber, which needs l > 3 * MODERATE_LOG.
+MODERATE_LOG = 2.0
 
 REGION_IDS = (
     "g_xy", "g_xz", "g_yz",
@@ -278,8 +281,7 @@ def phi_xyz(q: FiberPoint) -> tuple[float, float, float]:
 def formula_key(q: FiberPoint) -> str:
     """Internal dispatch label (splits the IV and VI bands into thirds)."""
     a, b, c = q.logs()
-    m_thr = 2.0
-    moderate = [i for i, v in enumerate((a, b, c)) if v <= m_thr]
+    moderate = [i for i, v in enumerate((a, b, c)) if v <= MODERATE_LOG]
     if len(moderate) >= 2:
         if len(moderate) == 3:
             raise ValueError("point is not near a deep fiber")
@@ -596,6 +598,22 @@ def harmonic_sixfold_check(q: FiberPoint) -> float:
 # Region samplers and the positivity certificate
 
 
+def sampler_windows(l: int, p: int) -> dict[str, tuple[float, float]]:
+    """The (low, high) windows `region_samples` draws from; low >= high is empty.
+
+    "a" is the deep log of the I, II, IV and VI samplers; "IIA" (also IIC),
+    "IIB" and "IV" (also VI) are band offsets 0.02 inside `BumpProfile` edges.
+    """
+    prof = BumpProfile(l, p)  # band edges do not involve T
+    t0, t1 = prof.t0, prof.t1
+    return {
+        "a": (l / 8 - l / (2 * p) - 1 + 0.02, l / 8 - 1 - 0.02),
+        "IIA": (t0 + 0.02, t1 - 0.02),
+        "IIB": (-t0 + 0.02, t0 - 0.02),
+        "IV": (-t1 + 0.02, t1 - 0.02),
+    }
+
+
 def region_samples(
     region: str,
     count: int,
@@ -611,10 +629,7 @@ def region_samples(
     """
     if region not in REGION_IDS:
         raise ValueError(f"unknown region {region!r}")
-    prof = BumpProfile(l, p)  # band edges do not involve T
-    a_lo = l / 8 - l / (2 * p) - 1 + 0.02
-    a_hi = l / 8 - 1 - 0.02
-    t0, t1 = prof.t0, prof.t1
+    win = sampler_windows(l, p)
     orbit, k = _ROTATION.get(region, ((region,), 0))  # IV, VI, VII: no orbit
     ridx = REGION_IDS.index(region)
     out = []
@@ -631,7 +646,7 @@ def region_samples(
         elif orbit[0] in ("I", "axis_x"):
             # sigma^k of a point whose x log is drawn first, then the spread
             # w between the other two
-            a = u(a_lo, a_hi) if orbit[0] == "I" else u(-1.0, 1.0)
+            a = u(*win["a"]) if orbit[0] == "I" else u(-1.0, 1.0)
             w = u(-8.0, 8.0) if orbit[0] == "I" else u(-3.0, 3.0)
             logs = _rotate((a, (l - a - w) / 2, (l - a + w) / 2), k)
             q = FiberPoint.from_logs(*logs, T, l, p)
@@ -641,21 +656,21 @@ def region_samples(
             logs.insert(k, l - logs[0] - logs[1])
             q = FiberPoint.from_logs(*logs, T, l, p)
         elif region in ("IIA", "IIB"):
-            a = u(a_lo, a_hi)
-            th = u(t0 + 0.02, t1 - 0.02) if region == "IIA" else u(-t0 + 0.02, t0 - 0.02)
+            a = u(*win["a"])
+            th = u(*win[region])
             q = FiberPoint.from_logs(a, a + th, None, T, l, p)
         elif region == "IIC":
-            b = u(a_lo, a_hi)
-            th = u(t0 + 0.02, t1 - 0.02)
+            b = u(*win["a"])
+            th = u(*win["IIA"])
             q = FiberPoint.from_logs(b + th, b, None, T, l, p)
         elif region == "IV":
-            m = u(a_lo, a_hi)
-            d = u(-t1 + 0.02, t1 - 0.02)
+            m = u(*win["a"])
+            d = u(*win["IV"])
             b, c = (m, m + d) if d >= 0 else (m - d, m)
             q = FiberPoint.from_logs(l - b - c, b, c, T, l, p)
         else:  # VI
-            m = u(a_lo, a_hi)
-            d = u(-t1 + 0.02, t1 - 0.02)
+            m = u(*win["a"])
+            d = u(*win["IV"])
             c, a = (m, m + d) if d >= 0 else (m - d, m)
             q = FiberPoint.from_logs(a, l - a - c, c, T, l, p)
         out.append(q)
@@ -668,19 +683,22 @@ def metric_certificate(
     p: int = DEFAULT_P,
     samples: int = 500,
     seed: int = DEFAULT_SEED,
-    c_base: float = DEFAULT_C_BASE,
+    c_base: float | None = DEFAULT_C_BASE,
 ) -> dict:
-    """Sampled positive-definiteness certificate, region by region."""
+    """Sampled positive-definiteness certificate, region by region.
+
+    Indeterminate, with nothing evaluated, for no samples or no c_base.
+    """
     prof = BumpProfile(l, p, T)
     regions = {}
     status = "pass"
-    if samples <= 0:
+    if samples <= 0 or c_base is None:
         status = "indeterminate"
     for region in REGION_IDS:
         worst = None
         worst_point = None
         pts = region_samples(region, samples, seed, T, l, p)
-        if pts:
+        if pts and c_base is not None:
             min_eigs = _metric_from_jets(_jets(pts, prof)[1], c_base)[1]
             i = int(np.argmin(min_eigs))  # the first of equal minima
             worst = float(min_eigs[i])
@@ -756,11 +774,12 @@ def calibrate_c_base(
     samples: int = 60,
     seed: int = DEFAULT_SEED,
     margin: float = 1e-9,
-) -> float:
+) -> float | None:
     """Smallest power of two whose sampled min-eigenvalues all clear margin.
 
-    The jets at the sample points are taken once; each power of two tried
-    costs only one batched `_metric_from_jets`.
+    None if no power of two in [2^-80, 2^200) does.  The jets at the sample
+    points are taken once; each power of two tried costs only one batched
+    `_metric_from_jets`.
     """
     prof = BumpProfile(l, p, T)
     pts = [
@@ -773,4 +792,4 @@ def calibrate_c_base(
         c = 2.0 ** k
         if np.all(_metric_from_jets(jets, c)[1] > margin):
             return c
-    raise RuntimeError("no power-of-two base coefficient certified positivity")
+    return None

@@ -129,38 +129,21 @@ def gamma_act_moment(g: LatticeVector, p: MomentPoint) -> MomentPoint:
     return MomentPoint(xi1, xi2, eta)
 
 
-def enumerate_norm_ball(bound: Rational | int) -> list[LatticeVector]:
-    """All lattice vectors with N(n) <= bound, each exactly once.
-
-    N(n) >= (3/4) max(n1^2, n2^2), so a box of half-width ceil(sqrt(4B/3))
-    is guaranteed to contain the ball.
-    """
-    bound = Fraction(bound)
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    half = math.isqrt((4 * bound.numerator) // (3 * bound.denominator) + 1) + 1
-    out = []
-    for n1 in range(-half, half + 1):
-        for n2 in range(-half, half + 1):
-            if n1 * n1 + n1 * n2 + n2 * n2 <= bound:
-                out.append(LatticeVector(n1, n2))
-    return out
-
-
 def enumerate_shifted_ball(shift: Vec2, bound: Rational) -> list[LatticeVector]:
-    """All integer n with N(n + shift) <= bound (shift in basis coordinates)."""
-    bound = Fraction(bound)
+    """All integer n with N(n + shift) <= bound (shift in basis coordinates).
+
+    The only place a norm bound becomes a coordinate box: N(w) >= (3/4) w_i^2,
+    so |n_i + shift_i| <= sqrt(4B/3) < isqrt(floor(4B/3) + 1) + 1.  Works on
+    the numbers it is given (Fraction, int or float) without coercing them;
+    the result is in row-major order, n1 outer.
+    """
     if bound < 0:
         return []
-    s1, s2 = Fraction(shift[0]), Fraction(shift[1])
-    half = math.isqrt((4 * bound.numerator) // (3 * bound.denominator) + 1) + 1
-    lo1 = math.floor(-s1 - half)
-    hi1 = math.ceil(-s1 + half)
-    lo2 = math.floor(-s2 - half)
-    hi2 = math.ceil(-s2 + half)
+    s1, s2 = shift
+    half = math.isqrt(int(4 * bound // 3) + 1) + 1
     out = []
-    for n1 in range(lo1, hi1 + 1):
-        for n2 in range(lo2, hi2 + 1):
+    for n1 in range(math.floor(-s1 - half), math.ceil(-s1 + half) + 1):
+        for n2 in range(math.floor(-s2 - half), math.ceil(-s2 + half) + 1):
             if norm_form(n1 + s1, n2 + s2) <= bound:
                 out.append(LatticeVector(n1, n2))
     return out

@@ -338,20 +338,9 @@ def shifted_theta_value(
     """sum over n of tau^(level * N(n + w)) for real shift w, plus tail bound."""
     if not (0 < tau < 1):
         raise ValueError("tau must lie in (0, 1)")
-    bound = cutoff / level
-    half = int(math.isqrt(int(4 * max(bound, 0.0) / 3) + 1)) + 2
-    lo1 = math.floor(-w[0] - half)
-    hi1 = math.ceil(-w[0] + half)
-    lo2 = math.floor(-w[1] - half)
-    hi2 = math.ceil(-w[1] + half)
     total = 0.0
-    for n1 in range(lo1, hi1 + 1):
-        for n2 in range(lo2, hi2 + 1):
-            v1 = n1 + w[0]
-            v2 = n2 + w[1]
-            q = v1 * v1 + v1 * v2 + v2 * v2
-            if level * q <= cutoff:
-                total += tau ** (level * q)
+    for n in enumerate_shifted_ball(w, cutoff / level):
+        total += tau ** (level * norm_form(n.n1 + w[0], n.n2 + w[1]))
     return NumericValue(total, _dropped_tail(level, cutoff, tau, 0.0))
 
 
@@ -363,19 +352,28 @@ def _dropped_tail(level: int, cutoff: float, tau: float, n_u: float) -> float:
     dropped terms satisfy |v| > sqrt(2*cutoff/(3*level)).
     """
     u_norm = math.sqrt(2.0 * n_u)
-    r = max(0, math.floor(math.sqrt(max(2.0 * cutoff / (3.0 * level), 0.0)) - u_norm) - 1)
-    tail = 0.0
-    guard = 0
-    while True:
-        emin = level * max(r * r / 2.0 - n_u, 0.0)
-        if n_u == 0.0:
-            emin = max(emin, cutoff)
-        term = 8.0 * (r + 2.0) * tau ** emin
-        tail += term
-        r += 1
-        guard += 1
-        if level * (r * r / 2.0) > cutoff + level * n_u and term < 1e-300:
-            break
-        if guard > 200000:
-            break
-    return tail
+    r0 = max(0, math.floor(math.sqrt(max(2.0 * cutoff / (3.0 * level), 0.0)) - u_norm) - 1)
+    e_min = cutoff if n_u == 0.0 else 0.0
+    return shell_tail(tau, level / 2.0, level * n_u, e_min, r0)
+
+
+def shell_tail(tau: float, a: float, b: float, e_min: float, r0: int) -> float:
+    """Closed-form upper bound on sum_{r >= r0} 8(r+2) tau^max(e_min, a r^2 - b).
+
+    For 0 < tau < 1 and a > 0.  The rows r <= r1 still at exponent e_min sum
+    as an arithmetic series.  Past them f(x) = (x+2) tau^(a x^2 - b) is
+    unimodal, so its sum over x >= r2 is at most its integral from r2 plus
+    its peak; with c = -a log(tau) and z = sqrt(c) r2 that integral is
+    tau^(a r2^2 - b) (1/(2c) + sqrt(pi/c) e^(z^2) erfc(z)).  The factor
+    1 + 1e-12 covers rounding.
+    """
+    c = -a * math.log(tau)
+    r1 = math.floor(math.sqrt((e_min + b) / a)) if e_min + b >= 0 else -1
+    flat = max(r1 - r0 + 1, 0) * (r0 + r1 + 4) / 2 * tau ** e_min
+    r2 = max(r0, r1 + 1)
+    z = math.sqrt(c) * r2
+    # e^(z^2) erfc(z) < 1/(z sqrt(pi)), used where erfc nears underflow
+    scaled = math.exp(z * z) * math.erfc(z) if z < 20.0 else 1.0 / (z * math.sqrt(math.pi))
+    integral = tau ** (a * r2 * r2 - b) * (0.5 / c + math.sqrt(math.pi / c) * scaled)
+    x = max(r2, math.sqrt(1.0 + 0.5 / c) - 1.0)  # f peaks where 2c x (x + 2) = 1
+    return 8.0 * (flat + integral + (x + 2.0) * tau ** (a * x * x - b)) * (1.0 + 1e-12)

@@ -18,6 +18,7 @@ from .lattice import (
     MomentPoint,
     Rational,
     Vec2,
+    enumerate_shifted_ball,
     lambda_map,
     norm_form,
 )
@@ -363,17 +364,7 @@ def svg_tiling(window: tuple[float, float, float, float], scale: int = 40) -> st
 def facet_csv(radius: Rational) -> str:
     """Facet table m1,m2,nu1,nu2,nu3,alpha for all tiles with N(m) <= radius."""
     rows = ["m1,m2,nu1,nu2,nu3,alpha"]
-    tiles = []
-    bound = Fraction(radius)
-    half = math.isqrt(int(4 * bound / 3) + 1) + 1
-    for m1 in range(-half, half + 1):
-        for m2 in range(-half, half + 1):
-            if m1 * m1 + m1 * m2 + m2 * m2 <= bound:
-                tiles.append(Tile(m1, m2))
-    tiles.sort(key=lambda t: (t.vector.norm, t.m1, t.m2))
-    for t in tiles:
-        f = facet(t)
-        rows.append(
-            f"{t.m1},{t.m2},{f.normal[0]},{f.normal[1]},{f.normal[2]},{f.offset}"
-        )
+    for n in sorted(enumerate_shifted_ball((0, 0), radius), key=lambda n: (n.norm, n.n1, n.n2)):
+        f = facet(Tile(n.n1, n.n2))
+        rows.append(f"{n.n1},{n.n2},{f.normal[0]},{f.normal[1]},{f.normal[2]},{f.offset}")
     return "\n".join(rows) + "\n"

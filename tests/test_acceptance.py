@@ -36,7 +36,7 @@ from mirrorlab.kahler import (
 from mirrorlab.lattice import (
     LatticeVector,
     MomentPoint,
-    enumerate_norm_ball,
+    enumerate_shifted_ball,
 )
 from mirrorlab.series import TauSeries, theta_product_constants
 from mirrorlab.tropical import Tile, facet, trop_phi
@@ -78,7 +78,7 @@ def test_criterion_3_leading_structure_constants():
     def brute_constants(rep: tuple[int, int]) -> dict[F, F]:
         base = F(rep[0] ** 2 + rep[0] * rep[1] + rep[1] ** 2, 2)
         acc: dict[F, F] = {}
-        for na in enumerate_norm_ball(12):
+        for na in enumerate_shifted_ball((0, 0), 12):
             nb = LatticeVector(rep[0] - na.n1, rep[1] - na.n2)
             exp = F(na.norm + nb.norm) - base
             if exp <= 10:
@@ -118,7 +118,7 @@ def test_criterion_4_disc_theta_agreement():
             disc_exps.extend([e - eta] * int(c))
         theta_exps = [
             n.norm - (x1 * n.n1 + x2 * n.n2)
-            for n in enumerate_norm_ball(400)
+            for n in enumerate_shifted_ball((0, 0), 400)
             if n.norm - (x1 * n.n1 + x2 * n.n2) <= cutoff - eta
         ]
         assert sorted(disc_exps) == sorted(theta_exps)
@@ -222,7 +222,7 @@ def test_criterion_9_differential_and_leibniz():
         assert tab.entries[e0][rep] == series.truncate(F(15))
     for i, j in ((0, 2), (0, 3)):
         report = leibniz_check(i, j, (1.0, 1.0), 0.1, F(15), c_order=3)
-        assert report.passed, report.to_json()
+        assert report.status == "pass", report.to_json()
     _report(9, "level-2 table equals the functor data; Leibniz residuals "
                "below their tail bounds at (0,2) and (0,3)")
 

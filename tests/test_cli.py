@@ -64,6 +64,28 @@ def test_differential_and_leibniz():
     assert json.loads(out)["passed"] is True
 
 
+def test_leibniz_vacuous_tail_is_indeterminate():
+    # near tau = 1 the dropped tail dwarfs the values it would bound
+    out, code = run(
+        ["leibniz", "--i", "0", "--j", "2", "--tau", "0.999999999", "--cutoff", "15"]
+    )
+    rep = json.loads(out)
+    assert code == 2 and rep["status"] == "indeterminate"
+    assert all(
+        float(it["tail_bound"]) >= abs(float(it["lhs"])) + abs(float(it["rhs"]))
+        for it in rep["items"]
+    )
+
+
+def test_metric_check_failed_calibration_is_indeterminate():
+    # at T = 0.5 no power of two certifies the calibration points
+    out, code = run(["metric-check", "--T", "0.5", "--samples", "2"])
+    rep = json.loads(out)
+    assert code == 2 and rep["status"] == "indeterminate"
+    assert rep["c_base"] is None
+    assert all(r["min_eig"] is None for r in rep["regions"].values())
+
+
 def test_metric_check_indeterminate_on_empty():
     out, code = run(["metric-check", "--samples", "0", "--c-base", "1024"])
     assert code == 2
@@ -96,12 +118,23 @@ def test_usage_error_exit_code(capsys):
     # arguments outside a command's domain, with the flag the message names
     for argv, flag in (
         (["functor", "--i", "0", "--j", "0", "--k", "1"], None),
-        (["leibniz", "--i", "0", "--j", "2", "--tau", "1.5"], None),
+        (["leibniz", "--i", "0", "--j", "2", "--tau", "1.5"], "--tau"),
+        (["leibniz", "--i", "0", "--j", "2", "--tau", "0"], "--tau"),
+        (["leibniz", "--i", "0", "--j", "2", "--cutoff", "-1"], "--cutoff"),
+        (["functor", "--i", "0", "--j", "1", "--k", "2", "--cutoff", "-1"], "--cutoff"),
+        (["differential", "--i", "0", "--j", "2", "--cutoff", "-0.5"], "--cutoff"),
+        (["disc-series", "--A", "0,0,1/2", "--cutoff", "-1"], "--cutoff"),
+        (["sphere-c", "--window", "-1"], "--window"),
+        (["facets", "--radius", "-1"], "--radius"),
+        (["metric-check", "--l", "40", "--p", "4"], "--p"),
+        (["metric-check", "--l", "40", "--p", "16"], "--p"),
+        (["metric-check", "--l", "1", "--p", "17"], "--l"),
+        (["metric-check", "--l", "2", "--p", "20"], "--l"),
         (["leibniz", "--i", "0", "--j", "2", "--x", "0,1"], "--x"),
         (["differential", "--i", "0", "--j", "1"], None),
         (["disc-series", "--A", "0,0,-1"], None),
         (["sphere-c", "--max-order", "-1"], None),
-        (["functor", "--i", "0", "--j", "1", "--k", "2", "--cutoff", "abc"], None),
+        (["functor", "--i", "0", "--j", "1", "--k", "2", "--cutoff", "abc"], "--cutoff"),
         (["metric-check", "--T", "1"], "--T"),
         (["metric-check", "--T", "1.5"], "--T"),
         (["metric-check", "--T", "0"], "--T"),
@@ -164,6 +197,24 @@ def test_emitters_match_golden_files():
     assert svg == (data / "tiling_window3.svg").read_bytes()
     csv, _ = run(["facets", "--radius", "4"])
     assert csv == (data / "facets_radius4.csv").read_bytes()
+
+
+# Reports whose sums run through the norm-ball enumerator, byte for byte.
+GOLDEN_REPORTS = (
+    (["disc-series", "--A", "0,0,1/2", "--cutoff", "15"], "disc_series_A0_0_half_cutoff15.json"),
+    (["sphere-c", "--max-order", "4", "--window", "9"], "sphere_c_order4_window9.json"),
+    (["differential", "--i", "0", "--j", "2", "--cutoff", "6"], "differential_0_2_cutoff6.json"),
+    (["functor", "--i", "0", "--j", "1", "--k", "2", "--cutoff", "6"], "functor_0_1_2_cutoff6.json"),
+)
+
+
+@pytest.mark.parametrize("argv, name", GOLDEN_REPORTS)
+def test_reports_match_golden_files(argv, name):
+    import pathlib
+
+    out, code = run(argv)
+    assert code == 0
+    assert out == (pathlib.Path(__file__).parent / "data" / name).read_bytes()
 
 
 def test_metric_check_fail_exit_code():

@@ -81,9 +81,9 @@ def test_disc_series_matches_theta_exponents(x1, x2, above):
     theta_exps = []
     # theta terms evaluate to exponent N(n) - <xi, n> at |x_i| = tau^xi_i
     bound = cutoff - a.eta
-    from mirrorlab.lattice import enumerate_norm_ball
+    from mirrorlab.lattice import enumerate_shifted_ball
 
-    for n in enumerate_norm_ball(200):
+    for n in enumerate_shifted_ball((0, 0), 200):
         exp = n.norm - (a.xi1 * n.n1 + a.xi2 * n.n2)
         if exp <= bound:
             theta_exps.append(exp)
@@ -223,10 +223,12 @@ def test_leibniz_identity():
 
 def test_leibniz_cutoff_zero_counts_flat_configurations():
     rep = leibniz_check(0, 2, (1.0, 1.0), 0.1, F(0), c_order=0)
-    assert rep.passed
     item = rep.items[0]
     assert float(item["lhs"]) == 1.0
     assert float(item["rhs"]) == 1.0
+    # the dropped tail (about 3e3) dwarfs lhs + rhs: nothing is checked
+    assert item["tail_bound"] > 1e3
+    assert rep.passed and rep.status == "indeterminate"
 
 
 def test_leibniz_shifted_sample():

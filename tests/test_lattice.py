@@ -10,7 +10,6 @@ from mirrorlab.lattice import (
     LatticeVector,
     MomentPoint,
     coset_reps,
-    enumerate_norm_ball,
     enumerate_shifted_ball,
     from_std,
     gamma_act_moment,
@@ -100,24 +99,28 @@ def test_gamma_act_is_group_action(g, h, x1, x2, eta):
 
 
 def test_norm_ball_counts():
-    assert [(v.n1, v.n2) for v in enumerate_norm_ball(0)] == [(0, 0)]
-    assert len(enumerate_norm_ball(1)) == 7
-    assert len(enumerate_norm_ball(3)) == 13
-    norms = sorted(v.norm for v in enumerate_norm_ball(3))
+    assert [(v.n1, v.n2) for v in enumerate_shifted_ball((0, 0), 0)] == [(0, 0)]
+    assert len(enumerate_shifted_ball((0, 0), 1)) == 7
+    assert len(enumerate_shifted_ball((0, 0), 3)) == 13
+    norms = sorted(v.norm for v in enumerate_shifted_ball((0, 0), 3))
     assert 2 not in norms  # norm two is not represented
 
 
-@given(st.integers(min_value=0, max_value=30))
-def test_norm_ball_matches_box_scan(bound):
+@given(
+    st.one_of(st.integers(min_value=0, max_value=30), st.floats(min_value=0, max_value=30)),
+    st.one_of(st.just((0, 0)), st.tuples(st.floats(-2, 2), st.floats(-2, 2))),
+)
+def test_norm_ball_matches_box_scan(bound, shift):
     import math
 
-    got = set(enumerate_norm_ball(bound))
-    half = 2 * math.isqrt(bound) + 2
+    # ints and floats are used as given, as shifted_theta_value needs
+    got = set(enumerate_shifted_ball(shift, bound))
+    half = 2 * math.isqrt(int(bound)) + 4
     want = {
         LatticeVector(n1, n2)
         for n1 in range(-half, half + 1)
         for n2 in range(-half, half + 1)
-        if n1 * n1 + n1 * n2 + n2 * n2 <= bound
+        if norm_form(n1 + shift[0], n2 + shift[1]) <= bound
     }
     assert got == want
 

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,7 @@ from mirrorlab.series import (
     recompose,
     section_mul,
     section_mul_decompose,
+    shell_tail,
     theta_product_constants,
     theta_section,
 )
@@ -195,3 +197,50 @@ def test_decompose_validity_covers_padding(l1, l2):
         for e2 in coset_reps(l2):
             cs = theta_product_constants(e1, l1, e2, l2, cutoff)
             assert all(c.cutoff >= cutoff for c in cs.values())
+
+
+def _shell_sum(tau, a, b, e_min, r0):
+    """sum_{r >= r0} 8(r+2) tau^max(e_min, a r^2 - b), term by term.
+
+    Stops at the row past which every exponent exceeds 800/|log tau|, so
+    every later term underflows to zero.
+    """
+    last = math.isqrt(math.ceil((e_min + b + 800.0 / -math.log(tau)) / a)) + 1
+    return sum(
+        8.0 * (r + 2) * tau ** max(e_min, a * r * r - b) for r in range(r0, last + 1)
+    )
+
+
+@given(
+    tau=st.floats(min_value=0.01, max_value=0.99),
+    level=st.integers(min_value=1, max_value=6),
+    cutoff=st.floats(min_value=0.0, max_value=40.0),
+    n_u=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0)),
+    r0=st.integers(min_value=0, max_value=12),
+)
+@settings(max_examples=200, deadline=None)
+def test_shell_tail_bounds_the_shell_sum(tau, level, cutoff, n_u, r0):
+    callers = (
+        # series._dropped_tail at this level and N(u) = n_u
+        (level / 2.0, level * n_u, cutoff if n_u == 0.0 else 0.0),
+        # the structure-constant tail of gw.leibniz_check at level + 1
+        (1.0 / (2.0 * (level + 1) * level), 0.0, cutoff),
+    )
+    for a, b, e_min in callers:
+        assert shell_tail(tau, a, b, e_min, r0) >= _shell_sum(tau, a, b, e_min, r0)
+
+
+def test_shell_tail_near_tau_one():
+    from mirrorlab.series import shifted_theta_value
+
+    tau = 0.999999999
+    for level in (2, 6):
+        # the structure-constant tail of the level-l Leibniz check
+        a = 1.0 / (2.0 * level * (level - 1))
+        c = -a * math.log(tau)
+        bound = shell_tail(tau, a, 0.0, 0.0, 0)
+        # sum_r 8(r+2) tau^(a r^2) exceeds the integral of 8x e^(-c x^2),
+        # which is 4/c; summing only r < 200000 reaches about half of that
+        # at level 6.
+        assert 4.0 / c <= bound <= 4.01 / c
+    assert math.isfinite(shifted_theta_value(2, (0.0, 0.0), tau, 15.0).tail_bound)
