@@ -161,9 +161,10 @@ def run(argv: list[str] | None, stdout: BinaryIO | None = None) -> tuple[bytes, 
     return out, code
 
 
-# The rational argument, >= 0, of each command that truncates a sum or a window.
-_NONNEGATIVE = dict.fromkeys(("functor", "differential", "disc-series", "leibniz"), "--cutoff")
-_NONNEGATIVE.update({"sphere-c": "--window", "facets": "--radius"})
+# The arguments, >= 0, that truncate a sum, a window or a series order.
+_NONNEGATIVE = [(c, "--cutoff") for c in ("functor", "differential", "disc-series", "leibniz")]
+_NONNEGATIVE += [("sphere-c", "--window"), ("facets", "--radius")]
+_NONNEGATIVE += [("sphere-c", "--max-order"), ("leibniz", "--c-order")]
 
 
 def _check_domains(args: argparse.Namespace) -> None:
@@ -198,9 +199,14 @@ def _check_domains(args: argparse.Namespace) -> None:
             raise ValueError(f"--x coordinates must be positive, got {args.x!r}")
         if not 0.0 < args.tau < 1.0:
             raise ValueError(f"--tau must lie in (0, 1), got {args.tau!r}")
-    flag = _NONNEGATIVE.get(args.command)
-    if flag is not None:
-        text = getattr(args, flag[2:])
+    if args.command == "functor" and not args.i < args.j < args.k:
+        raise ValueError(f"--i, --j, --k must satisfy i < j < k, got {args.i}, {args.j}, {args.k}")
+    if args.command in ("differential", "leibniz") and args.j - args.i < 2:
+        raise ValueError(f"--j must be at least --i + 2, got --i {args.i} --j {args.j}")
+    for command, flag in _NONNEGATIVE:
+        if command != args.command:
+            continue
+        text = getattr(args, flag[2:].replace("-", "_"))
         try:
             value = Fraction(text)
         except ValueError:

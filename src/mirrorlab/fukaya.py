@@ -10,6 +10,8 @@ must agree exactly, term for term.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -21,7 +23,6 @@ from .lattice import (
     enumerate_shifted_ball,
     kappa,
     lambda_map,
-    norm_form,
 )
 from .series import TauSeries, theta_product_constants
 
@@ -161,6 +162,10 @@ def mu2_closed(
     e1 indexes the (i, j) intersection, e2 the (j, k) one.  For each output
     representative e the series sums tau^((l/(l' l'')) N((l''/l) e + a)) over
     lattice translates a with a = e1 - e (mod l') and a = -e2 (mod l'').
+    Those congruences leave one residue r mod L = lcm(l', l'') per
+    coordinate, or none, so a = r + L m with N(m + (l r + l'' e)/(l L)) at
+    most cutoff l' l''/(l L^2); the exponent is the integer N(l a + l'' e)
+    over the fixed denominator l l' l''.
     """
     if not i < j < k:
         raise ValueError("slopes must satisfy i < j < k")
@@ -170,19 +175,28 @@ def mu2_closed(
     if not (0 <= e2.n1 < lpp and 0 <= e2.n2 < lpp):
         raise ValueError(f"{e2} is not a level-{lpp} representative")
     cutoff = Fraction(cutoff)
+    big = math.lcm(lp, lpp)
+    bound = cutoff * lp * lpp / (l * big * big)
     out: dict[LatticeVector, TauSeries] = {}
     for e in coset_reps(l):
-        shift = (Fraction(lpp * e.n1, l), Fraction(lpp * e.n2, l))
-        pairs = []
-        for a in enumerate_shifted_ball(shift, cutoff * lp * lpp / l):
-            if (a.n1 - e1.n1 + e.n1) % lp or (a.n2 - e1.n2 + e.n2) % lp:
-                continue
-            if (a.n1 + e2.n1) % lpp or (a.n2 + e2.n2) % lpp:
-                continue
-            exp = Fraction(l, lp * lpp) * norm_form(a.n1 + shift[0], a.n2 + shift[1])
-            pairs.append((exp, Fraction(1)))
-        out[e] = TauSeries.from_terms(pairs, cutoff)
+        r1 = _crt(e1.n1 - e.n1, lp, -e2.n1, lpp)
+        r2 = _crt(e1.n2 - e.n2, lp, -e2.n2, lpp)
+        counts: Counter[int] = Counter()
+        if r1 is not None and r2 is not None:
+            shift = (Fraction(l * r1 + lpp * e.n1, l * big), Fraction(l * r2 + lpp * e.n2, l * big))
+            for m in enumerate_shifted_ball(shift, bound):
+                w1 = l * (r1 + big * m.n1) + lpp * e.n1
+                w2 = l * (r2 + big * m.n2) + lpp * e.n2
+                counts[w1 * w1 + w1 * w2 + w2 * w2] += 1
+        out[e] = TauSeries.from_scaled(counts, l * lp * lpp, cutoff)
     return out
+
+
+def _crt(u: int, m1: int, v: int, m2: int) -> int | None:
+    """The x in [0, lcm(m1, m2)) with x = u (mod m1) and x = v (mod m2), if any."""
+    return next(
+        (x for x in range(math.lcm(m1, m2)) if (x - u) % m1 == 0 and (x - v) % m2 == 0), None
+    )
 
 
 @dataclass(frozen=True)

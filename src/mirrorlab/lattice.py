@@ -133,18 +133,35 @@ def enumerate_shifted_ball(shift: Vec2, bound: Rational) -> list[LatticeVector]:
     """All integer n with N(n + shift) <= bound (shift in basis coordinates).
 
     The only place a norm bound becomes a coordinate box: N(w) >= (3/4) w_i^2,
-    so |n_i + shift_i| <= sqrt(4B/3) < isqrt(floor(4B/3) + 1) + 1.  Works on
-    the numbers it is given (Fraction, int or float) without coercing them;
-    the result is in row-major order, n1 outer.
+    so |n_i + shift_i| <= sqrt(4B/3) < isqrt(floor(4B/3) + 1) + 1.  Float
+    input is tested in floats as given; exact input (int or Fraction) is
+    scaled once to integers: with d the common denominator of the shift and
+    B = p/q, the test is q N(d n + d shift) <= p d^2.  The result is in
+    row-major order, n1 outer.
     """
     if bound < 0:
         return []
     s1, s2 = shift
     half = math.isqrt(int(4 * bound // 3) + 1) + 1
+    rows = range(math.floor(-s1 - half), math.ceil(-s1 + half) + 1)
+    cols = range(math.floor(-s2 - half), math.ceil(-s2 + half) + 1)
+    if any(isinstance(v, float) for v in (s1, s2, bound)):
+        return [
+            LatticeVector(n1, n2)
+            for n1 in rows
+            for n2 in cols
+            if norm_form(n1 + s1, n2 + s2) <= bound
+        ]
+    s1, s2, bound = Fraction(s1), Fraction(s2), Fraction(bound)
+    d = math.lcm(s1.denominator, s2.denominator)
+    t1, t2 = s1.numerator * (d // s1.denominator), s2.numerator * (d // s2.denominator)
+    q, limit = bound.denominator, bound.numerator * d * d
     out = []
-    for n1 in range(math.floor(-s1 - half), math.ceil(-s1 + half) + 1):
-        for n2 in range(math.floor(-s2 - half), math.ceil(-s2 + half) + 1):
-            if norm_form(n1 + s1, n2 + s2) <= bound:
+    for n1 in rows:
+        w1 = d * n1 + t1
+        for n2 in cols:
+            w2 = d * n2 + t2
+            if q * (w1 * w1 + w1 * w2 + w2 * w2) <= limit:
                 out.append(LatticeVector(n1, n2))
     return out
 

@@ -8,6 +8,7 @@ Theta sections are stored as Laurent data: a map from integer x-exponent
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,6 +41,12 @@ class TauSeries:
                 continue
             acc[e] = acc.get(e, Fraction(0)) + c
         terms = tuple(sorted((e, c) for e, c in acc.items() if c != 0))
+        return TauSeries(terms, cutoff)
+
+    @staticmethod
+    def from_scaled(acc: dict[int, Rational], den: int, cutoff: Fraction) -> "TauSeries":
+        """The series sum c tau^(x/den) over acc's items x: c, all x/den <= cutoff."""
+        terms = tuple((Fraction(x, den), Fraction(c)) for x, c in sorted(acc.items()) if c)
         return TauSeries(terms, cutoff)
 
     @staticmethod
@@ -191,24 +198,32 @@ def theta_section(e: LatticeVector, level: int, cutoff: Rational) -> LaurentSect
     shift = (Fraction(e.n1, level), Fraction(e.n2, level))
     coeffs: dict[tuple[int, int], TauSeries] = {}
     for n in enumerate_shifted_ball(shift, cutoff / level):
-        exp = level * norm_form(n.n1 + shift[0], n.n2 + shift[1])
-        key = (-(level * n.n1 + e.n1), -(level * n.n2 + e.n2))
-        coeffs[key] = TauSeries.from_terms([(exp, 1)], cutoff)
+        # level * N(n + e/level) = N(w)/level with w = level*n + e
+        w1, w2 = level * n.n1 + e.n1, level * n.n2 + e.n2
+        coeffs[(-w1, -w2)] = TauSeries.from_scaled({w1 * w1 + w1 * w2 + w2 * w2: 1}, level, cutoff)
     return LaurentSection(level, cutoff, coeffs, theta_rep=e)
 
 
 def section_mul(s1: LaurentSection, s2: LaurentSection) -> LaurentSection:
-    """Product section; level adds, cutoff is the minimum of the factors'."""
+    """Product section; level adds, cutoff is the minimum of the factors'.
+
+    The product runs on integer exponents over the common denominator of
+    the factors' exponents; each product coefficient becomes a TauSeries once.
+    """
     cutoff = min(s1.cutoff, s2.cutoff)
-    acc: dict[tuple[int, int], TauSeries] = {}
-    for k1, t1 in s1.coeffs.items():
-        for k2, t2 in s2.coeffs.items():
-            prod = t1 * t2
-            if prod.is_zero:
-                continue
-            key = (k1[0] + k2[0], k1[1] + k2[1])
-            acc[key] = acc[key] + prod if key in acc else prod.truncate(cutoff)
-    return LaurentSection(s1.level + s2.level, cutoff, acc)
+    den = math.lcm(*(e.denominator for s in (s1, s2) for t in s.coeffs.values() for e, _ in t.terms))
+    limit = math.floor(cutoff * den)
+    f2 = _scaled_terms(s2, den)
+    acc: dict[tuple[int, int], dict[int, Rational]] = {}
+    for k1, t1 in _scaled_terms(s1, den):
+        for k2, t2 in f2:
+            for x1, c1 in t1:
+                for x2, c2 in t2:
+                    if x1 + x2 <= limit:
+                        terms = acc.setdefault((k1[0] + k2[0], k1[1] + k2[1]), {})
+                        terms[x1 + x2] = terms.get(x1 + x2, 0) + c1 * c2
+    coeffs = {key: TauSeries.from_scaled(terms, den, cutoff) for key, terms in acc.items()}
+    return LaurentSection(s1.level + s2.level, cutoff, coeffs)
 
 
 def section_mul_decompose(
@@ -219,45 +234,66 @@ def section_mul_decompose(
     Works by matching the product against the x-exponent lattices of the
     level-(l1+l2) basis sections: the key class -(l*n + e) determines e and
     the basis tau-exponent N(l*n + e)/l to divide out.  Every x-exponent
-    class must agree on the overlap of its validity ranges.
+    class must agree on the overlap of its validity ranges.  Exponents are
+    compared and shifted as integers over D = l*l1*l2, which the
+    structure-constant exponents' denominators divide.
     """
     level = s1.level + s2.level
+    den = level * s1.level * s2.level
     prod = section_mul(s1, s2)
-    best: dict[LatticeVector, TauSeries] = {}
-    for key, ts in prod.coeffs.items():
-        e1 = (-key[0]) % level
-        e2 = (-key[1]) % level
-        rep = LatticeVector(e1, e2)
-        # x-exponent class membership is a partition of Z^2; a key outside
-        # every basis support would signal a corrupted product.
-        if ((-key[0]) - e1) % level or ((-key[1]) - e2) % level:
-            raise AssertionError(f"x-exponent {key} outside the level-{level} lattice")
-        base_exp = Fraction(norm_form(Fraction(-key[0]), Fraction(-key[1])), level)
-        cand = ts.shift(-base_exp).truncate(prod.cutoff - base_exp)
-        # Sanity: structure-constant exponents have denominators dividing
-        # level * l1 * l2.
-        scale = level * s1.level * s2.level
-        assert all(scale % e.denominator == 0 for e, _ in cand.terms)
+    limit = math.floor(prod.cutoff * den)
+    # best[rep] = (D times the basis exponent divided out, shifted terms);
+    # the smallest basis exponent leaves the largest validity range.
+    best: dict[LatticeVector, tuple[int, dict[int, Rational]]] = {}
+    for key, terms in _scaled_terms(prod, den):
+        rep = LatticeVector(-key[0] % level, -key[1] % level)
+        base = (key[0] * key[0] + key[0] * key[1] + key[1] * key[1]) * s1.level * s2.level
+        cand = {x - base: c for x, c in terms}
         if rep not in best:
-            best[rep] = cand
-        else:
-            cur = best[rep]
-            common = min(cur.cutoff, cand.cutoff)
-            if cur.truncate(common) != cand.truncate(common):
-                raise AssertionError(
-                    f"inconsistent structure constant for representative {rep}"
-                )
-            if cand.cutoff > cur.cutoff:
-                best[rep] = cand
+            best[rep] = (base, cand)
+            continue
+        cur_base, cur = best[rep]
+        common = limit - max(base, cur_base)
+        if _upto(cur, common) != _upto(cand, common):
+            raise AssertionError(f"inconsistent structure constant for representative {rep}")
+        if base < cur_base:
+            best[rep] = (base, cand)
+    out = {
+        rep: TauSeries.from_scaled(terms, den, prod.cutoff - Fraction(base, den))
+        for rep, (base, terms) in best.items()
+    }
     # Representatives whose minimal basis exponent exceeds the cutoff simply
     # do not appear in the truncated product; report them as zero series.
     for rep in coset_reps(level):
-        if rep not in best:
+        if rep not in out:
             defect = Fraction(min_norm_in_coset((-rep.n1, -rep.n2), level), level)
-            best[rep] = TauSeries.zero(prod.cutoff - defect)
+            out[rep] = TauSeries.zero(prod.cutoff - defect)
     if cutoff is not None:
-        best = {rep: ts.truncate(Fraction(cutoff)) for rep, ts in best.items()}
-    return best
+        out = {rep: ts.truncate(Fraction(cutoff)) for rep, ts in out.items()}
+    return out
+
+
+def _scaled_terms(
+    s: LaurentSection, den: int
+) -> list[tuple[tuple[int, int], list[tuple[int, Rational]]]]:
+    """(key, [(den * exponent, coefficient)]) for each coefficient of s; integral
+    coefficients become ints."""
+    out = []
+    for key, ts in s.coeffs.items():
+        terms = []
+        for e, c in ts.terms:
+            q, r = divmod(den, e.denominator)
+            # Sanity: structure-constant exponents have denominators dividing
+            # level * l1 * l2.
+            if r:
+                raise AssertionError(f"exponent {e} at x-exponent {key} is not in (1/{den})Z")
+            terms.append((e.numerator * q, c.numerator if c.denominator == 1 else c))
+        out.append((key, terms))
+    return out
+
+
+def _upto(terms: dict[int, Rational], limit: int) -> dict[int, Rational]:
+    return {x: c for x, c in terms.items() if x <= limit}
 
 
 def recompose(
@@ -276,6 +312,7 @@ def recompose(
     return LaurentSection(level, cutoff, acc)
 
 
+@functools.cache
 def decomposition_padding(level: int) -> Fraction:
     """Extra cutoff needed on the factors so every C_e is valid to the target.
 

@@ -117,7 +117,8 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 64
     # arguments outside a command's domain, with the flag the message names
     for argv, flag in (
-        (["functor", "--i", "0", "--j", "0", "--k", "1"], None),
+        (["functor", "--i", "0", "--j", "0", "--k", "1"], "--i"),
+        (["functor", "--i", "0", "--j", "2", "--k", "2"], "--k"),
         (["leibniz", "--i", "0", "--j", "2", "--tau", "1.5"], "--tau"),
         (["leibniz", "--i", "0", "--j", "2", "--tau", "0"], "--tau"),
         (["leibniz", "--i", "0", "--j", "2", "--cutoff", "-1"], "--cutoff"),
@@ -131,9 +132,11 @@ def test_usage_error_exit_code(capsys):
         (["metric-check", "--l", "1", "--p", "17"], "--l"),
         (["metric-check", "--l", "2", "--p", "20"], "--l"),
         (["leibniz", "--i", "0", "--j", "2", "--x", "0,1"], "--x"),
-        (["differential", "--i", "0", "--j", "1"], None),
+        (["differential", "--i", "0", "--j", "1"], "--j"),
+        (["leibniz", "--i", "0", "--j", "1"], "--j"),
+        (["leibniz", "--i", "0", "--j", "2", "--c-order", "-1"], "--c-order"),
         (["disc-series", "--A", "0,0,-1"], None),
-        (["sphere-c", "--max-order", "-1"], None),
+        (["sphere-c", "--max-order", "-1"], "--max-order"),
         (["functor", "--i", "0", "--j", "1", "--k", "2", "--cutoff", "abc"], "--cutoff"),
         (["metric-check", "--T", "1"], "--T"),
         (["metric-check", "--T", "1.5"], "--T"),
@@ -205,6 +208,9 @@ GOLDEN_REPORTS = (
     (["sphere-c", "--max-order", "4", "--window", "9"], "sphere_c_order4_window9.json"),
     (["differential", "--i", "0", "--j", "2", "--cutoff", "6"], "differential_0_2_cutoff6.json"),
     (["functor", "--i", "0", "--j", "1", "--k", "2", "--cutoff", "6"], "functor_0_1_2_cutoff6.json"),
+    # non-coprime gaps, where some output reps have an empty triangle coset
+    (["functor", "--i", "0", "--j", "2", "--k", "4", "--cutoff", "8"], "functor_0_2_4_cutoff8.json"),
+    (["functor", "--i", "0", "--j", "2", "--k", "5", "--cutoff", "8"], "functor_0_2_5_cutoff8.json"),
 )
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -12,8 +13,8 @@ from mirrorlab.fukaya import (
     triangle_area_oracle,
     triangles_up_to,
 )
-from mirrorlab.lattice import LatticeVector, coset_reps
-from mirrorlab.series import theta_product_constants
+from mirrorlab.lattice import LatticeVector, coset_reps, enumerate_shifted_ball, norm_form
+from mirrorlab.series import TauSeries, theta_product_constants
 
 
 def test_hom_rank():
@@ -88,6 +89,45 @@ def test_mu2_matches_theta_route():
             theta = theta_product_constants(e1, 1, e2, 2, F(12))
             for rep in tri:
                 assert tri[rep] == theta[rep].truncate(F(12))
+
+
+# Gaps (l', l''); the non-coprime ones have output reps whose coset is empty.
+ORACLE_GAPS = ((1, 1), (1, 2), (2, 2), (2, 4), (3, 3))
+
+
+def _mu2_ball_filter(i, j, k, e1, e2, cutoff):
+    """mu2_closed by filtering the whole shifted ball for each output rep."""
+    lp, lpp, l = j - i, k - j, k - i
+    out = {}
+    for e in coset_reps(l):
+        shift = (F(lpp * e.n1, l), F(lpp * e.n2, l))
+        pairs = []
+        for a in enumerate_shifted_ball(shift, cutoff * lp * lpp / l):
+            if (a.n1 - e1.n1 + e.n1) % lp or (a.n2 - e1.n2 + e.n2) % lp:
+                continue
+            if (a.n1 + e2.n1) % lpp or (a.n2 + e2.n2) % lpp:
+                continue
+            exp = F(l, lp * lpp) * norm_form(a.n1 + shift[0], a.n2 + shift[1])
+            pairs.append((exp, F(1)))
+        out[e] = TauSeries.from_terms(pairs, cutoff)
+    return out
+
+
+@pytest.mark.parametrize("gap", ORACLE_GAPS)
+def test_mu2_matches_ball_filter(gap):
+    lp, lpp = gap
+    cutoff = F(11, 2)
+    empty = 0
+    for e1 in coset_reps(lp):
+        for e2 in coset_reps(lpp):
+            got = mu2_closed(-1, lp - 1, lp + lpp - 1, e1, e2, cutoff)
+            want = _mu2_ball_filter(-1, lp - 1, lp + lpp - 1, e1, e2, cutoff)
+            assert list(got) == list(want)
+            for rep, series in want.items():
+                assert got[rep].terms == series.terms and got[rep].cutoff == cutoff
+                empty += series.is_zero
+    # at this cutoff only the empty cosets give zero series
+    assert (empty > 0) == (math.gcd(lp, lpp) > 1)
 
 
 def test_mu2_invalid_reps():

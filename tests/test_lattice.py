@@ -106,14 +106,26 @@ def test_norm_ball_counts():
     assert 2 not in norms  # norm two is not represented
 
 
+fine_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=60)
+
+
 @given(
-    st.one_of(st.integers(min_value=0, max_value=30), st.floats(min_value=0, max_value=30)),
-    st.one_of(st.just((0, 0)), st.tuples(st.floats(-2, 2), st.floats(-2, 2))),
+    st.one_of(
+        st.integers(min_value=0, max_value=30),
+        st.floats(min_value=0, max_value=30),
+        st.fractions(min_value=0, max_value=30, max_denominator=60),
+    ),
+    st.one_of(
+        st.just((0, 0)),
+        st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
+        st.tuples(fine_rationals, fine_rationals),
+    ),
 )
 def test_norm_ball_matches_box_scan(bound, shift):
     import math
 
-    # ints and floats are used as given, as shifted_theta_value needs
+    # floats are tested as given, as shifted_theta_value needs; ints and
+    # Fractions on the enumerator's integer-scaled path
     got = set(enumerate_shifted_ball(shift, bound))
     half = 2 * math.isqrt(int(bound)) + 4
     want = {

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorlab.lattice import LatticeVector, coset_reps
+from mirrorlab.lattice import LatticeVector, coset_reps, min_norm_in_coset
 from mirrorlab.series import (
+    LaurentSection,
     TauSeries,
     decomposition_padding,
     evaluate_numeric,
@@ -128,6 +129,57 @@ def test_decompose_commutative():
     ab = section_mul_decompose(a, b)
     ba = section_mul_decompose(b, a)
     assert ab == ba
+
+
+def _decompose_fraction(s1, s2, cutoff=None):
+    """section_mul_decompose on Fraction series: shift and compare every key."""
+    level = s1.level + s2.level
+    prod = section_mul(s1, s2)
+    best = {}
+    for key, t in prod.coeffs.items():
+        rep = LatticeVector((-key[0]) % level, (-key[1]) % level)
+        base_exp = F(key[0] ** 2 + key[0] * key[1] + key[1] ** 2, level)
+        cand = t.shift(-base_exp).truncate(prod.cutoff - base_exp)
+        if rep not in best:
+            best[rep] = cand
+        else:
+            common = min(best[rep].cutoff, cand.cutoff)
+            assert best[rep].truncate(common) == cand.truncate(common)
+            if cand.cutoff > best[rep].cutoff:
+                best[rep] = cand
+    for rep in coset_reps(level):
+        if rep not in best:
+            defect = F(min_norm_in_coset((-rep.n1, -rep.n2), level), level)
+            best[rep] = TauSeries.zero(prod.cutoff - defect)
+    if cutoff is not None:
+        best = {rep: t.truncate(cutoff) for rep, t in best.items()}
+    return best
+
+
+@pytest.mark.parametrize("gap", ((1, 1), (1, 2), (2, 2), (2, 4), (3, 3)))
+def test_decompose_matches_fraction_oracle(gap):
+    l1, l2 = gap
+    cutoff = F(11, 2)
+    pad = decomposition_padding(l1 + l2)
+    for e1 in coset_reps(l1):
+        for e2 in coset_reps(l2):
+            s1 = theta_section(e1, l1, cutoff + pad)
+            s2 = theta_section(e2, l2, cutoff + pad)
+            for cut in (None, cutoff):
+                got = section_mul_decompose(s1, s2, cut)
+                want = _decompose_fraction(s1, s2, cut)
+                assert list(got) == list(want)
+                for rep, t in want.items():
+                    assert got[rep].terms == t.terms and got[rep].cutoff == t.cutoff
+
+
+def test_decompose_rejects_exponents_off_the_denominator():
+    s1 = theta_section(LatticeVector(0, 0), 1, F(4))
+    s2 = theta_section(LatticeVector(0, 0), 1, F(4))
+    bad = LaurentSection(1, F(4), {(0, 0): ts([(F(1, 7), 1)], 4)})
+    assert section_mul_decompose(s1, s2)
+    with pytest.raises(AssertionError):
+        section_mul_decompose(s1, bad)
 
 
 def test_decomposition_padding_bounds():
