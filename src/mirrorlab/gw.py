@@ -194,47 +194,64 @@ def admitted_classes(
     """Distinct admitted classes among wall combinations of size <= max_total.
 
     Admitted means the anchor degree is negative and every other degree is
-    nonnegative.  Distinct wall combinations with equal degree maps are the
-    same homology class and are kept once.  The search prunes on the
-    non-anchor deficit: a wall contributes two +1 wings, so it can cancel
-    at most two units of deficit, and combinations that never touch the
-    anchor cannot make its degree negative.
+    nonnegative; one class is kept per degree map.  Tiles are indexed as
+    ints and a search state is the degree vector.  The first wall touches
+    the anchor (no other combination makes its degree negative).  After
+    that the search is driven by the deficit, the total negative degree
+    outside the anchor: while it is positive, a completion must add a wall
+    with the first negative non-anchor tile as a +1 wing, so only those
+    (at most six) walls are tried; at deficit 0 every wall is.  A wall
+    cancels at most two units of deficit, which prunes the rest.  Each
+    degree state is expanded once (a visited set); since every wall sphere
+    has area one, a state reached at two wall counts is inconsistent data
+    and raises.
     """
-    walls = sorted(
-        walls, key=lambda w: (0 if anchor in w.degrees else 1, sorted(w.edge))
-    )
-    out: dict[tuple, SphereClass] = {}
-    n = len(walls)
-    acc: dict[Tile, int] = {}
-    deficit = 0  # total negative degree outside the anchor, kept incrementally
+    tiles = sorted({t for w in walls for t in w.degrees} | {anchor})
+    index = {t: i for i, t in enumerate(tiles)}
+    a = index[anchor]
+    moves = [tuple((index[t], d) for t, d in w.degrees.items()) for w in walls]
+    repairs: list[list[int]] = [[] for _ in tiles]  # walls with tile i as a wing
+    for k, move in enumerate(moves):
+        for i, d in move:
+            if d > 0:
+                repairs[i].append(k)
+    openers = [k for k, move in enumerate(moves) if any(i == a for i, _ in move)]
+    deg = [0] * len(tiles)
+    seen: dict[tuple[int, ...], int] = {}
+    out = []
 
-    def apply(i: int, sign: int) -> None:
-        nonlocal deficit
-        for t, d in walls[i].degrees.items():
-            old = acc.get(t, 0)
-            new = old + sign * d
-            acc[t] = new
-            if t != anchor:
-                deficit += max(-new, 0) - max(-old, 0)
-
-    def rec(start: int, depth: int) -> None:
-        if depth > 0 and acc.get(anchor, 0) < 0 and deficit == 0:
-            degs = tuple(sorted((t, d) for t, d in acc.items() if d != 0))
-            key = tuple((t.m1, t.m2, d) for t, d in degs)
-            if key not in out:
-                out[key] = SphereClass(degs, depth)
+    def rec(depth: int, deficit: int) -> None:
+        state = tuple(deg)
+        if state in seen:
+            if seen[state] != depth:
+                raise ValueError(f"degree map reached with {seen[state]} and {depth} walls")
+            return
+        seen[state] = depth
+        if deficit == 0 and deg[a] < 0:
+            degs = tuple((tiles[i], d) for i, d in enumerate(deg) if d != 0)
+            out.append(SphereClass(degs, depth))
         if depth == max_total:
             return
-        for i in range(start, n):
-            if depth == 0 and anchor not in walls[i].degrees:
-                break  # walls are ordered anchor-first
-            apply(i, +1)
-            if deficit <= 2 * (max_total - depth - 1):
-                rec(i, depth + 1)
-            apply(i, -1)
+        if depth == 0:
+            branch = openers
+        elif deficit > 0:
+            branch = repairs[next(i for i, d in enumerate(deg) if d < 0 and i != a)]
+        else:
+            branch = range(len(moves))
+        for k in branch:
+            after = deficit
+            for i, d in moves[k]:
+                old = deg[i]
+                deg[i] = old + d
+                if i != a:
+                    after += max(-old - d, 0) - max(-old, 0)
+            if after <= 2 * (max_total - depth - 1):
+                rec(depth + 1, after)
+            for i, d in moves[k]:
+                deg[i] -= d
 
     rec(0, 0)
-    return list(out.values())
+    return out
 
 
 def sphere_count_C(max_order: int, window: Rational = 9) -> TauSeries:

@@ -20,7 +20,6 @@ from .lattice import (
     coset_reps,
     enumerate_shifted_ball,
     min_norm_in_coset,
-    norm_form,
 )
 
 
@@ -376,8 +375,8 @@ def shifted_theta_value(
     if not (0 < tau < 1):
         raise ValueError("tau must lie in (0, 1)")
     total = 0.0
-    for n in enumerate_shifted_ball(w, cutoff / level):
-        total += tau ** (level * norm_form(n.n1 + w[0], n.n2 + w[1]))
+    for q in enumerate_shifted_ball(w, cutoff / level).values():
+        total += tau ** (level * q)
     return NumericValue(total, _dropped_tail(level, cutoff, tau, 0.0))
 
 

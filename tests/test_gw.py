@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from mirrorlab.gw import (
     SphereClass,
+    WallCurve,
     admitted_classes,
     differential_table,
     disc_area,
@@ -144,6 +145,72 @@ def test_g_series_rejects_single_wall_and_signs():
         assert sum(degs.values()) == 0
         k = -degs[anchor]
         assert k - 1 >= 0  # factorial argument finite
+
+
+def _multiset_classes(walls, anchor, max_total):
+    """Reference search: every nondecreasing wall multiset, kept per degree map."""
+    walls = sorted(
+        walls, key=lambda w: (0 if anchor in w.degrees else 1, sorted(w.edge))
+    )
+    out = {}
+    n = len(walls)
+    acc = {}
+    deficit = 0
+
+    def apply(i, sign):
+        nonlocal deficit
+        for t, d in walls[i].degrees.items():
+            old = acc.get(t, 0)
+            new = old + sign * d
+            acc[t] = new
+            if t != anchor:
+                deficit += max(-new, 0) - max(-old, 0)
+
+    def rec(start, depth):
+        if depth > 0 and acc.get(anchor, 0) < 0 and deficit == 0:
+            degs = tuple(sorted((t, d) for t, d in acc.items() if d != 0))
+            out.setdefault(degs, depth)
+        if depth == max_total:
+            return
+        for i in range(start, n):
+            if depth == 0 and anchor not in walls[i].degrees:
+                break
+            apply(i, +1)
+            if deficit <= 2 * (max_total - depth - 1):
+                rec(i, depth + 1)
+            apply(i, -1)
+
+    rec(0, 0)
+    return out
+
+
+@pytest.mark.parametrize(
+    "window, max_total",
+    [(3, k) for k in range(6)] + [(5, k) for k in range(6)] + [(9, 4), (16, 4)],
+)
+def test_admitted_classes_match_multiset_search(window, max_total):
+    walls = wall_curves_window(window)
+    anchor = Tile(0, 0)
+    classes = admitted_classes(walls, anchor, max_total)
+    found = {c.degrees: c.total_degree for c in classes}
+    assert len(found) == len(classes)  # one class per degree map
+    assert found == _multiset_classes(walls, anchor, max_total)
+
+
+def test_admitted_classes_reject_inconsistent_wall_counts():
+    walls = wall_curves_window(3)
+    empty = WallCurve((Tile(0, 0), Tile(1, 0)), {})
+    assert admitted_classes(walls, Tile(0, 0), 3)
+    with pytest.raises(ValueError, match="walls"):
+        admitted_classes(walls + [empty], Tile(0, 0), 3)
+
+
+@pytest.mark.parametrize("window", [3, 5, 9])
+def test_sphere_count_converges_in_window(window):
+    expected = TauSeries.from_terms(
+        [(0, 1), (2, 3), (3, -4), (4, 27), (5, -96), (6, 453)], 6
+    )
+    assert sphere_count_C(6, window) == expected
 
 
 def test_g_series_empty_candidates():

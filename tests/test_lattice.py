@@ -126,7 +126,12 @@ def test_norm_ball_matches_box_scan(bound, shift):
 
     # floats are tested as given, as shifted_theta_value needs; ints and
     # Fractions on the enumerator's integer-scaled path
-    got = set(enumerate_shifted_ball(shift, bound))
+    points = enumerate_shifted_ball(shift, bound)
+    got = set(points)
+    # float input also gives each point's tested norm
+    assert isinstance(points, dict) == any(isinstance(v, float) for v in (*shift, bound))
+    if isinstance(points, dict):
+        assert all(q == norm_form(n.n1 + shift[0], n.n2 + shift[1]) for n, q in points.items())
     half = 2 * math.isqrt(int(bound)) + 4
     want = {
         LatticeVector(n1, n2)

@@ -296,3 +296,20 @@ def test_shell_tail_near_tau_one():
         # at level 6.
         assert 4.0 / c <= bound <= 4.01 / c
     assert math.isfinite(shifted_theta_value(2, (0.0, 0.0), tau, 15.0).tail_bound)
+
+
+@given(
+    st.integers(1, 6),
+    st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
+    st.floats(0.01, 0.9),
+    st.floats(-1, 30),
+)
+def test_shifted_theta_value_sums_each_norm_once(level, w, tau, cutoff):
+    from mirrorlab.lattice import enumerate_shifted_ball, norm_form
+    from mirrorlab.series import shifted_theta_value
+
+    # the same float terms, in the same order, with N(n + w) evaluated again
+    total = 0.0
+    for n in enumerate_shifted_ball(w, cutoff / level):
+        total += tau ** (level * norm_form(n.n1 + w[0], n.n2 + w[1]))
+    assert shifted_theta_value(level, w, tau, cutoff).value == total
