@@ -1,54 +1,61 @@
-"""Second-order forward-mode differentiation in three variables.
+"""Second-order forward-mode differentiation in three variables, on lanes.
 
-Carries value, gradient and symmetric Hessian through arithmetic, so each
-potential evaluation yields the full 3x3 polar Hessian analytically.  Kept
-dependency-free and tuple-based; profile before reaching for numpy here,
-the matrices are only 3x3.
+A `D2` carries the value, gradient and symmetric Hessian of a scalar at n
+points at once (Griewank-Walther forward mode, one lane per point): `v` is a
+float64 array of n lanes, `g` is 3 x n and `h` is 6 x n, packed xx, xy, xz,
+yy, yz, zz.  Each lane takes the float operations of a scalar jet in the same
+order, and float64 + - * / are correctly rounded elementwise, so a lane's
+bits do not depend on the other lanes.  Branches are lane masks, chosen with
+`where`.  `log` and `log1p` apply libm's `math.log` and `math.log1p` lane by
+lane: numpy's vectorized `np.log` and `np.log1p` differ from libm in the last
+bit on some inputs, which would change report bytes.
 """
 
 from __future__ import annotations
 
 import math
 
-_Z3 = (0.0, 0.0, 0.0)
-_Z6 = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-# Hessian packing order: xx, xy, xz, yy, yz, zz.
-_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+import numpy as np
+
+# Hessian packing order: entry k is the pair (_I[k], _J[k]).
+_I = [0, 0, 0, 1, 1, 2]
+_J = [0, 1, 2, 1, 2, 2]
+# Packed index of each 3x3 Hessian entry, row-major.
+HESSIAN_INDEX = [[0, 1, 2], [1, 3, 4], [2, 4, 5]]
 
 
 class D2:
-    """A scalar with first and second derivatives w.r.t. three variables."""
+    """Scalars with first and second derivatives w.r.t. three variables."""
 
     __slots__ = ("v", "g", "h")
+    __array_ufunc__ = None  # numpy defers to D2's own operators
 
-    def __init__(self, v: float, g=_Z3, h=_Z6):
+    def __init__(self, v: np.ndarray, g: np.ndarray, h: np.ndarray):
         self.v = v
         self.g = g
         self.h = h
 
     @staticmethod
-    def var(value: float, index: int) -> "D2":
-        g = [0.0, 0.0, 0.0]
-        g[index] = 1.0
-        return D2(value, tuple(g), _Z6)
+    def const(values) -> "D2":
+        v = np.array(values, dtype=float)
+        return D2(v, np.zeros((3, len(v))), np.zeros((6, len(v))))
 
     @staticmethod
-    def const(value: float) -> "D2":
-        return D2(value, _Z3, _Z6)
+    def var(values, index: int) -> "D2":
+        """Coordinate `index` at the given lane values."""
+        x = D2.const(values)
+        x.g[index] = 1.0
+        return x
 
     def __add__(self, o):
         if not isinstance(o, D2):
             return D2(self.v + o, self.g, self.h)
-        return D2(
-            self.v + o.v,
-            tuple(a + b for a, b in zip(self.g, o.g)),
-            tuple(a + b for a, b in zip(self.h, o.h)),
-        )
+        return D2(self.v + o.v, self.g + o.g, self.h + o.h)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return D2(-self.v, tuple(-a for a in self.g), tuple(-a for a in self.h))
+        return D2(-self.v, -self.g, -self.h)
 
     def __sub__(self, o):
         if not isinstance(o, D2):
@@ -60,15 +67,9 @@ class D2:
 
     def __mul__(self, o):
         if not isinstance(o, D2):
-            return D2(self.v * o, tuple(a * o for a in self.g), tuple(a * o for a in self.h))
-        g = tuple(self.g[i] * o.v + self.v * o.g[i] for i in range(3))
-        h = tuple(
-            self.h[k] * o.v
-            + self.v * o.h[k]
-            + self.g[i] * o.g[j]
-            + self.g[j] * o.g[i]
-            for k, (i, j) in enumerate(_PAIRS)
-        )
+            return D2(self.v * o, self.g * o, self.h * o)
+        g = self.g * o.v + self.v * o.g
+        h = self.h * o.v + self.v * o.h + self.g[_I] * o.g[_J] + self.g[_J] * o.g[_I]
         return D2(self.v * o.v, g, h)
 
     __rmul__ = __mul__
@@ -85,31 +86,32 @@ class D2:
         inv = 1.0 / self.v
         return self._chain(inv, -inv * inv, 2.0 * inv * inv * inv)
 
-    def _chain(self, f: float, fp: float, fpp: float) -> "D2":
-        """Compose with a scalar function given f(v), f'(v), f''(v)."""
-        g = tuple(fp * a for a in self.g)
-        h = tuple(
-            fp * self.h[k] + fpp * self.g[i] * self.g[j]
-            for k, (i, j) in enumerate(_PAIRS)
-        )
-        return D2(f, g, h)
+    def _chain(self, f, fp, fpp) -> "D2":
+        """Compose with a scalar function given f(v), f'(v), f''(v) per lane."""
+        return D2(f, fp * self.g, fp * self.h + fpp * self.g[_I] * self.g[_J])
+
+
+def where(mask: np.ndarray, a, b) -> D2:
+    """Lane-wise a where mask holds, else b; a float is a constant jet."""
+    parts = [(x.v, x.g, x.h) if isinstance(x, D2) else (x, 0.0, 0.0) for x in (a, b)]
+    return D2(*(np.where(mask, x, y) for x, y in zip(*parts)))
+
+
+def _libm(fn, v: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(fn, v.tolist()), float, len(v))
 
 
 def log(x: D2) -> D2:
     v = x.v
-    return x._chain(math.log(v), 1.0 / v, -1.0 / (v * v))
+    return x._chain(_libm(math.log, v), 1.0 / v, -1.0 / (v * v))
 
 
 def log1p(x: D2) -> D2:
     v = x.v
     d = 1.0 / (1.0 + v)
-    return x._chain(math.log1p(v), d, -d * d)
+    return x._chain(_libm(math.log1p, v), d, -d * d)
 
 
-def hessian_matrix(x: D2) -> list[list[float]]:
-    h = x.h
-    return [
-        [h[0], h[1], h[2]],
-        [h[1], h[3], h[4]],
-        [h[2], h[4], h[5]],
-    ]
+def hessian_matrix(x: D2) -> np.ndarray:
+    """The n x 3 x 3 Hessians of the lanes."""
+    return x.h.T[:, HESSIAN_INDEX]

@@ -184,10 +184,11 @@ def mu2_closed(
         counts: Counter[int] = Counter()
         if r1 is not None and r2 is not None:
             shift = (Fraction(l * r1 + lpp * e.n1, l * big), Fraction(l * r2 + lpp * e.n2, l * big))
-            for m in enumerate_shifted_ball(shift, bound):
-                w1 = l * (r1 + big * m.n1) + lpp * e.n1
-                w2 = l * (r2 + big * m.n2) + lpp * e.n2
-                counts[w1 * w1 + w1 * w2 + w2 * w2] += 1
+            # l a + l'' e = l L (m + shift) = scale (d m + d shift), d the
+            # shift's denominator; the ball's norm is N(d m + d shift).
+            scale = l * big // math.lcm(shift[0].denominator, shift[1].denominator)
+            for norm in enumerate_shifted_ball(shift, bound).values():
+                counts[norm * scale * scale] += 1
         out[e] = TauSeries.from_scaled(counts, l * lp * lpp, cutoff)
     return out
 

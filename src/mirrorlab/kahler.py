@@ -178,31 +178,31 @@ class BumpProfile:
     def w_ramp(self) -> float:
         return 0.5 + self.l / (2 * self.p)
 
-    def a3(self, d):
+    def a3(self, d: D2) -> D2:
         """Radial weight in [2/3, 1]; 2/3 at the interior, 1 at the outer edge."""
         return 1.0 - _smoothstep(self._radial_s(d)) * (1.0 / 3.0)
 
-    def a5(self, d):
+    def a5(self, d: D2) -> D2:
         """Radial gate in [0, 1]; 0 at the interior, 1 at the outer edge."""
         return 1.0 - _smoothstep(self._radial_s(d))
 
-    def _radial_s(self, d):
-        if _value(d) <= 0.0:
-            return 1.0  # interior clamp
-        return (_log(d) * (1.0 / math.log(self.T)) - self.d_outer) * (self.p / self.l)
+    def _radial_s(self, d: D2) -> D2:
+        interior = d.v <= 0.0  # clamped to 1; the log reads 1.0 there instead of d
+        log_t_d = _ad.log(_ad.where(interior, 1.0, d)) * (1.0 / math.log(self.T))
+        return _ad.where(interior, 1.0, (log_t_d - self.d_outer) * (self.p / self.l))
 
-    def a4(self, w):
+    def a4(self, w: D2) -> D2:
         """Odd angular weight in [-1/2, 1/2] of a log_T norm ratio.
 
         Constant 0 on the sliver |w| <= 1/2 (ratio within one T-order) and
         saturated at +-1/2 beyond w_ramp.
         """
-        if _value(w) < 0.0:
-            return -self.a4(-w)
-        s = (w - self.w_sliver) * (1.0 / (self.w_ramp - self.w_sliver))
-        return _smoothstep(s) * 0.5
+        negative = w.v < 0.0
+        s = (_ad.where(negative, -w, w) - self.w_sliver) * (1.0 / (self.w_ramp - self.w_sliver))
+        a = _smoothstep(s) * 0.5
+        return _ad.where(negative, -a, a)
 
-    def a6(self, theta):
+    def a6(self, theta: D2) -> D2:
         """Angular blend in [0, 1]: 0 at the pure sector, 1 at the midband."""
         s = (self.t1 - theta) * (1.0 / (self.t1 - self.t0))
         return _smoothstep(s)
@@ -215,18 +215,22 @@ class BumpProfile:
         """
         out = {}
         h = 1e-4
+
+        def norms(s: list[float]) -> D2:  # the radial profiles read the norm T^s
+            return D2.const([self.T ** x for x in s])
+
         for name, fn, lo, hi in (
-            ("a3", lambda s: float(self.a3(self.T ** s)), self.d_outer, self.d_inner),
-            ("a5", lambda s: float(self.a5(self.T ** s)), self.d_outer, self.d_inner),
-            ("a4", lambda s: float(self.a4(s)), -self.w_ramp - 1, self.w_ramp + 1),
-            ("a6", lambda s: float(self.a6(s)), self.t0 - 1, self.t1 + 1),
+            ("a3", lambda s: self.a3(norms(s)), self.d_outer, self.d_inner),
+            ("a5", lambda s: self.a5(norms(s)), self.d_outer, self.d_inner),
+            ("a4", lambda s: self.a4(D2.const(s)), -self.w_ramp - 1, self.w_ramp + 1),
+            ("a6", lambda s: self.a6(D2.const(s)), self.t0 - 1, self.t1 + 1),
         ):
+            s = [lo + (hi - lo) * k / samples for k in range(samples + 1)]
+            f0, fp, fm = (fn(x).v.tolist() for x in (s, [x + h for x in s], [x - h for x in s]))
             d1 = d2 = 0.0
-            for k in range(samples + 1):
-                s = lo + (hi - lo) * k / samples
-                f0, fp, fm = fn(s), fn(s + h), fn(s - h)
-                d1 = max(d1, abs(fp - fm) / (2 * h))
-                d2 = max(d2, abs(fp - 2 * f0 + fm) / (h * h))
+            for a, b, c in zip(f0, fp, fm):
+                d1 = max(d1, abs(b - c) / (2 * h))
+                d2 = max(d2, abs(b - 2 * a + c) / (h * h))
             out[name] = {
                 "max_d1": d1,
                 "max_d2": d2,
@@ -236,26 +240,10 @@ class BumpProfile:
         return out
 
 
-def _value(x) -> float:
-    return x.v if isinstance(x, D2) else float(x)
-
-
-def _log(x):
-    return _ad.log(x) if isinstance(x, D2) else math.log(x)
-
-
-def _log1p(x):
-    return _ad.log1p(x) if isinstance(x, D2) else math.log1p(x)
-
-
-def _smoothstep(t):
+def _smoothstep(t: D2) -> D2:
     """Quintic step: 0 below 0, 1 above 1, C^2 at both ends."""
-    tv = _value(t)
-    if tv <= 0.0:
-        return 0.0
-    if tv >= 1.0:
-        return 1.0
-    return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
+    step = t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
+    return _ad.where(t.v <= 0.0, 0.0, _ad.where(t.v >= 1.0, 1.0, step))
 
 
 # ---------------------------------------------------------------------------
@@ -323,19 +311,23 @@ def region_classify(q: FiberPoint) -> str:
 # Potential and metric
 
 
-def _potential_ad(q: FiberPoint, prof: BumpProfile, key: str) -> D2:
-    T = q.T
+def _potential_ad(r, prof: BumpProfile, key: str) -> D2:
+    """Jet of the potential by the formula of key, one lane per norm triple in r.
+
+    The fiber scale T is the profile's.
+    """
+    T = prof.T
     ln_t = math.log(T)
-    r = (D2.var(q.r_x, 0), D2.var(q.r_y, 1), D2.var(q.r_z, 2))
+    r = tuple(D2.var(norms, i) for i, norms in enumerate(np.asarray(r, dtype=float).T))
 
     def lp(k: int, u: D2) -> D2:
-        return _log1p(u * u * T ** (2 * k))
+        return _ad.log1p(u * u * T ** (2 * k))
 
     def g(u: D2, v: D2) -> D2:  # the two-coordinate toric potential
         return lp(1, u) + lp(1, v) + lp(2, u * v)
 
     def w(u: D2, v: D2) -> D2:  # log_T(|u| / |v|), an angular profile argument
-        return (_log(u) - _log(v)) * (1.0 / ln_t)
+        return (_ad.log(u) - _ad.log(v)) * (1.0 / ln_t)
 
     if key == "VII":
         rx, ry, rz = r
@@ -403,23 +395,21 @@ def _jets(points: list[FiberPoint], prof: BumpProfile) -> tuple[list[str], tuple
 
     The jets are (r, F.g, F.h, U.g, U.h) with one row per point, where U is
     |xyz|^2 and h is packed xx, xy, xz, yy, yz, zz.  The metric is linear in
-    the base coefficient c (F + c U), so one set of jets serves every c.
+    the base coefficient c (F + c U), so one set of jets serves every c.  F
+    is evaluated once per formula key, on the lanes of that key's points.
     """
-    keys = []
-    jets = tuple(np.empty((len(points), w)) for w in (3, 3, 6, 3, 6))
-    for i, q in enumerate(points):
-        key = formula_key(q)
-        f = _potential_ad(q, prof, key)
-        u = D2.var(q.r_x, 0) * D2.var(q.r_y, 1) * D2.var(q.r_z, 2)
-        u = u * u
-        keys.append(key)
-        for col, row in zip(jets, (q.r, f.g, f.h, u.g, u.h)):
-            col[i] = row
-    return keys, jets
-
-
-# Row-major index of each 3x3 Hessian entry in the packed order.
-_HESSIAN_INDEX = [[0, 1, 2], [1, 3, 4], [2, 4, 5]]
+    keys = [formula_key(q) for q in points]
+    r = np.array([q.r for q in points]).reshape(len(points), 3)
+    u = D2.var(r[:, 0], 0) * D2.var(r[:, 1], 1) * D2.var(r[:, 2], 2)
+    u = u * u
+    f_g, f_h = np.empty((len(points), 3)), np.empty((len(points), 6))
+    lanes: dict[str, list[int]] = {}
+    for i, key in enumerate(keys):
+        lanes.setdefault(key, []).append(i)
+    for key, idx in lanes.items():
+        f = _potential_ad(r[idx], prof, key)
+        f_g[idx], f_h[idx] = f.g.T, f.h.T
+    return keys, (r, f_g, f_h, u.g.T, u.h.T)
 
 
 def _metric_from_jets(jets: tuple, c_base: float) -> tuple[np.ndarray, np.ndarray]:
@@ -438,7 +428,7 @@ def _metric_from_jets(jets: tuple, c_base: float) -> tuple[np.ndarray, np.ndarra
     n = len(r)
     grad_term = np.zeros((n, 3, 3))
     grad_term[:, range(3), range(3)] = np.divide(f_g, r)
-    mats = f_h[:, _HESSIAN_INDEX] + grad_term
+    mats = f_h[:, _ad.HESSIAN_INDEX] + grad_term
     diag = np.diagonal(mats, axis1=1, axis2=2)
     ok = ~np.any(diag <= 0, axis=1)
     min_eigs = np.full(n, -np.inf)
@@ -461,30 +451,32 @@ def derivative_check(
     larger step to stay above second-difference roundoff.
     """
     prof = prof or BumpProfile(q.l, q.p, q.T)
-    key = formula_key(q)
 
-    def f_at(*steps: tuple[int, float]) -> float:
-        """Potential after moving log r_i by s for each (i, s) in steps."""
+    def moved(*steps: tuple[int, float]) -> list[float]:
+        """The norms after moving log r_i by s for each (i, s) in steps."""
         d = [0.0, 0.0, 0.0]
         for i, s in steps:
             d[i] += s
-        qq = FiberPoint(*(r * math.exp(s) for r, s in zip(q.r, d)), q.T, q.l, q.p)
-        return _potential_ad(qq, prof, key).v
+        return [r * math.exp(s) for r, s in zip(q.r, d)]
 
-    f = _potential_ad(q, prof, key)
-    g_log = np.multiply(f.g, q.r)
-    h_log = np.array(_ad.hessian_matrix(f)) * np.outer(q.r, q.r) + np.diag(g_log)
-    fd_g = np.array(
-        [(f_at((i, h_grad)) - f_at((i, -h_grad))) / (2 * h_grad) for i in range(3)]
-    )
-    # Central mixed differences; on the diagonal they take the step 2 h_hess.
+    # One lane call on q's key: the centre, then the gradient steps, then
+    # the mixed steps (on the diagonal they take the step 2 h_hess).
+    pairs = [(i, j) for i in range(3) for j in range(i, 3)]
+    signs = [(si, sj) for si in (1, -1) for sj in (1, -1)]
+    stencil = [moved()]
+    stencil += [moved((i, s)) for i in range(3) for s in (h_grad, -h_grad)]
+    stencil += [moved((i, si * h_hess), (j, sj * h_hess)) for i, j in pairs for si, sj in signs]
+    f = _potential_ad(stencil, prof, formula_key(q))
+    values = f.v.tolist()
+    g_log = np.multiply(f.g[:, 0], q.r)
+    h_log = _ad.hessian_matrix(f)[0] * np.outer(q.r, q.r) + np.diag(g_log)
+    fd_g = np.array([(values[1 + 2 * i] - values[2 + 2 * i]) / (2 * h_grad) for i in range(3)])
     fd_h = np.zeros((3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            fd_h[i][j] = fd_h[j][i] = sum(
-                si * sj * f_at((i, si * h_hess), (j, sj * h_hess))
-                for si in (1, -1) for sj in (1, -1)
-            ) / (4 * h_hess ** 2)
+    for n, (i, j) in enumerate(pairs):
+        at = values[7 + 4 * n : 11 + 4 * n]
+        fd_h[i][j] = fd_h[j][i] = sum(
+            si * sj * v for (si, sj), v in zip(signs, at)
+        ) / (4 * h_hess ** 2)
     rel_g = float(np.linalg.norm(g_log - fd_g) / max(np.linalg.norm(g_log), 1e-300))
     rel_h = float(np.linalg.norm(h_log - fd_h) / max(np.linalg.norm(h_log), 1e-300))
     return rel_g, rel_h
@@ -502,12 +494,12 @@ def moment_coords(q: FiberPoint, prof: BumpProfile | None = None) -> tuple[float
     convention (no additive adjustment).
     """
     prof = prof or BumpProfile(q.l, q.p, q.T)
-    return _moment(q, _potential_ad(q, prof, formula_key(q)))
+    return _moment(q, _potential_ad([q.r], prof, formula_key(q)))
 
 
 def _moment(q: FiberPoint, f: D2) -> tuple[float, float, float]:
-    """Action coordinates from the log-derivatives of the potential f at q."""
-    fx, fy, fz = (gi * ri for gi, ri in zip(f.g, q.r))
+    """Action coordinates from the log-derivatives of the 1-lane potential f at q."""
+    fx, fy, fz = (gi * ri for gi, ri in zip(f.g[:, 0].tolist(), q.r))
     return (0.5 * (fx - fz), 0.5 * (fy - fz), 0.5 * fz)
 
 
@@ -519,12 +511,11 @@ def moment_shift_gamma_prime(q: FiberPoint, prof: BumpProfile | None = None) -> 
     shift (xi1, xi2) by exactly (2, 1).
     """
     prof = prof or BumpProfile(q.l, q.p, q.T)
-    key = formula_key(q)
-    base = _potential_ad(q, prof, key)
-    rx = D2.var(q.r_x, 0)
-    rz = D2.var(q.r_z, 2)
-    cz = _moment(q, base - _log(rz * rz * q.T * q.T))
-    cx = _moment(q, base - _log(rx * rx * q.T * q.T))
+    base = _potential_ad([q.r], prof, formula_key(q))
+    rx = D2.var([q.r_x], 0)
+    rz = D2.var([q.r_z], 2)
+    cz = _moment(q, base - _ad.log(rz * rz * q.T * q.T))
+    cx = _moment(q, base - _ad.log(rx * rx * q.T * q.T))
     return (cz[0] - cx[0], cz[1] - cx[1])
 
 
@@ -687,7 +678,9 @@ def metric_certificate(
 ) -> dict:
     """Sampled positive-definiteness certificate, region by region.
 
-    Indeterminate, with nothing evaluated, for no samples or no c_base.
+    Indeterminate, with nothing evaluated, for no samples or no c_base.  The
+    report's "coverage" says the verdict rests on samples: how many per
+    region, drawn from which `sampler_windows`.
     """
     prof = BumpProfile(l, p, T)
     regions = {}
@@ -717,6 +710,8 @@ def metric_certificate(
         "seed": seed,
         "c_base": c_base,
         "status": status,
+        "coverage": {"kind": "sampled", "samples_per_region": samples,
+                     "windows": sampler_windows(l, p)},
         "regions": regions,
     }
 
@@ -724,7 +719,7 @@ def metric_certificate(
 def potential_value(q: FiberPoint, key: str, prof: BumpProfile | None = None) -> float:
     """Potential evaluated with an explicit region formula (for seam tests)."""
     prof = prof or BumpProfile(q.l, q.p, q.T)
-    return _potential_ad(q, prof, key).v
+    return float(_potential_ad([q.r], prof, key).v[0])
 
 
 def boundary_pair_catalog(

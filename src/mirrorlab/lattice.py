@@ -129,41 +129,40 @@ def gamma_act_moment(g: LatticeVector, p: MomentPoint) -> MomentPoint:
     return MomentPoint(xi1, xi2, eta)
 
 
-def enumerate_shifted_ball(
-    shift: Vec2, bound: Rational
-) -> list[LatticeVector] | dict[LatticeVector, float]:
+def enumerate_shifted_ball(shift: Vec2, bound: Rational) -> dict[LatticeVector, int | float]:
     """All integer n with N(n + shift) <= bound (shift in basis coordinates).
 
     The only place a norm bound becomes a coordinate box: N(w) >= (3/4) w_i^2,
-    so |n_i + shift_i| <= sqrt(4B/3) < isqrt(floor(4B/3) + 1) + 1.  Float
-    input is tested in floats as given and returns a dict from each point to
-    the float N(n + shift) it was tested on, so a caller summing over that
-    norm evaluates it once; exact input (int or Fraction) returns a list and
-    is scaled once to integers: with d the common denominator of the shift
-    and B = p/q, the test is q N(d n + d shift) <= p d^2.  Points are in
-    row-major order, n1 outer.
+    so |n_i + shift_i| <= sqrt(4B/3) < isqrt(floor(4B/3) + 1) + 1.  Returns a
+    dict from each point to the norm it was tested on, so a caller that needs
+    that norm evaluates it once.  Float input is tested in floats as given,
+    on the float N(n + shift).  Exact input (int or Fraction) is scaled once
+    to integers: with d the common denominator of the shift and B = p/q, the
+    test is q N(d n + d shift) <= p d^2, and the norm is the integer
+    N(d n + d shift) = d^2 N(n + shift).  Points are in row-major order, n1
+    outer.
     """
     s1, s2 = shift
-    floating = any(isinstance(v, float) for v in (s1, s2, bound))
     if bound < 0:
-        return {} if floating else []
+        return {}
     half = math.isqrt(int(4 * bound // 3) + 1) + 1
     rows = range(math.floor(-s1 - half), math.ceil(-s1 + half) + 1)
     cols = range(math.floor(-s2 - half), math.ceil(-s2 + half) + 1)
-    if floating:
+    if any(isinstance(v, float) for v in (s1, s2, bound)):
         norms = ((n1, n2, norm_form(n1 + s1, n2 + s2)) for n1 in rows for n2 in cols)
         return {LatticeVector(n1, n2): q for n1, n2, q in norms if q <= bound}
     s1, s2, bound = Fraction(s1), Fraction(s2), Fraction(bound)
     d = math.lcm(s1.denominator, s2.denominator)
     t1, t2 = s1.numerator * (d // s1.denominator), s2.numerator * (d // s2.denominator)
     q, limit = bound.denominator, bound.numerator * d * d
-    out = []
+    out = {}
     for n1 in rows:
         w1 = d * n1 + t1
         for n2 in cols:
             w2 = d * n2 + t2
-            if q * (w1 * w1 + w1 * w2 + w2 * w2) <= limit:
-                out.append(LatticeVector(n1, n2))
+            norm = w1 * w1 + w1 * w2 + w2 * w2
+            if q * norm <= limit:
+                out[LatticeVector(n1, n2)] = norm
     return out
 
 

@@ -196,10 +196,12 @@ def theta_section(e: LatticeVector, level: int, cutoff: Rational) -> LaurentSect
     cutoff = Fraction(cutoff)
     shift = (Fraction(e.n1, level), Fraction(e.n2, level))
     coeffs: dict[tuple[int, int], TauSeries] = {}
-    for n in enumerate_shifted_ball(shift, cutoff / level):
-        # level * N(n + e/level) = N(w)/level with w = level*n + e
-        w1, w2 = level * n.n1 + e.n1, level * n.n2 + e.n2
-        coeffs[(-w1, -w2)] = TauSeries.from_scaled({w1 * w1 + w1 * w2 + w2 * w2: 1}, level, cutoff)
+    # level * N(n + e/level) = N(w)/level with w = level*n + e = scale (d n + d shift),
+    # d the shift's denominator; the ball's norm is N(d n + d shift).
+    scale = level // math.lcm(shift[0].denominator, shift[1].denominator)
+    for n, norm in enumerate_shifted_ball(shift, cutoff / level).items():
+        x_exponent = (-(level * n.n1 + e.n1), -(level * n.n2 + e.n2))  # -w
+        coeffs[x_exponent] = TauSeries.from_scaled({norm * scale * scale: 1}, level, cutoff)
     return LaurentSection(level, cutoff, coeffs, theta_rep=e)
 
 

@@ -364,7 +364,8 @@ def svg_tiling(window: tuple[float, float, float, float], scale: int = 40) -> st
 def facet_csv(radius: Rational) -> str:
     """Facet table m1,m2,nu1,nu2,nu3,alpha for all tiles with N(m) <= radius."""
     rows = ["m1,m2,nu1,nu2,nu3,alpha"]
-    for n in sorted(enumerate_shifted_ball((0, 0), radius), key=lambda n: (n.norm, n.n1, n.n2)):
+    ball = enumerate_shifted_ball((0, 0), radius)  # each tile's N(m)
+    for n in sorted(ball, key=lambda n: (ball[n], n.n1, n.n2)):
         f = facet(Tile(n.n1, n.n2))
         rows.append(f"{n.n1},{n.n2},{f.normal[0]},{f.normal[1]},{f.normal[2]},{f.offset}")
     return "\n".join(rows) + "\n"

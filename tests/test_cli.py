@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mirrorlab import cli
+from mirrorlab import cli, kahler
 
 
 def run(argv):
@@ -84,6 +84,10 @@ def test_metric_check_failed_calibration_is_indeterminate():
     assert code == 2 and rep["status"] == "indeterminate"
     assert rep["c_base"] is None
     assert all(r["min_eig"] is None for r in rep["regions"].values())
+    assert rep["coverage"]["kind"] == "sampled"
+    assert rep["coverage"]["windows"]["IIB"] == [
+        format(v, ".17g") for v in kahler.sampler_windows(40, 17)["IIB"]
+    ]
 
 
 def test_metric_check_indeterminate_on_empty():

@@ -1,8 +1,11 @@
+import functools
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorlab import _ad, kahler
 from mirrorlab._ad import D2
@@ -119,23 +122,26 @@ def test_samples_are_seed_deterministic():
     assert a != c
 
 
+def at(fn, *args):
+    """Values of a profile function at float arguments, as one lane call."""
+    return fn(D2.const(args)).v.tolist()
+
+
 def test_bump_profile_contracts():
     prof = BumpProfile()
     # ranges at saturation
-    assert prof.a3(DEFAULT_T ** prof.d_inner * 0.99) == pytest.approx(2 / 3)
-    assert prof.a3(DEFAULT_T ** prof.d_outer * 1.01) == pytest.approx(1.0)
-    assert prof.a5(DEFAULT_T ** prof.d_inner * 0.99) == pytest.approx(0.0)
-    assert prof.a5(DEFAULT_T ** prof.d_outer * 1.01) == pytest.approx(1.0)
-    for w in (0.1, 0.3, 0.49):
-        assert prof.a4(w) == 0.0
-    assert prof.a4(prof.w_ramp + 0.1) == 0.5
+    assert at(prof.a3, DEFAULT_T ** prof.d_inner * 0.99) == [pytest.approx(2 / 3)]
+    assert at(prof.a3, DEFAULT_T ** prof.d_outer * 1.01) == [pytest.approx(1.0)]
+    assert at(prof.a5, DEFAULT_T ** prof.d_inner * 0.99) == [pytest.approx(0.0)]
+    assert at(prof.a5, DEFAULT_T ** prof.d_outer * 1.01) == [pytest.approx(1.0)]
+    assert at(prof.a4, 0.1, 0.3, 0.49) == [0.0, 0.0, 0.0]
+    assert at(prof.a4, prof.w_ramp + 0.1) == [0.5]
     for w in (0.6, 1.0, 5.0):
-        assert abs(prof.a4(-w) + prof.a4(w)) < 1e-14
-    assert prof.a6(prof.t1 + 0.1) == 0.0
-    assert prof.a6(prof.t0 - 0.1) == 1.0
+        assert abs(at(prof.a4, -w)[0] + at(prof.a4, w)[0]) < 1e-14
+    assert at(prof.a6, prof.t1 + 0.1, prof.t0 - 0.1) == [0.0, 1.0]
     # monotonicity on a grid
     grid = [prof.t0 + k * (prof.t1 - prof.t0) / 50 for k in range(51)]
-    vals = [prof.a6(s) for s in grid]
+    vals = at(prof.a6, *grid)
     assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
@@ -353,8 +359,14 @@ def test_certificate_statuses():
         worst = eigs.index(min(eigs))  # the first of equal minima
         assert row["min_eig"] == eigs[worst]
         assert row["worst_point"] == list(pts[worst].logs())
+    assert cert["coverage"] == {
+        "kind": "sampled",
+        "samples_per_region": 5,
+        "windows": kahler.sampler_windows(DEFAULT_L, DEFAULT_P),
+    }
     empty = metric_certificate(samples=0)
     assert empty["status"] == "indeterminate"
+    assert empty["coverage"]["samples_per_region"] == 0
 
 
 def test_calibration_is_power_of_two():
@@ -363,13 +375,177 @@ def test_calibration_is_power_of_two():
     assert c == DEFAULT_C_BASE
 
 
-def _metric_per_point(q, prof, c_base):
+# ---------------------------------------------------------------------------
+# The per-point tuple jet: the reference the lane kernel is checked against.
+# It shares no code with `_ad` and `kahler._potential_ad`.
+
+
+class TupleD2:
+    """One point's value, gradient and packed Hessian (xx, xy, xz, yy, yz, zz)."""
+
+    PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+    def __init__(self, v, g=(0.0, 0.0, 0.0), h=(0.0,) * 6):
+        self.v, self.g, self.h = v, g, h
+
+    @staticmethod
+    def var(value, index):
+        return TupleD2(value, tuple(1.0 if i == index else 0.0 for i in range(3)))
+
+    def __add__(self, o):
+        if not isinstance(o, TupleD2):
+            return TupleD2(self.v + o, self.g, self.h)
+        return TupleD2(
+            self.v + o.v,
+            tuple(a + b for a, b in zip(self.g, o.g)),
+            tuple(a + b for a, b in zip(self.h, o.h)),
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TupleD2(-self.v, tuple(-a for a in self.g), tuple(-a for a in self.h))
+
+    def __sub__(self, o):
+        if not isinstance(o, TupleD2):
+            return TupleD2(self.v - o, self.g, self.h)
+        return self + (-o)
+
+    def __rsub__(self, o):
+        return (-self) + o
+
+    def __mul__(self, o):
+        if not isinstance(o, TupleD2):
+            return TupleD2(self.v * o, tuple(a * o for a in self.g), tuple(a * o for a in self.h))
+        g = tuple(self.g[i] * o.v + self.v * o.g[i] for i in range(3))
+        h = tuple(
+            self.h[k] * o.v + self.v * o.h[k] + self.g[i] * o.g[j] + self.g[j] * o.g[i]
+            for k, (i, j) in enumerate(self.PAIRS)
+        )
+        return TupleD2(self.v * o.v, g, h)
+
+    __rmul__ = __mul__
+
+    def chain(self, f, fp, fpp):
+        g = tuple(fp * a for a in self.g)
+        h = tuple(
+            fp * self.h[k] + fpp * self.g[i] * self.g[j] for k, (i, j) in enumerate(self.PAIRS)
+        )
+        return TupleD2(f, g, h)
+
+
+def _t_log(x):
+    if not isinstance(x, TupleD2):
+        return math.log(x)
+    return x.chain(math.log(x.v), 1.0 / x.v, -1.0 / (x.v * x.v))
+
+
+def _t_log1p(x):
+    d = 1.0 / (1.0 + x.v)
+    return x.chain(math.log1p(x.v), d, -d * d)
+
+
+def _t_value(x):
+    return x.v if isinstance(x, TupleD2) else float(x)
+
+
+def _t_smoothstep(t):
+    if _t_value(t) <= 0.0:
+        return 0.0
+    if _t_value(t) >= 1.0:
+        return 1.0
+    return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
+
+
+def _t_radial_s(prof, d):
+    if _t_value(d) <= 0.0:
+        return 1.0
+    return (_t_log(d) * (1.0 / math.log(prof.T)) - prof.d_outer) * (prof.p / prof.l)
+
+
+def _t_a3(prof, d):
+    return 1.0 - _t_smoothstep(_t_radial_s(prof, d)) * (1.0 / 3.0)
+
+
+def _t_a5(prof, d):
+    return 1.0 - _t_smoothstep(_t_radial_s(prof, d))
+
+
+def _t_a4(prof, w):
+    if _t_value(w) < 0.0:
+        return -_t_a4(prof, -w)
+    return _t_smoothstep((w - prof.w_sliver) * (1.0 / (prof.w_ramp - prof.w_sliver))) * 0.5
+
+
+def _t_a6(prof, theta):
+    return _t_smoothstep((prof.t1 - theta) * (1.0 / (prof.t1 - prof.t0)))
+
+
+def _tuple_potential(q, prof, key):
+    """The potential's jet at one point by the formula of key, on tuples."""
+    T = q.T
+    r = tuple(TupleD2.var(v, i) for i, v in enumerate(q.r))
+
+    def lp(k, u):
+        return _t_log1p(u * u * T ** (2 * k))
+
+    def g(u, v):
+        return lp(1, u) + lp(1, v) + lp(2, u * v)
+
+    def w(u, v):
+        return (_t_log(u) - _t_log(v)) * (1.0 / math.log(T))
+
+    if key == "VII":
+        rx, ry, rz = r
+        return (g(rx, ry) + g(rx, rz) + g(ry, rz)) * (1.0 / 3.0)
+    (orbit,) = [o for o in ORBITS if key in o]
+    k = orbit.index(key)
+    x, y, z = (r[(i + k) % 3] for i in range(3))  # the norms read in sigma^-k order
+    g_yz = g(y, z)
+    if orbit[0] == "g_yz":
+        return g_yz
+    px = lp(1, x) - lp(2, y * z)
+    py = lp(1, y) - lp(2, x * z)
+    pz = lp(1, z) - lp(2, x * y)
+    if orbit[0] == "IIB":
+        d = px + py - pz * 0.5
+        return (g_yz - py) + _t_a3(prof, d) * d - 0.5 * _t_a5(prof, d) * pz
+    d_x = px - (py + pz) * 0.5
+    if orbit[0] == "I":
+        return (
+            g_yz + _t_a3(prof, d_x) * d_x
+            + _t_a4(prof, w(z, y)) * _t_a5(prof, d_x) * (py - pz)
+        )
+    if orbit[0] == "axis_x":
+        return g_yz + d_x + _t_a4(prof, w(z, y)) * (py - pz)
+    if orbit[0] == "IIA":
+        a6, near, far = _t_a6(prof, w(y, x)), py, pz
+    else:
+        a6, near, far = _t_a6(prof, -w(x, z)), pz, py
+    d = d_x + 1.5 * a6 * near
+    return (
+        g_yz - a6 * near + _t_a3(prof, d) * d
+        + 0.5 * _t_a5(prof, d) * (near - far - a6 * near)
+    )
+
+
+def _tuple_jets(q, prof):
+    """The tuple jets of F and of the base term |xyz|^2 at q."""
+    u = TupleD2.var(q.r_x, 0) * TupleD2.var(q.r_y, 1) * TupleD2.var(q.r_z, 2)
+    return _tuple_potential(q, prof, formula_key(q)), u * u
+
+
+def _square(h):
+    """The 3x3 Hessian of a packed tuple one."""
+    return np.array([[h[0], h[1], h[2]], [h[1], h[3], h[4]], [h[2], h[4], h[5]]])
+
+
+def _metric_per_point(q, jets, c_base):
     """The per-point metric: jet of F + c|xyz|^2, then one 3x3 eigvalsh."""
-    f = kahler._potential_ad(q, prof, formula_key(q))
+    f, u = jets
     if c_base:
-        u = D2.var(q.r_x, 0) * D2.var(q.r_y, 1) * D2.var(q.r_z, 2)
-        f = f + (u * u) * c_base
-    mat = np.array(_ad.hessian_matrix(f)) + np.diag(np.divide(f.g, q.r))
+        f = f + u * c_base
+    mat = _square(f.h) + np.diag(np.divide(f.g, q.r))
     diag = np.diagonal(mat)
     if np.any(diag <= 0):
         return mat, -float("inf")
@@ -382,12 +558,13 @@ def test_batched_finisher_is_bit_identical():
     pts = [q for region in REGION_IDS for q in region_samples(region, 4, seed=19)]
     keys, jets = kahler._jets(pts, prof)
     assert keys == [formula_key(q) for q in pts]
+    oracle = [_tuple_jets(q, prof) for q in pts]
     saw_inf = False
     for c in (0.0, 1.0, 2.0 ** 100, 2.0 ** 139):
         mats, min_eigs = kahler._metric_from_jets(jets, c)
-        for q, mat, eig in zip(pts, mats, min_eigs):
+        for q, mat, eig, tj in zip(pts, mats, min_eigs, oracle):
             ms = metric(q, prof, c)
-            want_mat, want_eig = _metric_per_point(q, prof, c)
+            want_mat, want_eig = _metric_per_point(q, tj, c)
             assert mat.tobytes() == ms.matrix.tobytes() == want_mat.tobytes()
             assert eig.tobytes() == np.float64(ms.min_eigenvalue).tobytes()
             assert eig.tobytes() == np.float64(want_eig).tobytes()
@@ -398,9 +575,141 @@ def test_batched_finisher_is_bit_identical():
 def test_calibration_matches_per_point_scan():
     prof = BumpProfile()
     pts = [q for region in REGION_IDS for q in region_samples(region, 3)]
+    oracle = [_tuple_jets(q, prof) for q in pts]
     want = next(
         2.0 ** k
         for k in range(-80, 200)
-        if all(metric(q, prof, 2.0 ** k).min_eigenvalue > 1e-9 for q in pts)
+        if all(_metric_per_point(q, tj, 2.0 ** k)[1] > 1e-9 for q, tj in zip(pts, oracle))
     )
     assert calibrate_c_base(samples=3) == want
+
+
+def _derivative_check_per_point(q, prof, h_grad=1e-6, h_hess=1e-4):
+    """`derivative_check` on the tuple jet, one evaluation per stencil point."""
+    key = formula_key(q)
+
+    def f_at(*steps):
+        d = [0.0, 0.0, 0.0]
+        for i, s in steps:
+            d[i] += s
+        qq = FiberPoint(*(r * math.exp(s) for r, s in zip(q.r, d)), q.T, q.l, q.p)
+        return _tuple_potential(qq, prof, key).v
+
+    f = _tuple_potential(q, prof, key)
+    g_log = np.multiply(f.g, q.r)
+    h_log = _square(f.h) * np.outer(q.r, q.r) + np.diag(g_log)
+    fd_g = np.array([(f_at((i, h_grad)) - f_at((i, -h_grad))) / (2 * h_grad) for i in range(3)])
+    fd_h = np.zeros((3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            fd_h[i][j] = fd_h[j][i] = sum(
+                si * sj * f_at((i, si * h_hess), (j, sj * h_hess))
+                for si in (1, -1) for sj in (1, -1)
+            ) / (4 * h_hess ** 2)
+    rel_g = float(np.linalg.norm(g_log - fd_g) / max(np.linalg.norm(g_log), 1e-300))
+    rel_h = float(np.linalg.norm(h_log - fd_h) / max(np.linalg.norm(h_log), 1e-300))
+    return rel_g, rel_h
+
+
+def test_derivative_check_matches_per_point_stencil():
+    # the samples of acceptance criterion 6: the one-call stencil changes no bit
+    prof = BumpProfile()
+    for region in REGION_IDS:
+        for q in region_samples(region, 2, seed=17):
+            assert derivative_check(q, prof) == _derivative_check_per_point(q, prof)
+
+
+def test_lane_logs_are_libm():
+    # numpy's vectorized log and log1p differ from libm in the last bit on
+    # some inputs, which would change report bytes
+    rng = np.random.default_rng(3)
+    xs = np.concatenate([rng.uniform(1e-9, 2.0, 20000), np.exp(rng.uniform(-60.0, 60.0, 20000))])
+    x = D2.var(xs, 0)
+    assert _ad.log(x).v.tolist() == [math.log(v) for v in xs.tolist()]
+    assert _ad.log1p(x).v.tolist() == [math.log1p(v) for v in xs.tolist()]
+
+
+def _same_jet(lane, i, want):
+    """Lane i of a lane jet equals a tuple jet (or a constant) byte for byte."""
+    if not isinstance(want, TupleD2):
+        want = TupleD2(want)  # a clamped profile value: no derivatives
+        assert not lane.g[:, i].any() and not lane.h[:, i].any()
+        return np.float64(want.v).tobytes() == lane.v[i].tobytes()
+    return (
+        np.float64(want.v).tobytes() == lane.v[i].tobytes()
+        and np.array(want.g).tobytes() == lane.g[:, i].tobytes()
+        and np.array(want.h).tobytes() == lane.h[:, i].tobytes()
+    )
+
+
+FORMULA_KEYS = [key for orbit in ORBITS for key in orbit] + ["VII"]
+_PROF = BumpProfile()
+# log_T offsets at the profiles' branch edges: the a4 sliver and ramp, the
+# a6 band edges, and zero (equal norms, w = 0)
+_EDGES = (0.0, 0.5, -0.5, _PROF.w_ramp, -_PROF.w_ramp, _PROF.t0, _PROF.t1, -_PROF.t0, -_PROF.t1)
+log_t = st.floats(-4.0, 44.0)
+fiber_logs = st.one_of(
+    st.tuples(log_t, log_t).map(lambda ab: (ab[0], ab[1], DEFAULT_L - ab[0] - ab[1])),
+    # two logs a branch edge apart, the third closing the fiber, in any order
+    st.tuples(st.floats(0.0, 20.0), st.sampled_from(_EDGES), st.permutations(range(3))).map(
+        lambda t: tuple(
+            (t[0], t[0] + t[1], DEFAULT_L - 2 * t[0] - t[1])[i] for i in t[2]
+        )
+    ),
+    # near the deep centre, where the radial arguments are <= 0 (clamped)
+    st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)).map(
+        lambda ab: (DEFAULT_L / 3 + ab[0], DEFAULT_L / 3 + ab[1], DEFAULT_L / 3 - ab[0] - ab[1])
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FORMULA_KEYS), st.lists(fiber_logs, min_size=1, max_size=6))
+def test_lane_jets_match_tuple_oracle(key, logs):
+    prof = BumpProfile()
+    pts = [FiberPoint.from_logs(*abc) for abc in logs]
+    lane = kahler._potential_ad([q.r for q in pts], prof, key)
+    for i, q in enumerate(pts):
+        assert _same_jet(lane, i, _tuple_potential(q, prof, key)), (key, q.logs())
+
+
+def test_profile_branch_edges_match_tuple_oracle():
+    prof = BumpProfile()
+    ws = [0.0, -0.0, 0.3, -0.3, 0.5, -0.5, 1.2, -1.2, prof.w_ramp, -prof.w_ramp, 9.0, -9.0]
+    thetas = [prof.t1, prof.t0, prof.t1 + 0.2, prof.t0 - 0.2, (prof.t0 + prof.t1) / 2]
+    ds = [-1.0, -0.0, 0.0, DEFAULT_T ** prof.d_outer, DEFAULT_T ** prof.d_inner, 1e-12, 0.5]
+    ts = [0.0, -0.0, 1.0, -0.5, 0.25, 0.75, 1.5]
+    cases = (
+        (prof.a4, lambda x: _t_a4(prof, x), ws),
+        (prof.a6, lambda x: _t_a6(prof, x), thetas),
+        (prof.a3, lambda x: _t_a3(prof, x), ds),
+        (prof.a5, lambda x: _t_a5(prof, x), ds),
+        (kahler._smoothstep, _t_smoothstep, ts),
+    )
+    for lane_fn, tuple_fn, args in cases:
+        for index in range(3):
+            lane = lane_fn(D2.var(args, index))
+            for i, x in enumerate(args):
+                assert _same_jet(lane, i, tuple_fn(TupleD2.var(x, index))), (lane_fn, x)
+
+
+_POOL = [q for region in REGION_IDS for q in region_samples(region, 2, seed=23)] + [
+    FiberPoint.from_logs(a, a + e) for a in (3.0, 4.6) for e in _EDGES
+]
+
+
+@functools.cache
+def _pool_jets():
+    return kahler._jets(_POOL, BumpProfile())[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=25), st.randoms())
+def test_jets_are_batch_independent(picks, rnd):
+    full = _pool_jets()
+    rnd.shuffle(picks)
+    keys, jets = kahler._jets([_POOL[i] for i in picks], BumpProfile())
+    assert keys == [formula_key(_POOL[i]) for i in picks]
+    for row, i in enumerate(picks):
+        for got, want in zip(jets, full):
+            assert got[row].tobytes() == want[i].tobytes()

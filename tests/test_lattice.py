@@ -128,10 +128,16 @@ def test_norm_ball_matches_box_scan(bound, shift):
     # Fractions on the enumerator's integer-scaled path
     points = enumerate_shifted_ball(shift, bound)
     got = set(points)
-    # float input also gives each point's tested norm
-    assert isinstance(points, dict) == any(isinstance(v, float) for v in (*shift, bound))
-    if isinstance(points, dict):
+    # every input also gives each point's tested norm: the float N(n + shift),
+    # or the integer d^2 N(n + shift) for d the exact shift's denominator
+    if any(isinstance(v, float) for v in (*shift, bound)):
         assert all(q == norm_form(n.n1 + shift[0], n.n2 + shift[1]) for n, q in points.items())
+    else:
+        d = math.lcm(*(F(v).denominator for v in shift))
+        assert all(
+            type(q) is int and q == d * d * norm_form(n.n1 + F(shift[0]), n.n2 + F(shift[1]))
+            for n, q in points.items()
+        )
     half = 2 * math.isqrt(int(bound)) + 4
     want = {
         LatticeVector(n1, n2)
