@@ -52,11 +52,24 @@ def emit(report: dict) -> bytes:
     return (json.dumps(_fmt(report), indent=2) + "\n").encode()
 
 
-def _parse_rational_list(text: str, n: int) -> list[Fraction]:
-    parts = text.split(",")
-    if len(parts) != n:
-        raise ValueError(f"expected {n} comma-separated rationals, got {text!r}")
-    return [Fraction(p.strip()) for p in parts]
+def _rationals(args: argparse.Namespace, flag: str, n: int) -> list[Fraction]:
+    """The n comma-separated rationals of a list flag; an error names the flag."""
+    text = getattr(args, flag[2:])
+    try:
+        values = [Fraction(p.strip()) for p in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        values = []
+    if len(values) != n:
+        raise ValueError(f"{flag} must be {n} comma-separated rationals, got {text!r}")
+    return values
+
+
+def _floats(args: argparse.Namespace, flag: str, n: int) -> list[float]:
+    """A list flag's rationals as the floats a command reads; each must fit in one."""
+    try:
+        return [float(v) for v in _rationals(args, flag, n)]
+    except OverflowError:
+        raise ValueError(f"{flag} must fit in floats, got {getattr(args, flag[2:])!r}") from None
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -161,10 +174,11 @@ def run(argv: list[str] | None, stdout: BinaryIO | None = None) -> tuple[bytes, 
     return out, code
 
 
-# The arguments, >= 0, that truncate a sum, a window or a series order.
+# The arguments that must be >= 0: cutoffs, windows, orders, sample counts and seeds.
 _NONNEGATIVE = [(c, "--cutoff") for c in ("functor", "differential", "disc-series", "leibniz")]
 _NONNEGATIVE += [("sphere-c", "--window"), ("facets", "--radius")]
 _NONNEGATIVE += [("sphere-c", "--max-order"), ("leibniz", "--c-order")]
+_NONNEGATIVE += [(c, f) for c in ("metric-check", "monodromy") for f in ("--samples", "--seed")]
 
 
 def _check_domains(args: argparse.Namespace) -> None:
@@ -191,38 +205,41 @@ def _check_domains(args: argparse.Namespace) -> None:
                     f"--c-base must be auto or a finite float >= 0, got {args.c_base!r}"
                 )
     if args.command == "leibniz":
-        try:
-            x = _parse_rational_list(args.x, 2)
-        except ValueError as exc:
-            raise ValueError(f"--x: {exc}") from None
-        if min(x) <= 0:
-            raise ValueError(f"--x coordinates must be positive, got {args.x!r}")
+        if min(_floats(args, "--x", 2)) <= 0:
+            raise ValueError(f"--x coordinates must be positive floats, got {args.x!r}")
         if not 0.0 < args.tau < 1.0:
             raise ValueError(f"--tau must lie in (0, 1), got {args.tau!r}")
+    if args.command == "disc-series":
+        if not tropical.polytope_contains_strictly(MomentPoint(*_rationals(args, "--A", 3))):
+            raise ValueError(f"--A must lie strictly inside the moment body, got {args.A!r}")
+    if args.command == "trop":
+        x0, y0, x1, y1 = _floats(args, "--window", 4)
+        if x1 <= x0 or y1 <= y0:
+            raise ValueError(f"--window must have positive extent, got {args.window!r}")
     if args.command == "functor" and not args.i < args.j < args.k:
         raise ValueError(f"--i, --j, --k must satisfy i < j < k, got {args.i}, {args.j}, {args.k}")
     if args.command in ("differential", "leibniz") and args.j - args.i < 2:
         raise ValueError(f"--j must be at least --i + 2, got --i {args.i} --j {args.j}")
     for command, flag in _NONNEGATIVE:
-        if command != args.command:
+        text = getattr(args, flag[2:].replace("-", "_"), None)
+        if command != args.command or text is None:  # a --seed left to its default
             continue
-        text = getattr(args, flag[2:].replace("-", "_"))
         try:
             value = Fraction(text)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise ValueError(f"{flag} must be a rational, got {text!r}") from None
         if value < 0:
             raise ValueError(f"{flag} must be >= 0, got {text!r}")
-    if args.command in ("metric-check", "monodromy") and args.samples < 0:
-        raise ValueError(f"--samples must be >= 0, got {args.samples}")
 
 
 def _dispatch(args: argparse.Namespace) -> tuple[bytes, int]:
-    config = _load_config(args.config) if args.config else {}
+    try:
+        config = _load_config(args.config) if args.config else {}
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"--config: {exc}") from None
 
     if args.command == "trop":
-        window = tuple(float(v) for v in _parse_rational_list(args.window, 4))
-        return tropical.svg_tiling(window).encode(), EXIT_PASS
+        return tropical.svg_tiling(tuple(_floats(args, "--window", 4))).encode(), EXIT_PASS
 
     if args.command == "facets":
         return tropical.facet_csv(Fraction(args.radius)).encode(), EXIT_PASS
@@ -232,7 +249,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[bytes, int]:
         body = rep.to_json()
         status = "pass" if rep.all_match else "fail"
     elif args.command == "disc-series":
-        a = MomentPoint(*_parse_rational_list(args.A, 3))
+        a = MomentPoint(*_rationals(args, "--A", 3))
         series = gw.disc_series(a, Fraction(args.cutoff))
         body = {
             "A": [a.xi1, a.xi2, a.eta],
@@ -254,7 +271,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[bytes, int]:
         body = table.to_json()
         status = "pass"
     elif args.command == "leibniz":
-        x = tuple(float(v) for v in _parse_rational_list(args.x, 2))
+        x = tuple(_floats(args, "--x", 2))
         rep = gw.leibniz_check(
             args.i, args.j, x, args.tau, Fraction(args.cutoff), args.c_order
         )

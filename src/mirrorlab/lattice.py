@@ -17,8 +17,7 @@ from typing import NamedTuple
 Rational = Fraction
 Vec2 = tuple[Fraction, Fraction]
 
-# Gram matrix of the polarization and its inverse (exact).
-GRAM = ((2, 1), (1, 2))
+# Inverse of the polarization's Gram matrix ((2, 1), (1, 2)) (exact).
 GRAM_INV = (
     (Fraction(2, 3), Fraction(-1, 3)),
     (Fraction(-1, 3), Fraction(2, 3)),

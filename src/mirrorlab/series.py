@@ -3,7 +3,8 @@
 A TauSeries is a finite sum of c * tau^e with rational c and e, together
 with an explicit cutoff: exponents above the cutoff are unknown, not zero.
 Theta sections are stored as Laurent data: a map from integer x-exponent
-(in the basis where the lattice pairing is integral) to a TauSeries.
+(in the basis where the lattice pairing is integral) to the integer terms
+{x: c} of sum c tau^(x/den), over the section's own denominator den.
 """
 
 from __future__ import annotations
@@ -152,28 +153,20 @@ class TauSeries:
 class LaurentSection:
     """A section of a level-`level` theta bundle as Laurent data in x.
 
-    `coeffs` maps an integer x-exponent pair to the tau-series multiplying
-    that monomial; all member series share the section cutoff.  For the
-    basis section of representative e, the key lattice is -(level*n + e).
+    `coeffs` maps an integer x-exponent pair to the terms {x: c} of the
+    tau-series sum c tau^(x/den) multiplying that monomial; all member
+    series share the section cutoff.  For the basis section of
+    representative e, den = level and the key lattice is -(level*n + e).
     """
 
     level: int
     cutoff: Fraction
-    coeffs: dict[tuple[int, int], TauSeries] = field(compare=False)
+    den: int
+    coeffs: dict[tuple[int, int], dict[int, int]] = field(compare=False)
     theta_rep: LatticeVector | None = None
 
-    def keys_sorted(self) -> list[tuple[int, int]]:
-        return sorted(self.coeffs)
-
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "cutoff": str(self.cutoff),
-            "coeffs": [
-                {"x_exp": list(k), "series": self.coeffs[k].to_json()}
-                for k in self.keys_sorted()
-            ],
-        }
+    def series(self, key: tuple[int, int]) -> TauSeries:
+        return TauSeries.from_scaled(self.coeffs[key], self.den, self.cutoff)
 
 
 class NumericValue(NamedTuple):
@@ -195,36 +188,38 @@ def theta_section(e: LatticeVector, level: int, cutoff: Rational) -> LaurentSect
         raise ValueError(f"{e} is not a level-{level} representative")
     cutoff = Fraction(cutoff)
     shift = (Fraction(e.n1, level), Fraction(e.n2, level))
-    coeffs: dict[tuple[int, int], TauSeries] = {}
     # level * N(n + e/level) = N(w)/level with w = level*n + e = scale (d n + d shift),
-    # d the shift's denominator; the ball's norm is N(d n + d shift).
+    # d the shift's denominator; the ball's norm is N(d n + d shift).  The key is -w.
     scale = level // math.lcm(shift[0].denominator, shift[1].denominator)
-    for n, norm in enumerate_shifted_ball(shift, cutoff / level).items():
-        x_exponent = (-(level * n.n1 + e.n1), -(level * n.n2 + e.n2))  # -w
-        coeffs[x_exponent] = TauSeries.from_scaled({norm * scale * scale: 1}, level, cutoff)
-    return LaurentSection(level, cutoff, coeffs, theta_rep=e)
+    coeffs = {
+        (-(level * n.n1 + e.n1), -(level * n.n2 + e.n2)): {norm * scale * scale: 1}
+        for n, norm in enumerate_shifted_ball(shift, cutoff / level).items()
+    }
+    return LaurentSection(level, cutoff, level, coeffs, theta_rep=e)
 
 
 def section_mul(s1: LaurentSection, s2: LaurentSection) -> LaurentSection:
     """Product section; level adds, cutoff is the minimum of the factors'.
 
-    The product runs on integer exponents over the common denominator of
-    the factors' exponents; each product coefficient becomes a TauSeries once.
+    The product runs on integer exponents over den = lcm(s1.den, s2.den),
+    after one rescale of each factor's exponents by den // s.den.
     """
     cutoff = min(s1.cutoff, s2.cutoff)
-    den = math.lcm(*(e.denominator for s in (s1, s2) for t in s.coeffs.values() for e, _ in t.terms))
+    den = math.lcm(s1.den, s2.den)
     limit = math.floor(cutoff * den)
-    f2 = _scaled_terms(s2, den)
-    acc: dict[tuple[int, int], dict[int, Rational]] = {}
-    for k1, t1 in _scaled_terms(s1, den):
+    f1, f2 = (
+        [(k, [(x * (den // s.den), c) for x, c in t.items()]) for k, t in s.coeffs.items()]
+        for s in (s1, s2)
+    )
+    acc: dict[tuple[int, int], dict[int, int]] = {}
+    for k1, t1 in f1:
         for k2, t2 in f2:
             for x1, c1 in t1:
                 for x2, c2 in t2:
                     if x1 + x2 <= limit:
                         terms = acc.setdefault((k1[0] + k2[0], k1[1] + k2[1]), {})
                         terms[x1 + x2] = terms.get(x1 + x2, 0) + c1 * c2
-    coeffs = {key: TauSeries.from_scaled(terms, den, cutoff) for key, terms in acc.items()}
-    return LaurentSection(s1.level + s2.level, cutoff, coeffs)
+    return LaurentSection(s1.level + s2.level, cutoff, den, acc)
 
 
 def section_mul_decompose(
@@ -242,14 +237,17 @@ def section_mul_decompose(
     level = s1.level + s2.level
     den = level * s1.level * s2.level
     prod = section_mul(s1, s2)
+    up, off = divmod(den, prod.den)
+    if off:  # basis sections have den = level, and lcm(l1, l2) divides D
+        raise AssertionError(f"product exponents in (1/{prod.den})Z are not in (1/{den})Z")
     limit = math.floor(prod.cutoff * den)
     # best[rep] = (D times the basis exponent divided out, shifted terms);
     # the smallest basis exponent leaves the largest validity range.
-    best: dict[LatticeVector, tuple[int, dict[int, Rational]]] = {}
-    for key, terms in _scaled_terms(prod, den):
+    best: dict[LatticeVector, tuple[int, dict[int, int]]] = {}
+    for key, terms in prod.coeffs.items():
         rep = LatticeVector(-key[0] % level, -key[1] % level)
         base = (key[0] * key[0] + key[0] * key[1] + key[1] * key[1]) * s1.level * s2.level
-        cand = {x - base: c for x, c in terms}
+        cand = {x * up - base: c for x, c in terms.items()}
         if rep not in best:
             best[rep] = (base, cand)
             continue
@@ -265,64 +263,46 @@ def section_mul_decompose(
     }
     # Representatives whose minimal basis exponent exceeds the cutoff simply
     # do not appear in the truncated product; report them as zero series.
-    for rep in coset_reps(level):
+    for rep, n_min in _coset_min_norms(level).items():
         if rep not in out:
-            defect = Fraction(min_norm_in_coset((-rep.n1, -rep.n2), level), level)
-            out[rep] = TauSeries.zero(prod.cutoff - defect)
+            out[rep] = TauSeries.zero(prod.cutoff - Fraction(n_min, level))
     if cutoff is not None:
         out = {rep: ts.truncate(Fraction(cutoff)) for rep, ts in out.items()}
     return out
 
 
-def _scaled_terms(
-    s: LaurentSection, den: int
-) -> list[tuple[tuple[int, int], list[tuple[int, Rational]]]]:
-    """(key, [(den * exponent, coefficient)]) for each coefficient of s; integral
-    coefficients become ints."""
-    out = []
-    for key, ts in s.coeffs.items():
-        terms = []
-        for e, c in ts.terms:
-            q, r = divmod(den, e.denominator)
-            # Sanity: structure-constant exponents have denominators dividing
-            # level * l1 * l2.
-            if r:
-                raise AssertionError(f"exponent {e} at x-exponent {key} is not in (1/{den})Z")
-            terms.append((e.numerator * q, c.numerator if c.denominator == 1 else c))
-        out.append((key, terms))
-    return out
-
-
-def _upto(terms: dict[int, Rational], limit: int) -> dict[int, Rational]:
+def _upto(terms: dict[int, int], limit: int) -> dict[int, int]:
     return {x: c for x, c in terms.items() if x <= limit}
 
 
 def recompose(
     constants: dict[LatticeVector, TauSeries], level: int, cutoff: Rational
-) -> LaurentSection:
-    """Rebuild sum_e C_e * (basis section e) up to the stated cutoff."""
+) -> dict[tuple[int, int], TauSeries]:
+    """Rebuild sum_e C_e * (basis section e) up to the stated cutoff, per x-exponent."""
     cutoff = Fraction(cutoff)
     acc: dict[tuple[int, int], TauSeries] = {}
     for rep, c in constants.items():
-        base = theta_section(rep, level, cutoff)
-        for key, ts in base.coeffs.items():
-            prod = c.truncate(cutoff) * ts
+        base, c = theta_section(rep, level, cutoff), c.truncate(cutoff)
+        for key in base.coeffs:
+            prod = c * base.series(key)
             if prod.is_zero:
                 continue
             acc[key] = acc[key] + prod if key in acc else prod
-    return LaurentSection(level, cutoff, acc)
+    return acc
 
 
 @functools.cache
+def _coset_min_norms(level: int) -> dict[LatticeVector, int]:
+    """N_min(-e mod level) for each level-`level` representative e."""
+    return {rep: min_norm_in_coset((-rep.n1, -rep.n2), level) for rep in coset_reps(level)}
+
+
 def decomposition_padding(level: int) -> Fraction:
     """Extra cutoff needed on the factors so every C_e is valid to the target.
 
     The class of representative e costs N_min(-e mod level)/level of validity.
     """
-    worst = max(
-        min_norm_in_coset((-rep.n1, -rep.n2), level) for rep in coset_reps(level)
-    )
-    return Fraction(worst, level)
+    return Fraction(max(_coset_min_norms(level).values()), level)
 
 
 def theta_product_constants(
@@ -355,9 +335,9 @@ def evaluate_numeric(
     if s.theta_rep is None:
         raise ValueError("tail bound available only for theta basis sections")
     total = 0.0
-    for key, ts in s.coeffs.items():
+    for key in s.coeffs:
         mono = x_abs[0] ** key[0] * x_abs[1] ** key[1]
-        total += mono * ts.evaluate(tau)
+        total += mono * s.series(key).evaluate(tau)
     # A term of shifted norm N(v) evaluates to tau^(l*(N(v - u) - N(u)))
     # after completing the square against the log-|x| linear part, where
     # u is the inverse Gram matrix applied to log_tau |x|.

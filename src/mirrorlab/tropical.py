@@ -245,14 +245,7 @@ GAMMA_PP_ACTION = MonomialMap((1, 0, 0, 0), (1, 2, 1, 3), (-1, -1, 0, -3))
 
 def gamma_chart_action(g: LatticeVector) -> MonomialMap:
     """Monomial substitution realizing a lattice translation of charts."""
-    out = IDENTITY_MAP
-    step = GAMMA_P_ACTION if g.n1 >= 0 else GAMMA_P_ACTION.inverse()
-    for _ in range(abs(g.n1)):
-        out = step.compose(out)
-    step = GAMMA_PP_ACTION if g.n2 >= 0 else GAMMA_PP_ACTION.inverse()
-    for _ in range(abs(g.n2)):
-        out = step.compose(out)
-    return out
+    return (GAMMA_PP_ACTION ** g.n2).compose(GAMMA_P_ACTION ** g.n1)
 
 
 # The six vertex charts of the base tile, as coordinate monomial triples.

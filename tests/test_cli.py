@@ -139,7 +139,18 @@ def test_usage_error_exit_code(capsys):
         (["differential", "--i", "0", "--j", "1"], "--j"),
         (["leibniz", "--i", "0", "--j", "1"], "--j"),
         (["leibniz", "--i", "0", "--j", "2", "--c-order", "-1"], "--c-order"),
-        (["disc-series", "--A", "0,0,-1"], None),
+        (["disc-series", "--A", "0,0,-1"], "--A"),
+        (["disc-series", "--A", "0,0"], "--A"),
+        (["disc-series", "--A", "1/0,0,1"], "--A"),
+        (["trop", "--window=3,3,-3,-3"], "--window"),
+        (["trop", "--window=a,b,c,d"], "--window"),
+        (["trop", "--window=-1e400,-3,3,3"], "--window"),
+        (["leibniz", "--i", "0", "--j", "2", "--x", "1e400,1"], "--x"),
+        (["leibniz", "--i", "0", "--j", "2", "--x", "1e-400,1"], "--x"),
+        (["--config", "/nonexistent/mirrorlab.cfg", "monodromy"], "--config"),
+        (["metric-check", "--seed", "-1"], "--seed"),
+        (["monodromy", "--seed", "-5"], "--seed"),
+        (["functor", "--i", "0", "--j", "1", "--k", "2", "--cutoff", "1/0"], "--cutoff"),
         (["sphere-c", "--max-order", "-1"], "--max-order"),
         (["functor", "--i", "0", "--j", "1", "--k", "2", "--cutoff", "abc"], "--cutoff"),
         (["metric-check", "--T", "1"], "--T"),
@@ -175,6 +186,9 @@ def test_config_file_and_env_seed(tmp_path, monkeypatch):
     bad.write_text("not a key value line\n")
     with pytest.raises(ValueError):
         cli._load_config(str(bad))
+    with pytest.raises(SystemExit) as exc:
+        run(["--config", str(bad), "monodromy"])
+    assert exc.value.code == 64
 
 
 def test_out_flag_writes_file(tmp_path, capsysbinary):
@@ -215,6 +229,8 @@ GOLDEN_REPORTS = (
     # non-coprime gaps, where some output reps have an empty triangle coset
     (["functor", "--i", "0", "--j", "2", "--k", "4", "--cutoff", "8"], "functor_0_2_4_cutoff8.json"),
     (["functor", "--i", "0", "--j", "2", "--k", "5", "--cutoff", "8"], "functor_0_2_5_cutoff8.json"),
+    # basis sections over den 1 and 2, decomposed over D = 6
+    (["differential", "--i", "0", "--j", "3", "--cutoff", "8"], "differential_0_3_cutoff8.json"),
 )
 
 

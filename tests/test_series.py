@@ -75,7 +75,7 @@ def test_json_roundtrip_and_shape():
 def test_theta_section_level_one():
     s = theta_section(LatticeVector(0, 0), 1, F(1))
     assert len(s.coeffs) == 7
-    origin = s.coeffs[(0, 0)]
+    origin = s.series((0, 0))
     assert origin.leading() == (0, 1)
     # every term of a basis section sits on the key lattice -(l n + e)
     s3 = theta_section(LatticeVector(1, 2), 3, F(6))
@@ -86,16 +86,16 @@ def test_theta_section_level_one():
 
 def test_theta_section_min_exponent_level_two():
     s = theta_section(LatticeVector(1, 0), 2, F(4))
-    assert min(min(t.exponents()) for t in s.coeffs.values()) == F(1, 2)
+    assert min(min(s.series(key).exponents()) for key in s.coeffs) == F(1, 2)
 
 
 def test_theta_section_completeness_under_enlargement():
     small = theta_section(LatticeVector(1, 1), 2, F(6))
     big = theta_section(LatticeVector(1, 1), 2, F(12))
-    for key, t in small.coeffs.items():
-        assert big.coeffs[key].truncate(6) == t
-    for key, t in big.coeffs.items():
-        if min(t.exponents()) <= 6:
+    for key in small.coeffs:
+        assert big.series(key).truncate(6) == small.series(key)
+    for key in big.coeffs:
+        if min(big.series(key).exponents()) <= 6:
             assert key in small.coeffs
 
 
@@ -116,11 +116,11 @@ def test_decompose_recompose_roundtrip():
     constants = section_mul_decompose(s1, s2)
     target = min(c.cutoff for c in constants.values())
     rebuilt = recompose(constants, 3, target)
-    for key, t in rebuilt.coeffs.items():
-        assert prod.coeffs[key].truncate(t.cutoff) == t.truncate(prod.cutoff)
-    for key, t in prod.coeffs.items():
-        if not t.truncate(target).is_zero:
-            assert key in rebuilt.coeffs
+    for key, t in rebuilt.items():
+        assert prod.series(key).truncate(t.cutoff) == t.truncate(prod.cutoff)
+    for key in prod.coeffs:
+        if not prod.series(key).truncate(target).is_zero:
+            assert key in rebuilt
 
 
 def test_decompose_commutative():
@@ -131,15 +131,27 @@ def test_decompose_commutative():
     assert ab == ba
 
 
-def _decompose_fraction(s1, s2, cutoff=None):
-    """section_mul_decompose on Fraction series: shift and compare every key."""
-    level = s1.level + s2.level
-    prod = section_mul(s1, s2)
+def _fraction_product(s1, s2):
+    """The product section key by key, multiplied as Fraction series."""
+    f2 = [(k2, s2.series(k2)) for k2 in s2.coeffs]
+    prod = {}
+    for k1 in s1.coeffs:
+        t1 = s1.series(k1)
+        for k2, t2 in f2:
+            t = t1 * t2
+            key = (k1[0] + k2[0], k1[1] + k2[1])
+            if not t.is_zero:
+                prod[key] = prod[key] + t if key in prod else t
+    return prod
+
+
+def _decompose_fraction(prod, level, prod_cutoff, cutoff=None):
+    """section_mul_decompose on the Fraction product: shift and compare every key."""
     best = {}
-    for key, t in prod.coeffs.items():
+    for key, t in prod.items():
         rep = LatticeVector((-key[0]) % level, (-key[1]) % level)
         base_exp = F(key[0] ** 2 + key[0] * key[1] + key[1] ** 2, level)
-        cand = t.shift(-base_exp).truncate(prod.cutoff - base_exp)
+        cand = t.shift(-base_exp).truncate(prod_cutoff - base_exp)
         if rep not in best:
             best[rep] = cand
         else:
@@ -150,7 +162,7 @@ def _decompose_fraction(s1, s2, cutoff=None):
     for rep in coset_reps(level):
         if rep not in best:
             defect = F(min_norm_in_coset((-rep.n1, -rep.n2), level), level)
-            best[rep] = TauSeries.zero(prod.cutoff - defect)
+            best[rep] = TauSeries.zero(prod_cutoff - defect)
     if cutoff is not None:
         best = {rep: t.truncate(cutoff) for rep, t in best.items()}
     return best
@@ -158,16 +170,23 @@ def _decompose_fraction(s1, s2, cutoff=None):
 
 @pytest.mark.parametrize("gap", ((1, 1), (1, 2), (2, 2), (2, 4), (3, 3)))
 def test_decompose_matches_fraction_oracle(gap):
+    # lcm(l1, l2) < l1 * l2 on the last three gaps; the factors' cutoffs differ
     l1, l2 = gap
     cutoff = F(11, 2)
     pad = decomposition_padding(l1 + l2)
     for e1 in coset_reps(l1):
         for e2 in coset_reps(l2):
             s1 = theta_section(e1, l1, cutoff + pad)
-            s2 = theta_section(e2, l2, cutoff + pad)
+            s2 = theta_section(e2, l2, cutoff + pad + F(1, 3))
+            # section_mul equals the Fraction product key by key
+            prod, want_prod = section_mul(s1, s2), _fraction_product(s1, s2)
+            assert (prod.level, prod.den, prod.cutoff) == (l1 + l2, math.lcm(l1, l2), s1.cutoff)
+            assert sorted(prod.coeffs) == sorted(want_prod)
+            for key, t in want_prod.items():
+                assert prod.series(key) == t
             for cut in (None, cutoff):
                 got = section_mul_decompose(s1, s2, cut)
-                want = _decompose_fraction(s1, s2, cut)
+                want = _decompose_fraction(want_prod, l1 + l2, s1.cutoff, cut)
                 assert list(got) == list(want)
                 for rep, t in want.items():
                     assert got[rep].terms == t.terms and got[rep].cutoff == t.cutoff
@@ -176,10 +195,19 @@ def test_decompose_matches_fraction_oracle(gap):
 def test_decompose_rejects_exponents_off_the_denominator():
     s1 = theta_section(LatticeVector(0, 0), 1, F(4))
     s2 = theta_section(LatticeVector(0, 0), 1, F(4))
-    bad = LaurentSection(1, F(4), {(0, 0): ts([(F(1, 7), 1)], 4)})
+    bad = LaurentSection(1, F(4), 7, {(0, 0): {1: 1}})  # tau^(1/7), not in (1/2)Z
     assert section_mul_decompose(s1, s2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="not in"):
         section_mul_decompose(s1, bad)
+
+
+def test_decompose_rejects_a_product_that_is_not_a_basis_combination():
+    # theta_00 * 1 keeps tau^N(k) at every key k, but a level-2 basis section
+    # carries tau^(N(k)/2): keys (0, 0) and (2, 0) of one class disagree.
+    s1 = theta_section(LatticeVector(0, 0), 1, F(4))
+    one = LaurentSection(1, F(4), 1, {(0, 0): {0: 1}})
+    with pytest.raises(AssertionError, match="inconsistent"):
+        section_mul_decompose(s1, one)
 
 
 def test_decomposition_padding_bounds():
@@ -216,8 +244,8 @@ def test_evaluate_numeric_off_center():
     s = theta_section(LatticeVector(0, 0), 1, F(12))
     val, tail = evaluate_numeric(s, (0.5, 2.0), 0.15)
     brute = 0.0
-    for key, t in s.coeffs.items():
-        brute += 0.5 ** key[0] * 2.0 ** key[1] * t.evaluate(0.15)
+    for key in s.coeffs:
+        brute += 0.5 ** key[0] * 2.0 ** key[1] * s.series(key).evaluate(0.15)
     assert abs(val - brute) < 1e-12 * abs(brute)
     assert tail > 0
 

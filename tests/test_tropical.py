@@ -176,6 +176,13 @@ def test_gamma_actions():
     )
 
 
+@given(lattice_vectors, lattice_vectors)
+@settings(max_examples=30)
+def test_gamma_chart_action_is_a_homomorphism(g, h):
+    assert gamma_chart_action(g + h) == gamma_chart_action(g).compose(gamma_chart_action(h))
+    assert gamma_chart_action(-g) == gamma_chart_action(g).inverse()
+
+
 def test_actions_preserve_v0():
     for mm in (HEX_GEN, GAMMA_P_ACTION, GAMMA_PP_ACTION):
         assert mm.apply(V0) == V0
