@@ -16,10 +16,6 @@ import sys
 from fractions import Fraction
 from typing import BinaryIO
 
-from . import gw, kahler, tropical
-from .fukaya import functor_check
-from .lattice import MomentPoint
-
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INDETERMINATE = 2
@@ -129,9 +125,9 @@ def build_parser() -> _Parser:
     p.add_argument("--c-order", type=int, default=3)
 
     p = sub.add_parser("metric-check", help="sampled positive-definiteness certificate")
-    p.add_argument("--T", type=float, default=kahler.DEFAULT_T)
-    p.add_argument("--l", type=int, default=kahler.DEFAULT_L)
-    p.add_argument("--p", type=int, default=kahler.DEFAULT_P)
+    p.add_argument("--T", type=float)  # --T, --l, --p default to kahler.DEFAULT_T/L/P
+    p.add_argument("--l", type=int)
+    p.add_argument("--p", type=int)
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--c-base", default="auto")
@@ -143,12 +139,20 @@ def build_parser() -> _Parser:
 
 
 def _seed_from(args, config: dict[str, str]) -> int:
-    if getattr(args, "seed", None) is not None:
+    """--seed, else MIRRORLAB_SEED, else the config's seed line, else kahler's default."""
+    if args.seed is not None:
         return args.seed
-    if "MIRRORLAB_SEED" in os.environ:
-        return int(os.environ["MIRRORLAB_SEED"])
-    if "seed" in config:
-        return int(config["seed"])
+    for source, text in (("MIRRORLAB_SEED", os.environ.get("MIRRORLAB_SEED")),
+                         ("--config seed", config.get("seed"))):
+        if text is not None:
+            try:
+                if int(text) >= 0:
+                    return int(text)
+            except ValueError:
+                pass
+            raise ValueError(f"{source} must be an integer >= 0, got {text!r}")
+    from . import kahler
+
     return kahler.DEFAULT_SEED
 
 
@@ -161,6 +165,12 @@ def run(argv: list[str] | None, stdout: BinaryIO | None = None) -> tuple[bytes, 
     """
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "metric-check":  # kahler (and numpy) only for the commands that use it
+        from . import kahler
+
+        for name in ("T", "l", "p"):
+            if getattr(args, name) is None:
+                setattr(args, name, getattr(kahler, "DEFAULT_" + name.upper()))
     try:
         _check_domains(args)
         out, code = _dispatch(args)
@@ -184,6 +194,8 @@ _NONNEGATIVE += [(c, f) for c in ("metric-check", "monodromy") for f in ("--samp
 def _check_domains(args: argparse.Namespace) -> None:
     """Raise ValueError, naming the flag, for an argument outside its domain."""
     if args.command == "metric-check":
+        from . import kahler
+
         if not 0.0 < args.T < 1.0:
             raise ValueError(f"--T must lie in (0, 1), got {args.T!r}")
         for flag, value in (("--p", args.p), ("--l", args.l)):
@@ -205,12 +217,25 @@ def _check_domains(args: argparse.Namespace) -> None:
                     f"--c-base must be auto or a finite float >= 0, got {args.c_base!r}"
                 )
     if args.command == "leibniz":
-        if min(_floats(args, "--x", 2)) <= 0:
+        x = tuple(_floats(args, "--x", 2))
+        if min(x) <= 0:
             raise ValueError(f"--x coordinates must be positive floats, got {args.x!r}")
         if not 0.0 < args.tau < 1.0:
             raise ValueError(f"--tau must lie in (0, 1), got {args.tau!r}")
+        from . import gw
+
+        try:
+            gw.log_tau_point(x, args.tau)
+        except ValueError:
+            raise ValueError(
+                f"--x {args.x!r} lies too far from 1: tau^q, q the quadratic weight of"
+                f" log_tau x, overflows a float at --tau {args.tau!r}"
+            ) from None
     if args.command == "disc-series":
-        if not tropical.polytope_contains_strictly(MomentPoint(*_rationals(args, "--A", 3))):
+        from .lattice import MomentPoint
+        from .tropical import polytope_contains_strictly
+
+        if not polytope_contains_strictly(MomentPoint(*_rationals(args, "--A", 3))):
             raise ValueError(f"--A must lie strictly inside the moment body, got {args.A!r}")
     if args.command == "trop":
         x0, y0, x1, y1 = _floats(args, "--window", 4)
@@ -239,16 +264,25 @@ def _dispatch(args: argparse.Namespace) -> tuple[bytes, int]:
         raise ValueError(f"--config: {exc}") from None
 
     if args.command == "trop":
+        from . import tropical
+
         return tropical.svg_tiling(tuple(_floats(args, "--window", 4))).encode(), EXIT_PASS
 
     if args.command == "facets":
+        from . import tropical
+
         return tropical.facet_csv(Fraction(args.radius)).encode(), EXIT_PASS
 
     if args.command == "functor":
+        from .fukaya import functor_check
+
         rep = functor_check(args.i, args.j, args.k, Fraction(args.cutoff))
         body = rep.to_json()
         status = "pass" if rep.all_match else "fail"
     elif args.command == "disc-series":
+        from . import gw
+        from .lattice import MomentPoint
+
         a = MomentPoint(*_rationals(args, "--A", 3))
         series = gw.disc_series(a, Fraction(args.cutoff))
         body = {
@@ -258,6 +292,8 @@ def _dispatch(args: argparse.Namespace) -> tuple[bytes, int]:
         }
         status = "pass"
     elif args.command == "sphere-c":
+        from . import gw
+
         series = gw.sphere_count_C(args.max_order, Fraction(args.window))
         body = {
             "max_order": args.max_order,
@@ -267,10 +303,14 @@ def _dispatch(args: argparse.Namespace) -> tuple[bytes, int]:
         }
         status = "pass" if series.coefficient(0) == 1 else "fail"
     elif args.command == "differential":
+        from . import gw
+
         table = gw.differential_table(args.i, args.j, Fraction(args.cutoff))
         body = table.to_json()
         status = "pass"
     elif args.command == "leibniz":
+        from . import gw
+
         x = tuple(_floats(args, "--x", 2))
         rep = gw.leibniz_check(
             args.i, args.j, x, args.tau, Fraction(args.cutoff), args.c_order
@@ -278,6 +318,8 @@ def _dispatch(args: argparse.Namespace) -> tuple[bytes, int]:
         body = rep.to_json()
         status = rep.status
     elif args.command == "metric-check":
+        from . import kahler
+
         seed = _seed_from(args, config)
         c_base = (
             kahler.calibrate_c_base(args.T, args.l, args.p, seed=seed)
@@ -302,6 +344,8 @@ def _dispatch(args: argparse.Namespace) -> tuple[bytes, int]:
 
 def _monodromy_report(samples: int, seed: int) -> dict:
     import numpy as np
+
+    from . import kahler
 
     corners = kahler.monodromy_corner_table()
     corner_rows = []

@@ -363,6 +363,24 @@ def shifted_basis_value(
     return shifted_theta_value(level, w, tau, cutoff)
 
 
+def log_tau_point(
+    x_sample: tuple[float, float], tau: float
+) -> tuple[tuple[float, float], tuple[float, float], float, float]:
+    """xi = log_tau x, lam = lambda(xi), n_u = N(lam) and tau^q for q = -n_u.
+
+    q = kappa(xi) is the quadratic weight of the Leibniz identity.  Raises
+    ValueError where x lies so far from 1 that tau^q overflows a float.
+    """
+    log_tau = math.log(tau)
+    xi = (math.log(x_sample[0]) / log_tau, math.log(x_sample[1]) / log_tau)
+    lam = ((2 * xi[0] - xi[1]) / 3.0, (2 * xi[1] - xi[0]) / 3.0)
+    n_u = lam[0] ** 2 + lam[0] * lam[1] + lam[1] ** 2
+    try:
+        return xi, lam, n_u, tau ** -n_u
+    except OverflowError:
+        raise ValueError(f"tau^kappa(log_tau x) overflows a float at x = {x_sample!r}") from None
+
+
 def leibniz_check(
     i: int,
     j: int,
@@ -387,17 +405,13 @@ def leibniz_check(
         raise ValueError("tau must lie in (0, 1)")
     cutoff = Fraction(cutoff)
     cut_f = float(cutoff)
-    log_tau = math.log(tau)
-    xi = (math.log(x_sample[0]) / log_tau, math.log(x_sample[1]) / log_tau)
-    lam = ((2 * xi[0] - xi[1]) / 3.0, (2 * xi[1] - xi[0]) / 3.0)
-    q_weight = -(lam[0] ** 2 + lam[0] * lam[1] + lam[1] ** 2)  # kappa(log_tau x)
+    xi, lam, n_u, weight = log_tau_point(x_sample, tau)
     c_val = sphere_count_C(c_order, window).evaluate(tau)
 
     # s evaluated at |x|: exponent N(n) - <n, xi> = N(n - u) - N(u).
-    n_u = lam[0] ** 2 + lam[0] * lam[1] + lam[1] ** 2
     s_num = shifted_theta_value(1, (-lam[0], -lam[1]), tau, cut_f + n_u)
-    s_val = s_num.value * tau ** (-n_u)
-    s_tail = s_num.tail_bound * tau ** (-n_u)
+    s_val = s_num.value * weight
+    s_tail = s_num.tail_bound * weight
 
     table = differential_table(i, j, cutoff)
     # Unknown tail of each structure-constant series: its terms are
@@ -422,8 +436,8 @@ def leibniz_check(
                 + abs(nf.value) * t_tail
                 + t_tail * nf.tail_bound
             )
-        rhs *= c_val * tau ** q_weight
-        rhs_tail *= c_val * tau ** q_weight
+        rhs *= c_val * weight
+        rhs_tail *= c_val * weight
         residual = abs(lhs - rhs)
         items.append(
             {

@@ -19,8 +19,6 @@ from .lattice import (
     Rational,
     Vec2,
     enumerate_shifted_ball,
-    lambda_map,
-    norm_form,
 )
 
 
@@ -70,39 +68,37 @@ def trop_phi(xi: Vec2) -> TropValue:
 
     Reduces xi to the fundamental domain first (periodicity), where a fixed
     box |n|_inf <= 4 provably contains every candidate, then translates the
-    answer back.
+    answer back.  The search runs on integers: xi scaled by the lcm d of its
+    denominators, which also clears those of the reduced point.
     """
     x1, x2 = Fraction(xi[0]), Fraction(xi[1])
-    w = lambda_map((x1, x2))
-    g1 = _round_half_down(w[0])
-    g2 = _round_half_down(w[1])
-    r1 = x1 - 2 * g1 - g2
-    r2 = x2 - g1 - 2 * g2
+    d = math.lcm(x1.denominator, x2.denominator)
+    p1, p2 = x1.numerator * (d // x1.denominator), x2.numerator * (d // x2.denominator)
+    # g = floor(lambda(xi) + 1/2); (a1, a2) = d * r for r = xi - g_std.
+    g1 = (4 * p1 - 2 * p2 + 3 * d) // (6 * d)
+    g2 = (4 * p2 - 2 * p1 + 3 * d) // (6 * d)
+    a1 = p1 - d * (2 * g1 + g2)
+    a2 = p2 - d * (g1 + 2 * g2)
     # In the centered domain |r|_inf <= 3/2; candidates need N(n) <= 3|n|_inf
     # and N(n) >= (3/4)|n|_inf^2, hence |n|_inf <= 4.
     best = None
-    arg: list[LatticeVector] = []
+    arg: list[tuple[int, int]] = []
     for n1 in range(-4, 5):
         for n2 in range(-4, 5):
-            val = r1 * n1 + r2 * n2 - (n1 * n1 + n1 * n2 + n2 * n2)
+            val = a1 * n1 + a2 * n2 - d * (n1 * n1 + n1 * n2 + n2 * n2)
             if best is None or val > best:
                 best = val
-                arg = [LatticeVector(n1, n2)]
+                arg = [(n1, n2)]
             elif val == best:
-                arg.append(LatticeVector(n1, n2))
+                arg.append((n1, n2))
     assert best is not None
-    shift = LatticeVector(g1, g2)
-    maxim = tuple(sorted(n + shift for n in arg))
+    maxim = tuple(sorted(LatticeVector(n1 + g1, n2 + g2) for n1, n2 in arg))
     # phi(xi) = phi(r) + N(g) + <r, g> by periodicity; cross-check against
     # the direct value at a translated maximizer.
-    value = best + norm_form(Fraction(g1), Fraction(g2)) + r1 * g1 + r2 * g2
+    value = Fraction(best + d * (g1 * g1 + g1 * g2 + g2 * g2) + a1 * g1 + a2 * g2, d)
     m = maxim[0]
     assert value == x1 * m.n1 + x2 * m.n2 - m.norm
     return TropValue(value, maxim)
-
-
-def _round_half_down(x: Fraction) -> int:
-    return math.floor(x + Fraction(1, 2))
 
 
 def tile_of(xi: Vec2) -> Tile | BoundaryPoint:

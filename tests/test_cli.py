@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -62,6 +66,10 @@ def test_differential_and_leibniz():
     )
     assert code == 0
     assert json.loads(out)["passed"] is True
+    # far from 1, but tau^q of the quadratic weight q still fits in a float
+    out, code = run(["leibniz", "--i", "0", "--j", "2", "--x", "1e30,1"])
+    assert code == 0
+    assert json.loads(out)["passed"] is True
 
 
 def test_leibniz_vacuous_tail_is_indeterminate():
@@ -112,7 +120,7 @@ def test_monodromy_command():
     assert rep["antisymmetry_all"] is None
 
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         run(["functor", "--i", "0"])
     assert exc.value.code == 64
@@ -147,6 +155,8 @@ def test_usage_error_exit_code(capsys):
         (["trop", "--window=-1e400,-3,3,3"], "--window"),
         (["leibniz", "--i", "0", "--j", "2", "--x", "1e400,1"], "--x"),
         (["leibniz", "--i", "0", "--j", "2", "--x", "1e-400,1"], "--x"),
+        (["leibniz", "--i", "0", "--j", "2", "--x", "1e100,1"], "--x"),
+        (["leibniz", "--i", "0", "--j", "2", "--x", "1,1e-100"], "--x"),
         (["--config", "/nonexistent/mirrorlab.cfg", "monodromy"], "--config"),
         (["metric-check", "--seed", "-1"], "--seed"),
         (["monodromy", "--seed", "-5"], "--seed"),
@@ -164,18 +174,27 @@ def test_usage_error_exit_code(capsys):
         (["metric-check", "--c-base", "-1"], "--c-base"),
         (["monodromy", "--samples", "-2"], "--samples"),
     ):
-        capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            run(argv)
-        assert exc.value.code == 64, argv
-        err = capsys.readouterr().err.splitlines()
-        assert err[-1].startswith("mirrorlab: error: "), argv
-        assert "Traceback" not in "\n".join(err), argv
-        if flag is not None:
-            assert flag in err[-1], argv
+        _assert_usage_error(capsys, argv, flag)
+    # a seed from the environment is checked like --seed, and named by its source
+    for seed in ("-1", "abc", "1.5"):
+        monkeypatch.setenv("MIRRORLAB_SEED", seed)
+        _assert_usage_error(capsys, ["monodromy", "--samples", "2"], "MIRRORLAB_SEED")
+        _assert_usage_error(capsys, ["metric-check", "--samples", "2"], "MIRRORLAB_SEED")
 
 
-def test_config_file_and_env_seed(tmp_path, monkeypatch):
+def _assert_usage_error(capsys, argv, flag):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 64, argv
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("mirrorlab: error: "), argv
+    assert "Traceback" not in "\n".join(err), argv
+    if flag is not None:
+        assert flag in err[-1], argv
+
+
+def test_config_file_and_env_seed(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 123  # comment\n")
     out1, _ = run(["--config", str(cfg), "monodromy", "--samples", "4"])
@@ -189,6 +208,15 @@ def test_config_file_and_env_seed(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         run(["--config", str(bad), "monodromy"])
     assert exc.value.code == 64
+    # the environment wins over the config file, so its bad seed is never read
+    bad_seed = tmp_path / "seed.cfg"
+    bad_seed.write_text("seed=x\n")
+    assert run(["--config", str(bad_seed), "monodromy", "--samples", "4"])[0] == out2
+    monkeypatch.delenv("MIRRORLAB_SEED")
+    for text in ("x", "-3"):
+        bad_seed.write_text(f"seed={text}\n")
+        argv = ["--config", str(bad_seed), "monodromy", "--samples", "2"]
+        _assert_usage_error(capsys, argv, "--config seed")
 
 
 def test_out_flag_writes_file(tmp_path, capsysbinary):
@@ -248,3 +276,51 @@ def test_metric_check_fail_exit_code():
     out, code = run(["metric-check", "--samples", "2", "--c-base", "0"])
     assert code == 1
     assert json.loads(out)["status"] == "fail"
+
+
+# Each command imports its own layers: numpy only for the metric layer.
+_NUMPY_FREE = (
+    ["functor", "--i", "0", "--j", "1", "--k", "2", "--cutoff", "6"],
+    ["differential", "--i", "0", "--j", "2", "--cutoff", "6"],
+    ["sphere-c", "--max-order", "2", "--window", "4"],
+    ["leibniz", "--i", "0", "--j", "2", "--cutoff", "6", "--c-order", "2"],
+    ["disc-series", "--A", "0,0,1/2", "--cutoff", "4"],
+    ["trop", "--window=-2,-2,2,2"],
+    ["facets", "--radius", "1"],
+)
+_NUMPY_USERS = (
+    ["metric-check", "--samples", "3", "--c-base", str(2.0 ** 139)],
+    ["monodromy", "--samples", "8"],
+)
+_STARTUP_PROBE = """
+import contextlib, io, json, sys
+from mirrorlab import cli
+rows = [["import", "numpy" in sys.modules, None, None]]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    cli.run(["--help"])
+rows.append(["--help", "numpy" in sys.modules, None, None])
+for argv in json.loads(sys.argv[1]):
+    out, code = cli.run(argv)
+    rows.append([argv[0], "numpy" in sys.modules, out.decode(), code])
+print(json.dumps(rows))
+"""
+
+
+def test_only_the_metric_commands_load_numpy():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argvs = [*_NUMPY_FREE, *_NUMPY_USERS]
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    rows = json.loads(proc.stdout)
+    assert [r[0] for r in rows] == ["import", "--help", *(a[0] for a in argvs)]
+    n_free = 2 + len(_NUMPY_FREE)
+    assert not any(loaded for _, loaded, _, _ in rows[:n_free])
+    assert all(loaded for _, loaded, _, _ in rows[n_free:])
+    # a fresh process gives the same bytes and exit codes as this one
+    for argv, (_, _, out, code) in zip(argvs, rows[2:]):
+        assert (out.encode(), code) == run(argv), argv
+    for _, _, out, code in rows[n_free:]:
+        assert code == 0 and json.loads(out)["status"] == "pass"

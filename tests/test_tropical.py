@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,8 @@ from mirrorlab.lattice import (
     MomentPoint,
     enumerate_shifted_ball,
     gamma_act_moment,
+    lambda_map,
+    norm_form,
 )
 from mirrorlab.tropical import (
     BASE_CHARTS,
@@ -30,6 +33,7 @@ from mirrorlab.tropical import (
     svg_tiling,
     tile_edges,
     tile_of,
+    tile_vertices,
     trop_phi,
 )
 
@@ -79,6 +83,53 @@ def test_argmax_dominates_brute_force(x1, x2):
         x1 * n.n1 + x2 * n.n2 - n.norm for n in enumerate_shifted_ball((0, 0), 600)
     )
     assert tv.value == best
+
+
+def _trop_phi_fraction(xi):
+    """The Fraction search that trop_phi's integer kernel replaced, kept as its oracle."""
+    x1, x2 = F(xi[0]), F(xi[1])
+    w = lambda_map((x1, x2))
+    g1, g2 = math.floor(w[0] + F(1, 2)), math.floor(w[1] + F(1, 2))
+    r1, r2 = x1 - 2 * g1 - g2, x2 - g1 - 2 * g2
+    best, arg = None, []
+    for n1 in range(-4, 5):
+        for n2 in range(-4, 5):
+            val = r1 * n1 + r2 * n2 - (n1 * n1 + n1 * n2 + n2 * n2)
+            if best is None or val > best:
+                best, arg = val, [LatticeVector(n1, n2)]
+            elif val == best:
+                arg.append(LatticeVector(n1, n2))
+    shift = LatticeVector(g1, g2)
+    value = best + norm_form(F(g1), F(g2)) + r1 * g1 + r2 * g2
+    return value, tuple(sorted(n + shift for n in arg))
+
+
+small_denominator_rationals = st.builds(F, st.integers(-72, 72), st.integers(1, 12))
+
+
+@st.composite
+def points_on_the_curve(draw):
+    """A point of a hexagon edge of some tile: two or three maximizers tie."""
+    vs = tile_vertices(Tile(draw(st.integers(-4, 4)), draw(st.integers(-4, 4))))
+    k = draw(st.integers(0, 5))
+    s = draw(st.builds(F, st.integers(0, 12), st.integers(1, 12)).filter(lambda s: s <= 1))
+    (ax, ay), (bx, by) = vs[k], vs[(k + 1) % 6]
+    return (ax + s * (bx - ax), ay + s * (by - ay))
+
+
+@given(small_denominator_rationals, small_denominator_rationals)
+@settings(max_examples=200)
+def test_trop_phi_matches_fraction_oracle(x1, x2):
+    tv = trop_phi((x1, x2))
+    assert (tv.value, tv.maximizers) == _trop_phi_fraction((x1, x2))
+
+
+@given(points_on_the_curve())
+@settings(max_examples=100)
+def test_trop_phi_matches_fraction_oracle_on_the_curve(xi):
+    tv = trop_phi(xi)
+    assert len(tv.maximizers) >= 2
+    assert (tv.value, tv.maximizers) == _trop_phi_fraction(xi)
 
 
 def test_tile_of():
