@@ -97,11 +97,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("trop", help="tropical tiling as SVG")
     p.add_argument("--window", default="-3,-3,3,3")
-    p.add_argument("--format", default="svg", choices=("svg",))
 
     p = sub.add_parser("facets", help="facet table as CSV")
     p.add_argument("--radius", default="1")
-    p.add_argument("--format", default="csv", choices=("csv",))
 
     p = sub.add_parser("disc-series", help="disc areas at an interior basepoint")
     p.add_argument("--A", required=True, help="xi1,xi2,eta as rationals")
@@ -138,10 +136,22 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _seed_from(args, config: dict[str, str]) -> int:
-    """--seed, else MIRRORLAB_SEED, else the config's seed line, else kahler's default."""
+def _nonnegative(args: argparse.Namespace, flag: str) -> Fraction:
+    """The value of a flag that must be a rational >= 0; an error names the flag."""
+    text = getattr(args, flag[2:].replace("-", "_"))
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag} must be a rational, got {text!r}") from None
+    if value < 0:
+        raise ValueError(f"{flag} must be >= 0, got {text!r}")
+    return value
+
+
+def _seed_from(args: argparse.Namespace, config: dict[str, str], default: int) -> int:
+    """--seed, else MIRRORLAB_SEED, else the config's seed line, else default."""
     if args.seed is not None:
-        return args.seed
+        return int(_nonnegative(args, "--seed"))
     for source, text in (("MIRRORLAB_SEED", os.environ.get("MIRRORLAB_SEED")),
                          ("--config seed", config.get("seed"))):
         if text is not None:
@@ -151,9 +161,191 @@ def _seed_from(args, config: dict[str, str]) -> int:
             except ValueError:
                 pass
             raise ValueError(f"{source} must be an integer >= 0, got {text!r}")
+    return default
+
+
+def _functor(args: argparse.Namespace, config: dict[str, str]) -> tuple[str, dict]:
+    if not args.i < args.j < args.k:
+        raise ValueError(f"--i, --j, --k must satisfy i < j < k, got {args.i}, {args.j}, {args.k}")
+    cutoff = _nonnegative(args, "--cutoff")
+    from .fukaya import functor_check
+
+    rep = functor_check(args.i, args.j, args.k, cutoff)
+    return "pass" if rep.all_match else "fail", rep.to_json()
+
+
+def _trop(args: argparse.Namespace, config: dict[str, str]) -> bytes:
+    window = x0, y0, x1, y1 = tuple(_floats(args, "--window", 4))
+    if x1 <= x0 or y1 <= y0:
+        raise ValueError(f"--window must have positive extent, got {args.window!r}")
+    from . import tropical
+
+    return tropical.svg_tiling(window).encode()
+
+
+def _facets(args: argparse.Namespace, config: dict[str, str]) -> bytes:
+    radius = _nonnegative(args, "--radius")
+    from . import tropical
+
+    return tropical.facet_csv(radius).encode()
+
+
+def _disc_series(args: argparse.Namespace, config: dict[str, str]) -> tuple[str, dict]:
+    from .lattice import MomentPoint
+    from .tropical import polytope_contains_strictly
+
+    a = MomentPoint(*_rationals(args, "--A", 3))
+    if not polytope_contains_strictly(a):
+        raise ValueError(f"--A must lie strictly inside the moment body, got {args.A!r}")
+    cutoff = _nonnegative(args, "--cutoff")
+    from . import gw
+
+    series = gw.disc_series(a, cutoff)
+    return "pass", {"A": list(a), "cutoff": cutoff, "series": series.to_json()}
+
+
+def _sphere_c(args: argparse.Namespace, config: dict[str, str]) -> tuple[str, dict]:
+    window = _nonnegative(args, "--window")
+    _nonnegative(args, "--max-order")
+    from . import gw
+
+    series = gw.sphere_count_C(args.max_order, window)
+    body = {
+        "max_order": args.max_order,
+        "window": window,
+        "series": series.to_json(),
+        "note": "terms beyond the constant depend on the wall window",
+    }
+    return "pass" if series.coefficient(0) == 1 else "fail", body
+
+
+def _check_level(args: argparse.Namespace) -> None:
+    if args.j - args.i < 2:
+        raise ValueError(f"--j must be at least --i + 2, got --i {args.i} --j {args.j}")
+
+
+def _differential(args: argparse.Namespace, config: dict[str, str]) -> tuple[str, dict]:
+    _check_level(args)
+    cutoff = _nonnegative(args, "--cutoff")
+    from . import gw
+
+    return "pass", gw.differential_table(args.i, args.j, cutoff).to_json()
+
+
+def _leibniz(args: argparse.Namespace, config: dict[str, str]) -> tuple[str, dict]:
+    x = tuple(_floats(args, "--x", 2))
+    if min(x) <= 0:
+        raise ValueError(f"--x coordinates must be positive floats, got {args.x!r}")
+    if not 0.0 < args.tau < 1.0:
+        raise ValueError(f"--tau must lie in (0, 1), got {args.tau!r}")
+    from . import gw
+
+    try:
+        gw.log_tau_point(x, args.tau)
+    except ValueError:
+        raise ValueError(
+            f"--x {args.x!r} lies too far from 1: tau^q, q the quadratic weight of"
+            f" log_tau x, overflows a float at --tau {args.tau!r}"
+        ) from None
+    _check_level(args)
+    cutoff = _nonnegative(args, "--cutoff")
+    try:
+        float(cutoff)  # the lattice sums are truncated in floats
+    except OverflowError:
+        raise ValueError(f"--cutoff must fit in a float, got {args.cutoff!r}") from None
+    _nonnegative(args, "--c-order")
+    rep = gw.leibniz_check(args.i, args.j, x, args.tau, cutoff, args.c_order)
+    return rep.status, rep.to_json()
+
+
+def _metric_check(args: argparse.Namespace, config: dict[str, str]) -> tuple[str, dict]:
+    from . import kahler  # the domain of --l and --p is kahler's sampler windows
+
+    T = kahler.DEFAULT_T if args.T is None else args.T
+    l = kahler.DEFAULT_L if args.l is None else args.l
+    p = kahler.DEFAULT_P if args.p is None else args.p
+    if not 0.0 < T < 1.0:
+        raise ValueError(f"--T must lie in (0, 1), got {T!r}")
+    for flag, value in (("--p", p), ("--l", l)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
+    empty = [k for k, (lo, hi) in kahler.sampler_windows(l, p).items() if lo >= hi]
+    if empty:
+        raise ValueError(f"--l {l} --p {p}: empty sampler windows {', '.join(empty)}")
+    deep = 3 * kahler.MODERATE_LOG  # below it a fiber point can have three moderate logs
+    if l <= deep:
+        raise ValueError(f"--l must exceed {deep:g} (a deep fiber), got {l}")
+    c_base = None
+    if args.c_base != "auto":
+        try:
+            c_base = float(args.c_base)
+        except ValueError:
+            c_base = math.nan
+        if not (math.isfinite(c_base) and c_base >= 0):
+            raise ValueError(f"--c-base must be auto or a finite float >= 0, got {args.c_base!r}")
+    _nonnegative(args, "--samples")
+    seed = _seed_from(args, config, kahler.DEFAULT_SEED)
+    if c_base is None:
+        c_base = kahler.calibrate_c_base(T, l, p, seed=seed)
+    body = kahler.metric_certificate(T, l, p, args.samples, seed, c_base)
+    return body["status"], body
+
+
+def _monodromy(args: argparse.Namespace, config: dict[str, str]) -> tuple[str, dict]:
+    _nonnegative(args, "--samples")
+    import numpy as np
+
     from . import kahler
 
-    return kahler.DEFAULT_SEED
+    seed = _seed_from(args, config, kahler.DEFAULT_SEED)
+    corners = kahler.monodromy_corner_table()
+    corner_rows = []
+    ok = True
+    for cls, xi in sorted(corners.items()):
+        got = kahler.monodromy_class(xi)
+        corner_rows.append({"xi": [xi[0], xi[1]], "expected": list(cls), "got": list(got)})
+        ok = ok and got == cls
+    anti = []
+    rng = np.random.default_rng(seed)
+    while len(anti) < args.samples:
+        xi = (
+            Fraction(int(rng.integers(-4000, 4000)), 1000),
+            Fraction(int(rng.integers(-4000, 4000)), 1000),
+        )
+        try:
+            plus = kahler.monodromy_class(xi)
+            minus = kahler.monodromy_class((-xi[0], -xi[1]))
+        except ValueError:
+            continue  # on the tropical curve; resample
+        anti.append(plus == (-minus[0], -minus[1]))
+    ok = ok and all(anti)
+    fracs = kahler.transport_fractions(kahler.FiberPoint(1.0, 1.0, 1.0))
+    ok = ok and abs(sum(fracs) - 1.0) <= 1e-14
+    status = "fail" if not ok else "pass" if anti else "indeterminate"
+    return status, {
+        "status": status,
+        "corners": corner_rows,
+        "antisymmetry_samples": args.samples,
+        "antisymmetry_all": all(anti) if anti else None,
+        "fractions_sum_error": abs(sum(fracs) - 1.0),
+    }
+
+
+# One handler per command: it checks its arguments (a ValueError names the
+# flag), fills its defaults and runs its layer, imported inside the handler so
+# that only metric-check and monodromy load numpy.  It returns the report's
+# (status, body), or the bytes of the SVG/CSV emitters.
+_COMMANDS = {
+    "functor": _functor,
+    "trop": _trop,
+    "facets": _facets,
+    "disc-series": _disc_series,
+    "sphere-c": _sphere_c,
+    "differential": _differential,
+    "leibniz": _leibniz,
+    "metric-check": _metric_check,
+    "monodromy": _monodromy,
+}
 
 
 def run(argv: list[str] | None, stdout: BinaryIO | None = None) -> tuple[bytes, int]:
@@ -165,220 +357,25 @@ def run(argv: list[str] | None, stdout: BinaryIO | None = None) -> tuple[bytes, 
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "metric-check":  # kahler (and numpy) only for the commands that use it
-        from . import kahler
-
-        for name in ("T", "l", "p"):
-            if getattr(args, name) is None:
-                setattr(args, name, getattr(kahler, "DEFAULT_" + name.upper()))
     try:
-        _check_domains(args)
-        out, code = _dispatch(args)
+        config = _load_config(args.config) if args.config else {}
+    except (OSError, ValueError) as exc:
+        parser.error(f"--config: {exc}")
+    try:
+        result = _COMMANDS[args.command](args, config)
     except ValueError as exc:
         parser.error(str(exc))
+    if isinstance(result, bytes):
+        out, code = result, EXIT_PASS
+    else:
+        status, body = result
+        out, code = emit({"command": args.command, "status": status, **body}), _STATUS_CODE[status]
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(out)
     elif stdout is not None:
         stdout.write(out)
     return out, code
-
-
-# The arguments that must be >= 0: cutoffs, windows, orders, sample counts and seeds.
-_NONNEGATIVE = [(c, "--cutoff") for c in ("functor", "differential", "disc-series", "leibniz")]
-_NONNEGATIVE += [("sphere-c", "--window"), ("facets", "--radius")]
-_NONNEGATIVE += [("sphere-c", "--max-order"), ("leibniz", "--c-order")]
-_NONNEGATIVE += [(c, f) for c in ("metric-check", "monodromy") for f in ("--samples", "--seed")]
-
-
-def _check_domains(args: argparse.Namespace) -> None:
-    """Raise ValueError, naming the flag, for an argument outside its domain."""
-    if args.command == "metric-check":
-        from . import kahler
-
-        if not 0.0 < args.T < 1.0:
-            raise ValueError(f"--T must lie in (0, 1), got {args.T!r}")
-        for flag, value in (("--p", args.p), ("--l", args.l)):
-            if value < 1:
-                raise ValueError(f"{flag} must be >= 1, got {value}")
-        empty = [k for k, (lo, hi) in kahler.sampler_windows(args.l, args.p).items() if lo >= hi]
-        if empty:
-            raise ValueError(f"--l {args.l} --p {args.p}: empty sampler windows {', '.join(empty)}")
-        deep = 3 * kahler.MODERATE_LOG  # below it a fiber point can have three moderate logs
-        if args.l <= deep:
-            raise ValueError(f"--l must exceed {deep:g} (a deep fiber), got {args.l}")
-        if args.c_base != "auto":
-            try:
-                c_base = float(args.c_base)
-            except ValueError:
-                c_base = math.nan
-            if not (math.isfinite(c_base) and c_base >= 0):
-                raise ValueError(
-                    f"--c-base must be auto or a finite float >= 0, got {args.c_base!r}"
-                )
-    if args.command == "leibniz":
-        x = tuple(_floats(args, "--x", 2))
-        if min(x) <= 0:
-            raise ValueError(f"--x coordinates must be positive floats, got {args.x!r}")
-        if not 0.0 < args.tau < 1.0:
-            raise ValueError(f"--tau must lie in (0, 1), got {args.tau!r}")
-        from . import gw
-
-        try:
-            gw.log_tau_point(x, args.tau)
-        except ValueError:
-            raise ValueError(
-                f"--x {args.x!r} lies too far from 1: tau^q, q the quadratic weight of"
-                f" log_tau x, overflows a float at --tau {args.tau!r}"
-            ) from None
-    if args.command == "disc-series":
-        from .lattice import MomentPoint
-        from .tropical import polytope_contains_strictly
-
-        if not polytope_contains_strictly(MomentPoint(*_rationals(args, "--A", 3))):
-            raise ValueError(f"--A must lie strictly inside the moment body, got {args.A!r}")
-    if args.command == "trop":
-        x0, y0, x1, y1 = _floats(args, "--window", 4)
-        if x1 <= x0 or y1 <= y0:
-            raise ValueError(f"--window must have positive extent, got {args.window!r}")
-    if args.command == "functor" and not args.i < args.j < args.k:
-        raise ValueError(f"--i, --j, --k must satisfy i < j < k, got {args.i}, {args.j}, {args.k}")
-    if args.command in ("differential", "leibniz") and args.j - args.i < 2:
-        raise ValueError(f"--j must be at least --i + 2, got --i {args.i} --j {args.j}")
-    for command, flag in _NONNEGATIVE:
-        text = getattr(args, flag[2:].replace("-", "_"), None)
-        if command != args.command or text is None:  # a --seed left to its default
-            continue
-        try:
-            value = Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"{flag} must be a rational, got {text!r}") from None
-        if value < 0:
-            raise ValueError(f"{flag} must be >= 0, got {text!r}")
-
-
-def _dispatch(args: argparse.Namespace) -> tuple[bytes, int]:
-    try:
-        config = _load_config(args.config) if args.config else {}
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"--config: {exc}") from None
-
-    if args.command == "trop":
-        from . import tropical
-
-        return tropical.svg_tiling(tuple(_floats(args, "--window", 4))).encode(), EXIT_PASS
-
-    if args.command == "facets":
-        from . import tropical
-
-        return tropical.facet_csv(Fraction(args.radius)).encode(), EXIT_PASS
-
-    if args.command == "functor":
-        from .fukaya import functor_check
-
-        rep = functor_check(args.i, args.j, args.k, Fraction(args.cutoff))
-        body = rep.to_json()
-        status = "pass" if rep.all_match else "fail"
-    elif args.command == "disc-series":
-        from . import gw
-        from .lattice import MomentPoint
-
-        a = MomentPoint(*_rationals(args, "--A", 3))
-        series = gw.disc_series(a, Fraction(args.cutoff))
-        body = {
-            "A": [a.xi1, a.xi2, a.eta],
-            "cutoff": Fraction(args.cutoff),
-            "series": series.to_json(),
-        }
-        status = "pass"
-    elif args.command == "sphere-c":
-        from . import gw
-
-        series = gw.sphere_count_C(args.max_order, Fraction(args.window))
-        body = {
-            "max_order": args.max_order,
-            "window": Fraction(args.window),
-            "series": series.to_json(),
-            "note": "terms beyond the constant depend on the wall window",
-        }
-        status = "pass" if series.coefficient(0) == 1 else "fail"
-    elif args.command == "differential":
-        from . import gw
-
-        table = gw.differential_table(args.i, args.j, Fraction(args.cutoff))
-        body = table.to_json()
-        status = "pass"
-    elif args.command == "leibniz":
-        from . import gw
-
-        x = tuple(_floats(args, "--x", 2))
-        rep = gw.leibniz_check(
-            args.i, args.j, x, args.tau, Fraction(args.cutoff), args.c_order
-        )
-        body = rep.to_json()
-        status = rep.status
-    elif args.command == "metric-check":
-        from . import kahler
-
-        seed = _seed_from(args, config)
-        c_base = (
-            kahler.calibrate_c_base(args.T, args.l, args.p, seed=seed)
-            if args.c_base == "auto"
-            else float(args.c_base)
-        )
-        body = kahler.metric_certificate(
-            args.T, args.l, args.p, args.samples, seed, c_base
-        )
-        status = body["status"]
-    elif args.command == "monodromy":
-        seed = _seed_from(args, config)
-        body = _monodromy_report(args.samples, seed)
-        status = body["status"]
-    else:  # pragma: no cover - argparse enforces the choices
-        raise AssertionError(args.command)
-
-    report = {"command": args.command, "status": status}
-    report.update(body)
-    return emit(report), _STATUS_CODE[status]
-
-
-def _monodromy_report(samples: int, seed: int) -> dict:
-    import numpy as np
-
-    from . import kahler
-
-    corners = kahler.monodromy_corner_table()
-    corner_rows = []
-    ok = True
-    for cls, xi in sorted(corners.items()):
-        got = kahler.monodromy_class(xi)
-        corner_rows.append({"xi": [xi[0], xi[1]], "expected": list(cls), "got": list(got)})
-        ok = ok and got == cls
-    anti = []
-    rng = np.random.default_rng(seed)
-    count = 0
-    while count < samples:
-        xi = (
-            Fraction(int(rng.integers(-4000, 4000)), 1000),
-            Fraction(int(rng.integers(-4000, 4000)), 1000),
-        )
-        try:
-            plus = kahler.monodromy_class(xi)
-            minus = kahler.monodromy_class((-xi[0], -xi[1]))
-        except ValueError:
-            continue  # on the tropical curve; resample
-        anti.append(plus == (-minus[0], -minus[1]))
-        count += 1
-    ok = ok and all(anti)
-    fracs = kahler.transport_fractions(kahler.FiberPoint(1.0, 1.0, 1.0))
-    ok = ok and abs(sum(fracs) - 1.0) <= 1e-14
-    return {
-        "status": "fail" if not ok else "pass" if anti else "indeterminate",
-        "corners": corner_rows,
-        "antisymmetry_samples": samples,
-        "antisymmetry_all": all(anti) if anti else None,
-        "fractions_sum_error": abs(sum(fracs) - 1.0),
-    }
 
 
 def main(argv: list[str] | None = None) -> int:

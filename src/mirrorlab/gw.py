@@ -109,9 +109,6 @@ class WallCurve:
     edge: tuple[Tile, Tile]
     degrees: dict[Tile, int]
 
-    def degree(self, t: Tile) -> int:
-        return self.degrees.get(t, 0)
-
 
 def wall_degrees(edge: tuple[Tile, Tile]) -> WallCurve:
     ta, tb = edge
@@ -332,9 +329,13 @@ class LeibnizReport:
 
     @property
     def status(self) -> str:
-        """Indeterminate if a tail bound admits every residual |lhs| + |rhs| allows."""
+        """Indeterminate if a value is not finite, or a tail bound admits
+        every residual that |lhs| + |rhs| allows.
+        """
         for it in self.items:
-            if it["tail_bound"] >= abs(float(it["lhs"])) + abs(float(it["rhs"])):
+            lhs, rhs = abs(float(it["lhs"])), abs(float(it["rhs"]))
+            values = (lhs, rhs, it["residual"], it["tail_bound"])
+            if not all(map(math.isfinite, values)) or it["tail_bound"] >= lhs + rhs:
                 return "indeterminate"
         return "pass" if self.passed else "fail"
 
@@ -388,7 +389,6 @@ def leibniz_check(
     tau: float,
     cutoff: Rational,
     c_order: int = 3,
-    window: Rational = 9,
 ) -> LeibnizReport:
     """Numeric check that the differential table satisfies the Leibniz identity.
 
@@ -406,7 +406,7 @@ def leibniz_check(
     cutoff = Fraction(cutoff)
     cut_f = float(cutoff)
     xi, lam, n_u, weight = log_tau_point(x_sample, tau)
-    c_val = sphere_count_C(c_order, window).evaluate(tau)
+    c_val = sphere_count_C(c_order).evaluate(tau)
 
     # s evaluated at |x|: exponent N(n) - <n, xi> = N(n - u) - N(u).
     s_num = shifted_theta_value(1, (-lam[0], -lam[1]), tau, cut_f + n_u)

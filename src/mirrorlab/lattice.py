@@ -168,17 +168,13 @@ def enumerate_shifted_ball(shift: Vec2, bound: Rational) -> dict[LatticeVector, 
 def min_norm_in_coset(residue: tuple[int, int], modulus: int) -> int:
     """Minimal N over the coset residue + modulus*Z^2.
 
-    Scans the 6x6 box of coset points around the reduced representative;
-    the inline bound shows that no point outside the box does better.
+    With r the reduced representative, the coset is modulus*(n + r/modulus),
+    so its minimum is modulus^2 times the least N(n + r/modulus), a ball
+    search with r itself (n = 0) on the boundary.  The enumerator returns
+    that norm scaled by d^2, d the shift's denominator.
     """
-    r1 = residue[0] % modulus
-    r2 = residue[1] % modulus
-    best = None
-    for n1 in range(-3, 3):
-        for n2 in range(-3, 3):
-            v = LatticeVector(r1 + modulus * n1, r2 + modulus * n2)
-            if best is None or v.norm < best:
-                best = v.norm
-    # Outside the scanned box N >= (3/4)(2*modulus)^2 = 3*modulus^2 >= best.
-    assert best is not None and best <= 3 * modulus * modulus
-    return best
+    r1, r2 = residue[0] % modulus, residue[1] % modulus
+    shift = (Fraction(r1, modulus), Fraction(r2, modulus))
+    ball = enumerate_shifted_ball(shift, Fraction(norm_form(r1, r2), modulus * modulus))
+    d = modulus // math.gcd(r1, r2, modulus)
+    return min(ball.values()) * (modulus // d) ** 2

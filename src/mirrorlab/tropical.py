@@ -161,6 +161,14 @@ def monomial_mul(*ms: Monomial) -> Monomial:
     return tuple(out)  # type: ignore[return-value]
 
 
+def _cross(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, int, int]:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    return sum(p * q for p, q in zip(u, v))
+
+
 @dataclass(frozen=True)
 class MonomialMap:
     """A substitution x, y, z -> monomials (T fixed), acting on exponents."""
@@ -183,39 +191,18 @@ class MonomialMap:
     def inverse(self) -> "MonomialMap":
         """Exact inverse; the xyz block of every chart map is unimodular.
 
-        With A the xyz block (columns = images) and t the T-exponent row,
-        the inverse has block A^-1 and row -t A^-1.
+        With a, b, c the columns of the xyz block A (the images' exponents)
+        and t the T-exponent row, A^-1 has rows b x c, c x a, a x b over
+        det A = a . (b x c), and the inverse's T row is -t A^-1.
         """
-        cols = (self.x, self.y, self.z)
-        a = [[cols[c][r] for c in range(3)] for r in range(3)]
-        det = (
-            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-        )
+        a, b, c = (img[:3] for img in (self.x, self.y, self.z))
+        rows = (_cross(b, c), _cross(c, a), _cross(a, b))
+        det = _dot(a, rows[0])
         if det not in (1, -1):
             raise ValueError("monomial map is not invertible over the integers")
-        adj = [[0] * 3 for _ in range(3)]
-        for r in range(3):
-            for c in range(3):
-                sub = [
-                    [a[rr][cc] for cc in range(3) if cc != c]
-                    for rr in range(3)
-                    if rr != r
-                ]
-                adj[c][r] = (-1) ** (r + c) * (
-                    sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
-                )
-        ainv = [[adj[r][c] * det for c in range(3)] for r in range(3)]
-        t = [cols[c][3] for c in range(3)]
-        tinv = [
-            -sum(t[r] * ainv[r][c] for r in range(3))
-            for c in range(3)
-        ]
-        imgs = tuple(
-            (ainv[0][c], ainv[1][c], ainv[2][c], tinv[c]) for c in range(3)
-        )
-        return MonomialMap(*imgs)
+        t = (self.x[3], self.y[3], self.z[3])
+        cols = [tuple(det * row[k] for row in rows) for k in range(3)]
+        return MonomialMap(*(col + (-_dot(t, col),) for col in cols))
 
     def __pow__(self, k: int) -> "MonomialMap":
         if k < 0:

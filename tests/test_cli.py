@@ -67,9 +67,15 @@ def test_differential_and_leibniz():
     assert code == 0
     assert json.loads(out)["passed"] is True
     # far from 1, but tau^q of the quadratic weight q still fits in a float
-    out, code = run(["leibniz", "--i", "0", "--j", "2", "--x", "1e30,1"])
-    assert code == 0
-    assert json.loads(out)["passed"] is True
+    for x in ("1e30,1", "2e30,1"):
+        out, code = run(["leibniz", "--i", "0", "--j", "2", "--x", x])
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+    # the weighted sides overflow to inf, and a verdict on them shows nothing
+    out, code = run(["leibniz", "--i", "0", "--j", "2", "--x", "2.5e30,1"])
+    rep = json.loads(out)
+    assert code == 2 and rep["status"] == "indeterminate"
+    assert rep["items"][0]["lhs"] == "inf"
 
 
 def test_leibniz_vacuous_tail_is_indeterminate():
@@ -134,6 +140,7 @@ def test_usage_error_exit_code(capsys, monkeypatch):
         (["leibniz", "--i", "0", "--j", "2", "--tau", "1.5"], "--tau"),
         (["leibniz", "--i", "0", "--j", "2", "--tau", "0"], "--tau"),
         (["leibniz", "--i", "0", "--j", "2", "--cutoff", "-1"], "--cutoff"),
+        (["leibniz", "--i", "0", "--j", "2", "--cutoff", "1e400"], "--cutoff"),
         (["functor", "--i", "0", "--j", "1", "--k", "2", "--cutoff", "-1"], "--cutoff"),
         (["differential", "--i", "0", "--j", "2", "--cutoff", "-0.5"], "--cutoff"),
         (["disc-series", "--A", "0,0,1/2", "--cutoff", "-1"], "--cutoff"),

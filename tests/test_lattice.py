@@ -154,3 +154,23 @@ def test_shifted_ball_and_coset_minimum():
     assert min_norm_in_coset((1, 0), 2) == 1
     assert min_norm_in_coset((0, 0), 3) == 0
     assert min_norm_in_coset((2, 2), 3) == norm_form(F(-1), F(-1))
+
+
+def _min_norm_box_scan(residue, modulus):
+    """Reference minimum: the 6x6 box of coset points around the reduced
+    representative.  Outside it N >= (3/4)(2*modulus)^2 = 3*modulus^2, which
+    no minimum exceeds."""
+    r1, r2 = residue[0] % modulus, residue[1] % modulus
+    return min(
+        LatticeVector(r1 + modulus * n1, r2 + modulus * n2).norm
+        for n1 in range(-3, 3)
+        for n2 in range(-3, 3)
+    )
+
+
+def test_min_norm_in_coset_matches_box_scan():
+    for modulus in range(1, 13):
+        for r1 in range(-modulus, modulus):
+            for r2 in range(-modulus, modulus):
+                want = _min_norm_box_scan((r1, r2), modulus)
+                assert min_norm_in_coset((r1, r2), modulus) == want, (r1, r2, modulus)

@@ -265,6 +265,20 @@ def test_monomial_inverse():
         assert mm.inverse().compose(mm) == IDENTITY_MAP
 
 
+_CHART_MAPS = (HEX_GEN, GAMMA_P_ACTION, GAMMA_PP_ACTION,
+               *(MonomialMap(*images) for images in BASE_CHARTS.values()))
+
+
+@given(st.lists(st.sampled_from(_CHART_MAPS + tuple(m ** -1 for m in _CHART_MAPS)),
+                min_size=1, max_size=8))
+def test_monomial_inverse_of_products(factors):
+    mm = IDENTITY_MAP
+    for f in factors:
+        mm = mm.compose(f)
+    assert mm.compose(mm.inverse()) == IDENTITY_MAP
+    assert mm.inverse().compose(mm) == IDENTITY_MAP
+
+
 def test_chart_unknown_label():
     with pytest.raises(Exception):
         MonomialMap((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)).inverse()
