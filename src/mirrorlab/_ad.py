@@ -74,18 +74,6 @@ class D2:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, o):
-        if not isinstance(o, D2):
-            return self * (1.0 / o)
-        return self * o.reciprocal()
-
-    def __rtruediv__(self, o):
-        return self.reciprocal() * o
-
-    def reciprocal(self) -> "D2":
-        inv = 1.0 / self.v
-        return self._chain(inv, -inv * inv, 2.0 * inv * inv * inv)
-
     def _chain(self, f, fp, fpp) -> "D2":
         """Compose with a scalar function given f(v), f'(v), f''(v) per lane."""
         return D2(f, fp * self.g, fp * self.h + fpp * self.g[_I] * self.g[_J])

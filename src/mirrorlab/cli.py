@@ -275,7 +275,7 @@ def _metric_check(args: argparse.Namespace, config: dict[str, str]) -> tuple[str
     deep = 3 * kahler.MODERATE_LOG  # below it a fiber point can have three moderate logs
     if l <= deep:
         raise ValueError(f"--l must exceed {deep:g} (a deep fiber), got {l}")
-    c_base = None
+    c_base = "auto"
     if args.c_base != "auto":
         try:
             c_base = float(args.c_base)
@@ -285,8 +285,6 @@ def _metric_check(args: argparse.Namespace, config: dict[str, str]) -> tuple[str
             raise ValueError(f"--c-base must be auto or a finite float >= 0, got {args.c_base!r}")
     _nonnegative(args, "--samples")
     seed = _seed_from(args, config, kahler.DEFAULT_SEED)
-    if c_base is None:
-        c_base = kahler.calibrate_c_base(T, l, p, seed=seed)
     body = kahler.metric_certificate(T, l, p, args.samples, seed, c_base)
     return body["status"], body
 

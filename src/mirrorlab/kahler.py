@@ -55,6 +55,9 @@ DEFAULT_SEED = 7
 # Smallest power of two making every sampled normalized eigenvalue positive
 # with margin at the defaults; frozen from calibrate_c_base().
 DEFAULT_C_BASE = 2.0 ** 139
+# Per-region sample count and eigenvalue margin of calibrate_c_base.
+CALIBRATION_SAMPLES = 60
+CALIBRATION_MARGIN = 1e-9
 # A log_T norm at most this is "moderate"; a fiber point with three moderate
 # logs is not near a deep fiber, which needs l > 3 * MODERATE_LOG.
 MODERATE_LOG = 2.0
@@ -605,6 +608,22 @@ def sampler_windows(l: int, p: int) -> dict[str, tuple[float, float]]:
     }
 
 
+# The two windows each sampler draws from, in draw order: a (low, high) pair
+# or a `sampler_windows` key.  A region not listed is a rotation of the first
+# key of its orbit.
+_SAMPLER_DRAWS = {
+    "VII": ((-0.5, 0.5), (-0.5, 0.5)),
+    "I": ("a", (-8.0, 8.0)),
+    "axis_x": ((-1.0, 1.0), (-3.0, 3.0)),
+    "g_yz": ((-1.0, 1.0), (-1.0, 1.0)),
+    "IIA": ("a", "IIA"),
+    "IIB": ("a", "IIB"),
+    "IIC": ("a", "IIA"),
+    "IV": ("a", "IV"),
+    "VI": ("a", "IV"),
+}
+
+
 def region_samples(
     region: str,
     count: int,
@@ -615,56 +634,51 @@ def region_samples(
 ) -> list[FiberPoint]:
     """Deterministic seeded samples lying in the requested region.
 
-    Per-sample generator streams keyed by (seed, region, index) keep the
-    output independent of evaluation order.
+    Sample idx takes its two uniform draws from its own generator stream,
+    keyed by (seed, region, idx), so the output does not depend on
+    evaluation order and fewer samples are a prefix of more.  Raises if
+    asked for a sample from an empty window.
     """
     if region not in REGION_IDS:
         raise ValueError(f"unknown region {region!r}")
-    win = sampler_windows(l, p)
     orbit, k = _ROTATION.get(region, ((region,), 0))  # IV, VI, VII: no orbit
+    family = region if region in _SAMPLER_DRAWS else orbit[0]
+    win = sampler_windows(l, p)
+    windows = [win[w] if isinstance(w, str) else w for w in _SAMPLER_DRAWS[family]]
+    for w, (lo, hi) in zip(_SAMPLER_DRAWS[family], windows):
+        if count > 0 and lo >= hi:  # only a sampler_windows window can be empty
+            raise ValueError(
+                f"region {region}: sampler window {w!r} is empty at l={l}, p={p} "
+                f"(low {lo!r} >= high {hi!r})"
+            )
+    (lo1, hi1), (lo2, hi2) = windows
+    w1, w2 = hi1 - lo1, hi2 - lo2
     ridx = REGION_IDS.index(region)
     out = []
     for idx in range(count):
-        rng = np.random.default_rng((seed, ridx, idx))
-
-        def u(lo: float, hi: float) -> float:
-            return float(rng.uniform(lo, hi))
-
-        if region == "VII":
-            a = l / 3 + u(-0.5, 0.5)
-            b = l / 3 + u(-0.5, 0.5)
-            q = FiberPoint.from_logs(a, b, None, T, l, p)
-        elif orbit[0] in ("I", "axis_x"):
-            # sigma^k of a point whose x log is drawn first, then the spread
-            # w between the other two
-            a = u(*win["a"]) if orbit[0] == "I" else u(-1.0, 1.0)
-            w = u(-8.0, 8.0) if orbit[0] == "I" else u(-3.0, 3.0)
-            logs = _rotate((a, (l - a - w) / 2, (l - a + w) / 2), k)
-            q = FiberPoint.from_logs(*logs, T, l, p)
-        elif orbit[0] == "g_yz":
+        u1, u2 = np.random.default_rng((seed, ridx, idx)).random(2).tolist()
+        s, t = lo1 + w1 * u1, lo2 + w2 * u2  # numpy's uniform(lo, hi), bit for bit
+        if family == "VII":
+            logs = (l / 3 + s, l / 3 + t, None)
+        elif family in ("I", "axis_x"):
+            # sigma^k of a point whose x log is s, with spread t between the
+            # other two
+            logs = _rotate((s, (l - s - t) / 2, (l - s + t) / 2), k)
+        elif family == "g_yz":
             # two moderate logs in x < y < z order; the k-th closes the fiber
-            logs = [u(-1.0, 1.0), u(-1.0, 1.0)]
-            logs.insert(k, l - logs[0] - logs[1])
-            q = FiberPoint.from_logs(*logs, T, l, p)
-        elif region in ("IIA", "IIB"):
-            a = u(*win["a"])
-            th = u(*win[region])
-            q = FiberPoint.from_logs(a, a + th, None, T, l, p)
-        elif region == "IIC":
-            b = u(*win["a"])
-            th = u(*win["IIA"])
-            q = FiberPoint.from_logs(b + th, b, None, T, l, p)
-        elif region == "IV":
-            m = u(*win["a"])
-            d = u(*win["IV"])
-            b, c = (m, m + d) if d >= 0 else (m - d, m)
-            q = FiberPoint.from_logs(l - b - c, b, c, T, l, p)
+            logs = [s, t]
+            logs.insert(k, l - s - t)
+        elif family in ("IIA", "IIB"):
+            logs = (s, s + t, None)
+        elif family == "IIC":
+            logs = (s + t, s, None)
+        elif family == "IV":
+            b, c = (s, s + t) if t >= 0 else (s - t, s)
+            logs = (l - b - c, b, c)
         else:  # VI
-            m = u(*win["a"])
-            d = u(*win["IV"])
-            c, a = (m, m + d) if d >= 0 else (m - d, m)
-            q = FiberPoint.from_logs(a, l - a - c, c, T, l, p)
-        out.append(q)
+            c, a = (s, s + t) if t >= 0 else (s - t, s)
+            logs = (a, l - a - c, c)
+        out.append(FiberPoint.from_logs(*logs, T, l, p))
     return out
 
 
@@ -674,28 +688,45 @@ def metric_certificate(
     p: int = DEFAULT_P,
     samples: int = 500,
     seed: int = DEFAULT_SEED,
-    c_base: float | None = DEFAULT_C_BASE,
+    c_base: float | str | None = DEFAULT_C_BASE,
 ) -> dict:
     """Sampled positive-definiteness certificate, region by region.
 
-    Indeterminate, with nothing evaluated, for no samples or no c_base.  The
-    report's "coverage" says the verdict rests on samples: how many per
-    region, drawn from which `sampler_windows`.
+    c_base "auto" is `calibrate_c_base` at the same T, l, p and seed: each
+    region is drawn at max(samples, CALIBRATION_SAMPLES) points, the
+    calibration reads the first CALIBRATION_SAMPLES rows of its jets and the
+    certificate the first samples rows.  Raises at an empty sampler window
+    whenever it draws, for any c_base.  Indeterminate, with nothing
+    certified, for no samples or no c_base.  The report's "coverage" says
+    the verdict rests on samples: how many per region, drawn from which
+    `sampler_windows`.
     """
     prof = BumpProfile(l, p, T)
+    auto = c_base == "auto"
+    count = max(samples, CALIBRATION_SAMPLES) if auto else samples
+    # each region drawn and differentiated once, one at a time unless the
+    # calibration needs them all first
+    drawn = (_jets(region_samples(r, count, seed, T, l, p), prof)[1] for r in REGION_IDS)
+    if auto:
+        drawn = list(drawn)
+        # each jet's first CALIBRATION_SAMPLES rows of every region, stacked
+        stacked = tuple(
+            np.concatenate([a[:CALIBRATION_SAMPLES] for a in parts]) for parts in zip(*drawn)
+        )
+        c_base = _least_power_of_two(stacked, CALIBRATION_MARGIN)
+    certify = samples > 0 and c_base is not None
+    status = "pass" if certify else "indeterminate"
     regions = {}
-    status = "pass"
-    if samples <= 0 or c_base is None:
-        status = "indeterminate"
-    for region in REGION_IDS:
+    for region, jets in zip(REGION_IDS, drawn):
         worst = None
         worst_point = None
-        pts = region_samples(region, samples, seed, T, l, p)
-        if pts and c_base is not None:
-            min_eigs = _metric_from_jets(_jets(pts, prof)[1], c_base)[1]
+        if certify:
+            jets = [a[:samples] for a in jets]
+            min_eigs = _metric_from_jets(jets, c_base)[1]
             i = int(np.argmin(min_eigs))  # the first of equal minima
             worst = float(min_eigs[i])
-            worst_point = list(pts[i].logs())
+            # the sample point, rebuilt from its norms (the first jet)
+            worst_point = list(FiberPoint(*jets[0][i].tolist(), T, l, p).logs())
         regions[region] = {
             "samples": samples,
             "min_eig": worst,
@@ -762,19 +793,41 @@ def boundary_pair_catalog(
     return [(q1.rotated(k), q2.rotated(k)) for k in range(3) for q1, q2 in seams]
 
 
+def _least_power_of_two(jets: tuple, margin: float) -> float | None:
+    """Smallest 2^k, -80 <= k < 200, at which every row's min-eigenvalue clears margin.
+
+    Equal to trying every row at every power, with less work: the rows that
+    failed the last power are tried first, and while one of them still
+    fails the power fails with no other row evaluated; the full batch runs
+    only once they all pass.  `_metric_from_jets` gives a row the same bits
+    in any batch, so the subsets decide exactly as the full batch would.
+    """
+    watch = np.arange(0)  # rows that failed the last power
+    for k in range(-80, 200):
+        c = 2.0 ** k
+        if len(watch):
+            rows = tuple(a[watch] for a in jets)
+            watch = watch[~(_metric_from_jets(rows, c)[1] > margin)]
+            if len(watch):
+                continue
+        watch = np.flatnonzero(~(_metric_from_jets(jets, c)[1] > margin))
+        if not len(watch):
+            return c
+    return None
+
+
 def calibrate_c_base(
     T: float = DEFAULT_T,
     l: int = DEFAULT_L,
     p: int = DEFAULT_P,
-    samples: int = 60,
+    samples: int = CALIBRATION_SAMPLES,
     seed: int = DEFAULT_SEED,
-    margin: float = 1e-9,
+    margin: float = CALIBRATION_MARGIN,
 ) -> float | None:
     """Smallest power of two whose sampled min-eigenvalues all clear margin.
 
     None if no power of two in [2^-80, 2^200) does.  The jets at the sample
-    points are taken once; each power of two tried costs only one batched
-    `_metric_from_jets`.
+    points are taken once; `_least_power_of_two` scans the powers on them.
     """
     prof = BumpProfile(l, p, T)
     pts = [
@@ -782,9 +835,4 @@ def calibrate_c_base(
         for region in REGION_IDS
         for q in region_samples(region, samples, seed, T, l, p)
     ]
-    jets = _jets(pts, prof)[1]
-    for k in range(-80, 200):
-        c = 2.0 ** k
-        if np.all(_metric_from_jets(jets, c)[1] > margin):
-            return c
-    return None
+    return _least_power_of_two(_jets(pts, prof)[1], margin)

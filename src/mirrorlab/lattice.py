@@ -43,16 +43,8 @@ class LatticeVector:
     def __add__(self, other: "LatticeVector") -> "LatticeVector":
         return LatticeVector(self.n1 + other.n1, self.n2 + other.n2)
 
-    def __sub__(self, other: "LatticeVector") -> "LatticeVector":
-        return LatticeVector(self.n1 - other.n1, self.n2 - other.n2)
-
     def __neg__(self) -> "LatticeVector":
         return LatticeVector(-self.n1, -self.n2)
-
-    def __mul__(self, k: int) -> "LatticeVector":
-        return LatticeVector(self.n1 * k, self.n2 * k)
-
-    __rmul__ = __mul__
 
 
 GAMMA_P = LatticeVector(1, 0)

@@ -122,6 +122,87 @@ def test_samples_are_seed_deterministic():
     assert a != c
 
 
+def _uniform_sampler(region, count, seed, T, l, p):
+    """The per-sample `uniform` sampler that region_samples replaced, kept as its oracle."""
+    win = kahler.sampler_windows(l, p)
+    orbit, k = kahler._ROTATION.get(region, ((region,), 0))
+    ridx = REGION_IDS.index(region)
+    out = []
+    for idx in range(count):
+        rng = np.random.default_rng((seed, ridx, idx))
+
+        def u(lo, hi):
+            return float(rng.uniform(lo, hi))
+
+        if region == "VII":
+            a = l / 3 + u(-0.5, 0.5)
+            b = l / 3 + u(-0.5, 0.5)
+            q = FiberPoint.from_logs(a, b, None, T, l, p)
+        elif orbit[0] in ("I", "axis_x"):
+            a = u(*win["a"]) if orbit[0] == "I" else u(-1.0, 1.0)
+            w = u(-8.0, 8.0) if orbit[0] == "I" else u(-3.0, 3.0)
+            logs = kahler._rotate((a, (l - a - w) / 2, (l - a + w) / 2), k)
+            q = FiberPoint.from_logs(*logs, T, l, p)
+        elif orbit[0] == "g_yz":
+            logs = [u(-1.0, 1.0), u(-1.0, 1.0)]
+            logs.insert(k, l - logs[0] - logs[1])
+            q = FiberPoint.from_logs(*logs, T, l, p)
+        elif region in ("IIA", "IIB"):
+            a = u(*win["a"])
+            th = u(*win[region])
+            q = FiberPoint.from_logs(a, a + th, None, T, l, p)
+        elif region == "IIC":
+            b = u(*win["a"])
+            th = u(*win["IIA"])
+            q = FiberPoint.from_logs(b + th, b, None, T, l, p)
+        elif region == "IV":
+            m = u(*win["a"])
+            d = u(*win["IV"])
+            b, c = (m, m + d) if d >= 0 else (m - d, m)
+            q = FiberPoint.from_logs(l - b - c, b, c, T, l, p)
+        else:  # VI
+            m = u(*win["a"])
+            d = u(*win["IV"])
+            c, a = (m, m + d) if d >= 0 else (m - d, m)
+            q = FiberPoint.from_logs(a, l - a - c, c, T, l, p)
+        out.append(q)
+    return out
+
+
+@pytest.mark.parametrize("l", [40, 60])
+@pytest.mark.parametrize("seed", [0, 7, 999999, 2 ** 40 + 5])
+def test_samples_match_uniform_oracle(seed, l):
+    for region in REGION_IDS:
+        got = region_samples(region, 12, seed, DEFAULT_T, l, 17)
+        assert got == _uniform_sampler(region, 12, seed, DEFAULT_T, l, 17), region
+
+
+def test_empty_sampler_window_is_named():
+    # at l = 40, p = 10 the IIB band offset window is (3.02, -3.02)
+    assert kahler.sampler_windows(40, 10)["IIB"] == (3.02, -3.02)
+    with pytest.raises(ValueError, match=r"region IIB: sampler window 'IIB' is empty"):
+        region_samples("IIB", 1, l=40, p=10)
+    assert len(region_samples("IIA", 3, l=40, p=10)) == 3  # its windows are not empty
+    # empty means low >= high, as in sampler_windows: one point is empty too
+    assert kahler.sampler_windows(40, 500)["a"] == (3.98, 3.98)
+    with pytest.raises(ValueError, match=r"region VI: sampler window 'a' is empty"):
+        region_samples("VI", 1, l=40, p=500)
+    assert len(region_samples("VII", 3, l=40, p=500)) == 3  # VII draws from no named window
+    assert region_samples("IIB", 0, l=40, p=10) == []  # nothing drawn, nothing to refuse
+
+
+@pytest.mark.parametrize("c_base", [None, DEFAULT_C_BASE, "auto"])
+def test_certificate_refuses_empty_windows_whenever_it_draws(c_base):
+    # one rule for every c_base: it raises iff it draws, and "auto" always draws
+    with pytest.raises(ValueError, match=r"region IIB: sampler window 'IIB' is empty"):
+        metric_certificate(l=40, p=10, samples=1, c_base=c_base)
+    if c_base == "auto":
+        with pytest.raises(ValueError, match=r"sampler window 'IIB' is empty"):
+            metric_certificate(l=40, p=10, samples=0, c_base=c_base)
+    else:
+        assert metric_certificate(l=40, p=10, samples=0, c_base=c_base)["status"] == "indeterminate"
+
+
 def at(fn, *args):
     """Values of a profile function at float arguments, as one lane call."""
     return fn(D2.const(args)).v.tolist()
@@ -582,6 +663,70 @@ def test_calibration_matches_per_point_scan():
         if all(_metric_per_point(q, tj, 2.0 ** k)[1] > 1e-9 for q, tj in zip(pts, oracle))
     )
     assert calibrate_c_base(samples=3) == want
+
+
+def _linear_scan(jets, margin):
+    """Every row at every power of two: the scan `_least_power_of_two` replaced."""
+    return next(
+        (2.0 ** k for k in range(-80, 200)
+         if np.all(kahler._metric_from_jets(jets, 2.0 ** k)[1] > margin)),
+        None,
+    )
+
+
+def _calibration_jets(seed, samples=60):
+    pts = [q for region in REGION_IDS for q in region_samples(region, samples, seed)]
+    return kahler._jets(pts, BumpProfile())[1]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7, 11, 99])
+def test_watch_list_scan_matches_linear_scan(seed):
+    jets = _calibration_jets(seed)
+    want = _linear_scan(jets, 1e-9)
+    assert kahler._least_power_of_two(jets, 1e-9) == want
+    assert calibrate_c_base(seed=seed) == want
+
+
+@pytest.mark.parametrize("margin, found", [(1e-6, True), (1e-4, False), (1.0, False)])
+def test_watch_list_scan_at_larger_margins(margin, found):
+    # At 1e-4 rows that clear the small powers fail again once c U dominates,
+    # so a power passing the watched rows must still be tried on every row;
+    # at 1.0 no row can clear, as the normalized diagonal is 1.
+    jets = _calibration_jets(7, samples=10)
+    want = _linear_scan(jets, margin)
+    assert (want is not None) == found
+    assert kahler._least_power_of_two(jets, margin) == want
+    assert calibrate_c_base(samples=10, margin=margin) == want
+
+
+def test_calibration_takes_few_full_batches(monkeypatch):
+    rows = []
+    finisher = kahler._metric_from_jets
+
+    def counted(jets, c):
+        rows.append(len(jets[0]))
+        return finisher(jets, c)
+
+    monkeypatch.setattr(kahler, "_metric_from_jets", counted)
+    assert calibrate_c_base() == DEFAULT_C_BASE
+    full = len(REGION_IDS) * kahler.CALIBRATION_SAMPLES
+    assert rows.count(full) <= 3
+    assert max(rows) == full
+
+
+@pytest.mark.parametrize("samples", [0, 20, 60, 300])
+def test_auto_certificate_shares_the_calibration_draw(samples):
+    for seed in (7, 3):
+        want = metric_certificate(samples=samples, seed=seed, c_base=calibrate_c_base(seed=seed))
+        assert metric_certificate(samples=samples, seed=seed, c_base="auto") == want
+
+
+def test_auto_certificate_without_a_power_of_two():
+    # at T = 0.5 no power of two certifies the calibration points
+    assert calibrate_c_base(T=0.5) is None
+    cert = metric_certificate(T=0.5, samples=2, c_base="auto")
+    assert cert == metric_certificate(T=0.5, samples=2, c_base=None)
+    assert cert["status"] == "indeterminate" and cert["c_base"] is None
 
 
 def _derivative_check_per_point(q, prof, h_grad=1e-6, h_hess=1e-4):
