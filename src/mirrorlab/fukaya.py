@@ -27,43 +27,6 @@ from .lattice import (
 from .series import TauSeries, theta_product_constants
 
 
-def hom_rank(i: int, j: int) -> int:
-    """Rank of the morphism space between slopes i and j.
-
-    (j-i)^2 transverse intersection points for distinct slopes; equal slopes
-    contribute the total Betti rank 4 of the two-torus.
-    """
-    if i == j:
-        return 4
-    return (j - i) ** 2
-
-
-@dataclass(frozen=True)
-class IntersectionPoint:
-    """An intersection of the slope-i and slope-j Lagrangians, i < j."""
-
-    i: int
-    j: int
-    e: LatticeVector  # representative mod (j - i)
-
-    @property
-    def position(self) -> tuple[Vec2, Vec2]:
-        """(base point, angular point mod Z^2) in the universal cover."""
-        l = self.j - self.i
-        base = (Fraction(self.e.std[0], l), Fraction(self.e.std[1], l))
-        lam = lambda_map(base)
-        theta = (Fraction(-self.i) * lam[0] % 1, Fraction(-self.i) * lam[1] % 1)
-        return base, theta
-
-
-def intersection_points(i: int, j: int) -> list[IntersectionPoint]:
-    """All (j-i)^2 intersection points of the slope-i and slope-j Lagrangians."""
-    if i == j:
-        raise ValueError("equal slopes intersect non-transversely; see hom_rank")
-    lo, hi = min(i, j), max(i, j)
-    return [IntersectionPoint(lo, hi, e) for e in coset_reps(hi - lo)]
-
-
 @dataclass(frozen=True)
 class TriangleDatum:
     """A triangle contributing to the product for slopes i < j < k.
@@ -241,6 +204,7 @@ class FunctorReport:
 def functor_check(i: int, j: int, k: int, cutoff: Rational) -> FunctorReport:
     """Compare both product computations for every basis pair of (i, j, k).
 
+    Both sides are cut at `cutoff`, so their terms compare directly.
     Discrepancies are report content, not exceptions.
     """
     if not i < j < k:
@@ -254,12 +218,9 @@ def functor_check(i: int, j: int, k: int, cutoff: Rational) -> FunctorReport:
             tri = mu2_closed(i, j, k, e1, e2, cutoff)
             mismatch = None
             for rep in sorted(tri):
-                a = theta[rep].truncate(cutoff)
-                b = tri[rep].truncate(cutoff)
+                a, b = theta[rep], tri[rep]
                 if a.terms != b.terms:
-                    mismatch = (
-                        f"rep ({rep.n1},{rep.n2}): theta {a} vs triangles {b}"
-                    )
+                    mismatch = f"rep ({rep.n1},{rep.n2}): theta {a} vs triangles {b}"
                     break
             results.append(PairResult(e1, e2, mismatch is None, mismatch))
     return FunctorReport(i, j, k, cutoff, tuple(results))

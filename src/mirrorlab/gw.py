@@ -45,22 +45,6 @@ _WINGS = {
 }
 
 
-@dataclass(frozen=True)
-class DiscClass:
-    """A rigid disc class: the facet it hits and its interior basepoint."""
-
-    facet: Tile
-    basepoint: MomentPoint
-
-    def __post_init__(self):
-        if not polytope_contains_strictly(self.basepoint):
-            raise ValueError("basepoint must lie strictly inside the moment body")
-
-    @property
-    def area(self) -> Fraction:
-        return disc_area(self.basepoint, self.facet)
-
-
 def disc_area(a: MomentPoint, m: Tile) -> Fraction:
     """Exact area <A, nu(F_m)> + alpha(F_m) of the disc hitting facet m."""
     if not polytope_contains_strictly(a):
@@ -91,11 +75,6 @@ def disc_series(a: MomentPoint, cutoff: Rational) -> TauSeries:
         if area <= cutoff:
             pairs.append((area, Fraction(1)))
     return TauSeries.from_terms(pairs, cutoff)
-
-
-def translate_tile(m: Tile, g: LatticeVector) -> Tile:
-    """Facet relabeling matching the moment translation by g."""
-    return Tile(m.m1 - g.n1, m.m2 - g.n2)
 
 
 @dataclass(frozen=True)
@@ -352,22 +331,21 @@ class LeibnizReport:
 
 
 def shifted_basis_value(
-    e: LatticeVector, level: int, xi_std: tuple[float, float], tau: float, cutoff: float
+    e: LatticeVector, level: int, lam: tuple[float, float], tau: float, cutoff: float
 ) -> NumericValue:
     """Numeric lattice sum for a basis morphism against the torus Lagrangian.
 
-    Equals sum over n of tau^(level * N(n + w)) where w is the lambda-image
-    of the base point minus e/level.
+    Equals sum over n of tau^(level * N(n + w)) with w = lam - e/level, lam
+    the lambda-image of the base point (as `log_tau_point` returns it).
     """
-    lam = ((2 * xi_std[0] - xi_std[1]) / 3.0, (2 * xi_std[1] - xi_std[0]) / 3.0)
     w = (lam[0] - e.n1 / level, lam[1] - e.n2 / level)
     return shifted_theta_value(level, w, tau, cutoff)
 
 
 def log_tau_point(
     x_sample: tuple[float, float], tau: float
-) -> tuple[tuple[float, float], tuple[float, float], float, float]:
-    """xi = log_tau x, lam = lambda(xi), n_u = N(lam) and tau^q for q = -n_u.
+) -> tuple[tuple[float, float], float, float]:
+    """lam = lambda(xi) for xi = log_tau x, n_u = N(lam) and tau^q for q = -n_u.
 
     q = kappa(xi) is the quadratic weight of the Leibniz identity.  Raises
     ValueError where x lies so far from 1 that tau^q overflows a float.
@@ -377,7 +355,7 @@ def log_tau_point(
     lam = ((2 * xi[0] - xi[1]) / 3.0, (2 * xi[1] - xi[0]) / 3.0)
     n_u = lam[0] ** 2 + lam[0] * lam[1] + lam[1] ** 2
     try:
-        return xi, lam, n_u, tau ** -n_u
+        return lam, n_u, tau ** -n_u
     except OverflowError:
         raise ValueError(f"tau^kappa(log_tau x) overflows a float at x = {x_sample!r}") from None
 
@@ -405,7 +383,7 @@ def leibniz_check(
         raise ValueError("tau must lie in (0, 1)")
     cutoff = Fraction(cutoff)
     cut_f = float(cutoff)
-    xi, lam, n_u, weight = log_tau_point(x_sample, tau)
+    lam, n_u, weight = log_tau_point(x_sample, tau)
     c_val = sphere_count_C(c_order).evaluate(tau)
 
     # s evaluated at |x|: exponent N(n) - <n, xi> = N(n - u) - N(u).
@@ -417,10 +395,10 @@ def leibniz_check(
     # Unknown tail of each structure-constant series: its terms are
     # tau^(N(w)/(l(l-1))) over a lattice coset, and shells of radius r hold
     # at most 8(r+2) of them, with N >= r^2/2.
-    t_tail = shell_tail(tau, 1.0 / (2.0 * level * (level - 1)), 0.0, cut_f, 0)
+    t_tail = shell_tail(tau, 1.0 / (2.0 * level * (level - 1)), cut_f, 0)
     items = []
     for e in coset_reps(level - 1):
-        ne = shifted_basis_value(e, level - 1, xi, tau, cut_f)
+        ne = shifted_basis_value(e, level - 1, lam, tau, cut_f)
         lhs = c_val * s_val * ne.value
         lhs_tail = c_val * (
             abs(s_val) * ne.tail_bound + abs(ne.value) * s_tail + s_tail * ne.tail_bound
@@ -428,7 +406,7 @@ def leibniz_check(
         rhs = 0.0
         rhs_tail = 0.0
         for f, ts in table.entries[e].items():
-            nf = shifted_basis_value(f, level, xi, tau, cut_f)
+            nf = shifted_basis_value(f, level, lam, tau, cut_f)
             t_val = ts.evaluate(tau)
             rhs += t_val * nf.value
             rhs_tail += (

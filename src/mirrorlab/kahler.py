@@ -801,7 +801,10 @@ def _least_power_of_two(jets: tuple, margin: float) -> float | None:
     fails the power fails with no other row evaluated; the full batch runs
     only once they all pass.  `_metric_from_jets` gives a row the same bits
     in any batch, so the subsets decide exactly as the full batch would.
+    None without rows: no row, no evidence for any power.
     """
+    if not len(jets[0]):
+        return None
     watch = np.arange(0)  # rows that failed the last power
     for k in range(-80, 200):
         c = 2.0 ** k
@@ -826,8 +829,9 @@ def calibrate_c_base(
 ) -> float | None:
     """Smallest power of two whose sampled min-eigenvalues all clear margin.
 
-    None if no power of two in [2^-80, 2^200) does.  The jets at the sample
-    points are taken once; `_least_power_of_two` scans the powers on them.
+    None if no power of two in [2^-80, 2^200) does, and None for samples=0.
+    The jets at the sample points are taken once; `_least_power_of_two`
+    scans the powers on them.
     """
     prof = BumpProfile(l, p, T)
     pts = [

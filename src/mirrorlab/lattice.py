@@ -47,26 +47,12 @@ class LatticeVector:
         return LatticeVector(-self.n1, -self.n2)
 
 
-GAMMA_P = LatticeVector(1, 0)
-GAMMA_PP = LatticeVector(0, 1)
-
-
 class MomentPoint(NamedTuple):
     """Moment coordinates (xi1, xi2, eta), exact rationals."""
 
     xi1: Fraction
     xi2: Fraction
     eta: Fraction
-
-
-def from_std(v: Vec2) -> LatticeVector:
-    """Invert the basis map; raises if `v` is not a lattice point."""
-    a, b = Fraction(v[0]), Fraction(v[1])
-    n1 = (2 * a - b) / 3
-    n2 = (2 * b - a) / 3
-    if n1.denominator != 1 or n2.denominator != 1:
-        raise ValueError(f"{v} is not in the lattice")
-    return LatticeVector(int(n1), int(n2))
 
 
 def lambda_map(v: Vec2) -> Vec2:

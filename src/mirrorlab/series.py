@@ -61,9 +61,6 @@ class TauSeries:
         cutoff = min(self.cutoff, other.cutoff)
         return TauSeries.from_terms(list(self.terms) + list(other.terms), cutoff)
 
-    def __sub__(self, other: "TauSeries") -> "TauSeries":
-        return self + other.scale(-1)
-
     def __mul__(self, other: "TauSeries") -> "TauSeries":
         # The unknown tail of either factor contaminates products above the
         # smaller cutoff, so knowledge does not extend past min(cutoffs).
@@ -107,9 +104,6 @@ class TauSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def exponents(self) -> tuple[Fraction, ...]:
-        return tuple(e for e, _ in self.terms)
-
     def evaluate(self, tau: float) -> float:
         return float(sum(float(c) * tau ** float(e) for e, c in self.terms))
 
@@ -136,12 +130,6 @@ class TauSeries:
             "terms": [[str(e), str(c)] for e, c in self.terms],
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "TauSeries":
-        return TauSeries.from_terms(
-            [(Fraction(e), Fraction(c)) for e, c in obj["terms"]], Fraction(obj["cutoff"])
-        )
-
     def __str__(self) -> str:
         if not self.terms:
             return f"0 (+O(tau^{self.cutoff}))"
@@ -163,7 +151,6 @@ class LaurentSection:
     cutoff: Fraction
     den: int
     coeffs: dict[tuple[int, int], dict[int, int]] = field(compare=False)
-    theta_rep: LatticeVector | None = None
 
     def series(self, key: tuple[int, int]) -> TauSeries:
         return TauSeries.from_scaled(self.coeffs[key], self.den, self.cutoff)
@@ -195,7 +182,7 @@ def theta_section(e: LatticeVector, level: int, cutoff: Rational) -> LaurentSect
         (-(level * n.n1 + e.n1), -(level * n.n2 + e.n2)): {norm * scale * scale: 1}
         for n, norm in enumerate_shifted_ball(shift, cutoff / level).items()
     }
-    return LaurentSection(level, cutoff, level, coeffs, theta_rep=e)
+    return LaurentSection(level, cutoff, level, coeffs)
 
 
 def section_mul(s1: LaurentSection, s2: LaurentSection) -> LaurentSection:
@@ -223,7 +210,7 @@ def section_mul(s1: LaurentSection, s2: LaurentSection) -> LaurentSection:
 
 
 def section_mul_decompose(
-    s1: LaurentSection, s2: LaurentSection, cutoff: Rational | None = None
+    s1: LaurentSection, s2: LaurentSection, cutoff: Rational
 ) -> dict[LatticeVector, TauSeries]:
     """Structure constants C_e with  s1*s2 = sum_e C_e * (basis section e).
 
@@ -232,8 +219,11 @@ def section_mul_decompose(
     the basis tau-exponent N(l*n + e)/l to divide out.  Every x-exponent
     class must agree on the overlap of its validity ranges.  Exponents are
     compared and shifted as integers over D = l*l1*l2, which the
-    structure-constant exponents' denominators divide.
+    structure-constant exponents' denominators divide, and cut at
+    floor(cutoff*D) before each C_e is built.  C_e is known up to the
+    smaller of cutoff and the product's cutoff minus the basis exponent.
     """
+    cutoff = Fraction(cutoff)
     level = s1.level + s2.level
     den = level * s1.level * s2.level
     prod = section_mul(s1, s2)
@@ -257,38 +247,23 @@ def section_mul_decompose(
             raise AssertionError(f"inconsistent structure constant for representative {rep}")
         if base < cur_base:
             best[rep] = (base, cand)
+    cut = math.floor(cutoff * den)
     out = {
-        rep: TauSeries.from_scaled(terms, den, prod.cutoff - Fraction(base, den))
+        rep: TauSeries.from_scaled(
+            _upto(terms, cut), den, min(cutoff, prod.cutoff - Fraction(base, den))
+        )
         for rep, (base, terms) in best.items()
     }
     # Representatives whose minimal basis exponent exceeds the cutoff simply
     # do not appear in the truncated product; report them as zero series.
     for rep, n_min in _coset_min_norms(level).items():
         if rep not in out:
-            out[rep] = TauSeries.zero(prod.cutoff - Fraction(n_min, level))
-    if cutoff is not None:
-        out = {rep: ts.truncate(Fraction(cutoff)) for rep, ts in out.items()}
+            out[rep] = TauSeries.zero(min(cutoff, prod.cutoff - Fraction(n_min, level)))
     return out
 
 
 def _upto(terms: dict[int, int], limit: int) -> dict[int, int]:
     return {x: c for x, c in terms.items() if x <= limit}
-
-
-def recompose(
-    constants: dict[LatticeVector, TauSeries], level: int, cutoff: Rational
-) -> dict[tuple[int, int], TauSeries]:
-    """Rebuild sum_e C_e * (basis section e) up to the stated cutoff, per x-exponent."""
-    cutoff = Fraction(cutoff)
-    acc: dict[tuple[int, int], TauSeries] = {}
-    for rep, c in constants.items():
-        base, c = theta_section(rep, level, cutoff), c.truncate(cutoff)
-        for key in base.coeffs:
-            prod = c * base.series(key)
-            if prod.is_zero:
-                continue
-            acc[key] = acc[key] + prod if key in acc else prod
-    return acc
 
 
 @functools.cache
@@ -320,78 +295,41 @@ def theta_product_constants(
     return section_mul_decompose(s1, s2, cutoff)
 
 
-def evaluate_numeric(
-    s: LaurentSection, x_abs: tuple[float, float], tau: float
-) -> NumericValue:
-    """Evaluate a theta basis section at positive real |x| and tau in (0,1).
-
-    Returns the truncated sum and a rigorous bound on the dropped tail,
-    using the quadratic growth of the exponents.
-    """
-    if not (0 < tau < 1):
-        raise ValueError("tau must lie in (0, 1)")
-    if x_abs[0] <= 0 or x_abs[1] <= 0:
-        raise ValueError("|x| must be positive")
-    if s.theta_rep is None:
-        raise ValueError("tail bound available only for theta basis sections")
-    total = 0.0
-    for key in s.coeffs:
-        mono = x_abs[0] ** key[0] * x_abs[1] ** key[1]
-        total += mono * s.series(key).evaluate(tau)
-    # A term of shifted norm N(v) evaluates to tau^(l*(N(v - u) - N(u)))
-    # after completing the square against the log-|x| linear part, where
-    # u is the inverse Gram matrix applied to log_tau |x|.
-    level = s.level
-    log_tau = math.log(tau)
-    xi = (math.log(x_abs[0]) / log_tau, math.log(x_abs[1]) / log_tau)
-    u = ((2 * xi[0] - xi[1]) / 3.0, (2 * xi[1] - xi[0]) / 3.0)
-    n_u = u[0] * u[0] + u[0] * u[1] + u[1] * u[1]
-    tail = _dropped_tail(level, float(s.cutoff), tau, n_u)
-    return NumericValue(total, tail)
-
-
 def shifted_theta_value(
     level: int, w: tuple[float, float], tau: float, cutoff: float
 ) -> NumericValue:
-    """sum over n of tau^(level * N(n + w)) for real shift w, plus tail bound."""
+    """sum over n of tau^(level * N(n + w)) for real shift w, plus tail bound.
+
+    The bound covers the dropped terms, level*N(n + w) > cutoff: shells
+    |n + w| in [r, r+1) hold at most 8(r+2) lattice translates,
+    N(v) >= |v|^2/2, and dropped terms have |n + w| > sqrt(2*cutoff/(3*level)).
+    """
     if not (0 < tau < 1):
         raise ValueError("tau must lie in (0, 1)")
     total = 0.0
     for q in enumerate_shifted_ball(w, cutoff / level).values():
         total += tau ** (level * q)
-    return NumericValue(total, _dropped_tail(level, cutoff, tau, 0.0))
+    r0 = max(0, math.floor(math.sqrt(max(2.0 * cutoff / (3.0 * level), 0.0))) - 1)
+    return NumericValue(total, shell_tail(tau, level / 2.0, cutoff, r0))
 
 
-def _dropped_tail(level: int, cutoff: float, tau: float, n_u: float) -> float:
-    """Bound the sum of tau^(level*(N(v-u) - N(u))) over dropped terms.
-
-    Dropped means level*N(v) > cutoff; N(u) = n_u.  Shells |v - u| in
-    [r, r+1) hold at most 8(r+2) lattice translates, N(w) >= |w|^2/2, and
-    dropped terms satisfy |v| > sqrt(2*cutoff/(3*level)).
-    """
-    u_norm = math.sqrt(2.0 * n_u)
-    r0 = max(0, math.floor(math.sqrt(max(2.0 * cutoff / (3.0 * level), 0.0)) - u_norm) - 1)
-    e_min = cutoff if n_u == 0.0 else 0.0
-    return shell_tail(tau, level / 2.0, level * n_u, e_min, r0)
-
-
-def shell_tail(tau: float, a: float, b: float, e_min: float, r0: int) -> float:
-    """Closed-form upper bound on sum_{r >= r0} 8(r+2) tau^max(e_min, a r^2 - b).
+def shell_tail(tau: float, a: float, e_min: float, r0: int) -> float:
+    """Closed-form upper bound on sum_{r >= r0} 8(r+2) tau^max(e_min, a r^2).
 
     For 0 < tau < 1 and a > 0.  The rows r <= r1 still at exponent e_min sum
-    as an arithmetic series.  Past them f(x) = (x+2) tau^(a x^2 - b) is
+    as an arithmetic series.  Past them f(x) = (x+2) tau^(a x^2) is
     unimodal, so its sum over x >= r2 is at most its integral from r2 plus
     its peak; with c = -a log(tau) and z = sqrt(c) r2 that integral is
-    tau^(a r2^2 - b) (1/(2c) + sqrt(pi/c) e^(z^2) erfc(z)).  The factor
+    tau^(a r2^2) (1/(2c) + sqrt(pi/c) e^(z^2) erfc(z)).  The factor
     1 + 1e-12 covers rounding.
     """
     c = -a * math.log(tau)
-    r1 = math.floor(math.sqrt((e_min + b) / a)) if e_min + b >= 0 else -1
+    r1 = math.floor(math.sqrt(e_min / a)) if e_min >= 0 else -1
     flat = max(r1 - r0 + 1, 0) * (r0 + r1 + 4) / 2 * tau ** e_min
     r2 = max(r0, r1 + 1)
     z = math.sqrt(c) * r2
     # e^(z^2) erfc(z) < 1/(z sqrt(pi)), used where erfc nears underflow
     scaled = math.exp(z * z) * math.erfc(z) if z < 20.0 else 1.0 / (z * math.sqrt(math.pi))
-    integral = tau ** (a * r2 * r2 - b) * (0.5 / c + math.sqrt(math.pi / c) * scaled)
+    integral = tau ** (a * r2 * r2) * (0.5 / c + math.sqrt(math.pi / c) * scaled)
     x = max(r2, math.sqrt(1.0 + 0.5 / c) - 1.0)  # f peaks where 2c x (x + 2) = 1
-    return 8.0 * (flat + integral + (x + 2.0) * tau ** (a * x * x - b)) * (1.0 + 1e-12)
+    return 8.0 * (flat + integral + (x + 2.0) * tau ** (a * x * x)) * (1.0 + 1e-12)

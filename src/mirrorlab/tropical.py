@@ -110,21 +110,6 @@ def tile_of(xi: Vec2) -> Tile | BoundaryPoint:
     return BoundaryPoint(tv.maximizers)
 
 
-def tile_edges(t: Tile) -> list[tuple[int, int, int]]:
-    """Six delimiting lines a*xi1 + b*xi2 = c as (a, b, c)."""
-    c1 = 2 * t.m1 + t.m2
-    c2 = t.m1 + 2 * t.m2
-    d = t.m1 - t.m2
-    return [
-        (1, 0, c1 + 1),
-        (1, 0, c1 - 1),
-        (0, 1, c2 + 1),
-        (0, 1, c2 - 1),
-        (1, -1, d + 1),
-        (1, -1, d - 1),
-    ]
-
-
 def tile_vertices(t: Tile) -> list[tuple[int, int]]:
     cx, cy = t.center
     return [(cx + dx, cy + dy) for dx, dy in HEX_VERTEX_OFFSETS]
@@ -132,11 +117,6 @@ def tile_vertices(t: Tile) -> list[tuple[int, int]]:
 
 def facet(t: Tile) -> Facet:
     return Facet((-t.m1, -t.m2, 1), t.m1 * t.m1 + t.m1 * t.m2 + t.m2 * t.m2)
-
-
-def polytope_contains(p: MomentPoint) -> bool:
-    """Exact membership test eta >= phi(xi)."""
-    return Fraction(p.eta) >= trop_phi((p.xi1, p.xi2)).value
 
 
 def polytope_contains_strictly(p: MomentPoint) -> bool:
@@ -258,9 +238,6 @@ class Chart:
     def coordinate_product(self) -> Monomial:
         return monomial_mul(*self.coords)
 
-    def as_map(self) -> MonomialMap:
-        return MonomialMap(*self.coords)
-
 
 def chart(label: ChartLabel) -> Chart:
     """The chart at the given tile vertex; tile translates act by monomials."""
@@ -269,13 +246,6 @@ def chart(label: ChartLabel) -> Chart:
     act = gamma_chart_action(LatticeVector(label.tile.m1, label.tile.m2))
     coords = tuple(act.apply(m) for m in base)
     return Chart(label, coords)  # type: ignore[arg-type]
-
-
-def chart_transition(a: ChartLabel, b: ChartLabel) -> MonomialMap:
-    """Monomial map expressing chart-b coordinates through chart-a ones."""
-    ca = chart(a).as_map()
-    cb = chart(b).as_map()
-    return ca.inverse().compose(cb)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -276,6 +277,23 @@ def test_reports_match_golden_files(argv, name):
     out, code = run(argv)
     assert code == 0
     assert out == (pathlib.Path(__file__).parent / "data" / name).read_bytes()
+
+
+# Past the goldens' level 3: the structure constants at levels 4 and 5 (the
+# two differential ops of perfbench's theta-exact workload), by digest.
+REPORT_DIGESTS = (
+    (["differential", "--i", "0", "--j", "4", "--cutoff", "15"],
+     "e4e3985efff8f09b6658df4c91ff5a237aa2b4340af11b989d2d6e2e588a8c03"),
+    (["differential", "--i", "0", "--j", "5", "--cutoff", "20"],
+     "8a4542fb560797c535cbe02c953bdcae714311e947e60e1cc5e3eb35d6b6c72b"),
+)
+
+
+@pytest.mark.parametrize("argv, digest", REPORT_DIGESTS)
+def test_reports_match_digests(argv, digest):
+    out, code = run(argv)
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 def test_metric_check_fail_exit_code():

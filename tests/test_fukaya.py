@@ -6,8 +6,6 @@ import pytest
 from mirrorlab.fukaya import (
     TriangleDatum,
     functor_check,
-    hom_rank,
-    intersection_points,
     mu2_closed,
     triangle_area_closed,
     triangle_area_oracle,
@@ -15,38 +13,6 @@ from mirrorlab.fukaya import (
 )
 from mirrorlab.lattice import LatticeVector, coset_reps, enumerate_shifted_ball, norm_form
 from mirrorlab.series import TauSeries, theta_product_constants
-
-
-def test_hom_rank():
-    assert hom_rank(1, 3) == 4
-    assert hom_rank(2, 2) == 4
-    assert hom_rank(5, 4) == 1
-    assert hom_rank(0, 1) == 1
-
-
-def test_intersection_points_counts_and_distinctness():
-    assert len(intersection_points(0, 1)) == 1
-    assert len(intersection_points(0, 2)) == 4
-    pts = intersection_points(0, 3)
-    assert len(pts) == 9
-    # pairwise distinct in the base torus: differences must not be lattice
-    from mirrorlab.lattice import from_std
-
-    for a in pts:
-        for b in pts:
-            if a is b:
-                continue
-            delta = (
-                a.position[0][0] - b.position[0][0],
-                a.position[0][1] - b.position[0][1],
-            )
-            try:
-                v = from_std(delta)
-            except ValueError:
-                continue  # not even a lattice direction: distinct
-            assert v != LatticeVector(0, 0)
-    with pytest.raises(ValueError):
-        intersection_points(2, 2)
 
 
 def test_triangle_area_examples():

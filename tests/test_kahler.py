@@ -699,6 +699,14 @@ def test_watch_list_scan_at_larger_margins(margin, found):
     assert calibrate_c_base(samples=10, margin=margin) == want
 
 
+def test_calibration_without_points_certifies_no_power():
+    # with no rows every power would pass vacuously; none is evidence for one
+    jets = _calibration_jets(7, samples=0)
+    assert len(jets[0]) == 0
+    assert kahler._least_power_of_two(jets, 1e-9) is None
+    assert calibrate_c_base(samples=0) is None
+
+
 def test_calibration_takes_few_full_batches(monkeypatch):
     rows = []
     finisher = kahler._metric_from_jets

@@ -5,13 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrorlab.lattice import (
-    GAMMA_P,
-    GAMMA_PP,
     LatticeVector,
     MomentPoint,
     coset_reps,
     enumerate_shifted_ball,
-    from_std,
     gamma_act_moment,
     kappa,
     lambda_map,
@@ -25,8 +22,8 @@ rationals = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 
 
 def test_generator_coordinates():
-    assert GAMMA_P.std == (2, 1)
-    assert GAMMA_PP.std == (1, 2)
+    assert LatticeVector(1, 0).std == (2, 1)  # g'
+    assert LatticeVector(0, 1).std == (1, 2)  # g''
 
 
 def test_lambda_on_generators_and_linearity():
@@ -39,7 +36,6 @@ def test_lambda_on_generators_and_linearity():
 @given(lattice_vectors)
 def test_lambda_inverts_basis_map(v):
     assert lambda_map(v.std) == (v.n1, v.n2)
-    assert from_std(v.std) == v
 
 
 @given(rationals, rationals, rationals, rationals)
@@ -82,10 +78,10 @@ def test_coset_reps():
 
 def test_gamma_act_examples():
     p0 = MomentPoint(F(0), F(0), F(0))
-    assert gamma_act_moment(GAMMA_P, p0) == MomentPoint(F(-2), F(-1), F(1))
+    assert gamma_act_moment(LatticeVector(1, 0), p0) == MomentPoint(F(-2), F(-1), F(1))
     assert gamma_act_moment(LatticeVector(0, 0), p0) == p0
     p1 = MomentPoint(F(1), F(0), F(0))
-    assert gamma_act_moment(GAMMA_PP, p1) == MomentPoint(F(0), F(-2), F(1))
+    assert gamma_act_moment(LatticeVector(0, 1), p1) == MomentPoint(F(0), F(-2), F(1))
 
 
 @given(lattice_vectors, lattice_vectors, rationals, rationals, rationals)

@@ -11,11 +11,10 @@ from mirrorlab.series import (
     LaurentSection,
     TauSeries,
     decomposition_padding,
-    evaluate_numeric,
-    recompose,
     section_mul,
     section_mul_decompose,
     shell_tail,
+    shifted_theta_value,
     theta_product_constants,
     theta_section,
 )
@@ -69,7 +68,8 @@ def test_json_roundtrip_and_shape():
     s = ts([(F(1, 2), 2), (F(3, 2), -5)], F(7, 2))
     obj = s.to_json()
     assert obj == {"cutoff": "7/2", "terms": [["1/2", "2"], ["3/2", "-5"]]}
-    assert TauSeries.from_json(json.loads(json.dumps(obj))) == s
+    back = json.loads(json.dumps(obj))
+    assert ts([(F(e), F(c)) for e, c in back["terms"]], F(back["cutoff"])) == s
 
 
 def test_theta_section_level_one():
@@ -86,7 +86,7 @@ def test_theta_section_level_one():
 
 def test_theta_section_min_exponent_level_two():
     s = theta_section(LatticeVector(1, 0), 2, F(4))
-    assert min(min(s.series(key).exponents()) for key in s.coeffs) == F(1, 2)
+    assert min(e for key in s.coeffs for e, _ in s.series(key).terms) == F(1, 2)
 
 
 def test_theta_section_completeness_under_enlargement():
@@ -95,7 +95,7 @@ def test_theta_section_completeness_under_enlargement():
     for key in small.coeffs:
         assert big.series(key).truncate(6) == small.series(key)
     for key in big.coeffs:
-        if min(big.series(key).exponents()) <= 6:
+        if min(e for e, _ in big.series(key).terms) <= 6:
             assert key in small.coeffs
 
 
@@ -108,12 +108,26 @@ def test_product_constants_golden():
     )
 
 
+def recompose(constants, level, cutoff):
+    """Rebuild sum_e C_e * (basis section e) up to the stated cutoff, per x-exponent."""
+    cutoff = F(cutoff)
+    acc = {}
+    for rep, c in constants.items():
+        base, c = theta_section(rep, level, cutoff), c.truncate(cutoff)
+        for key in base.coeffs:
+            prod = c * base.series(key)
+            if prod.is_zero:
+                continue
+            acc[key] = acc[key] + prod if key in acc else prod
+    return acc
+
+
 def test_decompose_recompose_roundtrip():
     e0 = LatticeVector(0, 0)
     s1 = theta_section(e0, 1, F(12))
     s2 = theta_section(LatticeVector(1, 0), 2, F(12))
     prod = section_mul(s1, s2)
-    constants = section_mul_decompose(s1, s2)
+    constants = section_mul_decompose(s1, s2, F(12))
     target = min(c.cutoff for c in constants.values())
     rebuilt = recompose(constants, 3, target)
     for key, t in rebuilt.items():
@@ -126,8 +140,8 @@ def test_decompose_recompose_roundtrip():
 def test_decompose_commutative():
     a = theta_section(LatticeVector(0, 0), 1, F(10))
     b = theta_section(LatticeVector(1, 1), 2, F(10))
-    ab = section_mul_decompose(a, b)
-    ba = section_mul_decompose(b, a)
+    ab = section_mul_decompose(a, b, F(10))
+    ba = section_mul_decompose(b, a, F(10))
     assert ab == ba
 
 
@@ -184,9 +198,10 @@ def test_decompose_matches_fraction_oracle(gap):
             assert sorted(prod.coeffs) == sorted(want_prod)
             for key, t in want_prod.items():
                 assert prod.series(key) == t
-            for cut in (None, cutoff):
+            # the factors' smaller cutoff truncates nothing: the reference's None
+            for cut, ref_cut in ((min(s1.cutoff, s2.cutoff), None), (cutoff, cutoff)):
                 got = section_mul_decompose(s1, s2, cut)
-                want = _decompose_fraction(want_prod, l1 + l2, s1.cutoff, cut)
+                want = _decompose_fraction(want_prod, l1 + l2, s1.cutoff, ref_cut)
                 assert list(got) == list(want)
                 for rep, t in want.items():
                     assert got[rep].terms == t.terms and got[rep].cutoff == t.cutoff
@@ -196,9 +211,9 @@ def test_decompose_rejects_exponents_off_the_denominator():
     s1 = theta_section(LatticeVector(0, 0), 1, F(4))
     s2 = theta_section(LatticeVector(0, 0), 1, F(4))
     bad = LaurentSection(1, F(4), 7, {(0, 0): {1: 1}})  # tau^(1/7), not in (1/2)Z
-    assert section_mul_decompose(s1, s2)
+    assert section_mul_decompose(s1, s2, F(4))
     with pytest.raises(AssertionError, match="not in"):
-        section_mul_decompose(s1, bad)
+        section_mul_decompose(s1, bad, F(4))
 
 
 def test_decompose_rejects_a_product_that_is_not_a_basis_combination():
@@ -207,7 +222,7 @@ def test_decompose_rejects_a_product_that_is_not_a_basis_combination():
     s1 = theta_section(LatticeVector(0, 0), 1, F(4))
     one = LaurentSection(1, F(4), 1, {(0, 0): {0: 1}})
     with pytest.raises(AssertionError, match="inconsistent"):
-        section_mul_decompose(s1, one)
+        section_mul_decompose(s1, one, F(4))
 
 
 def test_decomposition_padding_bounds():
@@ -228,26 +243,15 @@ def test_order_zero_terms_follow_compatibility():
     assert all(c.coefficient(0) == 0 for c in cs_odd.values())
 
 
-def test_evaluate_numeric():
-    s = theta_section(LatticeVector(0, 0), 1, F(8))
-    val, tail = evaluate_numeric(s, (1.0, 1.0), 0.1)
+def test_shifted_theta_value_at_the_centre():
+    val, tail = shifted_theta_value(1, (0.0, 0.0), 0.1, 8.0)
     # representation counts 1, 6, 6, 6, 12 at norms 0, 1, 3, 4, 7
     expected = 1 + 6e-1 + 6e-3 + 6e-4 + 12e-7
     assert abs(val - expected) < 1e-15
     assert 0 < tail < 1e-5  # conservative but far below the kept terms
     assert abs(val - expected) < tail
     with pytest.raises(ValueError):
-        evaluate_numeric(s, (1.0, 1.0), 1.5)
-
-
-def test_evaluate_numeric_off_center():
-    s = theta_section(LatticeVector(0, 0), 1, F(12))
-    val, tail = evaluate_numeric(s, (0.5, 2.0), 0.15)
-    brute = 0.0
-    for key in s.coeffs:
-        brute += 0.5 ** key[0] * 2.0 ** key[1] * s.series(key).evaluate(0.15)
-    assert abs(val - brute) < 1e-12 * abs(brute)
-    assert tail > 0
+        shifted_theta_value(1, (0.0, 0.0), 1.5, 8.0)
 
 
 def test_exp_of_integer_series():
@@ -279,46 +283,41 @@ def test_decompose_validity_covers_padding(l1, l2):
             assert all(c.cutoff >= cutoff for c in cs.values())
 
 
-def _shell_sum(tau, a, b, e_min, r0):
-    """sum_{r >= r0} 8(r+2) tau^max(e_min, a r^2 - b), term by term.
+def _shell_sum(tau, a, e_min, r0):
+    """sum_{r >= r0} 8(r+2) tau^max(e_min, a r^2), term by term.
 
     Stops at the row past which every exponent exceeds 800/|log tau|, so
     every later term underflows to zero.
     """
-    last = math.isqrt(math.ceil((e_min + b + 800.0 / -math.log(tau)) / a)) + 1
-    return sum(
-        8.0 * (r + 2) * tau ** max(e_min, a * r * r - b) for r in range(r0, last + 1)
-    )
+    last = math.isqrt(math.ceil((e_min + 800.0 / -math.log(tau)) / a)) + 1
+    return sum(8.0 * (r + 2) * tau ** max(e_min, a * r * r) for r in range(r0, last + 1))
 
 
 @given(
     tau=st.floats(min_value=0.01, max_value=0.99),
     level=st.integers(min_value=1, max_value=6),
     cutoff=st.floats(min_value=0.0, max_value=40.0),
-    n_u=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0)),
     r0=st.integers(min_value=0, max_value=12),
 )
 @settings(max_examples=200, deadline=None)
-def test_shell_tail_bounds_the_shell_sum(tau, level, cutoff, n_u, r0):
+def test_shell_tail_bounds_the_shell_sum(tau, level, cutoff, r0):
     callers = (
-        # series._dropped_tail at this level and N(u) = n_u
-        (level / 2.0, level * n_u, cutoff if n_u == 0.0 else 0.0),
+        # series.shifted_theta_value at this level
+        level / 2.0,
         # the structure-constant tail of gw.leibniz_check at level + 1
-        (1.0 / (2.0 * (level + 1) * level), 0.0, cutoff),
+        1.0 / (2.0 * (level + 1) * level),
     )
-    for a, b, e_min in callers:
-        assert shell_tail(tau, a, b, e_min, r0) >= _shell_sum(tau, a, b, e_min, r0)
+    for a in callers:
+        assert shell_tail(tau, a, cutoff, r0) >= _shell_sum(tau, a, cutoff, r0)
 
 
 def test_shell_tail_near_tau_one():
-    from mirrorlab.series import shifted_theta_value
-
     tau = 0.999999999
     for level in (2, 6):
         # the structure-constant tail of the level-l Leibniz check
         a = 1.0 / (2.0 * level * (level - 1))
         c = -a * math.log(tau)
-        bound = shell_tail(tau, a, 0.0, 0.0, 0)
+        bound = shell_tail(tau, a, 0.0, 0)
         # sum_r 8(r+2) tau^(a r^2) exceeds the integral of 8x e^(-c x^2),
         # which is 4/c; summing only r < 200000 reaches about half of that
         # at level 6.
@@ -334,7 +333,6 @@ def test_shell_tail_near_tau_one():
 )
 def test_shifted_theta_value_sums_each_norm_once(level, w, tau, cutoff):
     from mirrorlab.lattice import enumerate_shifted_ball, norm_form
-    from mirrorlab.series import shifted_theta_value
 
     # the same float terms, in the same order, with N(n + w) evaluated again
     total = 0.0

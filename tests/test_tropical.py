@@ -25,13 +25,11 @@ from mirrorlab.tropical import (
     Tile,
     V0,
     chart,
-    chart_transition,
     facet,
     facet_csv,
     gamma_chart_action,
-    polytope_contains,
+    polytope_contains_strictly,
     svg_tiling,
-    tile_edges,
     tile_of,
     tile_vertices,
     trop_phi,
@@ -139,18 +137,6 @@ def test_tile_of():
     assert isinstance(b, BoundaryPoint) and len(b.maximizers) == 3
 
 
-def test_tile_edges():
-    assert set(tile_edges(Tile(0, 0))) == {
-        (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1), (1, -1, 1), (1, -1, -1),
-    }
-    edges_10 = set(tile_edges(Tile(1, 0)))
-    assert (1, 0, 1) in edges_10 and (1, 0, 3) in edges_10
-    assert (0, 1, 0) in edges_10 and (0, 1, 2) in edges_10
-    assert (1, -1, 0) in edges_10 and (1, -1, 2) in edges_10
-    # adjacent tiles share the dividing line
-    assert set(tile_edges(Tile(0, 0))) & edges_10 == {(1, 0, 1)}
-
-
 @given(rationals, rationals)
 @settings(max_examples=50)
 def test_tile_argmax_consistent_with_edges(x1, x2):
@@ -173,16 +159,18 @@ def test_facets():
 
 
 def test_polytope_membership():
-    assert polytope_contains(MomentPoint(F(0), F(0), F(0)))
-    assert not polytope_contains(MomentPoint(F(0), F(0), F(-1)))
+    assert polytope_contains_strictly(MomentPoint(F(0), F(0), F(1, 2)))
+    assert not polytope_contains_strictly(MomentPoint(F(0), F(0), F(0)))  # on the boundary
+    assert not polytope_contains_strictly(MomentPoint(F(0), F(0), F(-1)))
 
 
 @given(rationals, rationals, rationals, lattice_vectors)
 @settings(max_examples=60)
 def test_membership_invariant_under_action(x1, x2, eta, g):
+    # the height eta - trop(xi), whose sign decides membership, is preserved
     p = MomentPoint(x1, x2, eta)
     q = gamma_act_moment(g, p)
-    assert polytope_contains(p) == polytope_contains(q)
+    assert q.eta - trop_phi((q.xi1, q.xi2)).value == eta - trop_phi((x1, x2)).value
 
 
 # --- charts ---------------------------------------------------------------
@@ -243,6 +231,11 @@ def test_gamma_pp_matches_hex_square_up_to_permutation():
     g2 = HEX_GEN ** 2
     permuted = MonomialMap(g2.y, g2.z, g2.x)
     assert permuted == GAMMA_PP_ACTION
+
+
+def chart_transition(a, b):
+    """Monomial map expressing chart-b coordinates through chart-a ones."""
+    return MonomialMap(*chart(a).coords).inverse().compose(MonomialMap(*chart(b).coords))
 
 
 def test_transitions_fix_v0_and_compose():
