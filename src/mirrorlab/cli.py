@@ -69,7 +69,7 @@ def _floats(args: argparse.Namespace, flag: str, n: int) -> list[float]:
 
 
 def _load_config(path: str) -> dict[str, str]:
-    """key=value lines; '#' starts a comment; later keys win."""
+    """key=value lines; '#' starts a comment; later keys win; seed is the one key."""
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
@@ -78,14 +78,16 @@ def _load_config(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"malformed config line: {raw.rstrip()}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key != "seed":
+                raise ValueError(f"unknown key {key!r}; seed is the one key")
+            out[key] = value
     return out
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="mirrorlab", description=__doc__)
-    parser.add_argument("--config", help="key=value file overriding defaults")
+    parser.add_argument("--config", help="key=value file; its one key is seed")
     parser.add_argument("--out", help="write the report to this path")
     sub = parser.add_subparsers(dest="command", required=True)
 

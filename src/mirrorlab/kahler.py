@@ -55,7 +55,7 @@ DEFAULT_SEED = 7
 # Smallest power of two making every sampled normalized eigenvalue positive
 # with margin at the defaults; frozen from calibrate_c_base().
 DEFAULT_C_BASE = 2.0 ** 139
-# Per-region sample count and eigenvalue margin of calibrate_c_base.
+# Per-region sample count and eigenvalue margin of the calibration.
 CALIBRATION_SAMPLES = 60
 CALIBRATION_MARGIN = 1e-9
 # A log_T norm at most this is "moderate"; a fiber point with three moderate
@@ -140,6 +140,11 @@ class FiberPoint:
     def rotated(self, k: int) -> "FiberPoint":
         """sigma^k of the point: the norm of coordinate i moves to i + k."""
         return FiberPoint(*_rotate(self.r, k), self.T, self.l, self.p)
+
+    @property
+    def profile(self) -> "BumpProfile":
+        """The bump profile of the point's own T, l and p."""
+        return BumpProfile(self.l, self.p, self.T)
 
 
 @dataclass(frozen=True)
@@ -287,7 +292,7 @@ def formula_key(q: FiberPoint) -> str:
     d_lo = q.T ** (q.l / 4)
     if max(d_i, d_iii, d_v) <= d_lo:
         return "VII"
-    prof = BumpProfile(q.l, q.p, q.T)
+    prof = q.profile
     t0, t1 = prof.t0, prof.t1
     # Classify sigma^-fam(q), whose x family dominates, and rotate the label
     # back.  A tie u == v < t1 puts all three logs within l/12 of l/3, which
@@ -363,11 +368,6 @@ def _potential_ad(r, prof: BumpProfile, key: str) -> D2:
     return g_yz - a6 * near + prof.a3(d) * d + 0.5 * prof.a5(d) * (near - far - a6 * near)
 
 
-def kahler_F(q: FiberPoint, prof: BumpProfile | None = None) -> float:
-    """Value of the regional potential at a fiber point."""
-    return potential_value(q, formula_key(q), prof)
-
-
 @dataclass(frozen=True)
 class MetricSample:
     point: FiberPoint
@@ -376,19 +376,14 @@ class MetricSample:
     min_eigenvalue: float  # of the diagonally normalized matrix
 
 
-def metric(
-    q: FiberPoint,
-    prof: BumpProfile | None = None,
-    c_base: float = DEFAULT_C_BASE,
-) -> MetricSample:
+def metric(q: FiberPoint, c_base: float = DEFAULT_C_BASE) -> MetricSample:
     """Polar-coordinate metric sample at q, base term included.
 
     The base contribution c_base * |xyz|^2 adds the rank-one positive piece
     that removes the flat direction where the fiber potential degenerates to
     a two-coordinate one.
     """
-    prof = prof or BumpProfile(q.l, q.p, q.T)
-    (key,), jets = _jets([q], prof)
+    (key,), jets = _jets([q], q.profile)
     mats, min_eigs = _metric_from_jets(jets, c_base)
     return MetricSample(q, _FORMULA_TO_REGION.get(key, key), mats[0], float(min_eigs[0]))
 
@@ -442,18 +437,13 @@ def _metric_from_jets(jets: tuple, c_base: float) -> tuple[np.ndarray, np.ndarra
     return mats, min_eigs
 
 
-def derivative_check(
-    q: FiberPoint,
-    prof: BumpProfile | None = None,
-    h_grad: float = 1e-6,
-    h_hess: float = 1e-4,
-) -> tuple[float, float]:
+def derivative_check(q: FiberPoint) -> tuple[float, float]:
     """Relative deviation of analytic vs central-difference log-derivatives.
 
     Gradient step follows the stated 1e-6 in log r; the Hessian uses a
-    larger step to stay above second-difference roundoff.
+    larger step, 1e-4, to stay above second-difference roundoff.
     """
-    prof = prof or BumpProfile(q.l, q.p, q.T)
+    h_grad, h_hess = 1e-6, 1e-4
 
     def moved(*steps: tuple[int, float]) -> list[float]:
         """The norms after moving log r_i by s for each (i, s) in steps."""
@@ -469,7 +459,7 @@ def derivative_check(
     stencil = [moved()]
     stencil += [moved((i, s)) for i in range(3) for s in (h_grad, -h_grad)]
     stencil += [moved((i, si * h_hess), (j, sj * h_hess)) for i, j in pairs for si, sj in signs]
-    f = _potential_ad(stencil, prof, formula_key(q))
+    f = _potential_ad(stencil, q.profile, formula_key(q))
     values = f.v.tolist()
     g_log = np.multiply(f.g[:, 0], q.r)
     h_log = _ad.hessian_matrix(f)[0] * np.outer(q.r, q.r) + np.diag(g_log)
@@ -489,15 +479,14 @@ def derivative_check(
 # Moment coordinates, transport, monodromy
 
 
-def moment_coords(q: FiberPoint, prof: BumpProfile | None = None) -> tuple[float, float, float]:
+def moment_coords(q: FiberPoint) -> tuple[float, float, float]:
     """Action coordinates from the potential's log-derivatives.
 
     Oriented so both base coordinates are increasing in the corresponding
     norms at fixed fiber; constants are pinned by the base-tile chart
     convention (no additive adjustment).
     """
-    prof = prof or BumpProfile(q.l, q.p, q.T)
-    return _moment(q, _potential_ad([q.r], prof, formula_key(q)))
+    return _moment(q, _potential_ad([q.r], q.profile, formula_key(q)))
 
 
 def _moment(q: FiberPoint, f: D2) -> tuple[float, float, float]:
@@ -506,15 +495,14 @@ def _moment(q: FiberPoint, f: D2) -> tuple[float, float, float]:
     return (0.5 * (fx - fz), 0.5 * (fy - fz), 0.5 * fz)
 
 
-def moment_shift_gamma_prime(q: FiberPoint, prof: BumpProfile | None = None) -> tuple[float, float]:
+def moment_shift_gamma_prime(q: FiberPoint) -> tuple[float, float]:
     """Base-coordinate shift produced by the one-tile chart change.
 
     Gluing across the z-axis changes the potential by -log|Tz|^2 and across
     the x-axis by -log|Tx|^2; composing the two (z-side minus x-side) must
     shift (xi1, xi2) by exactly (2, 1).
     """
-    prof = prof or BumpProfile(q.l, q.p, q.T)
-    base = _potential_ad([q.r], prof, formula_key(q))
+    base = _potential_ad([q.r], q.profile, formula_key(q))
     rx = D2.var([q.r_x], 0)
     rz = D2.var([q.r_z], 2)
     cz = _moment(q, base - _ad.log(rz * rz * q.T * q.T))
@@ -632,12 +620,14 @@ def region_samples(
     l: int = DEFAULT_L,
     p: int = DEFAULT_P,
 ) -> list[FiberPoint]:
-    """Deterministic seeded samples lying in the requested region.
+    """Deterministic seeded samples from the region's sampler windows.
 
-    Sample idx takes its two uniform draws from its own generator stream,
-    keyed by (seed, region, idx), so the output does not depend on
-    evaluation order and fewer samples are a prefix of more.  Raises if
-    asked for a sample from an empty window.
+    A sample near a band edge can classify elsewhere (a few IIB and IV
+    samples are VII at the defaults; at l = 20 most are).  Sample idx
+    takes its two uniform draws from its own generator stream, keyed by
+    (seed, region, idx), so the output does not depend on evaluation order
+    and fewer samples are a prefix of more.  Raises if asked for a sample
+    from an empty window.
     """
     if region not in REGION_IDS:
         raise ValueError(f"unknown region {region!r}")
@@ -692,32 +682,33 @@ def metric_certificate(
 ) -> dict:
     """Sampled positive-definiteness certificate, region by region.
 
-    c_base "auto" is `calibrate_c_base` at the same T, l, p and seed: each
-    region is drawn at max(samples, CALIBRATION_SAMPLES) points, the
-    calibration reads the first CALIBRATION_SAMPLES rows of its jets and the
-    certificate the first samples rows.  Raises at an empty sampler window
-    whenever it draws, for any c_base.  Indeterminate, with nothing
-    certified, for no samples or no c_base.  The report's "coverage" says
-    the verdict rests on samples: how many per region, drawn from which
-    `sampler_windows`.
+    c_base "auto" draws each region at max(samples, CALIBRATION_SAMPLES)
+    points; the calibration reads the first CALIBRATION_SAMPLES rows of its
+    jets and the certificate the first samples rows.  Raises at an empty
+    sampler window whenever it draws, for any c_base.  Indeterminate, with
+    nothing certified, for no samples or no c_base; else "fail" if some
+    sample fails, "indeterminate" if some region's "in_region" (its samples
+    that classify into it) is 0, and "pass".  "coverage" says the verdict
+    rests on samples: how many per region, from which `sampler_windows`.
     """
     prof = BumpProfile(l, p, T)
     auto = c_base == "auto"
     count = max(samples, CALIBRATION_SAMPLES) if auto else samples
     # each region drawn and differentiated once, one at a time unless the
     # calibration needs them all first
-    drawn = (_jets(region_samples(r, count, seed, T, l, p), prof)[1] for r in REGION_IDS)
+    drawn = (_jets(region_samples(r, count, seed, T, l, p), prof) for r in REGION_IDS)
     if auto:
         drawn = list(drawn)
         # each jet's first CALIBRATION_SAMPLES rows of every region, stacked
         stacked = tuple(
-            np.concatenate([a[:CALIBRATION_SAMPLES] for a in parts]) for parts in zip(*drawn)
+            np.concatenate([a[:CALIBRATION_SAMPLES] for a in parts])
+            for parts in zip(*(jets for _, jets in drawn))
         )
         c_base = _least_power_of_two(stacked, CALIBRATION_MARGIN)
     certify = samples > 0 and c_base is not None
     status = "pass" if certify else "indeterminate"
     regions = {}
-    for region, jets in zip(REGION_IDS, drawn):
+    for region, (keys, jets) in zip(REGION_IDS, drawn):
         worst = None
         worst_point = None
         if certify:
@@ -729,11 +720,14 @@ def metric_certificate(
             worst_point = list(FiberPoint(*jets[0][i].tolist(), T, l, p).logs())
         regions[region] = {
             "samples": samples,
+            "in_region": sum(_FORMULA_TO_REGION.get(k, k) == region for k in keys[:samples]),
             "min_eig": worst,
             "worst_point": worst_point,
         }
         if worst is not None and worst <= 0:
             status = "fail"
+    if status == "pass" and not all(row["in_region"] for row in regions.values()):
+        status = "indeterminate"
     return {
         "T": T,
         "l": l,
@@ -747,10 +741,9 @@ def metric_certificate(
     }
 
 
-def potential_value(q: FiberPoint, key: str, prof: BumpProfile | None = None) -> float:
+def potential_value(q: FiberPoint, key: str) -> float:
     """Potential evaluated with an explicit region formula (for seam tests)."""
-    prof = prof or BumpProfile(q.l, q.p, q.T)
-    return float(_potential_ad([q.r], prof, key).v[0])
+    return float(_potential_ad([q.r], q.profile, key).v[0])
 
 
 def boundary_pair_catalog(
@@ -820,23 +813,12 @@ def _least_power_of_two(jets: tuple, margin: float) -> float | None:
 
 
 def calibrate_c_base(
-    T: float = DEFAULT_T,
-    l: int = DEFAULT_L,
-    p: int = DEFAULT_P,
-    samples: int = CALIBRATION_SAMPLES,
-    seed: int = DEFAULT_SEED,
-    margin: float = CALIBRATION_MARGIN,
+    T: float = DEFAULT_T, l: int = DEFAULT_L, p: int = DEFAULT_P, seed: int = DEFAULT_SEED
 ) -> float | None:
-    """Smallest power of two whose sampled min-eigenvalues all clear margin.
+    """The c_base that `metric_certificate` calibrates with c_base "auto".
 
-    None if no power of two in [2^-80, 2^200) does, and None for samples=0.
-    The jets at the sample points are taken once; `_least_power_of_two`
-    scans the powers on them.
+    The smallest power of two at which the min-eigenvalues of the first
+    CALIBRATION_SAMPLES samples of every region all clear
+    CALIBRATION_MARGIN; None if no power in [2^-80, 2^200) does.
     """
-    prof = BumpProfile(l, p, T)
-    pts = [
-        q
-        for region in REGION_IDS
-        for q in region_samples(region, samples, seed, T, l, p)
-    ]
-    return _least_power_of_two(_jets(pts, prof)[1], margin)
+    return metric_certificate(T, l, p, 0, seed, "auto")["c_base"]

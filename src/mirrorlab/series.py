@@ -100,10 +100,6 @@ class TauSeries:
     def leading(self) -> tuple[Fraction, Fraction] | None:
         return self.terms[0] if self.terms else None
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def evaluate(self, tau: float) -> float:
         return float(sum(float(c) * tau ** float(e) for e, c in self.terms))
 

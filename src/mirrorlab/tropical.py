@@ -251,8 +251,10 @@ def chart(label: ChartLabel) -> Chart:
 # ---------------------------------------------------------------------------
 # Emitters
 
+_SVG_SCALE = 40  # SVG units per unit of xi
 
-def svg_tiling(window: tuple[float, float, float, float], scale: int = 40) -> str:
+
+def svg_tiling(window: tuple[float, float, float, float]) -> str:
     """Honeycomb tiling over a window as an SVG document.
 
     Integer-scaled coordinates keep the output byte-stable across platforms.
@@ -273,10 +275,10 @@ def svg_tiling(window: tuple[float, float, float, float], scale: int = 40) -> st
     tiles.sort()
 
     def sx(v: float) -> int:
-        return round((v - x0) * scale)
+        return round((v - x0) * _SVG_SCALE)
 
     def sy(v: float) -> int:
-        return round((y1 - v) * scale)
+        return round((y1 - v) * _SVG_SCALE)
 
     width = sx(x1)
     height = sy(y0)
@@ -297,7 +299,7 @@ def svg_tiling(window: tuple[float, float, float, float], scale: int = 40) -> st
         cx, cy = t.center
         if x0 <= cx <= x1 and y0 <= cy <= y1:
             lines.append(
-                f'<text x="{sx(cx)}" y="{sy(cy)}" font-size="{scale // 3}" '
+                f'<text x="{sx(cx)}" y="{sy(cy)}" font-size="{_SVG_SCALE // 3}" '
                 f'text-anchor="middle">({t.m1},{t.m2})</text>'
             )
     for vx, vy in sorted(vertices):

@@ -227,6 +227,14 @@ def test_config_file_and_env_seed(tmp_path, monkeypatch, capsys):
         _assert_usage_error(capsys, argv, "--config seed")
 
 
+def test_config_keys_other_than_seed_are_usage_errors(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 7\nsamples = 10\n")
+    for command in ("metric-check", "monodromy"):
+        argv = ["--config", str(cfg), command, "--samples", "2"]
+        _assert_usage_error(capsys, argv, "--config: unknown key 'samples'")
+
+
 def test_out_flag_writes_file(tmp_path, capsysbinary):
     path = tmp_path / "facets.csv"
     out, code = run(["--out", str(path), "facets", "--radius", "0"])

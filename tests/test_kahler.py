@@ -24,7 +24,6 @@ from mirrorlab.kahler import (
     harmonic_difference_check,
     harmonic_sixfold_check,
     hex_orbit,
-    kahler_F,
     metric,
     metric_certificate,
     moment_coords,
@@ -108,10 +107,35 @@ def test_region_examples():
 
 
 def test_sampler_classifier_agreement():
+    # "in_region" is a recount of the certificate's own samples; at the
+    # defaults a few IIB and IV samples near a band edge are VII
+    rows = metric_certificate(samples=500, seed=7)["regions"]
     for region in REGION_IDS:
-        for q in region_samples(region, 25, seed=7):
-            assert q.on_fiber
-            assert region_classify(q) == region
+        pts = region_samples(region, 500, seed=7)
+        assert all(q.on_fiber for q in pts)
+        count = sum(region_classify(q) == region for q in pts)
+        assert rows[region]["in_region"] == count, region
+    assert region_classify(region_samples("IIB", 89, seed=7)[88]) == "VII"
+    assert region_classify(region_samples("IV", 46, seed=7)[45]) == "VII"
+    assert {r: row["in_region"] for r, row in rows.items() if row["in_region"] < 500} == {
+        "IIB": 488, "IV": 496,
+    }
+
+
+@pytest.mark.parametrize("c_base", ["auto", DEFAULT_C_BASE])
+def test_regions_without_their_own_samples_are_not_a_pass(c_base):
+    # at l = 20 no I, II, III, IV, V or VI sample classifies into its region
+    cert = metric_certificate(l=20, samples=50, c_base=c_base)
+    empty = {r for r, row in cert["regions"].items() if row["in_region"] == 0}
+    assert empty == {"I", "IIA", "IIB", "IIC", "III", "IV", "V", "VI"}
+    assert cert["status"] != "pass"
+    # at l = 24 every sampled eigenvalue clears, yet those regions are
+    # still unsampled: indeterminate, not pass
+    cert = metric_certificate(l=24, samples=50, c_base="auto")
+    assert cert["c_base"] is not None
+    assert all(row["min_eig"] > 0 for row in cert["regions"].values())
+    assert cert["regions"]["I"]["in_region"] == 0
+    assert cert["status"] == "indeterminate"
 
 
 def test_samples_are_seed_deterministic():
@@ -250,6 +274,22 @@ def test_metric_symmetric_and_region_tagged():
         assert ms.region == region
 
 
+def test_each_point_is_evaluated_with_its_own_profile():
+    # a T = 0.2 point is classified and evaluated with the profile of T = 0.2
+    q = FiberPoint.from_logs(13.0, 13.5, T=0.2)
+    own = BumpProfile(DEFAULT_L, DEFAULT_P, 0.2)
+    assert q.profile == own
+    key = formula_key(q)
+    assert potential_value(q, key) == _tuple_potential(q, own, key).v
+    eig = metric(q).min_eigenvalue
+    assert eig == _metric_per_point(q, _tuple_jets(q, own), DEFAULT_C_BASE)[1]
+    assert eig == pytest.approx(4.25e-7, rel=1e-3)
+    assert derivative_check(q) == _derivative_check_per_point(q, own)
+    # the default profile, of T = 0.1, would give another metric
+    other = kahler._metric_from_jets(kahler._jets([q], BumpProfile())[1], DEFAULT_C_BASE)[1]
+    assert other[0] == pytest.approx(1.06e-7, rel=1e-2)
+
+
 def test_metric_positive_on_modest_sample():
     for region in REGION_IDS:
         for q in region_samples(region, 20, seed=13):
@@ -296,7 +336,8 @@ def test_seam_catalog_covers_every_formula_key():
 
 def test_potential_continuity_across_seams():
     for q1, q2 in boundary_pair_catalog():
-        assert abs(kahler_F(q1) - kahler_F(q2)) <= 1e-9
+        f1, f2 = (potential_value(q, formula_key(q)) for q in (q1, q2))
+        assert abs(f1 - f2) <= 1e-9
 
 
 def test_seam_formula_agreement_exact():
@@ -314,9 +355,8 @@ def test_seam_formula_agreement_exact():
 def test_region_vii_against_interpolation_identity():
     # VII equals the IIA formula at the interior bump endpoints
     q = center_point()
-    prof = BumpProfile()
-    via_vii = potential_value(q, "VII", prof)
-    via_iia = potential_value(q, "IIA", prof)  # a3 = 2/3, a5 = 0 deep inside
+    via_vii = potential_value(q, "VII")
+    via_iia = potential_value(q, "IIA")  # a3 = 2/3, a5 = 0 deep inside
     assert via_vii == pytest.approx(via_iia, rel=1e-12)
 
 
@@ -644,7 +684,7 @@ def test_batched_finisher_is_bit_identical():
     for c in (0.0, 1.0, 2.0 ** 100, 2.0 ** 139):
         mats, min_eigs = kahler._metric_from_jets(jets, c)
         for q, mat, eig, tj in zip(pts, mats, min_eigs, oracle):
-            ms = metric(q, prof, c)
+            ms = metric(q, c)
             want_mat, want_eig = _metric_per_point(q, tj, c)
             assert mat.tobytes() == ms.matrix.tobytes() == want_mat.tobytes()
             assert eig.tobytes() == np.float64(ms.min_eigenvalue).tobytes()
@@ -662,7 +702,7 @@ def test_calibration_matches_per_point_scan():
         for k in range(-80, 200)
         if all(_metric_per_point(q, tj, 2.0 ** k)[1] > 1e-9 for q, tj in zip(pts, oracle))
     )
-    assert calibrate_c_base(samples=3) == want
+    assert kahler._least_power_of_two(_calibration_jets(7, samples=3), 1e-9) == want
 
 
 def _linear_scan(jets, margin):
@@ -696,7 +736,6 @@ def test_watch_list_scan_at_larger_margins(margin, found):
     want = _linear_scan(jets, margin)
     assert (want is not None) == found
     assert kahler._least_power_of_two(jets, margin) == want
-    assert calibrate_c_base(samples=10, margin=margin) == want
 
 
 def test_calibration_without_points_certifies_no_power():
@@ -704,7 +743,6 @@ def test_calibration_without_points_certifies_no_power():
     jets = _calibration_jets(7, samples=0)
     assert len(jets[0]) == 0
     assert kahler._least_power_of_two(jets, 1e-9) is None
-    assert calibrate_c_base(samples=0) is None
 
 
 def test_calibration_takes_few_full_batches(monkeypatch):
@@ -769,7 +807,7 @@ def test_derivative_check_matches_per_point_stencil():
     prof = BumpProfile()
     for region in REGION_IDS:
         for q in region_samples(region, 2, seed=17):
-            assert derivative_check(q, prof) == _derivative_check_per_point(q, prof)
+            assert derivative_check(q) == _derivative_check_per_point(q, prof)
 
 
 def test_lane_logs_are_libm():

@@ -116,7 +116,7 @@ def recompose(constants, level, cutoff):
         base, c = theta_section(rep, level, cutoff), c.truncate(cutoff)
         for key in base.coeffs:
             prod = c * base.series(key)
-            if prod.is_zero:
+            if not prod.terms:
                 continue
             acc[key] = acc[key] + prod if key in acc else prod
     return acc
@@ -133,7 +133,7 @@ def test_decompose_recompose_roundtrip():
     for key, t in rebuilt.items():
         assert prod.series(key).truncate(t.cutoff) == t.truncate(prod.cutoff)
     for key in prod.coeffs:
-        if not prod.series(key).truncate(target).is_zero:
+        if prod.series(key).truncate(target).terms:
             assert key in rebuilt
 
 
@@ -154,7 +154,7 @@ def _fraction_product(s1, s2):
         for k2, t2 in f2:
             t = t1 * t2
             key = (k1[0] + k2[0], k1[1] + k2[1])
-            if not t.is_zero:
+            if t.terms:
                 prod[key] = prod[key] + t if key in prod else t
     return prod
 
