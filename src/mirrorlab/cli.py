@@ -1,7 +1,7 @@
-"""Command-line entry point, configuration, and report emission.
+"""Command-line entry point and report emission.
 
 One verification per invocation; reports are JSON (CSV/SVG for the table
-and tiling emitters) with deterministic bytes for a given configuration.
+and tiling emitters) with deterministic bytes for a given argv.
 Rationals are emitted as "p/q" strings, floats with 17 significant digits.
 Exit codes: 0 pass, 1 fail, 2 indeterminate, 64 usage error.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from typing import BinaryIO
@@ -68,26 +67,8 @@ def _floats(args: argparse.Namespace, flag: str, n: int) -> list[float]:
         raise ValueError(f"{flag} must fit in floats, got {getattr(args, flag[2:])!r}") from None
 
 
-def _load_config(path: str) -> dict[str, str]:
-    """key=value lines; '#' starts a comment; later keys win; seed is the one key."""
-    out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed config line: {raw.rstrip()}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key != "seed":
-                raise ValueError(f"unknown key {key!r}; seed is the one key")
-            out[key] = value
-    return out
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="mirrorlab", description=__doc__)
-    parser.add_argument("--config", help="key=value file; its one key is seed")
     parser.add_argument("--out", help="write the report to this path")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -150,23 +131,7 @@ def _nonnegative(args: argparse.Namespace, flag: str) -> Fraction:
     return value
 
 
-def _seed_from(args: argparse.Namespace, config: dict[str, str], default: int) -> int:
-    """--seed, else MIRRORLAB_SEED, else the config's seed line, else default."""
-    if args.seed is not None:
-        return int(_nonnegative(args, "--seed"))
-    for source, text in (("MIRRORLAB_SEED", os.environ.get("MIRRORLAB_SEED")),
-                         ("--config seed", config.get("seed"))):
-        if text is not None:
-            try:
-                if int(text) >= 0:
-                    return int(text)
-            except ValueError:
-                pass
-            raise ValueError(f"{source} must be an integer >= 0, got {text!r}")
-    return default
-
-
-def _functor(args: argparse.Namespace, config: dict[str, str]) -> tuple[str, dict]:
+def _functor(args: argparse.Namespace) -> tuple[str, dict]:
     if not args.i < args.j < args.k:
         raise ValueError(f"--i, --j, --k must satisfy i < j < k, got {args.i}, {args.j}, {args.k}")
     cutoff = _nonnegative(args, "--cutoff")
@@ -176,7 +141,7 @@ def _functor(args: argparse.Namespace, config: dict[str, str]) -> tuple[str, dic
     return "pass" if rep.all_match else "fail", rep.to_json()
 
 
-def _trop(args: argparse.Namespace, config: dict[str, str]) -> bytes:
+def _trop(args: argparse.Namespace) -> bytes:
     window = x0, y0, x1, y1 = tuple(_floats(args, "--window", 4))
     if x1 <= x0 or y1 <= y0:
         raise ValueError(f"--window must have positive extent, got {args.window!r}")
@@ -185,14 +150,14 @@ def _trop(args: argparse.Namespace, config: dict[str, str]) -> bytes:
     return tropical.svg_tiling(window).encode()
 
 
-def _facets(args: argparse.Namespace, config: dict[str, str]) -> bytes:
+def _facets(args: argparse.Namespace) -> bytes:
     radius = _nonnegative(args, "--radius")
     from . import tropical
 
     return tropical.facet_csv(radius).encode()
 
 
-def _disc_series(args: argparse.Namespace, config: dict[str, str]) -> tuple[str, dict]:
+def _disc_series(args: argparse.Namespace) -> tuple[str, dict]:
     from .lattice import MomentPoint
     from .tropical import polytope_contains_strictly
 
@@ -206,7 +171,7 @@ def _disc_series(args: argparse.Namespace, config: dict[str, str]) -> tuple[str,
     return "pass", {"A": list(a), "cutoff": cutoff, "series": series.to_json()}
 
 
-def _sphere_c(args: argparse.Namespace, config: dict[str, str]) -> tuple[str, dict]:
+def _sphere_c(args: argparse.Namespace) -> tuple[str, dict]:
     window = _nonnegative(args, "--window")
     _nonnegative(args, "--max-order")
     from . import gw
@@ -226,7 +191,7 @@ def _check_level(args: argparse.Namespace) -> None:
         raise ValueError(f"--j must be at least --i + 2, got --i {args.i} --j {args.j}")
 
 
-def _differential(args: argparse.Namespace, config: dict[str, str]) -> tuple[str, dict]:
+def _differential(args: argparse.Namespace) -> tuple[str, dict]:
     _check_level(args)
     cutoff = _nonnegative(args, "--cutoff")
     from . import gw
@@ -234,7 +199,7 @@ def _differential(args: argparse.Namespace, config: dict[str, str]) -> tuple[str
     return "pass", gw.differential_table(args.i, args.j, cutoff).to_json()
 
 
-def _leibniz(args: argparse.Namespace, config: dict[str, str]) -> tuple[str, dict]:
+def _leibniz(args: argparse.Namespace) -> tuple[str, dict]:
     x = tuple(_floats(args, "--x", 2))
     if min(x) <= 0:
         raise ValueError(f"--x coordinates must be positive floats, got {args.x!r}")
@@ -260,7 +225,7 @@ def _leibniz(args: argparse.Namespace, config: dict[str, str]) -> tuple[str, dic
     return rep.status, rep.to_json()
 
 
-def _metric_check(args: argparse.Namespace, config: dict[str, str]) -> tuple[str, dict]:
+def _metric_check(args: argparse.Namespace) -> tuple[str, dict]:
     from . import kahler  # the domain of --l and --p is kahler's sampler windows
 
     T = kahler.DEFAULT_T if args.T is None else args.T
@@ -271,6 +236,10 @@ def _metric_check(args: argparse.Namespace, config: dict[str, str]) -> tuple[str
     for flag, value in (("--p", p), ("--l", l)):
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
+    # the smallest sampled norm r is about T^(l+2), and the Hessian of log r holds -1/r^2
+    if l + 2 > math.log(sys.float_info.min) / (2 * math.log(T)):
+        least = sys.float_info.min
+        raise ValueError(f"--T {T!r} --l {l}: T^(2(l+2)) must be a normal float (>= {least:.2g})")
     empty = [k for k, (lo, hi) in kahler.sampler_windows(l, p).items() if lo >= hi]
     if empty:
         raise ValueError(f"--l {l} --p {p}: empty sampler windows {', '.join(empty)}")
@@ -286,18 +255,18 @@ def _metric_check(args: argparse.Namespace, config: dict[str, str]) -> tuple[str
         if not (math.isfinite(c_base) and c_base >= 0):
             raise ValueError(f"--c-base must be auto or a finite float >= 0, got {args.c_base!r}")
     _nonnegative(args, "--samples")
-    seed = _seed_from(args, config, kahler.DEFAULT_SEED)
+    seed = kahler.DEFAULT_SEED if args.seed is None else int(_nonnegative(args, "--seed"))
     body = kahler.metric_certificate(T, l, p, args.samples, seed, c_base)
     return body["status"], body
 
 
-def _monodromy(args: argparse.Namespace, config: dict[str, str]) -> tuple[str, dict]:
+def _monodromy(args: argparse.Namespace) -> tuple[str, dict]:
     _nonnegative(args, "--samples")
     import numpy as np
 
     from . import kahler
 
-    seed = _seed_from(args, config, kahler.DEFAULT_SEED)
+    seed = kahler.DEFAULT_SEED if args.seed is None else int(_nonnegative(args, "--seed"))
     corners = kahler.monodromy_corner_table()
     corner_rows = []
     ok = True
@@ -331,10 +300,10 @@ def _monodromy(args: argparse.Namespace, config: dict[str, str]) -> tuple[str, d
     }
 
 
-# One handler per command: it checks its arguments (a ValueError names the
-# flag), fills its defaults and runs its layer, imported inside the handler so
-# that only metric-check and monodromy load numpy.  It returns the report's
-# (status, body), or the bytes of the SVG/CSV emitters.
+# One handler per command, taking (args): it checks its arguments (a ValueError
+# names the flag), fills its defaults and runs its layer, imported inside the
+# handler so that only metric-check and monodromy load numpy.  It returns the
+# report's (status, body), or the bytes of the SVG/CSV emitters.
 _COMMANDS = {
     "functor": _functor,
     "trop": _trop,
@@ -358,11 +327,7 @@ def run(argv: list[str] | None, stdout: BinaryIO | None = None) -> tuple[bytes, 
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config) if args.config else {}
-    except (OSError, ValueError) as exc:
-        parser.error(f"--config: {exc}")
-    try:
-        result = _COMMANDS[args.command](args, config)
+        result = _COMMANDS[args.command](args)
     except ValueError as exc:
         parser.error(str(exc))
     if isinstance(result, bytes):
@@ -371,8 +336,11 @@ def run(argv: list[str] | None, stdout: BinaryIO | None = None) -> tuple[bytes, 
         status, body = result
         out, code = emit({"command": args.command, "status": status, **body}), _STATUS_CODE[status]
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(out)
+        except OSError as exc:
+            parser.error(f"--out: {exc}")
     elif stdout is not None:
         stdout.write(out)
     return out, code

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -127,7 +128,7 @@ def test_monodromy_command():
     assert rep["antisymmetry_all"] is None
 
 
-def test_usage_error_exit_code(capsys, monkeypatch):
+def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["functor", "--i", "0"])
     assert exc.value.code == 64
@@ -165,7 +166,6 @@ def test_usage_error_exit_code(capsys, monkeypatch):
         (["leibniz", "--i", "0", "--j", "2", "--x", "1e-400,1"], "--x"),
         (["leibniz", "--i", "0", "--j", "2", "--x", "1e100,1"], "--x"),
         (["leibniz", "--i", "0", "--j", "2", "--x", "1,1e-100"], "--x"),
-        (["--config", "/nonexistent/mirrorlab.cfg", "monodromy"], "--config"),
         (["metric-check", "--seed", "-1"], "--seed"),
         (["monodromy", "--seed", "-5"], "--seed"),
         (["functor", "--i", "0", "--j", "1", "--k", "2", "--cutoff", "1/0"], "--cutoff"),
@@ -183,11 +183,6 @@ def test_usage_error_exit_code(capsys, monkeypatch):
         (["monodromy", "--samples", "-2"], "--samples"),
     ):
         _assert_usage_error(capsys, argv, flag)
-    # a seed from the environment is checked like --seed, and named by its source
-    for seed in ("-1", "abc", "1.5"):
-        monkeypatch.setenv("MIRRORLAB_SEED", seed)
-        _assert_usage_error(capsys, ["monodromy", "--samples", "2"], "MIRRORLAB_SEED")
-        _assert_usage_error(capsys, ["metric-check", "--samples", "2"], "MIRRORLAB_SEED")
 
 
 def _assert_usage_error(capsys, argv, flag):
@@ -200,39 +195,27 @@ def _assert_usage_error(capsys, argv, flag):
     assert "Traceback" not in "\n".join(err), argv
     if flag is not None:
         assert flag in err[-1], argv
+    return err[-1]
 
 
-def test_config_file_and_env_seed(tmp_path, monkeypatch, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed = 123  # comment\n")
-    out1, _ = run(["--config", str(cfg), "monodromy", "--samples", "4"])
-    monkeypatch.setenv("MIRRORLAB_SEED", "123")
-    out2, _ = run(["monodromy", "--samples", "4"])
-    assert out1 == out2
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("not a key value line\n")
-    with pytest.raises(ValueError):
-        cli._load_config(str(bad))
-    with pytest.raises(SystemExit) as exc:
-        run(["--config", str(bad), "monodromy"])
-    assert exc.value.code == 64
-    # the environment wins over the config file, so its bad seed is never read
-    bad_seed = tmp_path / "seed.cfg"
-    bad_seed.write_text("seed=x\n")
-    assert run(["--config", str(bad_seed), "monodromy", "--samples", "4"])[0] == out2
-    monkeypatch.delenv("MIRRORLAB_SEED")
-    for text in ("x", "-3"):
-        bad_seed.write_text(f"seed={text}\n")
-        argv = ["--config", str(bad_seed), "monodromy", "--samples", "2"]
-        _assert_usage_error(capsys, argv, "--config seed")
+def test_seed_comes_from_argv_only(monkeypatch, capsys):
+    monkeypatch.delenv("MIRRORLAB_SEED", raising=False)
+    argvs = (["metric-check", "--samples", "3", "--c-base", str(2.0 ** 139)],
+             ["monodromy", "--samples", "4"])
+    unset = [run(argv) for argv in argvs]
+    for value in ("abc", "3"):
+        monkeypatch.setenv("MIRRORLAB_SEED", value)
+        assert [run(argv) for argv in argvs] == unset, value
+    _assert_usage_error(capsys, ["--config", "x", "monodromy"], None)
 
 
-def test_config_keys_other_than_seed_are_usage_errors(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed = 7\nsamples = 10\n")
-    for command in ("metric-check", "monodromy"):
-        argv = ["--config", str(cfg), command, "--samples", "2"]
-        _assert_usage_error(capsys, argv, "--config: unknown key 'samples'")
+def test_metric_check_float_domain(capsys):
+    # the smallest sampled norm, about T^(l+2), must square to a normal float
+    for argv in (["--T", "1e-10", "--samples", "3"], ["--l", "325", "--samples", "5"],
+                 ["--l", "310", "--samples", "5", "--c-base", "1e300"]):
+        assert "--l" in _assert_usage_error(capsys, ["metric-check", *argv], "--T")
+    out, code = run(["metric-check", "--l", "151", "--samples", "5"])
+    assert code == 2 and json.loads(out)["status"] == "indeterminate"
 
 
 def test_out_flag_writes_file(tmp_path, capsysbinary):
@@ -245,6 +228,21 @@ def test_out_flag_writes_file(tmp_path, capsysbinary):
     assert capsysbinary.readouterr().out == b""
     assert cli.main(["facets", "--radius", "1"]) == 0
     assert capsysbinary.readouterr().out == path.read_bytes()
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    for path in (tmp_path / "missing" / "x.json", tmp_path):
+        _assert_usage_error(capsys, ["--out", str(path), "facets", "--radius", "0"], "--out")
+
+
+def test_readme_examples_exit_zero():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    argvs = [shlex.split(line, comments=True)[1:]
+             for line in block.splitlines() if line.startswith("mirrorlab ")]
+    assert len(argvs) == 9
+    for argv in argvs:
+        assert run(argv)[1] == 0, argv
 
 
 def test_svg_golden_prefix():
