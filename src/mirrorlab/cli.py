@@ -294,6 +294,7 @@ def _monodromy(args: argparse.Namespace) -> tuple[str, dict]:
     return status, {
         "status": status,
         "corners": corner_rows,
+        "seed": seed,
         "antisymmetry_samples": args.samples,
         "antisymmetry_all": all(anti) if anti else None,
         "fractions_sum_error": abs(sum(fracs) - 1.0),

@@ -10,10 +10,11 @@ must agree exactly, term for term.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .lattice import (
     LatticeVector,
@@ -27,8 +28,7 @@ from .lattice import (
 from .series import TauSeries, theta_product_constants
 
 
-@dataclass(frozen=True)
-class TriangleDatum:
+class TriangleDatum(NamedTuple):
     """A triangle contributing to the product for slopes i < j < k.
 
     `e` indexes the output corner (level k - i); `gamma_a` is the lattice
@@ -113,73 +113,58 @@ def triangles_up_to(
 
 
 def mu2_closed(
-    i: int,
-    j: int,
-    k: int,
-    e1: LatticeVector,
-    e2: LatticeVector,
-    cutoff: Rational,
-) -> dict[LatticeVector, TauSeries]:
-    """Triangle-count series for the product of basis morphisms.
+    i: int, j: int, k: int, cutoff: Rational
+) -> dict[tuple[LatticeVector, LatticeVector, LatticeVector], TauSeries]:
+    """Triangle-count series for the products of all pairs of basis morphisms.
 
-    e1 indexes the (i, j) intersection, e2 the (j, k) one.  For each output
-    representative e the series sums tau^((l/(l' l'')) N((l''/l) e + a)) over
-    lattice translates a with a = e1 - e (mod l') and a = -e2 (mod l'').
-    Those congruences leave one residue r mod L = lcm(l', l'') per
-    coordinate, or none, so a = r + L m with N(m + (l r + l'' e)/(l L)) at
-    most cutoff l' l''/(l L^2); the exponent is the integer N(l a + l'' e)
-    over the fixed denominator l l' l''.
+    The value at (e1, e2, e) is the coefficient of output representative e
+    in the product of the (i, j) basis morphism e1 and the (j, k) one e2:
+    the sum of tau^((l/(l' l'')) N((l''/l) e + a)) over lattice translates
+    a with a = e1 - e (mod l') and a = -e2 (mod l'').  Each a satisfies
+    those congruences for exactly one pair, e1 = (a + e) mod l' and
+    e2 = -a mod l'', so one ball per e, N(l a + l'' e) <= cutoff l l' l'',
+    serves every pair.  The exponent is the integer N(l a + l'' e) over
+    the fixed denominator l l' l''.  Keys run over e1, then e2, then e, each
+    in `coset_reps` order.
     """
     if not i < j < k:
         raise ValueError("slopes must satisfy i < j < k")
     lp, lpp, l = j - i, k - j, k - i
-    if not (0 <= e1.n1 < lp and 0 <= e1.n2 < lp):
-        raise ValueError(f"{e1} is not a level-{lp} representative")
-    if not (0 <= e2.n1 < lpp and 0 <= e2.n2 < lpp):
-        raise ValueError(f"{e2} is not a level-{lpp} representative")
     cutoff = Fraction(cutoff)
-    big = math.lcm(lp, lpp)
-    bound = cutoff * lp * lpp / (l * big * big)
-    out: dict[LatticeVector, TauSeries] = {}
-    for e in coset_reps(l):
-        r1 = _crt(e1.n1 - e.n1, lp, -e2.n1, lpp)
-        r2 = _crt(e1.n2 - e.n2, lp, -e2.n2, lpp)
-        counts: Counter[int] = Counter()
-        if r1 is not None and r2 is not None:
-            shift = (Fraction(l * r1 + lpp * e.n1, l * big), Fraction(l * r2 + lpp * e.n2, l * big))
-            # l a + l'' e = l L (m + shift) = scale (d m + d shift), d the
-            # shift's denominator; the ball's norm is N(d m + d shift).
-            scale = l * big // math.lcm(shift[0].denominator, shift[1].denominator)
-            for norm in enumerate_shifted_ball(shift, bound).values():
-                counts[norm * scale * scale] += 1
-        out[e] = TauSeries.from_scaled(counts, l * lp * lpp, cutoff)
-    return out
+    reps, reps1, reps2 = coset_reps(l), coset_reps(lp), coset_reps(lpp)
+    counts: dict[tuple[LatticeVector, LatticeVector, LatticeVector], Counter[int]] = {}
+    for e in reps:
+        shift = (Fraction(lpp * e.n1, l), Fraction(lpp * e.n2, l))
+        # l a + l'' e = l (a + shift) = scale (d a + d shift), d the shift's
+        # denominator; the ball's norm is N(d a + d shift).
+        scale = l // math.lcm(shift[0].denominator, shift[1].denominator)
+        for a, norm in enumerate_shifted_ball(shift, cutoff * lp * lpp / l).items():
+            # coset_reps(level) holds (n1, n2) at index n1 + level n2
+            e1 = reps1[(a.n1 + e.n1) % lp + lp * ((a.n2 + e.n2) % lp)]
+            e2 = reps2[-a.n1 % lpp + lpp * (-a.n2 % lpp)]
+            counts.setdefault((e1, e2, e), Counter())[norm * scale * scale] += 1
+    den = l * lp * lpp
+    return {
+        key: TauSeries.from_scaled(counts.get(key, {}), den, cutoff)
+        for key in itertools.product(reps1, reps2, reps)
+    }
 
 
-def _crt(u: int, m1: int, v: int, m2: int) -> int | None:
-    """The x in [0, lcm(m1, m2)) with x = u (mod m1) and x = v (mod m2), if any."""
-    return next(
-        (x for x in range(math.lcm(m1, m2)) if (x - u) % m1 == 0 and (x - v) % m2 == 0), None
-    )
-
-
-@dataclass(frozen=True)
-class PairResult:
+class PairResult(NamedTuple):
     e1: LatticeVector
     e2: LatticeVector
     matches: bool
     first_mismatch: str | None
 
 
-@dataclass(frozen=True)
-class FunctorReport:
+class FunctorReport(NamedTuple):
     """Per-basis-pair comparison of theta structure constants vs triangles."""
 
     i: int
     j: int
     k: int
     cutoff: Fraction
-    pairs: tuple[PairResult, ...] = field(default=())
+    pairs: tuple[PairResult, ...] = ()
 
     @property
     def all_match(self) -> bool:
@@ -211,14 +196,15 @@ def functor_check(i: int, j: int, k: int, cutoff: Rational) -> FunctorReport:
         raise ValueError("slopes must satisfy i < j < k")
     lp, lpp = j - i, k - j
     cutoff = Fraction(cutoff)
+    tri = mu2_closed(i, j, k, cutoff)
+    reps = sorted(coset_reps(k - i))
     results = []
     for e1 in coset_reps(lp):
         for e2 in coset_reps(lpp):
             theta = theta_product_constants(e1, lp, e2, lpp, cutoff)
-            tri = mu2_closed(i, j, k, e1, e2, cutoff)
             mismatch = None
-            for rep in sorted(tri):
-                a, b = theta[rep], tri[rep]
+            for rep in reps:
+                a, b = theta[rep], tri[e1, e2, rep]
                 if a.terms != b.terms:
                     mismatch = f"rep ({rep.n1},{rep.n2}): theta {a} vs triangles {b}"
                     break

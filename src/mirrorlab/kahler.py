@@ -415,25 +415,32 @@ def _metric_from_jets(jets: tuple, c_base: float) -> tuple[np.ndarray, np.ndarra
 
     G = Hess(F + c U) + diag(grad(F + c U) / r), with the base term skipped
     when c is zero; a row whose diagonal is not positive gets -inf, the rest
-    the least eigenvalue of the diagonally normalized matrix.  Each row
-    takes the same float operations in the same order as a lone point, so
-    batching changes no bits.
+    the least eigenvalue of the diagonally normalized matrix.  A row whose
+    matrix or normalized matrix is not finite (the float range broke down,
+    as at a huge c) gets nan and never reaches eigvalsh.  Each row takes the
+    same float operations in the same order as a lone point, so batching
+    changes no bits.
     """
     r, f_g, f_h, u_g, u_h = jets
-    if c_base:
-        f_g = f_g + u_g * c_base
-        f_h = f_h + u_h * c_base
-    n = len(r)
-    grad_term = np.zeros((n, 3, 3))
-    grad_term[:, range(3), range(3)] = np.divide(f_g, r)
-    mats = f_h[:, _ad.HESSIAN_INDEX] + grad_term
-    diag = np.diagonal(mats, axis1=1, axis2=2)
-    ok = ~np.any(diag <= 0, axis=1)
-    min_eigs = np.full(n, -np.inf)
-    if ok.any():
-        d = 1.0 / np.sqrt(diag[ok])
-        normalized = mats[ok] * (d[:, :, None] * d[:, None, :])
-        min_eigs[ok] = np.linalg.eigvalsh(normalized)[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if c_base:
+            f_g = f_g + u_g * c_base
+            f_h = f_h + u_h * c_base
+        n = len(r)
+        grad_term = np.zeros((n, 3, 3))
+        grad_term[:, range(3), range(3)] = np.divide(f_g, r)
+        mats = f_h[:, _ad.HESSIAN_INDEX] + grad_term
+        diag = np.diagonal(mats, axis1=1, axis2=2)
+        finite = np.isfinite(mats).all(axis=(1, 2))
+        ok = finite & ~np.any(diag <= 0, axis=1)
+        min_eigs = np.where(finite, -np.inf, np.nan)
+        if ok.any():
+            d = 1.0 / np.sqrt(diag[ok])
+            normalized = mats[ok] * (d[:, :, None] * d[:, None, :])
+            sound = np.isfinite(normalized).all(axis=(1, 2))
+            eigs = np.full(len(normalized), np.nan)
+            eigs[sound] = np.linalg.eigvalsh(normalized[sound])[:, 0]
+            min_eigs[ok] = eigs
     return mats, min_eigs
 
 
@@ -688,8 +695,10 @@ def metric_certificate(
     sampler window whenever it draws, for any c_base.  Indeterminate, with
     nothing certified, for no samples or no c_base; else "fail" if some
     sample fails, "indeterminate" if some region's "in_region" (its samples
-    that classify into it) is 0, and "pass".  "coverage" says the verdict
-    rests on samples: how many per region, from which `sampler_windows`.
+    that classify into it) is 0 or some region has "breakdowns" (samples
+    whose metric left the float range; "min_eig" covers the others), and
+    "pass".  "coverage" says the verdict rests on samples: how many per
+    region, from which `sampler_windows`.
     """
     prof = BumpProfile(l, p, T)
     auto = c_base == "auto"
@@ -711,22 +720,29 @@ def metric_certificate(
     for region, (keys, jets) in zip(REGION_IDS, drawn):
         worst = None
         worst_point = None
+        broken = 0
         if certify:
             jets = [a[:samples] for a in jets]
             min_eigs = _metric_from_jets(jets, c_base)[1]
-            i = int(np.argmin(min_eigs))  # the first of equal minima
-            worst = float(min_eigs[i])
-            # the sample point, rebuilt from its norms (the first jet)
-            worst_point = list(FiberPoint(*jets[0][i].tolist(), T, l, p).logs())
+            broken = int(np.isnan(min_eigs).sum())
+            if broken < samples:
+                i = int(np.nanargmin(min_eigs))  # the first of equal minima, past nan
+                worst = float(min_eigs[i])
+                # the sample point, rebuilt from its norms (the first jet)
+                worst_point = list(FiberPoint(*jets[0][i].tolist(), T, l, p).logs())
         regions[region] = {
             "samples": samples,
             "in_region": sum(_FORMULA_TO_REGION.get(k, k) == region for k in keys[:samples]),
             "min_eig": worst,
             "worst_point": worst_point,
         }
+        if broken:
+            regions[region]["breakdowns"] = broken
         if worst is not None and worst <= 0:
             status = "fail"
-    if status == "pass" and not all(row["in_region"] for row in regions.values()):
+    if status == "pass" and not all(
+        row["in_region"] and "breakdowns" not in row for row in regions.values()
+    ):
         status = "indeterminate"
     return {
         "T": T,

@@ -10,7 +10,6 @@ norm balls, never coordinate boxes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -24,9 +23,12 @@ GRAM_INV = (
 )
 
 
-@dataclass(frozen=True, order=True)
-class LatticeVector:
-    """Lattice element n1*g' + n2*g''; `std` gives standard coordinates."""
+class LatticeVector(NamedTuple):
+    """Lattice element n1*g' + n2*g''; `std` gives standard coordinates.
+
+    A NamedTuple, so hashing and comparison run in C; it equals and hashes
+    like the plain pair (n1, n2), so no dict or set mixes the two as keys.
+    """
 
     n1: int
     n2: int

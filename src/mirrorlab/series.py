@@ -9,9 +9,9 @@ Theta sections are stored as Laurent data: a map from integer x-exponent
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -24,9 +24,11 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class TauSeries:
-    """Finite tau-polynomial with rational exponents and a knowledge cutoff."""
+class TauSeries(NamedTuple):
+    """Finite tau-polynomial with rational exponents and a knowledge cutoff.
+
+    `+` and `*` are series arithmetic, not tuple concatenation and repetition.
+    """
 
     terms: tuple[tuple[Fraction, Fraction], ...]  # (exponent, coefficient)
     cutoff: Fraction
@@ -133,20 +135,20 @@ class TauSeries:
         return f"{body} (+O(tau^{self.cutoff}))"
 
 
-@dataclass(frozen=True)
-class LaurentSection:
+class LaurentSection(NamedTuple):
     """A section of a level-`level` theta bundle as Laurent data in x.
 
     `coeffs` maps an integer x-exponent pair to the terms {x: c} of the
     tau-series sum c tau^(x/den) multiplying that monomial; all member
     series share the section cutoff.  For the basis section of
     representative e, den = level and the key lattice is -(level*n + e).
+    Equality compares `coeffs` too; a section is not hashable.
     """
 
     level: int
     cutoff: Fraction
     den: int
-    coeffs: dict[tuple[int, int], dict[int, int]] = field(compare=False)
+    coeffs: dict[tuple[int, int], dict[int, int]]
 
     def series(self, key: tuple[int, int]) -> TauSeries:
         return TauSeries.from_scaled(self.coeffs[key], self.den, self.cutoff)
@@ -227,39 +229,40 @@ def section_mul_decompose(
     if off:  # basis sections have den = level, and lcm(l1, l2) divides D
         raise AssertionError(f"product exponents in (1/{prod.den})Z are not in (1/{den})Z")
     limit = math.floor(prod.cutoff * den)
-    # best[rep] = (D times the basis exponent divided out, shifted terms);
-    # the smallest basis exponent leaves the largest validity range.
-    best: dict[LatticeVector, tuple[int, dict[int, int]]] = {}
+    # One pass groups the keys by class, each with D times its basis
+    # exponent, base.  Every term of a key lies in the key's own validity
+    # range: shifted by -base, its exponent is at most limit - base.
+    classes: dict[LatticeVector, list[tuple[int, dict[int, int]]]] = {}
     for key, terms in prod.coeffs.items():
         rep = LatticeVector(-key[0] % level, -key[1] % level)
         base = (key[0] * key[0] + key[0] * key[1] + key[1] * key[1]) * s1.level * s2.level
-        cand = {x * up - base: c for x, c in terms.items()}
-        if rep not in best:
-            best[rep] = (base, cand)
-            continue
-        cur_base, cur = best[rep]
-        common = limit - max(base, cur_base)
-        if _upto(cur, common) != _upto(cand, common):
-            raise AssertionError(f"inconsistent structure constant for representative {rep}")
-        if base < cur_base:
-            best[rep] = (base, cand)
+        classes.setdefault(rep, []).append((base, terms))
     cut = math.floor(cutoff * den)
-    out = {
-        rep: TauSeries.from_scaled(
-            _upto(terms, cut), den, min(cutoff, prod.cutoff - Fraction(base, den))
+    out = {}
+    for rep, members in classes.items():
+        # The smallest basis exponent (the first of equal ones) leaves the
+        # largest validity range; that key gives the constant, and every
+        # other key must equal it on the other key's range.
+        base, terms = min(members, key=lambda m: m[0])
+        const = {x * up - base: c for x, c in terms.items()}
+        ys = sorted(const)
+        for b, t in members:
+            if t is not terms and (
+                len(t) != bisect.bisect_right(ys, limit - b)
+                or [const.get(x * up - b) for x in t] != [*t.values()]
+            ):
+                raise AssertionError(f"inconsistent structure constant for representative {rep}")
+        out[rep] = TauSeries.from_scaled(
+            {y: const[y] for y in ys[: bisect.bisect_right(ys, cut)]},
+            den,
+            min(cutoff, prod.cutoff - Fraction(base, den)),
         )
-        for rep, (base, terms) in best.items()
-    }
     # Representatives whose minimal basis exponent exceeds the cutoff simply
     # do not appear in the truncated product; report them as zero series.
     for rep, n_min in _coset_min_norms(level).items():
         if rep not in out:
             out[rep] = TauSeries.zero(min(cutoff, prod.cutoff - Fraction(n_min, level)))
     return out
-
-
-def _upto(terms: dict[int, int], limit: int) -> dict[int, int]:
-    return {x: c for x, c in terms.items() if x <= limit}
 
 
 @functools.cache

@@ -120,6 +120,12 @@ def test_monodromy_command():
         (0, 0), (0, 1), (1, 0), (1, 1)
     }
     assert all(r["expected"] == r["got"] for r in rep["corners"])
+    assert rep["seed"] == 7
+    # the seed picks the samples, and the report says which
+    seeds = ("905735", "296801")
+    reports = {run(["monodromy", "--samples", "8", "--seed", seed])[0] for seed in seeds}
+    assert len(reports) == 2
+    assert {json.loads(r)["seed"] for r in reports} == {905735, 296801}
     # no antisymmetry samples checks nothing
     out, code = run(["monodromy", "--samples", "0"])
     assert code == 2
@@ -218,6 +224,17 @@ def test_metric_check_float_domain(capsys):
     assert code == 2 and json.loads(out)["status"] == "indeterminate"
 
 
+def test_metric_check_breakdown_is_not_a_usage_error():
+    # a c_base whose metric overflows is a numerical breakdown, reported per
+    # region; the rows that stay finite still decide "fail" here
+    out, code = run(["metric-check", "--samples", "5", "--c-base", "1e308"])
+    rep = json.loads(out)
+    assert code == 1 and rep["status"] == "fail"
+    broken = {k: r["breakdowns"] for k, r in rep["regions"].items() if "breakdowns" in r}
+    assert broken and max(broken.values()) == 5
+    assert all(rep["regions"][k]["min_eig"] is None for k, n in broken.items() if n == 5)
+
+
 def test_out_flag_writes_file(tmp_path, capsysbinary):
     path = tmp_path / "facets.csv"
     out, code = run(["--out", str(path), "facets", "--radius", "0"])
@@ -309,7 +326,8 @@ def test_metric_check_fail_exit_code():
     assert json.loads(out)["status"] == "fail"
 
 
-# Each command imports its own layers: numpy only for the metric layer.
+# Each command imports its own layers: numpy only for the metric layer, and
+# no dataclasses for functor.
 _NUMPY_FREE = (
     ["functor", "--i", "0", "--j", "1", "--k", "2", "--cutoff", "6"],
     ["differential", "--i", "0", "--j", "2", "--cutoff", "6"],
@@ -326,13 +344,14 @@ _NUMPY_USERS = (
 _STARTUP_PROBE = """
 import contextlib, io, json, sys
 from mirrorlab import cli
-rows = [["import", "numpy" in sys.modules, None, None]]
+loaded = lambda: ["numpy" in sys.modules, "dataclasses" in sys.modules]
+rows = [["import", loaded(), None, None]]
 with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
     cli.run(["--help"])
-rows.append(["--help", "numpy" in sys.modules, None, None])
+rows.append(["--help", loaded(), None, None])
 for argv in json.loads(sys.argv[1]):
     out, code = cli.run(argv)
-    rows.append([argv[0], "numpy" in sys.modules, out.decode(), code])
+    rows.append([argv[0], loaded(), out.decode(), code])
 print(json.dumps(rows))
 """
 
@@ -348,8 +367,12 @@ def test_only_the_metric_commands_load_numpy():
     rows = json.loads(proc.stdout)
     assert [r[0] for r in rows] == ["import", "--help", *(a[0] for a in argvs)]
     n_free = 2 + len(_NUMPY_FREE)
-    assert not any(loaded for _, loaded, _, _ in rows[:n_free])
-    assert all(loaded for _, loaded, _, _ in rows[n_free:])
+    assert not any(numpy for _, (numpy, _), _, _ in rows[:n_free])
+    assert all(numpy for _, (numpy, _), _, _ in rows[n_free:])
+    # the exact engine's value types are tuples: functor, run first, loads
+    # no dataclasses either
+    assert rows[2][0] == "functor"
+    assert not any(dataclasses for _, (_, dataclasses), _, _ in rows[:3])
     # a fresh process gives the same bytes and exit codes as this one
     for argv, (_, _, out, code) in zip(argvs, rows[2:]):
         assert (out.encode(), code) == run(argv), argv

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -37,10 +38,46 @@ def test_edges_close_exactly():
             assert sum(e[1][comp] for e in edges) == 0
 
 
+def _mu2_crt(i, j, k, e1, e2, cutoff):
+    """One basis pair's triangle series, one CRT-restricted ball per output rep.
+
+    The congruences a = e1 - e (mod l') and a = -e2 (mod l'') leave one
+    residue r mod L = lcm(l', l'') per coordinate, or none, so a = r + L m
+    with N(m + (l r + l'' e)/(l L)) at most cutoff l' l''/(l L^2).
+    """
+    lp, lpp, l = j - i, k - j, k - i
+    big = math.lcm(lp, lpp)
+    bound = F(cutoff) * lp * lpp / (l * big * big)
+    out = {}
+    for e in coset_reps(l):
+        r1 = _crt(e1.n1 - e.n1, lp, -e2.n1, lpp)
+        r2 = _crt(e1.n2 - e.n2, lp, -e2.n2, lpp)
+        counts = Counter()
+        if r1 is not None and r2 is not None:
+            shift = (F(l * r1 + lpp * e.n1, l * big), F(l * r2 + lpp * e.n2, l * big))
+            scale = l * big // math.lcm(shift[0].denominator, shift[1].denominator)
+            for norm in enumerate_shifted_ball(shift, bound).values():
+                counts[norm * scale * scale] += 1
+        out[e] = TauSeries.from_scaled(counts, l * lp * lpp, F(cutoff))
+    return out
+
+
+def _crt(u, m1, v, m2):
+    """The x in [0, lcm(m1, m2)) with x = u (mod m1) and x = v (mod m2), if any."""
+    return next(
+        (x for x in range(math.lcm(m1, m2)) if (x - u) % m1 == 0 and (x - v) % m2 == 0), None
+    )
+
+
+def _pair(table, e1, e2):
+    """One basis pair's {output rep: series} out of the all-pairs table."""
+    return {e: s for (a, b, e), s in table.items() if (a, b) == (e1, e2)}
+
+
 def test_mu2_leading_series():
     e0 = LatticeVector(0, 0)
-    m = mu2_closed(0, 1, 2, e0, e0, F(10))
-    assert [(e, c) for e, c in m[e0].terms][:3] == [
+    m = mu2_closed(0, 1, 2, F(10))
+    assert [(e, c) for e, c in m[e0, e0, e0].terms][:3] == [
         (F(0), F(1)),
         (F(2), F(6)),
         (F(6), F(6)),
@@ -48,13 +85,12 @@ def test_mu2_leading_series():
 
 
 def test_mu2_matches_theta_route():
-    e0 = LatticeVector(0, 0)
+    table = mu2_closed(0, 1, 3, F(12))
     for e1 in coset_reps(1):
         for e2 in coset_reps(2):
-            tri = mu2_closed(0, 1, 3, e1, e2, F(12))
             theta = theta_product_constants(e1, 1, e2, 2, F(12))
-            for rep in tri:
-                assert tri[rep] == theta[rep].truncate(F(12))
+            for rep in coset_reps(3):
+                assert table[e1, e2, rep] == theta[rep].truncate(F(12))
 
 
 # Gaps (l', l''); the non-coprime ones have output reps whose coset is empty.
@@ -83,10 +119,11 @@ def _mu2_ball_filter(i, j, k, e1, e2, cutoff):
 def test_mu2_matches_ball_filter(gap):
     lp, lpp = gap
     cutoff = F(11, 2)
+    table = mu2_closed(-1, lp - 1, lp + lpp - 1, cutoff)
     empty = 0
     for e1 in coset_reps(lp):
         for e2 in coset_reps(lpp):
-            got = mu2_closed(-1, lp - 1, lp + lpp - 1, e1, e2, cutoff)
+            got = _pair(table, e1, e2)
             want = _mu2_ball_filter(-1, lp - 1, lp + lpp - 1, e1, e2, cutoff)
             assert list(got) == list(want)
             for rep, series in want.items():
@@ -96,29 +133,47 @@ def test_mu2_matches_ball_filter(gap):
     assert (empty > 0) == (math.gcd(lp, lpp) > 1)
 
 
+@pytest.mark.parametrize(
+    "triple, cutoff",
+    [((-1, lp - 1, lp + lpp - 1), F(11, 2)) for lp, lpp in ORACLE_GAPS] + [((0, 4, 8), F(12))],
+)
+def test_mu2_table_matches_crt_reference(triple, cutoff):
+    # the all-pairs table holds exactly the per-pair CRT series, in the
+    # order e1, then e2, then the output rep
+    lp, lpp = triple[1] - triple[0], triple[2] - triple[1]
+    table = mu2_closed(*triple, cutoff)
+    want = {
+        (e1, e2, e): series
+        for e1 in coset_reps(lp)
+        for e2 in coset_reps(lpp)
+        for e, series in _mu2_crt(*triple, e1, e2, cutoff).items()
+    }
+    assert list(table) == list(want)
+    assert table == want
+    assert all(type(key[0]) is LatticeVector for key in table)
+
+
 def test_mu2_invalid_reps():
+    # representatives are no longer an input: the table covers every pair
     with pytest.raises(ValueError):
-        mu2_closed(0, 1, 2, LatticeVector(1, 0), LatticeVector(0, 0), F(4))
-    with pytest.raises(ValueError):
-        mu2_closed(0, 2, 1, LatticeVector(0, 0), LatticeVector(0, 0), F(4))
+        mu2_closed(0, 2, 1, F(4))
 
 
 def test_mu2_zero_exponent_location():
     # an order-zero term appears only where the weight argument can vanish
-    for e1 in coset_reps(2):
-        out = mu2_closed(0, 2, 3, e1, LatticeVector(0, 0), F(8))
-        for e, series in out.items():
-            if series.coefficient(0):
-                # (l''/l) e + a = 0 requires e = 0 mod l when gcd(l, l'') = 1
-                assert (e.n1 * 1) % 3 == 0 and (e.n2 * 1) % 3 == 0
+    for (e1, e2, e), series in mu2_closed(0, 2, 3, F(8)).items():
+        if e2 == LatticeVector(0, 0) and series.coefficient(0):
+            # (l''/l) e + a = 0 requires e = 0 mod l when gcd(l, l'') = 1
+            assert (e.n1 * 1) % 3 == 0 and (e.n2 * 1) % 3 == 0
 
 
 def test_mu2_translation_relabels_outputs():
     # shifting both input representatives by delta permutes outputs by 2*delta
     e0, delta = LatticeVector(0, 0), LatticeVector(1, 1)
-    base = mu2_closed(0, 2, 4, e0, e0, F(10))
+    table = mu2_closed(0, 2, 4, F(10))
+    base = _pair(table, e0, e0)
     e1 = LatticeVector(delta.n1 % 2, delta.n2 % 2)
-    shifted = mu2_closed(0, 2, 4, e1, e1, F(10))
+    shifted = _pair(table, e1, e1)
     for e, series in base.items():
         target = LatticeVector((e.n1 + 2) % 4, (e.n2 + 2) % 4)
         assert shifted[target] == series

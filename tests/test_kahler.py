@@ -693,6 +693,41 @@ def test_batched_finisher_is_bit_identical():
     assert saw_inf  # c = 0 leaves non-positive diagonals, e.g. in the g regions
 
 
+def test_non_finite_rows_stay_out_of_eigvalsh():
+    # at c = 1e308 some rows overflow; they get nan, and the other rows keep
+    # the bits they have in a batch without the broken ones
+    jets = _calibration_jets(7, samples=5)
+    mats, min_eigs = kahler._metric_from_jets(jets, 1e308)
+    broken = ~np.isfinite(mats).all(axis=(1, 2))
+    assert broken.any() and not broken.all()
+    assert np.isnan(min_eigs[broken]).all() and not np.isnan(min_eigs[~broken]).any()
+    rows = tuple(a[~broken] for a in jets)
+    assert min_eigs[~broken].tobytes() == kahler._metric_from_jets(rows, 1e308)[1].tobytes()
+
+
+def test_breakdown_makes_a_passing_certificate_indeterminate(monkeypatch):
+    finisher = kahler._metric_from_jets
+    want = metric_certificate(samples=3, c_base=DEFAULT_C_BASE)
+    assert want["status"] == "pass"
+
+    def first_row_breaks(jets, c):
+        mats, min_eigs = finisher(jets, c)
+        min_eigs[0] = np.nan
+        return mats, min_eigs
+
+    monkeypatch.setattr(kahler, "_metric_from_jets", first_row_breaks)
+    got = metric_certificate(samples=3, c_base=DEFAULT_C_BASE)
+    assert got["status"] == "indeterminate"
+    for region, row in got["regions"].items():
+        assert row.pop("breakdowns") == 1
+        assert row["min_eig"] >= want["regions"][region]["min_eig"]
+    monkeypatch.setattr(kahler, "_metric_from_jets", lambda jets, c: (None, np.full(3, np.nan)))
+    got = metric_certificate(samples=3, c_base=DEFAULT_C_BASE)
+    assert got["status"] == "indeterminate"
+    assert all(r["min_eig"] is None and r["worst_point"] is None and r["breakdowns"] == 3
+               for r in got["regions"].values())
+
+
 def test_calibration_matches_per_point_scan():
     prof = BumpProfile()
     pts = [q for region in REGION_IDS for q in region_samples(region, 3)]

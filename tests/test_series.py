@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirrorlab import series
 from mirrorlab.lattice import LatticeVector, coset_reps, min_norm_in_coset
 from mirrorlab.series import (
     LaurentSection,
@@ -223,6 +224,28 @@ def test_decompose_rejects_a_product_that_is_not_a_basis_combination():
     one = LaurentSection(1, F(4), 1, {(0, 0): {0: 1}})
     with pytest.raises(AssertionError, match="inconsistent"):
         section_mul_decompose(s1, one, F(4))
+
+
+def test_decompose_detects_one_changed_coefficient(monkeypatch):
+    # +1 on a term of a key that is neither its class's smallest-base key nor
+    # the first key seen of the class
+    s1 = theta_section(LatticeVector(0, 0), 1, F(8))
+    s2 = theta_section(LatticeVector(1, 0), 2, F(8))
+    assert section_mul_decompose(s1, s2, F(8))
+    prod = section_mul(s1, s2)
+    classes = {}
+    for key in prod.coeffs:
+        classes.setdefault(((-key[0]) % 3, (-key[1]) % 3), []).append(key)
+    keys = max(classes.values(), key=len)
+    norm = lambda k: k[0] ** 2 + k[0] * k[1] + k[1] ** 2
+    smallest = min(keys, key=norm)
+    key = next(k for k in keys[1:] if norm(k) > norm(smallest))
+    terms = dict(prod.coeffs[key])
+    terms[max(terms)] += 1
+    mutated = prod._replace(coeffs={**prod.coeffs, key: terms})
+    monkeypatch.setattr(series, "section_mul", lambda a, b: mutated)
+    with pytest.raises(AssertionError, match="inconsistent structure constant"):
+        section_mul_decompose(s1, s2, F(8))
 
 
 def test_decomposition_padding_bounds():
