@@ -103,7 +103,6 @@ def build_parser() -> _Parser:
     p.add_argument("--x", default="1,1")
     p.add_argument("--tau", type=float, default=0.1)
     p.add_argument("--cutoff", default="15")
-    p.add_argument("--c-order", type=int, default=3)
 
     p = sub.add_parser("metric-check", help="sampled positive-definiteness certificate")
     p.add_argument("--T", type=float)  # --T, --l, --p default to kahler.DEFAULT_T/L/P
@@ -220,8 +219,7 @@ def _leibniz(args: argparse.Namespace) -> tuple[str, dict]:
         float(cutoff)  # the lattice sums are truncated in floats
     except OverflowError:
         raise ValueError(f"--cutoff must fit in a float, got {args.cutoff!r}") from None
-    _nonnegative(args, "--c-order")
-    rep = gw.leibniz_check(args.i, args.j, x, args.tau, cutoff, args.c_order)
+    rep = gw.leibniz_check(args.i, args.j, x, args.tau, cutoff)
     return rep.status, rep.to_json()
 
 

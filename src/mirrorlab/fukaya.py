@@ -25,7 +25,7 @@ from .lattice import (
     kappa,
     lambda_map,
 )
-from .series import TauSeries, theta_product_constants
+from .series import TauSeries, theta_products
 
 
 class TriangleDatum(NamedTuple):
@@ -194,19 +194,16 @@ def functor_check(i: int, j: int, k: int, cutoff: Rational) -> FunctorReport:
     """
     if not i < j < k:
         raise ValueError("slopes must satisfy i < j < k")
-    lp, lpp = j - i, k - j
     cutoff = Fraction(cutoff)
     tri = mu2_closed(i, j, k, cutoff)
     reps = sorted(coset_reps(k - i))
     results = []
-    for e1 in coset_reps(lp):
-        for e2 in coset_reps(lpp):
-            theta = theta_product_constants(e1, lp, e2, lpp, cutoff)
-            mismatch = None
-            for rep in reps:
-                a, b = theta[rep], tri[e1, e2, rep]
-                if a.terms != b.terms:
-                    mismatch = f"rep ({rep.n1},{rep.n2}): theta {a} vs triangles {b}"
-                    break
-            results.append(PairResult(e1, e2, mismatch is None, mismatch))
+    for (e1, e2), theta in theta_products(j - i, k - j, cutoff).items():
+        mismatch = None
+        for rep in reps:
+            a, b = theta[rep], tri[e1, e2, rep]
+            if a.terms != b.terms:
+                mismatch = f"rep ({rep.n1},{rep.n2}): theta {a} vs triangles {b}"
+                break
+        results.append(PairResult(e1, e2, mismatch is None, mismatch))
     return FunctorReport(i, j, k, cutoff, tuple(results))

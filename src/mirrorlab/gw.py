@@ -29,7 +29,7 @@ from .series import (
     TauSeries,
     shell_tail,
     shifted_theta_value,
-    theta_product_constants,
+    theta_products,
 )
 from .tropical import Tile, facet, polytope_contains_strictly
 
@@ -255,8 +255,8 @@ class DifferentialTable:
     """Structure constants of multiplication by the defining section.
 
     entries[input rep e][output rep e~] is the tau-series coefficient; the
-    evaluation-side prefactor (the sphere count and the quadratic weight of
-    log|x|) is applied only when evaluating numerically.
+    evaluation-side prefactor, the quadratic weight of log|x|, is applied
+    only when evaluating numerically.
     """
 
     level: int
@@ -286,10 +286,7 @@ def differential_table(i: int, j: int, cutoff: Rational) -> DifferentialTable:
     if level < 2:
         raise ValueError("need j - i >= 2")
     cutoff = Fraction(cutoff)
-    entries: dict[LatticeVector, dict[LatticeVector, TauSeries]] = {}
-    zero = LatticeVector(0, 0)
-    for e in coset_reps(level - 1):
-        entries[e] = theta_product_constants(zero, 1, e, level - 1, cutoff)
+    entries = {e: consts for (_, e), consts in theta_products(1, level - 1, cutoff).items()}
     return DifferentialTable(level, cutoff, entries)
 
 
@@ -366,12 +363,11 @@ def leibniz_check(
     x_sample: tuple[float, float],
     tau: float,
     cutoff: Rational,
-    c_order: int = 3,
 ) -> LeibnizReport:
     """Numeric check that the differential table satisfies the Leibniz identity.
 
     For each input rep e of level l-1 it compares
-        C * s(x) * n_e(l-1, x)   vs   C * tau^q * sum_e~ T_e~(e) n_e~(l, x)
+        s(x) * n_e(l-1, x)   vs   tau^q * sum_e~ T_e~(e) n_e~(l, x)
     with q the quadratic weight of log_tau x, s the defining section, and
     n the shifted lattice sums; the residual must sit below the combined
     truncation tail bound.
@@ -384,7 +380,6 @@ def leibniz_check(
     cutoff = Fraction(cutoff)
     cut_f = float(cutoff)
     lam, n_u, weight = log_tau_point(x_sample, tau)
-    c_val = sphere_count_C(c_order).evaluate(tau)
 
     # s evaluated at |x|: exponent N(n) - <n, xi> = N(n - u) - N(u).
     s_num = shifted_theta_value(1, (-lam[0], -lam[1]), tau, cut_f + n_u)
@@ -399,10 +394,8 @@ def leibniz_check(
     items = []
     for e in coset_reps(level - 1):
         ne = shifted_basis_value(e, level - 1, lam, tau, cut_f)
-        lhs = c_val * s_val * ne.value
-        lhs_tail = c_val * (
-            abs(s_val) * ne.tail_bound + abs(ne.value) * s_tail + s_tail * ne.tail_bound
-        )
+        lhs = s_val * ne.value
+        lhs_tail = abs(s_val) * ne.tail_bound + abs(ne.value) * s_tail + s_tail * ne.tail_bound
         rhs = 0.0
         rhs_tail = 0.0
         for f, ts in table.entries[e].items():
@@ -414,8 +407,8 @@ def leibniz_check(
                 + abs(nf.value) * t_tail
                 + t_tail * nf.tail_bound
             )
-        rhs *= c_val * weight
-        rhs_tail *= c_val * weight
+        rhs *= weight
+        rhs_tail *= weight
         residual = abs(lhs - rhs)
         items.append(
             {

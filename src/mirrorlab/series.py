@@ -279,19 +279,24 @@ def decomposition_padding(level: int) -> Fraction:
     return Fraction(max(_coset_min_norms(level).values()), level)
 
 
-def theta_product_constants(
-    e1: LatticeVector, l1: int, e2: LatticeVector, l2: int, cutoff: Rational
-) -> dict[LatticeVector, TauSeries]:
-    """Decomposition of (basis e1, level l1) * (basis e2, level l2).
+def theta_products(
+    l1: int, l2: int, cutoff: Rational
+) -> dict[tuple[LatticeVector, LatticeVector], dict[LatticeVector, TauSeries]]:
+    """Decompositions of every product (basis e1, level l1) * (basis e2, level l2).
 
-    Builds the factors with enough extra cutoff that every structure
-    constant is complete up to `cutoff` exactly.
+    Builds each of the l1^2 + l2^2 factor sections once, with enough extra
+    cutoff that every structure constant is complete up to `cutoff`
+    exactly.  Keys run over e1, then e2, each in `coset_reps` order, as in
+    `fukaya.mu2_closed`.
     """
     cutoff = Fraction(cutoff)
     pad = decomposition_padding(l1 + l2)
-    s1 = theta_section(e1, l1, cutoff + pad)
-    s2 = theta_section(e2, l2, cutoff + pad)
-    return section_mul_decompose(s1, s2, cutoff)
+    f1, f2 = ({e: theta_section(e, l, cutoff + pad) for e in coset_reps(l)} for l in (l1, l2))
+    return {
+        (e1, e2): section_mul_decompose(s1, s2, cutoff)
+        for e1, s1 in f1.items()
+        for e2, s2 in f2.items()
+    }
 
 
 def shifted_theta_value(

@@ -265,14 +265,15 @@ def svg_tiling(window: tuple[float, float, float, float]) -> str:
     if x1 <= x0 or y1 <= y0:
         raise ValueError("window must have positive extent")
     pad = 3
-    reach = int(max(abs(x0), abs(x1), abs(y0), abs(y1))) + pad + 2
-    tiles = []
-    for m1 in range(-reach, reach + 1):
-        for m2 in range(-reach, reach + 1):
-            cx, cy = 2 * m1 + m2, m1 + 2 * m2
-            if x0 - pad <= cx <= x1 + pad and y0 - pad <= cy <= y1 + pad:
-                tiles.append(Tile(m1, m2))
-    tiles.sort()
+    # m = lambda(center), m1 = (2 cx - cy)/3 and m2 = (2 cy - cx)/3, on the padded window
+    cx0, cx1 = math.ceil(x0 - pad), math.floor(x1 + pad)
+    cy0, cy1 = math.ceil(y0 - pad), math.floor(y1 + pad)
+    tiles = [
+        Tile(m1, m2)
+        for m1 in range(-((cy1 - 2 * cx0) // 3), (2 * cx1 - cy0) // 3 + 1)
+        for m2 in range(-((cx1 - 2 * cy0) // 3), (2 * cy1 - cx0) // 3 + 1)
+        if cx0 <= 2 * m1 + m2 <= cx1 and cy0 <= m1 + 2 * m2 <= cy1
+    ]
 
     def sx(v: float) -> int:
         return round((v - x0) * _SVG_SCALE)

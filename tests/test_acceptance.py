@@ -38,7 +38,7 @@ from mirrorlab.lattice import (
     MomentPoint,
     enumerate_shifted_ball,
 )
-from mirrorlab.series import TauSeries, theta_product_constants
+from mirrorlab.series import TauSeries, theta_products
 from mirrorlab.tropical import Tile, facet, trop_phi
 
 
@@ -69,7 +69,7 @@ def test_criterion_2_triangle_area_oracle():
 
 def test_criterion_3_leading_structure_constants():
     e0 = LatticeVector(0, 0)
-    cs = theta_product_constants(e0, 1, e0, 1, F(10))
+    cs = theta_products(1, 1, F(10))[e0, e0]
     golden_00 = TauSeries.from_terms([(0, 1), (2, 6), (6, 6), (8, 6)], 10)
     assert cs[e0] == golden_00
     assert cs[LatticeVector(1, 0)].leading() == (F(1, 2), F(2))
@@ -217,11 +217,11 @@ def test_criterion_8_chart_algebra():
 def test_criterion_9_differential_and_leibniz():
     tab = differential_table(0, 2, F(15))
     e0 = LatticeVector(0, 0)
-    func = theta_product_constants(e0, 1, e0, 1, F(15))
+    func = theta_products(1, 1, F(15))[e0, e0]
     for rep, series in func.items():
         assert tab.entries[e0][rep] == series.truncate(F(15))
     for i, j in ((0, 2), (0, 3)):
-        report = leibniz_check(i, j, (1.0, 1.0), 0.1, F(15), c_order=3)
+        report = leibniz_check(i, j, (1.0, 1.0), 0.1, F(15))
         assert report.status == "pass", report.to_json()
     _report(9, "level-2 table equals the functor data; Leibniz residuals "
                "below their tail bounds at (0,2) and (0,3)")

@@ -63,8 +63,7 @@ def test_differential_and_leibniz():
     rep = json.loads(out)
     assert rep["level"] == 2
     out, code = run(
-        ["leibniz", "--i", "0", "--j", "2", "--x", "1,1", "--tau", "0.1",
-         "--cutoff", "8", "--c-order", "2"]
+        ["leibniz", "--i", "0", "--j", "2", "--x", "1,1", "--tau", "0.1", "--cutoff", "8"]
     )
     assert code == 0
     assert json.loads(out)["passed"] is True
@@ -161,7 +160,8 @@ def test_usage_error_exit_code(capsys):
         (["leibniz", "--i", "0", "--j", "2", "--x", "0,1"], "--x"),
         (["differential", "--i", "0", "--j", "1"], "--j"),
         (["leibniz", "--i", "0", "--j", "1"], "--j"),
-        (["leibniz", "--i", "0", "--j", "2", "--c-order", "-1"], "--c-order"),
+        # leibniz has no sphere-count factor, hence no --c-order
+        (["leibniz", "--i", "0", "--j", "2", "--c-order", "3"], "--c-order"),
         (["disc-series", "--A", "0,0,-1"], "--A"),
         (["disc-series", "--A", "0,0"], "--A"),
         (["disc-series", "--A", "1/0,0,1"], "--A"),
@@ -303,12 +303,17 @@ def test_reports_match_golden_files(argv, name):
 
 
 # Past the goldens' level 3: the structure constants at levels 4 and 5 (the
-# two differential ops of perfbench's theta-exact workload), by digest.
+# two differential ops of perfbench's theta-exact workload) and the slowest
+# functor gap of that workload, (2, 3), by digest; and the README's leibniz.
 REPORT_DIGESTS = (
     (["differential", "--i", "0", "--j", "4", "--cutoff", "15"],
      "e4e3985efff8f09b6658df4c91ff5a237aa2b4340af11b989d2d6e2e588a8c03"),
     (["differential", "--i", "0", "--j", "5", "--cutoff", "20"],
      "8a4542fb560797c535cbe02c953bdcae714311e947e60e1cc5e3eb35d6b6c72b"),
+    (["functor", "--i", "0", "--j", "2", "--k", "5", "--cutoff", "20"],
+     "6bbbecd003c49104e12b1844f559323ed5d7f836203c190e63e9f11f5a260b57"),
+    (["leibniz", "--i", "0", "--j", "2", "--x", "1,1", "--tau", "0.1", "--cutoff", "15"],
+     "bea75f4b55b9aae4e8e8caf0cea6ecee4a21e317c72b2c5e27ce05113ad30f00"),
 )
 
 
@@ -332,7 +337,7 @@ _NUMPY_FREE = (
     ["functor", "--i", "0", "--j", "1", "--k", "2", "--cutoff", "6"],
     ["differential", "--i", "0", "--j", "2", "--cutoff", "6"],
     ["sphere-c", "--max-order", "2", "--window", "4"],
-    ["leibniz", "--i", "0", "--j", "2", "--cutoff", "6", "--c-order", "2"],
+    ["leibniz", "--i", "0", "--j", "2", "--cutoff", "6"],
     ["disc-series", "--A", "0,0,1/2", "--cutoff", "4"],
     ["trop", "--window=-2,-2,2,2"],
     ["facets", "--radius", "1"],

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from mirrorlab import series
 from mirrorlab.fukaya import (
     TriangleDatum,
     functor_check,
@@ -13,7 +14,7 @@ from mirrorlab.fukaya import (
     triangles_up_to,
 )
 from mirrorlab.lattice import LatticeVector, coset_reps, enumerate_shifted_ball, norm_form
-from mirrorlab.series import TauSeries, theta_product_constants
+from mirrorlab.series import TauSeries, theta_products
 
 
 def test_triangle_area_examples():
@@ -86,11 +87,26 @@ def test_mu2_leading_series():
 
 def test_mu2_matches_theta_route():
     table = mu2_closed(0, 1, 3, F(12))
+    products = theta_products(1, 2, F(12))
     for e1 in coset_reps(1):
         for e2 in coset_reps(2):
-            theta = theta_product_constants(e1, 1, e2, 2, F(12))
+            theta = products[e1, e2]
             for rep in coset_reps(3):
                 assert table[e1, e2, rep] == theta[rep].truncate(F(12))
+
+
+def test_functor_builds_each_theta_section_once(monkeypatch):
+    # (0, 2, 5) has 2^2 + 3^2 = 13 basis sections for its 4 * 9 basis pairs
+    calls = Counter()
+    build = series.theta_section
+
+    def counted(e, level, cutoff):
+        calls[e, level] += 1
+        return build(e, level, cutoff)
+
+    monkeypatch.setattr(series, "theta_section", counted)
+    assert functor_check(0, 2, 5, F(8)).all_match
+    assert len(calls) == 13 and sum(calls.values()) == 13
 
 
 # Gaps (l', l''); the non-coprime ones have output reps whose coset is empty.
@@ -196,8 +212,8 @@ def test_functor_check_prefix_stability():
     assert small.all_match and big.all_match
     # matched prefixes never change when the cutoff grows
     e0 = LatticeVector(0, 0)
-    lo = theta_product_constants(e0, 1, e0, 2, F(6))
-    hi = theta_product_constants(e0, 1, e0, 2, F(12))
+    lo = theta_products(1, 2, F(6))[e0, e0]
+    hi = theta_products(1, 2, F(12))[e0, e0]
     for rep, series in lo.items():
         assert hi[rep].truncate(F(6)) == series
 

@@ -16,7 +16,7 @@ from mirrorlab.series import (
     section_mul_decompose,
     shell_tail,
     shifted_theta_value,
-    theta_product_constants,
+    theta_products,
     theta_section,
 )
 
@@ -102,7 +102,7 @@ def test_theta_section_completeness_under_enlargement():
 
 def test_product_constants_golden():
     e0 = LatticeVector(0, 0)
-    cs = theta_product_constants(e0, 1, e0, 1, F(10))
+    cs = theta_products(1, 1, F(10))[e0, e0]
     assert cs[LatticeVector(0, 0)] == ts([(0, 1), (2, 6), (6, 6), (8, 6)], 10)
     assert cs[LatticeVector(1, 0)].truncate(2) == ts(
         [(F(1, 2), 2), (F(3, 2), 2)], 2
@@ -258,11 +258,12 @@ def test_order_zero_terms_follow_compatibility():
     # an order-zero coefficient exists only when the residue conditions
     # admit a translate annihilating the weight argument
     e0 = LatticeVector(0, 0)
-    cs = theta_product_constants(e0, 1, e0, 2, F(6))
+    products = theta_products(1, 2, F(6))
+    cs = products[e0, e0]
     lead = {e: c.coefficient(0) for e, c in cs.items()}
     assert lead[LatticeVector(0, 0)] == 1
     assert sum(1 for v in lead.values() if v != 0) == 1
-    cs_odd = theta_product_constants(e0, 1, LatticeVector(0, 1), 2, F(6))
+    cs_odd = products[e0, LatticeVector(0, 1)]
     assert all(c.coefficient(0) == 0 for c in cs_odd.values())
 
 
@@ -298,11 +299,12 @@ def test_invalid_rep_rejected():
 @given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=2))
 @settings(max_examples=10, deadline=None)
 def test_decompose_validity_covers_padding(l1, l2):
-    # theta_product_constants promises completeness to the requested cutoff
+    # theta_products promises completeness to the requested cutoff
     cutoff = F(6)
+    products = theta_products(l1, l2, cutoff)
     for e1 in coset_reps(l1):
         for e2 in coset_reps(l2):
-            cs = theta_product_constants(e1, l1, e2, l2, cutoff)
+            cs = products[e1, e2]
             assert all(c.cutoff >= cutoff for c in cs.values())
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -296,6 +297,21 @@ def test_svg_deterministic_and_labeled():
     assert one.startswith("<?xml")
     with pytest.raises(ValueError):
         svg_tiling((1, 1, 1, 5))
+
+
+@pytest.mark.parametrize("g", [LatticeVector(300, -100), LatticeVector(10**6, 0)])
+def test_svg_of_a_translated_window_translates_the_labels(g):
+    # the tiles come from the window itself, so a far window costs what a
+    # near one does
+    window = (-2.5, -1.0, 3.25, 4.0)
+    gx, gy = g.std
+    far = svg_tiling((window[0] + gx, window[1] + gy, window[2] + gx, window[3] + gy))
+    near = re.sub(
+        r">\((-?\d+),(-?\d+)\)<",
+        lambda m: f">({int(m[1]) + g.n1},{int(m[2]) + g.n2})<",
+        svg_tiling(window),
+    )
+    assert far == near
 
 
 @given(rationals, rationals, st.fractions(min_value=0, max_value=6, max_denominator=8),
