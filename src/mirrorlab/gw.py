@@ -12,8 +12,8 @@ differential table, checked against a numeric Leibniz identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .lattice import (
     LatticeVector,
@@ -77,8 +77,7 @@ def disc_series(a: MomentPoint, cutoff: Rational) -> TauSeries:
     return TauSeries.from_terms(pairs, cutoff)
 
 
-@dataclass(frozen=True)
-class WallCurve:
+class WallCurve(NamedTuple):
     """The sphere class dual to a honeycomb edge, with divisor degrees.
 
     Degrees are the coefficients of the unique relation among the four facet
@@ -124,8 +123,7 @@ def wall_curves_window(radius: Rational) -> list[WallCurve]:
     return walls
 
 
-@dataclass(frozen=True)
-class SphereClass:
+class SphereClass(NamedTuple):
     """A nonnegative wall-curve combination with its total divisor degrees."""
 
     degrees: tuple[tuple[Tile, int], ...]
@@ -250,8 +248,7 @@ def sphere_count_C(max_order: int, window: Rational = 9) -> TauSeries:
     return c
 
 
-@dataclass(frozen=True)
-class DifferentialTable:
+class DifferentialTable(NamedTuple):
     """Structure constants of multiplication by the defining section.
 
     entries[input rep e][output rep e~] is the tau-series coefficient; the
@@ -290,8 +287,7 @@ def differential_table(i: int, j: int, cutoff: Rational) -> DifferentialTable:
     return DifferentialTable(level, cutoff, entries)
 
 
-@dataclass(frozen=True)
-class LeibnizReport:
+class LeibnizReport(NamedTuple):
     i: int
     j: int
     x: tuple[float, float]

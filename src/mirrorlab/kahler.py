@@ -1,4 +1,4 @@
-"""Piecewise Kähler potential, metric certification, and monodromy.
+"""Piecewise Kähler potential, metric certification, and moment coordinates.
 
 The potential on a fiber interpolates between the three two-coordinate toric
 potentials g_xy, g_xz, g_yz near a chart vertex, through bump functions of
@@ -38,15 +38,13 @@ derivative index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _ad
 from ._ad import D2
-from .lattice import Vec2
-from .tropical import BoundaryPoint, tile_of
+from .tropical import monodromy_class  # the public name the span tracer patches
 
 DEFAULT_T = 0.1
 DEFAULT_L = 40
@@ -97,8 +95,7 @@ def _sigma(key: str, k: int) -> str:
     return orbit[(j + k) % 3]
 
 
-@dataclass(frozen=True)
-class FiberPoint:
+class FiberPoint(NamedTuple):
     """Norms of the three toric coordinates, with the scale parameters.
 
     When the point represents a fiber of the superpotential the product of
@@ -147,8 +144,7 @@ class FiberPoint:
         return BumpProfile(self.l, self.p, self.T)
 
 
-@dataclass(frozen=True)
-class BumpProfile:
+class BumpProfile(NamedTuple):
     """The four interpolation profiles, as rescaled quintic smoothsteps.
 
     Radial profiles are functions of log_T of the radial coordinate over the
@@ -368,8 +364,7 @@ def _potential_ad(r, prof: BumpProfile, key: str) -> D2:
     return g_yz - a6 * near + prof.a3(d) * d + 0.5 * prof.a5(d) * (near - far - a6 * near)
 
 
-@dataclass(frozen=True)
-class MetricSample:
+class MetricSample(NamedTuple):
     point: FiberPoint
     region: str
     matrix: np.ndarray
@@ -483,7 +478,7 @@ def derivative_check(q: FiberPoint) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Moment coordinates, transport, monodromy
+# Moment coordinates and chart gluing
 
 
 def moment_coords(q: FiberPoint) -> tuple[float, float, float]:
@@ -515,41 +510,6 @@ def moment_shift_gamma_prime(q: FiberPoint) -> tuple[float, float]:
     cz = _moment(q, base - _ad.log(rz * rz * q.T * q.T))
     cx = _moment(q, base - _ad.log(rx * rx * q.T * q.T))
     return (cz[0] - cx[0], cz[1] - cx[1])
-
-
-def transport_fractions(q: FiberPoint) -> tuple[float, float, float]:
-    """Monodromy phase fractions r_i^-2 / sum r_j^-2; they sum to one."""
-    inv = (q.r_x ** -2.0, q.r_y ** -2.0, q.r_z ** -2.0)
-    s = sum(inv)
-    return (inv[0] / s, inv[1] / s, inv[2] / s)
-
-
-def monodromy_class(xi: Vec2) -> tuple[int, int]:
-    """Integer monodromy data of the tile containing xi.
-
-    The loop around the degenerate fiber rotates the phase of the
-    coordinate vanishing on the tile's divisor; per tile m the angular
-    shift is -m.  Raises on the tropical curve, where the class jumps.
-    """
-    t = tile_of(xi)
-    if isinstance(t, BoundaryPoint):
-        raise ValueError("monodromy class is undefined on region boundaries")
-    return (-t.m1, -t.m2)
-
-
-def monodromy_corner_table() -> dict[tuple[int, int], tuple[Fraction, Fraction]]:
-    """Representative interior points of the four classes in one cell.
-
-    The fundamental parallelogram centered at the chart vertex (-1, -1)
-    meets the four tiles carrying classes (0,0), (0,1), (1,0), (1,1).
-    """
-    f = Fraction
-    return {
-        (0, 0): (f(1, 2), f(1, 2)),       # upper right: z-vanishing tile
-        (0, 1): (f(-1, 2), f(-3, 2)),     # right: y-vanishing tile
-        (1, 0): (f(-3, 2), f(-1, 2)),     # left: x-vanishing tile
-        (1, 1): (f(-5, 2), f(-5, 2)),     # bottom left
-    }
 
 
 def harmonic_difference_check(q: FiberPoint) -> float:

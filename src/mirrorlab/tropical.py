@@ -4,14 +4,15 @@ The tropicalization phi(xi) = max over lattice n of  <xi, n> - N(n)  cuts the
 plane into a honeycomb of hexagonal tiles, one per lattice point.  Each tile
 carries a facet of the moment body eta >= phi(xi) with normal (-m1, -m2, 1)
 and offset N(m).  Vertex charts of the body are monomial coordinate systems
-in x, y, z, T glued by unimodular monomial maps.
+in x, y, z, T glued by unimodular monomial maps.  The monodromy class of
+the torus fibration over tile m is fixed by the tile alone: -m.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .lattice import (
     LatticeVector,
@@ -22,14 +23,12 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class TropValue:
+class TropValue(NamedTuple):
     value: Fraction
     maximizers: tuple[LatticeVector, ...]
 
 
-@dataclass(frozen=True, order=True)
-class Tile:
+class Tile(NamedTuple):
     """Honeycomb tile labelled by the lattice point whose plane it carries."""
 
     m1: int
@@ -44,16 +43,14 @@ class Tile:
         return LatticeVector(self.m1, self.m2)
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(NamedTuple):
     """Supporting plane data of a tile: <normal, (xi, eta)> + offset = 0."""
 
     normal: tuple[int, int, int]
     offset: int
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(NamedTuple):
     """Marker for points of the tropical curve (several maximizers)."""
 
     maximizers: tuple[LatticeVector, ...]
@@ -124,6 +121,45 @@ def polytope_contains_strictly(p: MomentPoint) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Monodromy of the torus fibration: the class is fixed by the tile alone.
+
+
+def monodromy_class(xi: Vec2) -> tuple[int, int]:
+    """Integer monodromy data of the tile containing xi.
+
+    The loop around the degenerate fiber rotates the phase of the
+    coordinate vanishing on the tile's divisor; per tile m the angular
+    shift is -m.  Raises on the tropical curve, where the class jumps.
+    """
+    t = tile_of(xi)
+    if isinstance(t, BoundaryPoint):
+        raise ValueError("monodromy class is undefined on region boundaries")
+    return (-t.m1, -t.m2)
+
+
+def monodromy_corner_table() -> dict[tuple[int, int], tuple[Fraction, Fraction]]:
+    """Representative interior points of the four classes in one cell.
+
+    The fundamental parallelogram centered at the chart vertex (-1, -1)
+    meets the four tiles carrying classes (0,0), (0,1), (1,0), (1,1).
+    """
+    f = Fraction
+    return {
+        (0, 0): (f(1, 2), f(1, 2)),       # upper right: z-vanishing tile
+        (0, 1): (f(-1, 2), f(-3, 2)),     # right: y-vanishing tile
+        (1, 0): (f(-3, 2), f(-1, 2)),     # left: x-vanishing tile
+        (1, 1): (f(-5, 2), f(-5, 2)),     # bottom left
+    }
+
+
+def transport_fractions(r_x: float, r_y: float, r_z: float) -> tuple[float, float, float]:
+    """Monodromy phase fractions r_i^-2 / sum r_j^-2 of the three norms; they sum to one."""
+    inv = (r_x ** -2.0, r_y ** -2.0, r_z ** -2.0)
+    s = sum(inv)
+    return (inv[0] / s, inv[1] / s, inv[2] / s)
+
+
+# ---------------------------------------------------------------------------
 # Monomial chart algebra over the group generated by x, y, z, T.
 # The fiber product v0 = xyz has exponent vector (1, 1, 1, 0).
 
@@ -149,8 +185,7 @@ def _dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     return sum(p * q for p, q in zip(u, v))
 
 
-@dataclass(frozen=True)
-class MonomialMap:
+class MonomialMap(NamedTuple):
     """A substitution x, y, z -> monomials (T fixed), acting on exponents."""
 
     x: Monomial
@@ -222,14 +257,12 @@ BASE_CHARTS: dict[int, tuple[Monomial, Monomial, Monomial]] = {
 }
 
 
-@dataclass(frozen=True)
-class ChartLabel:
+class ChartLabel(NamedTuple):
     tile: Tile
     k: int  # vertex index mod 6
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(NamedTuple):
     """Coordinate functions of a vertex chart, as global monomials."""
 
     label: ChartLabel

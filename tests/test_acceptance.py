@@ -29,9 +29,7 @@ from mirrorlab.kahler import (
     metric,
     metric_certificate,
     monodromy_class,
-    monodromy_corner_table,
     region_samples,
-    transport_fractions,
 )
 from mirrorlab.lattice import (
     LatticeVector,
@@ -39,7 +37,7 @@ from mirrorlab.lattice import (
     enumerate_shifted_ball,
 )
 from mirrorlab.series import TauSeries, theta_products
-from mirrorlab.tropical import Tile, facet, trop_phi
+from mirrorlab.tropical import Tile, facet, monodromy_corner_table, transport_fractions, trop_phi
 
 
 def _report(n: int, text: str) -> None:
@@ -169,7 +167,7 @@ def test_criterion_6_metric_certificate():
 
 def test_criterion_7_monodromy():
     for q in region_samples("VII", 25, seed=7) + [FiberPoint(1.0, 1.0, 1.0)]:
-        assert abs(sum(transport_fractions(q)) - 1.0) <= 1e-14
+        assert abs(sum(transport_fractions(*q.r)) - 1.0) <= 1e-14
     corners = monodromy_corner_table()
     assert {monodromy_class(xi) for xi in corners.values()} == {
         (0, 0), (0, 1), (1, 0), (1, 1),

@@ -133,6 +133,48 @@ def test_monodromy_command():
     assert rep["antisymmetry_all"] is None
 
 
+def test_monodromy_draws_reach_the_antisymmetry_check(monkeypatch):
+    # a tile map off by one on the half-plane xi1 > 1, where no corner point
+    # lies: only the random draws can see it
+    from mirrorlab import tropical
+
+    tile_of = tropical.tile_of
+
+    def skewed(xi):
+        t = tile_of(xi)
+        return t._replace(m1=t.m1 + 1) if xi[0] > 1 and isinstance(t, tropical.Tile) else t
+
+    monkeypatch.setattr(tropical, "tile_of", skewed)
+    out, code = run(["monodromy", "--samples", "500"])
+    rep = json.loads(out)
+    assert code == 1 and rep["status"] == "fail"
+    assert rep["antisymmetry_all"] is False
+    assert all(r["expected"] == r["got"] for r in rep["corners"])
+    assert float(rep["fractions_sum_error"]) <= 1e-14
+
+
+def test_disc_series_leading_term_is_tropical(monkeypatch):
+    # the series opens with tau^(eta - phi(xi)), once per maximizer of phi
+    out, code = run(["disc-series", "--A=1,0,1/3", "--cutoff", "1"])
+    rep = json.loads(out)
+    assert code == 0 and rep["tropical_lead"] == ["1/3", "3"] == rep["series"]["terms"][0]
+    # a least area beyond the cutoff leaves the series empty
+    out, code = run(["disc-series", "--A", "0,0,5", "--cutoff", "2"])
+    rep = json.loads(out)
+    assert code == 0 and rep["tropical_lead"] == ["5", "1"] and rep["series"]["terms"] == []
+    # the norm-ball route losing the disc of the nearest facet fails the check
+    from mirrorlab import gw
+
+    ball = gw.enumerate_shifted_ball
+    monkeypatch.setattr(
+        gw, "enumerate_shifted_ball", lambda *a: {n: v for n, v in ball(*a).items() if n != (0, 0)}
+    )
+    out, code = run(["disc-series", "--A", "0,0,1/2", "--cutoff", "15"])
+    rep = json.loads(out)
+    assert code == 1 and rep["status"] == "fail"
+    assert rep["tropical_lead"] == ["1/2", "1"] and rep["series"]["terms"][0] == ["3/2", "6"]
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["functor", "--i", "0"])
@@ -304,7 +346,8 @@ def test_reports_match_golden_files(argv, name):
 
 # Past the goldens' level 3: the structure constants at levels 4 and 5 (the
 # two differential ops of perfbench's theta-exact workload) and the slowest
-# functor gap of that workload, (2, 3), by digest; and the README's leibniz.
+# functor gap of that workload, (2, 3), by digest; the README's leibniz; and
+# monodromy at the sample count of the honeycomb workload, at two seeds.
 REPORT_DIGESTS = (
     (["differential", "--i", "0", "--j", "4", "--cutoff", "15"],
      "e4e3985efff8f09b6658df4c91ff5a237aa2b4340af11b989d2d6e2e588a8c03"),
@@ -314,6 +357,10 @@ REPORT_DIGESTS = (
      "6bbbecd003c49104e12b1844f559323ed5d7f836203c190e63e9f11f5a260b57"),
     (["leibniz", "--i", "0", "--j", "2", "--x", "1,1", "--tau", "0.1", "--cutoff", "15"],
      "bea75f4b55b9aae4e8e8caf0cea6ecee4a21e317c72b2c5e27ce05113ad30f00"),
+    (["monodromy", "--samples", "500"],
+     "8fc96a97dedbbee75e7a742a5381a09384cf2fb1577073cf6b4aac4c86854d7d"),
+    (["monodromy", "--samples", "500", "--seed", "905735"],
+     "6d0cae179d4beba5de1093cd669ef705cda9d8424593302a47a0cdf1872fab6f"),
 )
 
 
@@ -331,9 +378,9 @@ def test_metric_check_fail_exit_code():
     assert json.loads(out)["status"] == "fail"
 
 
-# Each command imports its own layers: numpy only for the metric layer, and
-# no dataclasses for functor.
-_NUMPY_FREE = (
+# Each command imports its own layers, seen from a fresh process per argv.
+_STARTUP_ARGVS = (
+    ["--help"],
     ["functor", "--i", "0", "--j", "1", "--k", "2", "--cutoff", "6"],
     ["differential", "--i", "0", "--j", "2", "--cutoff", "6"],
     ["sphere-c", "--max-order", "2", "--window", "4"],
@@ -341,45 +388,42 @@ _NUMPY_FREE = (
     ["disc-series", "--A", "0,0,1/2", "--cutoff", "4"],
     ["trop", "--window=-2,-2,2,2"],
     ["facets", "--radius", "1"],
-)
-_NUMPY_USERS = (
     ["metric-check", "--samples", "3", "--c-base", str(2.0 ** 139)],
     ["monodromy", "--samples", "8"],
 )
+_WATCHED = ("numpy", "dataclasses", "mirrorlab.kahler", "mirrorlab._ad", "mirrorlab.gw",
+            "mirrorlab.series")
 _STARTUP_PROBE = """
 import contextlib, io, json, sys
 from mirrorlab import cli
-loaded = lambda: ["numpy" in sys.modules, "dataclasses" in sys.modules]
-rows = [["import", loaded(), None, None]]
+result = None  # --help exits
 with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
-    cli.run(["--help"])
-rows.append(["--help", loaded(), None, None])
-for argv in json.loads(sys.argv[1]):
-    out, code = cli.run(argv)
-    rows.append([argv[0], loaded(), out.decode(), code])
-print(json.dumps(rows))
+    out, code = cli.run(json.loads(sys.argv[1]))
+    result = [out.decode(), code]
+print(json.dumps([result, [m for m in json.loads(sys.argv[2]) if m in sys.modules]]))
 """
 
 
 def test_only_the_metric_commands_load_numpy():
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argvs = [*_NUMPY_FREE, *_NUMPY_USERS]
-    proc = subprocess.run(
-        [sys.executable, "-c", _STARTUP_PROBE, json.dumps(argvs)],
-        env=env, capture_output=True, text=True, check=True, timeout=300,
-    )
-    rows = json.loads(proc.stdout)
-    assert [r[0] for r in rows] == ["import", "--help", *(a[0] for a in argvs)]
-    n_free = 2 + len(_NUMPY_FREE)
-    assert not any(numpy for _, (numpy, _), _, _ in rows[:n_free])
-    assert all(numpy for _, (numpy, _), _, _ in rows[n_free:])
-    # the exact engine's value types are tuples: functor, run first, loads
-    # no dataclasses either
-    assert rows[2][0] == "functor"
-    assert not any(dataclasses for _, (_, dataclasses), _, _ in rows[:3])
-    # a fresh process gives the same bytes and exit codes as this one
-    for argv, (_, _, out, code) in zip(argvs, rows[2:]):
-        assert (out.encode(), code) == run(argv), argv
-    for _, _, out, code in rows[n_free:]:
-        assert code == 0 and json.loads(out)["status"] == "pass"
+    loaded = {}
+    for argv in _STARTUP_ARGVS:
+        proc = subprocess.run(
+            [sys.executable, "-c", _STARTUP_PROBE, json.dumps(argv), json.dumps(_WATCHED)],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        )
+        result, modules = json.loads(proc.stdout)
+        loaded[argv[0]] = set(modules)
+        if result is not None:
+            # a fresh process gives the same bytes and exit code as this one
+            out, code = result
+            assert (out.encode(), code) == run(argv), argv
+            if argv[0] in ("metric-check", "monodromy"):
+                assert code == 0 and json.loads(out)["status"] == "pass"
+    metric_layer = {"numpy", "mirrorlab.kahler", "mirrorlab._ad"}
+    assert loaded["metric-check"] >= metric_layer
+    assert [cmd for cmd, mods in loaded.items() if mods & metric_layer] == ["metric-check"]
+    assert not any("dataclasses" in mods for mods in loaded.values())
+    for cmd in ("monodromy", "trop", "facets"):
+        assert not loaded[cmd] & {"mirrorlab.gw", "mirrorlab.series"}, cmd

@@ -29,13 +29,12 @@ from mirrorlab.kahler import (
     moment_coords,
     moment_shift_gamma_prime,
     monodromy_class,
-    monodromy_corner_table,
     phi_xyz,
     potential_value,
     region_classify,
     region_samples,
-    transport_fractions,
 )
+from mirrorlab.tropical import monodromy_corner_table, transport_fractions
 
 
 # The sigma-orbits of the formula keys, sigma: (x, y, z) -> (y, z, x).
@@ -403,15 +402,15 @@ def test_moment_gamma_prime_shift():
 
 
 def test_transport_fractions():
-    assert transport_fractions(FiberPoint(1.0, 1.0, 1.0)) == pytest.approx(
+    assert transport_fractions(1.0, 1.0, 1.0) == pytest.approx(
         (1 / 3, 1 / 3, 1 / 3)
     )
-    w = transport_fractions(FiberPoint(0.1, 1.0, 1.0))
+    w = transport_fractions(0.1, 1.0, 1.0)
     assert w == pytest.approx((100 / 102, 1 / 102, 1 / 102))
-    tiny = transport_fractions(FiberPoint(1e-9, 1.0, 1.0))
+    tiny = transport_fractions(1e-9, 1.0, 1.0)
     assert tiny[0] == pytest.approx(1.0, abs=1e-14)
     for q in region_samples("VII", 5, seed=4):
-        assert abs(sum(transport_fractions(q)) - 1.0) <= 1e-14
+        assert abs(sum(transport_fractions(*q.r)) - 1.0) <= 1e-14
 
 
 def test_monodromy_corner_classes():
@@ -446,7 +445,7 @@ def test_monodromy_consistent_with_transport_dominance():
         (0, 1): FiberPoint.from_logs(1.0, 38.0, 1.0),    # y tiny
     }
     for cls, q in probes.items():
-        w = transport_fractions(q)
+        w = transport_fractions(*q.r)
         assert (round(w[0]), round(w[1])) == cls
 
 
