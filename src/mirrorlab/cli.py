@@ -141,12 +141,13 @@ def _functor(args: argparse.Namespace) -> tuple[str, dict]:
 
 
 def _trop(args: argparse.Namespace) -> bytes:
-    window = x0, y0, x1, y1 = tuple(_floats(args, "--window", 4))
-    if x1 <= x0 or y1 <= y0:
-        raise ValueError(f"--window must have positive extent, got {args.window!r}")
+    window = tuple(_floats(args, "--window", 4))
     from . import tropical
 
-    return tropical.svg_tiling(window).encode()
+    try:
+        return tropical.svg_tiling(window).encode()
+    except ValueError as exc:  # the window is too small to draw
+        raise ValueError(f"--window {args.window!r}: {exc}") from None
 
 
 def _facets(args: argparse.Namespace) -> bytes:

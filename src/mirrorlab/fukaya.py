@@ -11,7 +11,6 @@ must agree exactly, term for term.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
@@ -104,10 +103,9 @@ def triangles_up_to(
     if not i < j < k:
         raise ValueError("slopes must satisfy i < j < k")
     lp, lpp, l = j - i, k - j, k - i
-    out = []
+    bound, out = Fraction(max_area) * l * lp * lpp, []
     for e in coset_reps(l):
-        shift = (Fraction(lpp * e.n1, l), Fraction(lpp * e.n2, l))
-        for a in enumerate_shifted_ball(shift, Fraction(max_area) * lp * lpp / l):
+        for a in enumerate_shifted_ball((lpp * e.n1, lpp * e.n2), l, bound):
             out.append(TriangleDatum(i, j, k, e, a))
     return out
 
@@ -131,22 +129,17 @@ def mu2_closed(
         raise ValueError("slopes must satisfy i < j < k")
     lp, lpp, l = j - i, k - j, k - i
     cutoff = Fraction(cutoff)
-    reps, reps1, reps2 = coset_reps(l), coset_reps(lp), coset_reps(lpp)
+    reps, bound = coset_reps(l), cutoff * l * lp * lpp
     counts: dict[tuple[LatticeVector, LatticeVector, LatticeVector], Counter[int]] = {}
     for e in reps:
-        shift = (Fraction(lpp * e.n1, l), Fraction(lpp * e.n2, l))
-        # l a + l'' e = l (a + shift) = scale (d a + d shift), d the shift's
-        # denominator; the ball's norm is N(d a + d shift).
-        scale = l // math.lcm(shift[0].denominator, shift[1].denominator)
-        for a, norm in enumerate_shifted_ball(shift, cutoff * lp * lpp / l).items():
-            # coset_reps(level) holds (n1, n2) at index n1 + level n2
-            e1 = reps1[(a.n1 + e.n1) % lp + lp * ((a.n2 + e.n2) % lp)]
-            e2 = reps2[-a.n1 % lpp + lpp * (-a.n2 % lpp)]
-            counts.setdefault((e1, e2, e), Counter())[norm * scale * scale] += 1
+        for a, norm in enumerate_shifted_ball((lpp * e.n1, lpp * e.n2), l, bound).items():
+            e1 = LatticeVector((a.n1 + e.n1) % lp, (a.n2 + e.n2) % lp)
+            e2 = LatticeVector(-a.n1 % lpp, -a.n2 % lpp)
+            counts.setdefault((e1, e2, e), Counter())[norm] += 1
     den = l * lp * lpp
     return {
         key: TauSeries.from_scaled(counts.get(key, {}), den, cutoff)
-        for key in itertools.product(reps1, reps2, reps)
+        for key in itertools.product(coset_reps(lp), coset_reps(lpp), reps)
     }
 
 

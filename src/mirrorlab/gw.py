@@ -63,18 +63,15 @@ def disc_series(a: MomentPoint, cutoff: Rational) -> TauSeries:
     if not polytope_contains_strictly(a):
         raise ValueError("basepoint must lie strictly inside the moment body")
     cutoff = Fraction(cutoff)
-    xi1, xi2, eta = Fraction(a.xi1), Fraction(a.xi2), Fraction(a.eta)
+    xi1, xi2 = Fraction(a.xi1), Fraction(a.xi2)
     # area(m) = eta - <m, xi> + N(m) = eta - N(u) + N(m - u) with u the
-    # lambda-image of xi, so enumerate a shifted norm ball.
+    # lambda-image of xi, and d u is integral for d = 3 lcm(den xi): the
+    # areas are base + N(d m - d u)/d^2, a norm ball about the coset -d u.
+    d = 3 * math.lcm(xi1.denominator, xi2.denominator)
     u = lambda_map((xi1, xi2))
-    bound = cutoff - eta + norm_form(u[0], u[1])
-    pairs = []
-    for n in enumerate_shifted_ball((-u[0], -u[1]), bound):
-        m = Tile(n.n1, n.n2)
-        area = eta - (xi1 * m.m1 + xi2 * m.m2) + m.vector.norm
-        if area <= cutoff:
-            pairs.append((area, Fraction(1)))
-    return TauSeries.from_terms(pairs, cutoff)
+    base = Fraction(a.eta) - norm_form(*u)
+    ball = enumerate_shifted_ball((int(-d * u[0]), int(-d * u[1])), d, (cutoff - base) * d * d)
+    return TauSeries.from_terms([(base + Fraction(q, d * d), 1) for q in ball.values()], cutoff)
 
 
 class WallCurve(NamedTuple):
@@ -112,7 +109,7 @@ def wall_degrees(edge: tuple[Tile, Tile]) -> WallCurve:
 
 def wall_curves_window(radius: Rational) -> list[WallCurve]:
     """Wall curves whose both tiles satisfy N(m) <= radius, deduplicated."""
-    tiles = sorted(Tile(n.n1, n.n2) for n in enumerate_shifted_ball((0, 0), radius))
+    tiles = sorted(Tile(n.n1, n.n2) for n in enumerate_shifted_ball((0, 0), 1, radius))
     tile_set = set(tiles)
     walls = []
     for t in tiles:

@@ -16,13 +16,6 @@ from typing import NamedTuple
 Rational = Fraction
 Vec2 = tuple[Fraction, Fraction]
 
-# Inverse of the polarization's Gram matrix ((2, 1), (1, 2)) (exact).
-GRAM_INV = (
-    (Fraction(2, 3), Fraction(-1, 3)),
-    (Fraction(-1, 3), Fraction(2, 3)),
-)
-
-
 class LatticeVector(NamedTuple):
     """Lattice element n1*g' + n2*g''; `std` gives standard coordinates.
 
@@ -58,25 +51,21 @@ class MomentPoint(NamedTuple):
 
 
 def lambda_map(v: Vec2) -> Vec2:
-    """Apply the inverse Gram matrix to a standard-coordinate vector.
+    """Apply the inverse Gram matrix (1/3)((2, -1), (-1, 2)) to a standard-coordinate vector.
 
     On lattice vectors this returns the (n1, n2) basis coordinates.
     """
     a, b = Fraction(v[0]), Fraction(v[1])
-    return (
-        GRAM_INV[0][0] * a + GRAM_INV[0][1] * b,
-        GRAM_INV[1][0] * a + GRAM_INV[1][1] * b,
-    )
+    return ((2 * a - b) / 3, (2 * b - a) / 3)
 
 
 def kappa(v: Vec2) -> Fraction:
     """Quadratic weight -1/2 <v, lambda(v)> of a standard-coordinate vector.
 
-    For a lattice vector n1*g' + n2*g'' this equals -(n1^2 + n1 n2 + n2^2).
+    With (p, q) = lambda(v), v = (2p + q, p + 2q), so <v, lambda(v)> = 2 N(p, q);
+    on a lattice vector n1*g' + n2*g'' this is -(n1^2 + n1 n2 + n2^2).
     """
-    a, b = Fraction(v[0]), Fraction(v[1])
-    la = lambda_map((a, b))
-    return -(a * la[0] + b * la[1]) / 2
+    return -norm_form(*lambda_map(v))
 
 
 def norm_form(w1: Fraction, w2: Fraction) -> Fraction:
@@ -108,39 +97,38 @@ def gamma_act_moment(g: LatticeVector, p: MomentPoint) -> MomentPoint:
     return MomentPoint(xi1, xi2, eta)
 
 
-def enumerate_shifted_ball(shift: Vec2, bound: Rational) -> dict[LatticeVector, int | float]:
-    """All integer n with N(n + shift) <= bound (shift in basis coordinates).
+def enumerate_shifted_ball(
+    residue: tuple[int, int], modulus: int, bound: Rational
+) -> dict[LatticeVector, int | float]:
+    """All n with N(modulus n + residue) <= bound, each mapped to that norm.
 
     The only place a norm bound becomes a coordinate box: N(w) >= (3/4) w_i^2,
-    so |n_i + shift_i| <= sqrt(4B/3) < isqrt(floor(4B/3) + 1) + 1.  Returns a
-    dict from each point to the norm it was tested on, so a caller that needs
-    that norm evaluates it once.  Float input is tested in floats as given,
-    on the float N(n + shift).  Exact input (int or Fraction) is scaled once
-    to integers: with d the common denominator of the shift and B = p/q, the
-    test is q N(d n + d shift) <= p d^2, and the norm is the integer
-    N(d n + d shift) = d^2 N(n + shift).  Points are in row-major order, n1
-    outer.
+    so |modulus n_i + residue_i| <= sqrt(4B/3) < half.  A caller that needs
+    the norm reads it here, evaluated once.  An integer residue and modulus
+    with an exact bound B = p/q are tested on integers, q N <= p.  A float
+    residue (modulus 1 for shifted_theta_value) or bound is tested in floats
+    as given.  Points are in row-major order, n1 outer.
     """
-    s1, s2 = shift
+    r1, r2 = residue
     if bound < 0:
         return {}
     half = math.isqrt(int(4 * bound // 3) + 1) + 1
-    rows = range(math.floor(-s1 - half), math.ceil(-s1 + half) + 1)
-    cols = range(math.floor(-s2 - half), math.ceil(-s2 + half) + 1)
-    if any(isinstance(v, float) for v in (s1, s2, bound)):
-        norms = ((n1, n2, norm_form(n1 + s1, n2 + s2)) for n1 in rows for n2 in cols)
+    if any(isinstance(v, float) for v in (r1, r2, bound)):
+        rows = range(math.floor((-r1 - half) / modulus), math.ceil((half - r1) / modulus) + 1)
+        cols = range(math.floor((-r2 - half) / modulus), math.ceil((half - r2) / modulus) + 1)
+        norms = (
+            (n1, n2, norm_form(modulus * n1 + r1, modulus * n2 + r2)) for n1 in rows for n2 in cols
+        )
         return {LatticeVector(n1, n2): q for n1, n2, q in norms if q <= bound}
-    s1, s2, bound = Fraction(s1), Fraction(s2), Fraction(bound)
-    d = math.lcm(s1.denominator, s2.denominator)
-    t1, t2 = s1.numerator * (d // s1.denominator), s2.numerator * (d // s2.denominator)
-    q, limit = bound.denominator, bound.numerator * d * d
+    bound = Fraction(bound)
+    q, p = bound.denominator, bound.numerator
     out = {}
-    for n1 in rows:
-        w1 = d * n1 + t1
-        for n2 in cols:
-            w2 = d * n2 + t2
+    for n1 in range(-((r1 + half) // modulus), (half - r1) // modulus + 1):
+        w1 = modulus * n1 + r1
+        for n2 in range(-((r2 + half) // modulus), (half - r2) // modulus + 1):
+            w2 = modulus * n2 + r2
             norm = w1 * w1 + w1 * w2 + w2 * w2
-            if q * norm <= limit:
+            if q * norm <= p:
                 out[LatticeVector(n1, n2)] = norm
     return out
 
@@ -148,13 +136,8 @@ def enumerate_shifted_ball(shift: Vec2, bound: Rational) -> dict[LatticeVector, 
 def min_norm_in_coset(residue: tuple[int, int], modulus: int) -> int:
     """Minimal N over the coset residue + modulus*Z^2.
 
-    With r the reduced representative, the coset is modulus*(n + r/modulus),
-    so its minimum is modulus^2 times the least N(n + r/modulus), a ball
-    search with r itself (n = 0) on the boundary.  The enumerator returns
-    that norm scaled by d^2, d the shift's denominator.
+    A ball search with the reduced representative r itself (n = 0) on the
+    boundary.
     """
-    r1, r2 = residue[0] % modulus, residue[1] % modulus
-    shift = (Fraction(r1, modulus), Fraction(r2, modulus))
-    ball = enumerate_shifted_ball(shift, Fraction(norm_form(r1, r2), modulus * modulus))
-    d = modulus // math.gcd(r1, r2, modulus)
-    return min(ball.values()) * (modulus // d) ** 2
+    r = (residue[0] % modulus, residue[1] % modulus)
+    return min(enumerate_shifted_ball(r, modulus, norm_form(*r)).values())

@@ -172,13 +172,10 @@ def theta_section(e: LatticeVector, level: int, cutoff: Rational) -> LaurentSect
     if not (0 <= e.n1 < level and 0 <= e.n2 < level):
         raise ValueError(f"{e} is not a level-{level} representative")
     cutoff = Fraction(cutoff)
-    shift = (Fraction(e.n1, level), Fraction(e.n2, level))
-    # level * N(n + e/level) = N(w)/level with w = level*n + e = scale (d n + d shift),
-    # d the shift's denominator; the ball's norm is N(d n + d shift).  The key is -w.
-    scale = level // math.lcm(shift[0].denominator, shift[1].denominator)
+    # level * N(n + e/level) = N(w)/level with w = level*n + e; the key is -w.
     coeffs = {
-        (-(level * n.n1 + e.n1), -(level * n.n2 + e.n2)): {norm * scale * scale: 1}
-        for n, norm in enumerate_shifted_ball(shift, cutoff / level).items()
+        (-(level * n.n1 + e.n1), -(level * n.n2 + e.n2)): {norm: 1}
+        for n, norm in enumerate_shifted_ball(e, level, cutoff * level).items()
     }
     return LaurentSection(level, cutoff, level, coeffs)
 
@@ -311,7 +308,7 @@ def shifted_theta_value(
     if not (0 < tau < 1):
         raise ValueError("tau must lie in (0, 1)")
     total = 0.0
-    for q in enumerate_shifted_ball(w, cutoff / level).values():
+    for q in enumerate_shifted_ball(w, 1, cutoff / level).values():
         total += tau ** (level * q)
     r0 = max(0, math.floor(math.sqrt(max(2.0 * cutoff / (3.0 * level), 0.0))) - 1)
     return NumericValue(total, shell_tail(tau, level / 2.0, cutoff, r0))

@@ -295,8 +295,9 @@ def svg_tiling(window: tuple[float, float, float, float]) -> str:
     the tropical curve are marked with small circles.
     """
     x0, y0, x1, y1 = window
-    if x1 <= x0 or y1 <= y0:
-        raise ValueError("window must have positive extent")
+    width, height = round((x1 - x0) * _SVG_SCALE), round((y1 - y0) * _SVG_SCALE)
+    if width < 1 or height < 1:  # round(1/2) is 0
+        raise ValueError(f"window must be more than 1/{2 * _SVG_SCALE} wide and high")
     pad = 3
     # m = lambda(center), m1 = (2 cx - cy)/3 and m2 = (2 cy - cx)/3, on the padded window
     cx0, cx1 = math.ceil(x0 - pad), math.floor(x1 + pad)
@@ -314,8 +315,6 @@ def svg_tiling(window: tuple[float, float, float, float]) -> str:
     def sy(v: float) -> int:
         return round((y1 - v) * _SVG_SCALE)
 
-    width = sx(x1)
-    height = sy(y0)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -346,7 +345,7 @@ def svg_tiling(window: tuple[float, float, float, float]) -> str:
 def facet_csv(radius: Rational) -> str:
     """Facet table m1,m2,nu1,nu2,nu3,alpha for all tiles with N(m) <= radius."""
     rows = ["m1,m2,nu1,nu2,nu3,alpha"]
-    ball = enumerate_shifted_ball((0, 0), radius)  # each tile's N(m)
+    ball = enumerate_shifted_ball((0, 0), 1, radius)  # each tile's N(m)
     for n in sorted(ball, key=lambda n: (ball[n], n.n1, n.n2)):
         f = facet(Tile(n.n1, n.n2))
         rows.append(f"{n.n1},{n.n2},{f.normal[0]},{f.normal[1]},{f.normal[2]},{f.offset}")

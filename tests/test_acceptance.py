@@ -76,7 +76,7 @@ def test_criterion_3_leading_structure_constants():
     def brute_constants(rep: tuple[int, int]) -> dict[F, F]:
         base = F(rep[0] ** 2 + rep[0] * rep[1] + rep[1] ** 2, 2)
         acc: dict[F, F] = {}
-        for na in enumerate_shifted_ball((0, 0), 12):
+        for na in enumerate_shifted_ball((0, 0), 1, 12):
             nb = LatticeVector(rep[0] - na.n1, rep[1] - na.n2)
             exp = F(na.norm + nb.norm) - base
             if exp <= 10:
@@ -116,7 +116,7 @@ def test_criterion_4_disc_theta_agreement():
             disc_exps.extend([e - eta] * int(c))
         theta_exps = [
             n.norm - (x1 * n.n1 + x2 * n.n2)
-            for n in enumerate_shifted_ball((0, 0), 400)
+            for n in enumerate_shifted_ball((0, 0), 1, 400)
             if n.norm - (x1 * n.n1 + x2 * n.n2) <= cutoff - eta
         ]
         assert sorted(disc_exps) == sorted(theta_exps)

@@ -210,6 +210,8 @@ def test_usage_error_exit_code(capsys):
         (["trop", "--window=3,3,-3,-3"], "--window"),
         (["trop", "--window=a,b,c,d"], "--window"),
         (["trop", "--window=-1e400,-3,3,3"], "--window"),
+        # a window under 1/80 wide would be an SVG of zero width
+        (["trop", "--window=0,0,0.001,0.001"], "--window"),
         (["leibniz", "--i", "0", "--j", "2", "--x", "1e400,1"], "--x"),
         (["leibniz", "--i", "0", "--j", "2", "--x", "1e-400,1"], "--x"),
         (["leibniz", "--i", "0", "--j", "2", "--x", "1e100,1"], "--x"),

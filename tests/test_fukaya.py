@@ -44,21 +44,20 @@ def _mu2_crt(i, j, k, e1, e2, cutoff):
 
     The congruences a = e1 - e (mod l') and a = -e2 (mod l'') leave one
     residue r mod L = lcm(l', l'') per coordinate, or none, so a = r + L m
-    with N(m + (l r + l'' e)/(l L)) at most cutoff l' l''/(l L^2).
+    with N(l L m + l r + l'' e) at most cutoff l l' l''.
     """
     lp, lpp, l = j - i, k - j, k - i
     big = math.lcm(lp, lpp)
-    bound = F(cutoff) * lp * lpp / (l * big * big)
+    bound = F(cutoff) * l * lp * lpp
     out = {}
     for e in coset_reps(l):
         r1 = _crt(e1.n1 - e.n1, lp, -e2.n1, lpp)
         r2 = _crt(e1.n2 - e.n2, lp, -e2.n2, lpp)
         counts = Counter()
         if r1 is not None and r2 is not None:
-            shift = (F(l * r1 + lpp * e.n1, l * big), F(l * r2 + lpp * e.n2, l * big))
-            scale = l * big // math.lcm(shift[0].denominator, shift[1].denominator)
-            for norm in enumerate_shifted_ball(shift, bound).values():
-                counts[norm * scale * scale] += 1
+            residue = (l * r1 + lpp * e.n1, l * r2 + lpp * e.n2)
+            for norm in enumerate_shifted_ball(residue, l * big, bound).values():
+                counts[norm] += 1
         out[e] = TauSeries.from_scaled(counts, l * lp * lpp, F(cutoff))
     return out
 
@@ -120,7 +119,7 @@ def _mu2_ball_filter(i, j, k, e1, e2, cutoff):
     for e in coset_reps(l):
         shift = (F(lpp * e.n1, l), F(lpp * e.n2, l))
         pairs = []
-        for a in enumerate_shifted_ball(shift, cutoff * lp * lpp / l):
+        for a in enumerate_shifted_ball((lpp * e.n1, lpp * e.n2), l, cutoff * l * lp * lpp):
             if (a.n1 - e1.n1 + e.n1) % lp or (a.n2 - e1.n2 + e.n2) % lp:
                 continue
             if (a.n1 + e2.n1) % lpp or (a.n2 + e2.n2) % lpp:

@@ -85,7 +85,7 @@ def test_disc_series_matches_theta_exponents(x1, x2, above):
     bound = cutoff - a.eta
     from mirrorlab.lattice import enumerate_shifted_ball
 
-    for n in enumerate_shifted_ball((0, 0), 200):
+    for n in enumerate_shifted_ball((0, 0), 1, 200):
         exp = n.norm - (a.xi1 * n.n1 + a.xi2 * n.n2)
         if exp <= bound:
             theta_exps.append(exp)

@@ -57,6 +57,14 @@ def test_kappa_is_negative_norm_form(v):
     assert v.norm == norm_form(F(v.n1), F(v.n2))
 
 
+@given(rationals, rationals)
+def test_kappa_matches_the_gram_pairing(a, b):
+    # the -1/2 <v, lambda(v)> definition, with lambda inverting the Gram matrix
+    la = lambda_map((a, b))
+    assert (2 * la[0] + la[1], la[0] + 2 * la[1]) == (a, b)
+    assert kappa((a, b)) == -(a * la[0] + b * la[1]) / 2
+
+
 @given(lattice_vectors, lattice_vectors)
 def test_kappa_parallelogram_identity(a, b):
     pairing = (
@@ -95,14 +103,11 @@ def test_gamma_act_is_group_action(g, h, x1, x2, eta):
 
 
 def test_norm_ball_counts():
-    assert [(v.n1, v.n2) for v in enumerate_shifted_ball((0, 0), 0)] == [(0, 0)]
-    assert len(enumerate_shifted_ball((0, 0), 1)) == 7
-    assert len(enumerate_shifted_ball((0, 0), 3)) == 13
-    norms = sorted(v.norm for v in enumerate_shifted_ball((0, 0), 3))
+    assert [(v.n1, v.n2) for v in enumerate_shifted_ball((0, 0), 1, 0)] == [(0, 0)]
+    assert len(enumerate_shifted_ball((0, 0), 1, 1)) == 7
+    assert len(enumerate_shifted_ball((0, 0), 1, 3)) == 13
+    norms = sorted(v.norm for v in enumerate_shifted_ball((0, 0), 1, 3))
     assert 2 not in norms  # norm two is not represented
-
-
-fine_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=60)
 
 
 @given(
@@ -112,40 +117,38 @@ fine_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=60)
         st.fractions(min_value=0, max_value=30, max_denominator=60),
     ),
     st.one_of(
-        st.just((0, 0)),
-        st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
-        st.tuples(fine_rationals, fine_rationals),
+        st.tuples(st.integers(-30, 30), st.integers(-30, 30), st.integers(1, 12)),
+        st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.just(1)),
     ),
 )
-def test_norm_ball_matches_box_scan(bound, shift):
+def test_norm_ball_matches_box_scan(bound, coset):
     import math
 
-    # floats are tested as given, as shifted_theta_value needs; ints and
-    # Fractions on the enumerator's integer-scaled path
-    points = enumerate_shifted_ball(shift, bound)
-    got = set(points)
-    # every input also gives each point's tested norm: the float N(n + shift),
-    # or the integer d^2 N(n + shift) for d the exact shift's denominator
-    if any(isinstance(v, float) for v in (*shift, bound)):
-        assert all(q == norm_form(n.n1 + shift[0], n.n2 + shift[1]) for n, q in points.items())
+    # integer residues are tested on integers, float residues (at modulus 1,
+    # as shifted_theta_value needs) and float bounds in floats as given
+    r1, r2, modulus = coset
+    points = enumerate_shifted_ball((r1, r2), modulus, bound)
+    # every input also gives each point's tested norm N(modulus n + residue)
+    if isinstance(r1, float):
+        assert all(q == norm_form(n.n1 + r1, n.n2 + r2) for n, q in points.items())
     else:
-        d = math.lcm(*(F(v).denominator for v in shift))
         assert all(
-            type(q) is int and q == d * d * norm_form(n.n1 + F(shift[0]), n.n2 + F(shift[1]))
+            type(q) is int and q == norm_form(modulus * n.n1 + r1, modulus * n.n2 + r2)
             for n, q in points.items()
         )
-    half = 2 * math.isqrt(int(bound)) + 4
+    # on the ball |modulus n_i + r_i| <= sqrt(4 bound/3) < 2 isqrt(bound) + 4, and |r_i| <= 30
+    half = (2 * math.isqrt(int(bound)) + 34) // modulus + 2
     want = {
         LatticeVector(n1, n2)
         for n1 in range(-half, half + 1)
         for n2 in range(-half, half + 1)
-        if norm_form(n1 + shift[0], n2 + shift[1]) <= bound
+        if norm_form(modulus * n1 + r1, modulus * n2 + r2) <= bound
     }
-    assert got == want
+    assert set(points) == want
 
 
 def test_shifted_ball_and_coset_minimum():
-    pts = enumerate_shifted_ball((F(1, 2), F(0)), F(1, 4))
+    pts = enumerate_shifted_ball((1, 0), 2, 1)  # N(n + (1/2, 0)) <= 1/4
     assert {(v.n1, v.n2) for v in pts} == {(0, 0), (-1, 0)}
     assert min_norm_in_coset((1, 0), 2) == 1
     assert min_norm_in_coset((0, 0), 3) == 0

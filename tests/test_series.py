@@ -361,6 +361,6 @@ def test_shifted_theta_value_sums_each_norm_once(level, w, tau, cutoff):
 
     # the same float terms, in the same order, with N(n + w) evaluated again
     total = 0.0
-    for n in enumerate_shifted_ball(w, cutoff / level):
+    for n in enumerate_shifted_ball(w, 1, cutoff / level):
         total += tau ** (level * norm_form(n.n1 + w[0], n.n2 + w[1]))
     assert shifted_theta_value(level, w, tau, cutoff).value == total
