@@ -248,9 +248,9 @@ def sphere_count_C(max_order: int, window: Rational = 9) -> TauSeries:
 class DifferentialTable(NamedTuple):
     """Structure constants of multiplication by the defining section.
 
-    entries[input rep e][output rep e~] is the tau-series coefficient; the
-    evaluation-side prefactor, the quadratic weight of log|x|, is applied
-    only when evaluating numerically.
+    entries[input rep e][output rep e~] is the tau-series coefficient T_e~(e)
+    in s * theta_e = sum over e~ of T_e~(e) theta_e~; `leibniz_check`
+    evaluates it at tau as it stands.
     """
 
     level: int
@@ -320,36 +320,6 @@ class LeibnizReport(NamedTuple):
         }
 
 
-def shifted_basis_value(
-    e: LatticeVector, level: int, lam: tuple[float, float], tau: float, cutoff: float
-) -> NumericValue:
-    """Numeric lattice sum for a basis morphism against the torus Lagrangian.
-
-    Equals sum over n of tau^(level * N(n + w)) with w = lam - e/level, lam
-    the lambda-image of the base point (as `log_tau_point` returns it).
-    """
-    w = (lam[0] - e.n1 / level, lam[1] - e.n2 / level)
-    return shifted_theta_value(level, w, tau, cutoff)
-
-
-def log_tau_point(
-    x_sample: tuple[float, float], tau: float
-) -> tuple[tuple[float, float], float, float]:
-    """lam = lambda(xi) for xi = log_tau x, n_u = N(lam) and tau^q for q = -n_u.
-
-    q = kappa(xi) is the quadratic weight of the Leibniz identity.  Raises
-    ValueError where x lies so far from 1 that tau^q overflows a float.
-    """
-    log_tau = math.log(tau)
-    xi = (math.log(x_sample[0]) / log_tau, math.log(x_sample[1]) / log_tau)
-    lam = ((2 * xi[0] - xi[1]) / 3.0, (2 * xi[1] - xi[0]) / 3.0)
-    n_u = lam[0] ** 2 + lam[0] * lam[1] + lam[1] ** 2
-    try:
-        return lam, n_u, tau ** -n_u
-    except OverflowError:
-        raise ValueError(f"tau^kappa(log_tau x) overflows a float at x = {x_sample!r}") from None
-
-
 def leibniz_check(
     i: int,
     j: int,
@@ -360,10 +330,12 @@ def leibniz_check(
     """Numeric check that the differential table satisfies the Leibniz identity.
 
     For each input rep e of level l-1 it compares
-        s(x) * n_e(l-1, x)   vs   tau^q * sum_e~ T_e~(e) n_e~(l, x)
-    with q the quadratic weight of log_tau x, s the defining section, and
-    n the shifted lattice sums; the residual must sit below the combined
-    truncation tail bound.
+        S * n_e(l-1, x)   vs   sum_f T_f(e) n_f(l, x)
+    with n_e(level, x) = sum over n of tau^(level * N(n + lam - e/level)),
+    lam = lambda(log_tau x), and S = n_0(1, x) the defining section.  Both
+    sides also carry the quasi-periodicity factor tau^kappa(log_tau x),
+    which cancels and is left out.  The residual must sit below the
+    combined truncation tail bound.
     """
     level = j - i
     if level < 2:
@@ -372,12 +344,17 @@ def leibniz_check(
         raise ValueError("tau must lie in (0, 1)")
     cutoff = Fraction(cutoff)
     cut_f = float(cutoff)
-    lam, n_u, weight = log_tau_point(x_sample, tau)
-
-    # s evaluated at |x|: exponent N(n) - <n, xi> = N(n - u) - N(u).
-    s_num = shifted_theta_value(1, (-lam[0], -lam[1]), tau, cut_f + n_u)
-    s_val = s_num.value * weight
-    s_tail = s_num.tail_bound * weight
+    log_tau = math.log(tau)
+    xi = (math.log(x_sample[0]) / log_tau, math.log(x_sample[1]) / log_tau)
+    lam = ((2 * xi[0] - xi[1]) / 3.0, (2 * xi[1] - xi[0]) / 3.0)
+    n = {
+        lv: {
+            e: shifted_theta_value(lv, (lam[0] - e.n1 / lv, lam[1] - e.n2 / lv), tau, cut_f)
+            for e in coset_reps(lv)
+        }
+        for lv in (1, level - 1, level)
+    }
+    s = n[1][LatticeVector(0, 0)]
 
     table = differential_table(i, j, cutoff)
     # Unknown tail of each structure-constant series: its terms are
@@ -386,30 +363,19 @@ def leibniz_check(
     t_tail = shell_tail(tau, 1.0 / (2.0 * level * (level - 1)), cut_f, 0)
     items = []
     for e in coset_reps(level - 1):
-        ne = shifted_basis_value(e, level - 1, lam, tau, cut_f)
-        lhs = s_val * ne.value
-        lhs_tail = abs(s_val) * ne.tail_bound + abs(ne.value) * s_tail + s_tail * ne.tail_bound
-        rhs = 0.0
-        rhs_tail = 0.0
+        lhs = s.times(n[level - 1][e])
+        rhs = rhs_tail = 0.0
         for f, ts in table.entries[e].items():
-            nf = shifted_basis_value(f, level, lam, tau, cut_f)
-            t_val = ts.evaluate(tau)
-            rhs += t_val * nf.value
-            rhs_tail += (
-                abs(t_val) * nf.tail_bound
-                + abs(nf.value) * t_tail
-                + t_tail * nf.tail_bound
-            )
-        rhs *= weight
-        rhs_tail *= weight
-        residual = abs(lhs - rhs)
+            term = NumericValue(ts.evaluate(tau), t_tail).times(n[level][f])
+            rhs += term.value
+            rhs_tail += term.tail_bound
         items.append(
             {
                 "e_in": [e.n1, e.n2],
-                "lhs": repr(lhs),
+                "lhs": repr(lhs.value),
                 "rhs": repr(rhs),
-                "residual": residual,
-                "tail_bound": lhs_tail + rhs_tail,
+                "residual": abs(lhs.value - rhs),
+                "tail_bound": lhs.tail_bound + rhs_tail,
             }
         )
     return LeibnizReport(i, j, x_sample, tau, cut_f, tuple(items))

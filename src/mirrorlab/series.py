@@ -160,6 +160,13 @@ class NumericValue(NamedTuple):
     value: float
     tail_bound: float
 
+    def times(self, other: NumericValue) -> NumericValue:
+        """The product, with |AB - ab| <= |a| tb + |b| ta + ta tb whenever
+        |A - a| <= ta and |B - b| <= tb."""
+        a, ta = self
+        b, tb = other
+        return NumericValue(a * b, abs(a) * tb + abs(b) * ta + ta * tb)
+
 
 def theta_section(e: LatticeVector, level: int, cutoff: Rational) -> LaurentSection:
     """The basis section of representative e at the given level.

@@ -94,7 +94,8 @@ def trop_phi(xi: Vec2) -> TropValue:
     # the direct value at a translated maximizer.
     value = Fraction(best + d * (g1 * g1 + g1 * g2 + g2 * g2) + a1 * g1 + a2 * g2, d)
     m = maxim[0]
-    assert value == x1 * m.n1 + x2 * m.n2 - m.norm
+    if value != x1 * m.n1 + x2 * m.n2 - m.norm:
+        raise AssertionError(f"trop_phi{xi!r}: periodic value {value} is not the direct one")
     return TropValue(value, maxim)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import pathlib
 import shlex
@@ -67,16 +68,12 @@ def test_differential_and_leibniz():
     )
     assert code == 0
     assert json.loads(out)["passed"] is True
-    # far from 1, but tau^q of the quadratic weight q still fits in a float
-    for x in ("1e30,1", "2e30,1"):
+    # far from 1: neither side carries tau^kappa(log_tau x), so nothing overflows
+    for x in ("1e30,1", "2e30,1", "2.5e30,1", "1e100,1", "1,1e-100"):
         out, code = run(["leibniz", "--i", "0", "--j", "2", "--x", x])
-        assert code == 0
-        assert json.loads(out)["passed"] is True
-    # the weighted sides overflow to inf, and a verdict on them shows nothing
-    out, code = run(["leibniz", "--i", "0", "--j", "2", "--x", "2.5e30,1"])
-    rep = json.loads(out)
-    assert code == 2 and rep["status"] == "indeterminate"
-    assert rep["items"][0]["lhs"] == "inf"
+        rep = json.loads(out)
+        assert code == 0 and rep["passed"] is True
+        assert all(math.isfinite(float(it["lhs"])) for it in rep["items"])
 
 
 def test_leibniz_vacuous_tail_is_indeterminate():
@@ -214,8 +211,6 @@ def test_usage_error_exit_code(capsys):
         (["trop", "--window=0,0,0.001,0.001"], "--window"),
         (["leibniz", "--i", "0", "--j", "2", "--x", "1e400,1"], "--x"),
         (["leibniz", "--i", "0", "--j", "2", "--x", "1e-400,1"], "--x"),
-        (["leibniz", "--i", "0", "--j", "2", "--x", "1e100,1"], "--x"),
-        (["leibniz", "--i", "0", "--j", "2", "--x", "1,1e-100"], "--x"),
         (["metric-check", "--seed", "-1"], "--seed"),
         (["monodromy", "--seed", "-5"], "--seed"),
         (["functor", "--i", "0", "--j", "1", "--k", "2", "--cutoff", "1/0"], "--cutoff"),

@@ -14,7 +14,6 @@ from mirrorlab.gw import (
     disc_series,
     g_series,
     leibniz_check,
-    shifted_basis_value,
     sphere_count_C,
     wall_curves_window,
     wall_degrees,
@@ -24,7 +23,7 @@ from mirrorlab.lattice import (
     MomentPoint,
     gamma_act_moment,
 )
-from mirrorlab.series import TauSeries, theta_products, theta_section
+from mirrorlab.series import TauSeries, shifted_theta_value, theta_products, theta_section
 from mirrorlab.tropical import Tile, facet, trop_phi
 
 lattice_vectors = st.builds(LatticeVector, st.integers(-3, 3), st.integers(-3, 3))
@@ -277,9 +276,10 @@ def test_differential_requires_level_two():
 
 
 def test_shifted_basis_value_against_section():
-    # at |x| = (1, 1) the shifted sum equals the section's terms summed at tau
+    # at |x| = (1, 1) the shift of rep e at level 2 is -e/2, and the shifted
+    # sum equals the section's terms summed at tau
     e = LatticeVector(1, 0)
-    val, tail = shifted_basis_value(e, 2, (0.0, 0.0), 0.1, 10.0)
+    val, tail = shifted_theta_value(2, (-1 / 2, 0.0), 0.1, 10.0)
     sec = theta_section(e, 2, F(10))
     brute = sum(sec.series(key).evaluate(0.1) for key in sec.coeffs)
     assert abs(val - brute) <= 2 * tail
@@ -319,3 +319,30 @@ def test_leibniz_shifted_sample():
     rep = leibniz_check(0, 2, x, tau, F(12))
     assert rep.passed
 
+
+def test_leibniz_computes_each_basis_sum_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return shifted_theta_value(*args)
+
+    monkeypatch.setattr(gw, "shifted_theta_value", counted)
+    leibniz_check(0, 4, (1.0, 1.0), 0.1, F(12))
+    # l^2 + (l-1)^2 sums at level 4, plus the defining section
+    assert len(calls) == 16 + 9 + 1
+
+
+@pytest.mark.parametrize("g", [LatticeVector(2, 1), LatticeVector(-1, 3)])
+def test_leibniz_sides_are_lattice_periodic(g):
+    # x -> x tau^(-g.std) shifts lambda(log_tau x) by -g, a lattice vector, so
+    # no side picks up the quasi-periodicity factor
+    tau = 0.1
+    x = (0.8, 1.7)
+    gs = g.std
+    base = leibniz_check(0, 3, x, tau, F(12))
+    moved = leibniz_check(0, 3, (x[0] * tau ** -gs[0], x[1] * tau ** -gs[1]), tau, F(12))
+    for a, b in zip(base.items, moved.items):
+        for key in ("lhs", "rhs"):
+            assert float(b[key]) == pytest.approx(float(a[key]), rel=1e-12, abs=0)
+    assert moved.passed

@@ -10,6 +10,7 @@ from mirrorlab import series
 from mirrorlab.lattice import LatticeVector, coset_reps, min_norm_in_coset
 from mirrorlab.series import (
     LaurentSection,
+    NumericValue,
     TauSeries,
     decomposition_padding,
     section_mul,
@@ -276,6 +277,21 @@ def test_shifted_theta_value_at_the_centre():
     assert abs(val - expected) < tail
     with pytest.raises(ValueError):
         shifted_theta_value(1, (0.0, 0.0), 1.5, 8.0)
+
+
+exact = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
+radius = st.fractions(min_value=0, max_value=10, max_denominator=1000)
+unit = st.fractions(min_value=-1, max_value=1, max_denominator=1000)
+
+
+@given(exact, radius, unit, exact, radius, unit)
+@settings(max_examples=300)
+def test_product_tail_bounds_the_product_error(a, ta, u, b, tb, v):
+    # exact oracle: any A within ta of a and B within tb of b
+    big_a, big_b = a + u * ta, b + v * tb
+    prod = NumericValue(a, ta).times(NumericValue(b, tb))
+    assert prod.value == a * b
+    assert abs(big_a * big_b - a * b) <= prod.tail_bound
 
 
 def test_exp_of_integer_series():

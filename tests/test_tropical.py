@@ -1,5 +1,9 @@
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -62,6 +66,36 @@ def test_vertex_has_three_maximizers():
         LatticeVector(1, 0),
         LatticeVector(1, -1),
     }
+
+
+_WRONG_NORM_PROBE = """
+from fractions import Fraction
+from mirrorlab import tropical
+
+class WrongNorm(tropical.LatticeVector):
+    __slots__ = ()
+
+    @property
+    def norm(self):
+        return super().norm + 1
+
+tropical.LatticeVector = WrongNorm
+try:
+    print(tropical.trop_phi((Fraction(1, 2), Fraction(1, 3))).value)
+except AssertionError:
+    print("raised")
+"""
+
+
+def test_trop_phi_cross_check_survives_optimize():
+    # the periodic value is checked against the direct one under python -O too
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_NORM_PROBE],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert proc.stdout.strip() == "raised"
 
 
 @given(rationals, rationals, lattice_vectors)
