@@ -578,6 +578,66 @@ _SAMPLER_DRAWS = {
     "VI": ("a", "IV"),
 }
 
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix on uint32 lanes, with its running constant."""
+    def hashmix(v: np.ndarray) -> np.ndarray:
+        nonlocal const
+        v = v ^ np.uint32(const)
+        const = const * mult & _MASK32
+        v = v * np.uint32(const)
+        return v ^ v >> 16
+    return hashmix
+
+
+def _uniform_pairs(seed: int, ridx: int, count: int) -> np.ndarray:
+    """Row idx is `np.random.default_rng((seed, ridx, idx)).random(2)`, bit for bit.
+
+    numpy's SeedSequence (a pool of 4 uint32 words, one lane per idx), then
+    PCG64's seeding and two XSL-RR outputs per lane on Python ints.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, not {seed}")
+    if count > 2**32:  # idx 2**32 and up would take two entropy words
+        raise ValueError(f"at most 2**32 samples per region, not {count}")
+
+    def mix(x, y):
+        r = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+        return r ^ r >> 16
+
+    words = [seed & _MASK32]  # the entropy (seed, ridx, idx) as uint32 words
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    # zero rows pad the pool; no rows for a count <= 0, as for range(count)
+    entropy = np.zeros((max(len(words) + 2, 4), max(count, 0)), np.uint32)
+    entropy[: len(words) + 1] = np.array(words + [ridx], np.uint32)[:, None]
+    entropy[len(words) + 1] = np.arange(count, dtype=np.uint32)
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(e) for e in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[4:]:  # entropy longer than the pool
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(e))
+    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
+    w = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    # generate_state(4, uint64): PCG64's state is uint64s 0, 1, its stream 2, 3
+    out = []
+    for s1, s0, q1, q0 in zip(*((w[2 * k + 1] << 32 | w[2 * k]).tolist() for k in range(4))):
+        inc = (q1 << 65 | q0 << 1 | 1) & _MASK128
+        st = ((inc + (s1 << 64 | s0)) * _PCG64_MULT + inc) & _MASK128
+        for _ in range(2):
+            st = (st * _PCG64_MULT + inc) & _MASK128
+            x, rot = ((st >> 64) ^ st) & _MASK64, st >> 122
+            x = (x >> rot | x << (64 - rot)) & _MASK64
+            out.append((x >> 11) * 2.0**-53)
+    return np.array(out, np.float64).reshape(count, 2)
+
 
 def region_samples(
     region: str,
@@ -591,10 +651,11 @@ def region_samples(
 
     A sample near a band edge can classify elsewhere (a few IIB and IV
     samples are VII at the defaults; at l = 20 most are).  Sample idx
-    takes its two uniform draws from its own generator stream, keyed by
+    takes its two uniform draws from the SeedSequence -> PCG64 stream of key
     (seed, region, idx), so the output does not depend on evaluation order
-    and fewer samples are a prefix of more.  Raises if asked for a sample
-    from an empty window.
+    and fewer samples are a prefix of more.  All count draws are computed at
+    once, bit for bit one `default_rng` per sample, without numpy.random.
+    Raises for an empty window, a negative seed or over 2**32 samples.
     """
     if region not in REGION_IDS:
         raise ValueError(f"unknown region {region!r}")
@@ -612,8 +673,7 @@ def region_samples(
     w1, w2 = hi1 - lo1, hi2 - lo2
     ridx = REGION_IDS.index(region)
     out = []
-    for idx in range(count):
-        u1, u2 = np.random.default_rng((seed, ridx, idx)).random(2).tolist()
+    for u1, u2 in _uniform_pairs(seed, ridx, count).tolist():
         s, t = lo1 + w1 * u1, lo2 + w2 * u2  # numpy's uniform(lo, hi), bit for bit
         if family == "VII":
             logs = (l / 3 + s, l / 3 + t, None)

@@ -388,8 +388,8 @@ _STARTUP_ARGVS = (
     ["metric-check", "--samples", "3", "--c-base", str(2.0 ** 139)],
     ["monodromy", "--samples", "8"],
 )
-_WATCHED = ("numpy", "dataclasses", "mirrorlab.kahler", "mirrorlab._ad", "mirrorlab.gw",
-            "mirrorlab.series")
+_WATCHED = ("numpy", "numpy.random", "dataclasses", "mirrorlab.kahler", "mirrorlab._ad",
+            "mirrorlab.gw", "mirrorlab.series")
 _STARTUP_PROBE = """
 import contextlib, io, json, sys
 from mirrorlab import cli
@@ -422,5 +422,7 @@ def test_only_the_metric_commands_load_numpy():
     assert loaded["metric-check"] >= metric_layer
     assert [cmd for cmd, mods in loaded.items() if mods & metric_layer] == ["metric-check"]
     assert not any("dataclasses" in mods for mods in loaded.values())
+    # metric-check draws its samples without numpy's generators
+    assert not any("numpy.random" in mods for mods in loaded.values())
     for cmd in ("monodromy", "trop", "facets"):
         assert not loaded[cmd] & {"mirrorlab.gw", "mirrorlab.series"}, cmd

@@ -193,11 +193,49 @@ def _uniform_sampler(region, count, seed, T, l, p):
 
 
 @pytest.mark.parametrize("l", [40, 60])
-@pytest.mark.parametrize("seed", [0, 7, 999999, 2 ** 40 + 5])
+# 2 ** 64 + 5 and 2 ** 128 + 1 make entropy longer than SeedSequence's pool of 4 words
+@pytest.mark.parametrize("seed", [0, 7, 999999, 2 ** 40 + 5, 2 ** 64 + 5, 2 ** 128 + 1])
 def test_samples_match_uniform_oracle(seed, l):
     for region in REGION_IDS:
         got = region_samples(region, 12, seed, DEFAULT_T, l, 17)
         assert got == _uniform_sampler(region, 12, seed, DEFAULT_T, l, 17), region
+
+
+@pytest.mark.parametrize("count", [0, 1, 500])
+def test_uniform_pairs_match_numpy_stream_bits(count):
+    for ridx in range(len(REGION_IDS)):
+        got = kahler._uniform_pairs(7, ridx, count)
+        assert got.shape == (count, 2) and got.dtype == np.float64
+        for idx in range(count):
+            gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((7, ridx, idx))))
+            want = gen.random(2)
+            assert (got[idx].view(np.uint64) == want.view(np.uint64)).all(), (ridx, idx)
+
+
+def test_uniform_pairs_refuse_what_default_rng_refuses():
+    with pytest.raises(ValueError):
+        np.random.default_rng((-1, 0, 0))
+    with pytest.raises(ValueError, match="non-negative"):
+        kahler._uniform_pairs(-1, 0, 3)
+    with pytest.raises(ValueError, match="non-negative"):
+        region_samples("I", 1, seed=-(2 ** 40))
+    # idx 2 ** 32 would be two entropy words; refused before anything is allocated
+    assert kahler._uniform_pairs(7, 0, 0).shape == (0, 2)
+    assert region_samples("I", -1) == []  # a count <= 0 draws nothing, as range(count)
+    with pytest.raises(ValueError, match=r"at most 2\*\*32 samples"):
+        kahler._uniform_pairs(7, 0, 2 ** 32 + 1)
+    with pytest.raises(ValueError, match=r"at most 2\*\*32 samples"):
+        region_samples("VII", 2 ** 40, seed=7)
+
+
+# the metric-cert benchmark ops: (samples, seed, c_base)
+@pytest.mark.parametrize("samples, seed, c_base", [(300, 7, "auto"), (500, 215045, 2.0 ** 139)])
+def test_certificate_matches_per_sample_generator_oracle(monkeypatch, samples, seed, c_base):
+    got = metric_certificate(samples=samples, seed=seed, c_base=c_base)
+    monkeypatch.setattr(kahler, "region_samples", _uniform_sampler)
+    # dict equality, not a digest: eigvalsh bits may differ across LAPACK builds
+    assert got == metric_certificate(samples=samples, seed=seed, c_base=c_base)
+    assert got["status"] == "pass"
 
 
 def test_empty_sampler_window_is_named():
