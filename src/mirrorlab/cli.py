@@ -26,7 +26,8 @@ _STATUS_CODE = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "indeterminate": EXIT_INDE
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors carry a dedicated exit code
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        # one prefix for every usage error, a subcommand parser's ("mirrorlab trop") too
+        print(f"mirrorlab: error: {message}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
 
 
@@ -47,127 +48,82 @@ def emit(report: dict) -> bytes:
     return (json.dumps(_fmt(report), indent=2) + "\n").encode()
 
 
-def _rationals(args: argparse.Namespace, flag: str, n: int) -> list[Fraction]:
-    """The n comma-separated rationals of a list flag; an error names the flag."""
-    text = getattr(args, flag[2:])
-    try:
-        values = [Fraction(p.strip()) for p in text.split(",")]
-    except (ValueError, ZeroDivisionError):
-        values = []
-    if len(values) != n:
-        raise ValueError(f"{flag} must be {n} comma-separated rationals, got {text!r}")
-    return values
+def _checked(parse, ok, must: str):
+    """An argparse type: parse(text) if ok accepts it; argparse names the flag on error."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except (ArithmeticError, ValueError):  # unparsable, 1/0, or too large for a float
+            pass
+        raise argparse.ArgumentTypeError(f"must be {must}, got {text!r}")
+
+    return convert
 
 
-def _floats(args: argparse.Namespace, flag: str, n: int) -> list[float]:
-    """A list flag's rationals as the floats a command reads; each must fit in one."""
-    try:
-        return [float(v) for v in _rationals(args, flag, n)]
-    except OverflowError:
-        raise ValueError(f"{flag} must fit in floats, got {getattr(args, flag[2:])!r}") from None
+def _fractions(text: str) -> list[Fraction]:
+    return [Fraction(p.strip()) for p in text.split(",")]
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="mirrorlab", description=__doc__)
-    parser.add_argument("--out", help="write the report to this path")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("functor", help="theta structure constants vs triangle counts")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--cutoff", default="20")
-
-    p = sub.add_parser("trop", help="tropical tiling as SVG")
-    p.add_argument("--window", default="-3,-3,3,3")
-
-    p = sub.add_parser("facets", help="facet table as CSV")
-    p.add_argument("--radius", default="1")
-
-    p = sub.add_parser("disc-series", help="disc areas at an interior basepoint")
-    p.add_argument("--A", required=True, help="xi1,xi2,eta as rationals")
-    p.add_argument("--cutoff", default="15")
-
-    p = sub.add_parser("sphere-c", help="sphere-correction series")
-    p.add_argument("--max-order", type=int, default=4)
-    p.add_argument("--window", default="9")
-
-    p = sub.add_parser("differential", help="multiplication-by-section table")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--cutoff", default="15")
-
-    p = sub.add_parser("leibniz", help="numeric Leibniz identity check")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--x", default="1,1")
-    p.add_argument("--tau", type=float, default=0.1)
-    p.add_argument("--cutoff", default="15")
-
-    p = sub.add_parser("metric-check", help="sampled positive-definiteness certificate")
-    p.add_argument("--T", type=float)  # --T, --l, --p default to kahler.DEFAULT_T/L/P
-    p.add_argument("--l", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--c-base", default="auto")
-
-    p = sub.add_parser("monodromy", help="corner classes and antisymmetry")
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--seed", type=int, default=7)  # random.Random's seed for the draws
-    return parser
+def _float_tuple(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in _fractions(text))
 
 
-def _nonnegative(args: argparse.Namespace, flag: str) -> Fraction:
-    """The value of a flag that must be a rational >= 0; an error names the flag."""
-    text = getattr(args, flag[2:].replace("-", "_"))
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{flag} must be a rational, got {text!r}") from None
-    if value < 0:
-        raise ValueError(f"{flag} must be >= 0, got {text!r}")
-    return value
+_COUNT = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_POSITIVE = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_UNIT = _checked(float, lambda v: 0.0 < v < 1.0, "a float in (0, 1)")
+_BOUND = _checked(Fraction, lambda v: v >= 0, "a rational >= 0")
+# leibniz truncates its lattice sums in floats
+_FLOAT_BOUND = _checked(Fraction, lambda v: v >= 0 and math.isfinite(v),
+                        "a rational >= 0 that fits in a float")
+_MOMENT = _checked(_fractions, lambda v: len(v) == 3, "3 comma-separated rationals")
+_WINDOW = _checked(_float_tuple, lambda v: len(v) == 4,
+                   "4 comma-separated rationals that fit in floats")
+_X = _checked(_float_tuple, lambda v: len(v) == 2 and min(v) > 0,
+              "2 comma-separated rationals, positive and finite as floats")
+_C_BASE = _checked(lambda t: t if t == "auto" else float(t),
+                   lambda v: v == "auto" or (math.isfinite(v) and v >= 0),
+                   "auto or a finite float >= 0")
 
 
 def _functor(args: argparse.Namespace) -> tuple[str, dict]:
     if not args.i < args.j < args.k:
         raise ValueError(f"--i, --j, --k must satisfy i < j < k, got {args.i}, {args.j}, {args.k}")
-    cutoff = _nonnegative(args, "--cutoff")
     from .fukaya import functor_check
 
-    rep = functor_check(args.i, args.j, args.k, cutoff)
+    rep = functor_check(args.i, args.j, args.k, args.cutoff)
     return "pass" if rep.all_match else "fail", rep.to_json()
 
 
 def _trop(args: argparse.Namespace) -> bytes:
-    window = tuple(_floats(args, "--window", 4))
     from . import tropical
 
     try:
-        return tropical.svg_tiling(window).encode()
+        return tropical.svg_tiling(args.window).encode()
     except ValueError as exc:  # the window is too small to draw
-        raise ValueError(f"--window {args.window!r}: {exc}") from None
+        raise ValueError(f"--window: {exc}") from None
 
 
 def _facets(args: argparse.Namespace) -> bytes:
-    radius = _nonnegative(args, "--radius")
     from . import tropical
 
-    return tropical.facet_csv(radius).encode()
+    return tropical.facet_csv(args.radius).encode()
 
 
 def _disc_series(args: argparse.Namespace) -> tuple[str, dict]:
     from .lattice import MomentPoint
     from .tropical import trop_phi
 
-    a = MomentPoint(*_rationals(args, "--A", 3))
+    a = MomentPoint(*args.A)
     phi = trop_phi((a.xi1, a.xi2))
     if not a.eta > phi.value:
-        raise ValueError(f"--A must lie strictly inside the moment body, got {args.A!r}")
-    cutoff = _nonnegative(args, "--cutoff")
+        inside = ",".join(map(str, a))
+        raise ValueError(f"--A must lie strictly inside the moment body, got {inside!r}")
     from . import gw
 
+    cutoff = args.cutoff
     series = gw.disc_series(a, cutoff)
     # The least disc area is the height eta - phi(xi) over the facets of the
     # maximizers of phi, one disc each: the series must open with that term.
@@ -178,14 +134,12 @@ def _disc_series(args: argparse.Namespace) -> tuple[str, dict]:
 
 
 def _sphere_c(args: argparse.Namespace) -> tuple[str, dict]:
-    window = _nonnegative(args, "--window")
-    _nonnegative(args, "--max-order")
     from . import gw
 
-    series = gw.sphere_count_C(args.max_order, window)
+    series = gw.sphere_count_C(args.max_order, args.window)
     body = {
         "max_order": args.max_order,
-        "window": window,
+        "window": args.window,
         "series": series.to_json(),
         "note": "terms beyond the constant depend on the wall window",
     }
@@ -199,27 +153,16 @@ def _check_level(args: argparse.Namespace) -> None:
 
 def _differential(args: argparse.Namespace) -> tuple[str, dict]:
     _check_level(args)
-    cutoff = _nonnegative(args, "--cutoff")
     from . import gw
 
-    return "pass", gw.differential_table(args.i, args.j, cutoff).to_json()
+    return "pass", gw.differential_table(args.i, args.j, args.cutoff).to_json()
 
 
 def _leibniz(args: argparse.Namespace) -> tuple[str, dict]:
-    x = tuple(_floats(args, "--x", 2))
-    if min(x) <= 0:
-        raise ValueError(f"--x coordinates must be positive floats, got {args.x!r}")
-    if not 0.0 < args.tau < 1.0:
-        raise ValueError(f"--tau must lie in (0, 1), got {args.tau!r}")
     _check_level(args)
-    cutoff = _nonnegative(args, "--cutoff")
-    try:
-        float(cutoff)  # the lattice sums are truncated in floats
-    except OverflowError:
-        raise ValueError(f"--cutoff must fit in a float, got {args.cutoff!r}") from None
     from . import gw
 
-    rep = gw.leibniz_check(args.i, args.j, x, args.tau, cutoff)
+    rep = gw.leibniz_check(args.i, args.j, args.x, args.tau, args.cutoff)
     return rep.status, rep.to_json()
 
 
@@ -229,11 +172,6 @@ def _metric_check(args: argparse.Namespace) -> tuple[str, dict]:
     T = kahler.DEFAULT_T if args.T is None else args.T
     l = kahler.DEFAULT_L if args.l is None else args.l
     p = kahler.DEFAULT_P if args.p is None else args.p
-    if not 0.0 < T < 1.0:
-        raise ValueError(f"--T must lie in (0, 1), got {T!r}")
-    for flag, value in (("--p", p), ("--l", l)):
-        if value < 1:
-            raise ValueError(f"{flag} must be >= 1, got {value}")
     # the smallest sampled norm r is about T^(l+2), and the Hessian of log r holds -1/r^2
     if l + 2 > math.log(sys.float_info.min) / (2 * math.log(T)):
         least = sys.float_info.min
@@ -244,27 +182,16 @@ def _metric_check(args: argparse.Namespace) -> tuple[str, dict]:
     deep = 3 * kahler.MODERATE_LOG  # below it a fiber point can have three moderate logs
     if l <= deep:
         raise ValueError(f"--l must exceed {deep:g} (a deep fiber), got {l}")
-    c_base = "auto"
-    if args.c_base != "auto":
-        try:
-            c_base = float(args.c_base)
-        except ValueError:
-            c_base = math.nan
-        if not (math.isfinite(c_base) and c_base >= 0):
-            raise ValueError(f"--c-base must be auto or a finite float >= 0, got {args.c_base!r}")
-    _nonnegative(args, "--samples")
-    seed = kahler.DEFAULT_SEED if args.seed is None else int(_nonnegative(args, "--seed"))
-    body = kahler.metric_certificate(T, l, p, args.samples, seed, c_base)
+    seed = kahler.DEFAULT_SEED if args.seed is None else args.seed
+    body = kahler.metric_certificate(T, l, p, args.samples, seed, args.c_base)
     return body["status"], body
 
 
 def _monodromy(args: argparse.Namespace) -> tuple[str, dict]:
-    _nonnegative(args, "--samples")
     import random
 
     from . import tropical
 
-    seed = int(_nonnegative(args, "--seed"))
     corner_rows = []
     ok = True
     for cls, xi in sorted(tropical.monodromy_corner_table().items()):
@@ -272,7 +199,7 @@ def _monodromy(args: argparse.Namespace) -> tuple[str, dict]:
         corner_rows.append({"xi": [xi[0], xi[1]], "expected": list(cls), "got": list(got)})
         ok = ok and got == cls
     anti = []
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     while len(anti) < args.samples:
         xi = (Fraction(rng.randrange(-4000, 4000), 1000), Fraction(rng.randrange(-4000, 4000), 1000))
         try:
@@ -287,29 +214,74 @@ def _monodromy(args: argparse.Namespace) -> tuple[str, dict]:
     status = "fail" if not ok else "pass" if anti else "indeterminate"
     return status, {
         "corners": corner_rows,
-        "seed": seed,
+        "seed": args.seed,
         "antisymmetry_samples": args.samples,
         "antisymmetry_all": all(anti) if anti else None,
         "fractions_sum_error": abs(sum(fracs) - 1.0),
     }
 
 
-# One handler per command, taking (args): it checks its arguments (a ValueError
-# names the flag), fills its defaults and runs its layers, imported inside the
+# Each flag's type parses and checks its own domain, so parsing alone refuses
+# it, naming the flag.  Each command's handler, set by set_defaults, takes
+# (args): it checks what relates two flags or needs a layer (a ValueError names
+# the flags), fills its defaults and runs its layers, imported inside the
 # handler so that a command loads only what it runs: metric-check alone loads
 # kahler and numpy, and monodromy, trop and facets run on tropical alone.  It
 # returns the report's (status, body), or the bytes of the SVG/CSV emitters.
-_COMMANDS = {
-    "functor": _functor,
-    "trop": _trop,
-    "facets": _facets,
-    "disc-series": _disc_series,
-    "sphere-c": _sphere_c,
-    "differential": _differential,
-    "leibniz": _leibniz,
-    "metric-check": _metric_check,
-    "monodromy": _monodromy,
-}
+def build_parser() -> _Parser:
+    parser = _Parser(prog="mirrorlab", description=__doc__)
+    parser.add_argument("--out", help="write the report to this path")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name: str, handler, help: str) -> _Parser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("functor", _functor, "theta structure constants vs triangle counts")
+    p.add_argument("--i", type=int, required=True)
+    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--cutoff", type=_BOUND, default="20")
+
+    p = command("trop", _trop, "tropical tiling as SVG")
+    p.add_argument("--window", type=_WINDOW, default="-3,-3,3,3")
+
+    p = command("facets", _facets, "facet table as CSV")
+    p.add_argument("--radius", type=_BOUND, default="1")
+
+    p = command("disc-series", _disc_series, "disc areas at an interior basepoint")
+    p.add_argument("--A", type=_MOMENT, required=True, help="xi1,xi2,eta as rationals")
+    p.add_argument("--cutoff", type=_BOUND, default="15")
+
+    p = command("sphere-c", _sphere_c, "sphere-correction series")
+    p.add_argument("--max-order", type=_COUNT, default=4)
+    p.add_argument("--window", type=_BOUND, default="9")
+
+    p = command("differential", _differential, "multiplication-by-section table")
+    p.add_argument("--i", type=int, required=True)
+    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--cutoff", type=_BOUND, default="15")
+
+    p = command("leibniz", _leibniz, "numeric Leibniz identity check")
+    p.add_argument("--i", type=int, required=True)
+    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--x", type=_X, default="1,1")
+    p.add_argument("--tau", type=_UNIT, default=0.1)
+    p.add_argument("--cutoff", type=_FLOAT_BOUND, default="15")
+
+    p = command("metric-check", _metric_check, "sampled positive-definiteness certificate")
+    p.add_argument("--T", type=_UNIT)  # --T, --l, --p default to kahler.DEFAULT_T/L/P
+    p.add_argument("--l", type=_POSITIVE)
+    p.add_argument("--p", type=_POSITIVE)
+    p.add_argument("--samples", type=_COUNT, default=500)
+    p.add_argument("--seed", type=_COUNT, default=None)
+    p.add_argument("--c-base", type=_C_BASE, default="auto")
+
+    p = command("monodromy", _monodromy, "corner classes and antisymmetry")
+    p.add_argument("--samples", type=_COUNT, default=50)
+    p.add_argument("--seed", type=_COUNT, default=7)  # random.Random's seed for the draws
+    return parser
 
 
 def run(argv: list[str] | None, stdout: BinaryIO | None = None) -> tuple[bytes, int]:
@@ -322,7 +294,7 @@ def run(argv: list[str] | None, stdout: BinaryIO | None = None) -> tuple[bytes, 
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        result = _COMMANDS[args.command](args)
+        result = args.handler(args)
     except ValueError as exc:
         parser.error(str(exc))
     if isinstance(result, bytes):

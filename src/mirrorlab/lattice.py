@@ -113,19 +113,12 @@ def enumerate_shifted_ball(
     if bound < 0:
         return {}
     half = math.isqrt(int(4 * bound // 3) + 1) + 1
-    if any(isinstance(v, float) for v in (r1, r2, bound)):
-        rows = range(math.floor((-r1 - half) / modulus), math.ceil((half - r1) / modulus) + 1)
-        cols = range(math.floor((-r2 - half) / modulus), math.ceil((half - r2) / modulus) + 1)
-        norms = (
-            (n1, n2, norm_form(modulus * n1 + r1, modulus * n2 + r2)) for n1 in rows for n2 in cols
-        )
-        return {LatticeVector(n1, n2): q for n1, n2, q in norms if q <= bound}
-    bound = Fraction(bound)
-    q, p = bound.denominator, bound.numerator
+    floats = any(isinstance(v, float) for v in (r1, r2, bound))
+    p, q = (bound, 1) if floats else Fraction(bound).as_integer_ratio()
     out = {}
-    for n1 in range(-((r1 + half) // modulus), (half - r1) // modulus + 1):
+    for n1 in range(-int((r1 + half) // modulus), int((half - r1) // modulus) + 1):
         w1 = modulus * n1 + r1
-        for n2 in range(-((r2 + half) // modulus), (half - r2) // modulus + 1):
+        for n2 in range(-int((r2 + half) // modulus), int((half - r2) // modulus) + 1):
             w2 = modulus * n2 + r2
             norm = w1 * w1 + w1 * w2 + w2 * w2
             if q * norm <= p:

@@ -38,10 +38,6 @@ class Tile(NamedTuple):
     def center(self) -> tuple[int, int]:
         return (2 * self.m1 + self.m2, self.m1 + 2 * self.m2)
 
-    @property
-    def vector(self) -> LatticeVector:
-        return LatticeVector(self.m1, self.m2)
-
 
 class Facet(NamedTuple):
     """Supporting plane data of a tile: <normal, (xi, eta)> + offset = 0."""

@@ -226,6 +226,10 @@ def test_usage_error_exit_code(capsys):
         (["metric-check", "--c-base", "inf"], "--c-base"),
         (["metric-check", "--c-base", "-1"], "--c-base"),
         (["monodromy", "--samples", "-2"], "--samples"),
+        # errors that a subcommand's parser raises carry the same prefix
+        (["monodromy", "--samples", "abc"], "--samples"),
+        (["functor", "--i", "x"], "--i"),
+        (["disc-series"], "--A"),
     ):
         _assert_usage_error(capsys, argv, flag)
 
@@ -389,7 +393,7 @@ _STARTUP_ARGVS = (
     ["monodromy", "--samples", "8"],
 )
 _WATCHED = ("numpy", "numpy.random", "dataclasses", "mirrorlab.kahler", "mirrorlab._ad",
-            "mirrorlab.gw", "mirrorlab.series")
+            "mirrorlab.gw", "mirrorlab.series", "mirrorlab.fukaya")
 _STARTUP_PROBE = """
 import contextlib, io, json, sys
 from mirrorlab import cli
@@ -401,17 +405,23 @@ print(json.dumps([result, [m for m in json.loads(sys.argv[2]) if m in sys.module
 """
 
 
-def test_only_the_metric_commands_load_numpy():
+def _startup(argv):
+    """cli.run(argv) in a fresh process: its [stdout, exit code] (None if it
+    exited), the watched modules it loaded, and its stderr."""
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, json.dumps(argv), json.dumps(_WATCHED)],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    result, modules = json.loads(proc.stdout)
+    return result, set(modules), proc.stderr
+
+
+def test_only_the_metric_commands_load_numpy():
     loaded = {}
     for argv in _STARTUP_ARGVS:
-        proc = subprocess.run(
-            [sys.executable, "-c", _STARTUP_PROBE, json.dumps(argv), json.dumps(_WATCHED)],
-            env=env, capture_output=True, text=True, check=True, timeout=300,
-        )
-        result, modules = json.loads(proc.stdout)
-        loaded[argv[0]] = set(modules)
+        result, loaded[argv[0]], _ = _startup(argv)
         if result is not None:
             # a fresh process gives the same bytes and exit code as this one
             out, code = result
@@ -426,3 +436,20 @@ def test_only_the_metric_commands_load_numpy():
     assert not any("numpy.random" in mods for mods in loaded.values())
     for cmd in ("monodromy", "trop", "facets"):
         assert not loaded[cmd] & {"mirrorlab.gw", "mirrorlab.series"}, cmd
+
+
+def test_flag_domain_errors_load_no_layer(capsys):
+    # a flag outside its own domain is refused by the parser, before any
+    # command imports its layers
+    layers = {"numpy", "mirrorlab.kahler", "mirrorlab.gw", "mirrorlab.series", "mirrorlab.fukaya"}
+    for argv, flag in (
+        (["metric-check", "--T", "1.5"], "--T"),
+        (["metric-check", "--c-base", "nan"], "--c-base"),
+        (["leibniz", "--i", "0", "--j", "2", "--tau", "0"], "--tau"),
+        (["functor", "--i", "0", "--j", "1", "--k", "2", "--cutoff", "-1"], "--cutoff"),
+    ):
+        _assert_usage_error(capsys, argv, flag)
+        result, modules, err = _startup(argv)
+        assert not modules & layers, argv
+        assert result is None, argv
+        assert err.splitlines()[-1].startswith(f"mirrorlab: error: argument {flag}: "), argv
