@@ -73,6 +73,8 @@ def _float_tuple(text: str) -> tuple[float, ...]:
 
 _COUNT = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _POSITIVE = _checked(int, lambda v: v >= 1, "an integer >= 1")
+# kahler draws at most 2**32 samples per region
+_SAMPLES = _checked(int, lambda v: 0 <= v <= 2**32, "an integer in [0, 2**32]")
 _UNIT = _checked(float, lambda v: 0.0 < v < 1.0, "a float in (0, 1)")
 _BOUND = _checked(Fraction, lambda v: v >= 0, "a rational >= 0")
 # leibniz truncates its lattice sums in floats
@@ -274,7 +276,7 @@ def build_parser() -> _Parser:
     p.add_argument("--T", type=_UNIT)  # --T, --l, --p default to kahler.DEFAULT_T/L/P
     p.add_argument("--l", type=_POSITIVE)
     p.add_argument("--p", type=_POSITIVE)
-    p.add_argument("--samples", type=_COUNT, default=500)
+    p.add_argument("--samples", type=_SAMPLES, default=500)
     p.add_argument("--seed", type=_COUNT, default=None)
     p.add_argument("--c-base", type=_C_BASE, default="auto")
 

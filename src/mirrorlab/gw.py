@@ -31,21 +31,10 @@ from .series import (
     shifted_theta_value,
     theta_products,
 )
-from .tropical import Tile, facet, polytope_contains_strictly
-
-# The six tile-neighbor offsets, paired with the two "wing" tiles sharing
-# the endpoints of the common edge.
-_WINGS = {
-    (1, 0): ((1, -1), (0, 1)),
-    (0, 1): ((-1, 1), (1, 0)),
-    (1, -1): ((1, 0), (0, -1)),
-    (-1, 0): ((-1, 1), (0, -1)),
-    (0, -1): ((1, -1), (-1, 0)),
-    (-1, 1): ((-1, 0), (0, 1)),
-}
+from .tropical import NEIGHBOURS, facet, polytope_contains_strictly
 
 
-def disc_area(a: MomentPoint, m: Tile) -> Fraction:
+def disc_area(a: MomentPoint, m: LatticeVector) -> Fraction:
     """Exact area <A, nu(F_m)> + alpha(F_m) of the disc hitting facet m."""
     if not polytope_contains_strictly(a):
         raise ValueError("basepoint must lie strictly inside the moment body")
@@ -81,22 +70,17 @@ class WallCurve(NamedTuple):
     normals around the edge, normalized so the two wing rays carry +1.
     """
 
-    edge: tuple[Tile, Tile]
-    degrees: dict[Tile, int]
+    edge: tuple[LatticeVector, LatticeVector]
+    degrees: dict[LatticeVector, int]
 
 
-def wall_degrees(edge: tuple[Tile, Tile]) -> WallCurve:
+def wall_degrees(edge: tuple[LatticeVector, LatticeVector]) -> WallCurve:
     ta, tb = edge
-    delta = (tb.m1 - ta.m1, tb.m2 - ta.m2)
-    if delta not in _WINGS:
+    delta = (tb.n1 - ta.n1, tb.n2 - ta.n2)
+    if delta not in NEIGHBOURS:
         raise ValueError(f"tiles {ta} and {tb} are not adjacent")
-    w1, w2 = _WINGS[delta]
-    degrees = {
-        Tile(ta.m1 + w1[0], ta.m2 + w1[1]): 1,
-        Tile(ta.m1 + w2[0], ta.m2 + w2[1]): 1,
-        ta: -1,
-        tb: -1,
-    }
+    k = NEIGHBOURS.index(delta)  # the wings are the neighbours on either side
+    degrees = {ta + NEIGHBOURS[k - 1]: 1, ta + NEIGHBOURS[(k + 1) % 6]: 1, ta: -1, tb: -1}
     total = [0, 0, 0]
     for t, d in degrees.items():
         nu = facet(t).normal
@@ -109,29 +93,27 @@ def wall_degrees(edge: tuple[Tile, Tile]) -> WallCurve:
 
 def wall_curves_window(radius: Rational) -> list[WallCurve]:
     """Wall curves whose both tiles satisfy N(m) <= radius, deduplicated."""
-    tiles = sorted(Tile(n.n1, n.n2) for n in enumerate_shifted_ball((0, 0), 1, radius))
-    tile_set = set(tiles)
-    walls = []
-    for t in tiles:
-        for delta in ((1, 0), (0, 1), (1, -1)):
-            nb = Tile(t.m1 + delta[0], t.m2 + delta[1])
-            if nb in tile_set:
-                walls.append(wall_degrees((t, nb)))
-    return walls
+    tiles = enumerate_shifted_ball((0, 0), 1, radius)
+    return [
+        wall_degrees((t, t + delta))
+        for t in sorted(tiles)
+        for delta in NEIGHBOURS
+        if delta > (0, 0) and t + delta in tiles  # each edge from its lesser tile
+    ]
 
 
 class SphereClass(NamedTuple):
     """A nonnegative wall-curve combination with its total divisor degrees."""
 
-    degrees: tuple[tuple[Tile, int], ...]
+    degrees: tuple[tuple[LatticeVector, int], ...]
     total_degree: int  # tau-weight: every wall sphere has area one
 
-    def degree_map(self) -> dict[Tile, int]:
+    def degree_map(self) -> dict[LatticeVector, int]:
         return dict(self.degrees)
 
 
 def g_series(
-    anchor: Tile, candidates: list[SphereClass], max_order: int
+    anchor: LatticeVector, candidates: list[SphereClass], max_order: int
 ) -> TauSeries:
     """Open-mirror generating series for the given facet.
 
@@ -160,7 +142,7 @@ def g_series(
 
 
 def admitted_classes(
-    walls: list[WallCurve], anchor: Tile, max_total: int
+    walls: list[WallCurve], anchor: LatticeVector, max_total: int
 ) -> list[SphereClass]:
     """Distinct admitted classes among wall combinations of size <= max_total.
 
@@ -236,7 +218,7 @@ def sphere_count_C(max_order: int, window: Rational = 9) -> TauSeries:
         raise ValueError("max_order must be nonnegative")
     if max_order == 0:
         return TauSeries.one(0)
-    anchor = Tile(0, 0)
+    anchor = LatticeVector(0, 0)
     classes = admitted_classes(wall_curves_window(window), anchor, max_order)
     g = g_series(anchor, classes, max_order)
     c = g.exp()

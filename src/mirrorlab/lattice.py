@@ -112,7 +112,7 @@ def enumerate_shifted_ball(
     r1, r2 = residue
     if bound < 0:
         return {}
-    half = math.isqrt(int(4 * bound // 3) + 1) + 1
+    half = math.isqrt(4 * Fraction(bound) // 3 + 1) + 1  # 4 * bound can overflow a float
     floats = any(isinstance(v, float) for v in (r1, r2, bound))
     p, q = (bound, 1) if floats else Fraction(bound).as_integer_ratio()
     out = {}

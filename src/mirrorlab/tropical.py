@@ -1,11 +1,13 @@
 """Tropicalized theta function, honeycomb tiling, moment body, toric charts.
 
 The tropicalization phi(xi) = max over lattice n of  <xi, n> - N(n)  cuts the
-plane into a honeycomb of hexagonal tiles, one per lattice point.  Each tile
-carries a facet of the moment body eta >= phi(xi) with normal (-m1, -m2, 1)
-and offset N(m).  Vertex charts of the body are monomial coordinate systems
-in x, y, z, T glued by unimodular monomial maps.  The monodromy class of
-the torus fibration over tile m is fixed by the tile alone: -m.
+plane into a honeycomb of hexagonal tiles.  A tile is the LatticeVector m
+whose term wins on it: it is centred at m.std, shares an edge with each of
+the six tiles m + NEIGHBOURS, and carries a facet of the moment body
+eta >= phi(xi) with normal (-m1, -m2, 1) and offset N(m) = m.norm.  Vertex
+charts of the body are monomial coordinate systems in x, y, z, T glued by
+unimodular monomial maps.  The monodromy class of the torus fibration over
+tile m is fixed by the tile alone: -m.
 """
 
 from __future__ import annotations
@@ -28,17 +30,6 @@ class TropValue(NamedTuple):
     maximizers: tuple[LatticeVector, ...]
 
 
-class Tile(NamedTuple):
-    """Honeycomb tile labelled by the lattice point whose plane it carries."""
-
-    m1: int
-    m2: int
-
-    @property
-    def center(self) -> tuple[int, int]:
-        return (2 * self.m1 + self.m2, self.m1 + 2 * self.m2)
-
-
 class Facet(NamedTuple):
     """Supporting plane data of a tile: <normal, (xi, eta)> + offset = 0."""
 
@@ -46,11 +37,11 @@ class Facet(NamedTuple):
     offset: int
 
 
-class BoundaryPoint(NamedTuple):
-    """Marker for points of the tropical curve (several maximizers)."""
-
-    maximizers: tuple[LatticeVector, ...]
-
+# The six minimal vectors of N, in cyclic order: tile m shares an edge with
+# m + NEIGHBOURS[k], whose ends it shares with m + NEIGHBOURS[k -/+ 1 mod 6].
+NEIGHBOURS = tuple(
+    LatticeVector(*v) for v in ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+)
 
 # Hexagon vertex offsets from a tile center, in cyclic order.
 HEX_VERTEX_OFFSETS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
@@ -59,10 +50,10 @@ HEX_VERTEX_OFFSETS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
 def trop_phi(xi: Vec2) -> TropValue:
     """Max of <xi, n> - N(n) with all maximizers, exact.
 
-    Reduces xi to the fundamental domain first (periodicity), where a fixed
-    box |n|_inf <= 4 provably contains every candidate, then translates the
-    answer back.  The search runs on integers: xi scaled by the lcm d of its
-    denominators, which also clears those of the reduced point.
+    Reduces xi to the fundamental domain first (periodicity), where only 0
+    and NEIGHBOURS can win, then translates the answer back.  The search
+    runs on integers: xi scaled by the lcm d of its denominators, which also
+    clears those of the reduced point.
     """
     x1, x2 = Fraction(xi[0]), Fraction(xi[1])
     d = math.lcm(x1.denominator, x2.denominator)
@@ -72,18 +63,19 @@ def trop_phi(xi: Vec2) -> TropValue:
     g2 = (4 * p2 - 2 * p1 + 3 * d) // (6 * d)
     a1 = p1 - d * (2 * g1 + g2)
     a2 = p2 - d * (g1 + 2 * g2)
-    # In the centered domain |r|_inf <= 3/2; candidates need N(n) <= 3|n|_inf
-    # and N(n) >= (3/4)|n|_inf^2, hence |n|_inf <= 4.
+    # <r, n> - N(n) = N(u) - N(n - u) with u = lambda(r) in [-1/2, 1/2)^2, so
+    # N(u) <= 3/4 and the winners are the n nearest u.  Any n other than 0 and
+    # NEIGHBOURS has N(n) >= 3, so N(n - u) >= (sqrt 3 - sqrt(3/4))^2 = 3/4
+    # >= N(0 - u); equality needs u = (-1/2, -1/2), where n = (-1, 0) is nearer.
     best = None
     arg: list[tuple[int, int]] = []
-    for n1 in range(-4, 5):
-        for n2 in range(-4, 5):
-            val = a1 * n1 + a2 * n2 - d * (n1 * n1 + n1 * n2 + n2 * n2)
-            if best is None or val > best:
-                best = val
-                arg = [(n1, n2)]
-            elif val == best:
-                arg.append((n1, n2))
+    for n1, n2 in ((0, 0), *NEIGHBOURS):
+        val = a1 * n1 + a2 * n2 - d * (n1 * n1 + n1 * n2 + n2 * n2)
+        if best is None or val > best:
+            best = val
+            arg = [(n1, n2)]
+        elif val == best:
+            arg.append((n1, n2))
     assert best is not None
     maxim = tuple(sorted(LatticeVector(n1 + g1, n2 + g2) for n1, n2 in arg))
     # phi(xi) = phi(r) + N(g) + <r, g> by periodicity; cross-check against
@@ -95,22 +87,13 @@ def trop_phi(xi: Vec2) -> TropValue:
     return TropValue(value, maxim)
 
 
-def tile_of(xi: Vec2) -> Tile | BoundaryPoint:
-    """The tile containing xi, or the boundary marker on the tropical curve."""
-    tv = trop_phi(xi)
-    if len(tv.maximizers) == 1:
-        m = tv.maximizers[0]
-        return Tile(m.n1, m.n2)
-    return BoundaryPoint(tv.maximizers)
-
-
-def tile_vertices(t: Tile) -> list[tuple[int, int]]:
-    cx, cy = t.center
+def tile_vertices(t: LatticeVector) -> list[tuple[int, int]]:
+    cx, cy = t.std
     return [(cx + dx, cy + dy) for dx, dy in HEX_VERTEX_OFFSETS]
 
 
-def facet(t: Tile) -> Facet:
-    return Facet((-t.m1, -t.m2, 1), t.m1 * t.m1 + t.m1 * t.m2 + t.m2 * t.m2)
+def facet(t: LatticeVector) -> Facet:
+    return Facet((-t.n1, -t.n2, 1), t.norm)
 
 
 def polytope_contains_strictly(p: MomentPoint) -> bool:
@@ -128,10 +111,10 @@ def monodromy_class(xi: Vec2) -> tuple[int, int]:
     coordinate vanishing on the tile's divisor; per tile m the angular
     shift is -m.  Raises on the tropical curve, where the class jumps.
     """
-    t = tile_of(xi)
-    if isinstance(t, BoundaryPoint):
+    maximizers = trop_phi(xi).maximizers
+    if len(maximizers) > 1:
         raise ValueError("monodromy class is undefined on region boundaries")
-    return (-t.m1, -t.m2)
+    return (-maximizers[0].n1, -maximizers[0].n2)
 
 
 def monodromy_corner_table() -> dict[tuple[int, int], tuple[Fraction, Fraction]]:
@@ -255,7 +238,7 @@ BASE_CHARTS: dict[int, tuple[Monomial, Monomial, Monomial]] = {
 
 
 class ChartLabel(NamedTuple):
-    tile: Tile
+    tile: LatticeVector
     k: int  # vertex index mod 6
 
 
@@ -273,8 +256,7 @@ def chart(label: ChartLabel) -> Chart:
     """The chart at the given tile vertex; tile translates act by monomials."""
     k = label.k % 6
     base = BASE_CHARTS[k]
-    act = gamma_chart_action(LatticeVector(label.tile.m1, label.tile.m2))
-    coords = tuple(act.apply(m) for m in base)
+    coords = tuple(gamma_chart_action(label.tile).apply(m) for m in base)
     return Chart(label, coords)  # type: ignore[arg-type]
 
 
@@ -300,7 +282,7 @@ def svg_tiling(window: tuple[float, float, float, float]) -> str:
     cx0, cx1 = math.ceil(x0 - pad), math.floor(x1 + pad)
     cy0, cy1 = math.ceil(y0 - pad), math.floor(y1 + pad)
     tiles = [
-        Tile(m1, m2)
+        LatticeVector(m1, m2)
         for m1 in range(-((cy1 - 2 * cx0) // 3), (2 * cx1 - cy0) // 3 + 1)
         for m2 in range(-((cx1 - 2 * cy0) // 3), (2 * cy1 - cx0) // 3 + 1)
         if cx0 <= 2 * m1 + m2 <= cx1 and cy0 <= m1 + 2 * m2 <= cy1
@@ -326,11 +308,11 @@ def svg_tiling(window: tuple[float, float, float, float]) -> str:
         lines.append(
             f'<polygon points="{pt_str}" fill="none" stroke="black" stroke-width="2"/>'
         )
-        cx, cy = t.center
+        cx, cy = t.std
         if x0 <= cx <= x1 and y0 <= cy <= y1:
             lines.append(
                 f'<text x="{sx(cx)}" y="{sy(cy)}" font-size="{_SVG_SCALE // 3}" '
-                f'text-anchor="middle">({t.m1},{t.m2})</text>'
+                f'text-anchor="middle">({t.n1},{t.n2})</text>'
             )
     for vx, vy in sorted(vertices):
         if x0 <= vx <= x1 and y0 <= vy <= y1:
@@ -344,6 +326,6 @@ def facet_csv(radius: Rational) -> str:
     rows = ["m1,m2,nu1,nu2,nu3,alpha"]
     ball = enumerate_shifted_ball((0, 0), 1, radius)  # each tile's N(m)
     for n in sorted(ball, key=lambda n: (ball[n], n.n1, n.n2)):
-        f = facet(Tile(n.n1, n.n2))
+        f = facet(n)
         rows.append(f"{n.n1},{n.n2},{f.normal[0]},{f.normal[1]},{f.normal[2]},{f.offset}")
     return "\n".join(rows) + "\n"

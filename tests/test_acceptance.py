@@ -37,7 +37,7 @@ from mirrorlab.lattice import (
     enumerate_shifted_ball,
 )
 from mirrorlab.series import TauSeries, theta_products
-from mirrorlab.tropical import Tile, facet, monodromy_corner_table, transport_fractions, trop_phi
+from mirrorlab.tropical import facet, monodromy_corner_table, transport_fractions, trop_phi
 
 
 def _report(n: int, text: str) -> None:
@@ -194,7 +194,6 @@ def test_criterion_8_chart_algebra():
         ChartLabel,
         HEX_GEN,
         IDENTITY_MAP,
-        Tile as TTile,
         V0,
         chart,
     )
@@ -202,7 +201,7 @@ def test_criterion_8_chart_algebra():
 
     assert HEX_GEN ** 6 == IDENTITY_MAP
     for k in range(6):
-        assert chart(ChartLabel(TTile(0, 0), k)).coordinate_product() == V0
+        assert chart(ChartLabel(LatticeVector(0, 0), k)).coordinate_product() == V0
     rng = np.random.default_rng(7)
     for _ in range(100):
         logs = rng.uniform(-1.0, 41.0, size=2)
@@ -228,7 +227,7 @@ def test_criterion_9_differential_and_leibniz():
 def test_criterion_10_sphere_count():
     c = sphere_count_C(3)
     assert c.coefficient(0) == 1
-    anchor = Tile(0, 0)
+    anchor = LatticeVector(0, 0)
     walls = wall_curves_window(9)
     for w in walls:
         total = [0, 0, 0]

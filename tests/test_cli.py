@@ -135,13 +135,16 @@ def test_monodromy_draws_reach_the_antisymmetry_check(monkeypatch):
     # lies: only the random draws can see it
     from mirrorlab import tropical
 
-    tile_of = tropical.tile_of
+    trop_phi = tropical.trop_phi
 
     def skewed(xi):
-        t = tile_of(xi)
-        return t._replace(m1=t.m1 + 1) if xi[0] > 1 and isinstance(t, tropical.Tile) else t
+        tv = trop_phi(xi)
+        if xi[0] > 1 and len(tv.maximizers) == 1:
+            (m,) = tv.maximizers
+            return tv._replace(maximizers=(m._replace(n1=m.n1 + 1),))
+        return tv
 
-    monkeypatch.setattr(tropical, "tile_of", skewed)
+    monkeypatch.setattr(tropical, "trop_phi", skewed)
     out, code = run(["monodromy", "--samples", "500"])
     rep = json.loads(out)
     assert code == 1 and rep["status"] == "fail"
@@ -222,6 +225,8 @@ def test_usage_error_exit_code(capsys):
         (["metric-check", "--p", "0"], "--p"),
         (["metric-check", "--l", "0"], "--l"),
         (["metric-check", "--samples", "-1"], "--samples"),
+        # kahler draws at most 2**32 samples per region
+        (["metric-check", "--samples", "4294967297"], "--samples"),
         (["metric-check", "--c-base", "nan"], "--c-base"),
         (["metric-check", "--c-base", "inf"], "--c-base"),
         (["metric-check", "--c-base", "-1"], "--c-base"),
@@ -447,6 +452,7 @@ def test_flag_domain_errors_load_no_layer(capsys):
         (["metric-check", "--c-base", "nan"], "--c-base"),
         (["leibniz", "--i", "0", "--j", "2", "--tau", "0"], "--tau"),
         (["functor", "--i", "0", "--j", "1", "--k", "2", "--cutoff", "-1"], "--cutoff"),
+        (["metric-check", "--samples", "4294967297"], "--samples"),
     ):
         _assert_usage_error(capsys, argv, flag)
         result, modules, err = _startup(argv)

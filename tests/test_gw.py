@@ -24,7 +24,7 @@ from mirrorlab.lattice import (
     gamma_act_moment,
 )
 from mirrorlab.series import TauSeries, shifted_theta_value, theta_products, theta_section
-from mirrorlab.tropical import Tile, facet, trop_phi
+from mirrorlab.tropical import NEIGHBOURS, facet, trop_phi
 
 lattice_vectors = st.builds(LatticeVector, st.integers(-3, 3), st.integers(-3, 3))
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=8)
@@ -37,21 +37,21 @@ def interior_point(x1, x2, eta_above):
 
 def test_disc_area_examples():
     a = MomentPoint(F(0), F(0), F(1, 2))
-    assert disc_area(a, Tile(0, 0)) == F(1, 2)
-    assert disc_area(a, Tile(1, 0)) == F(3, 2)
+    assert disc_area(a, LatticeVector(0, 0)) == F(1, 2)
+    assert disc_area(a, LatticeVector(1, 0)) == F(3, 2)
     with pytest.raises(ValueError):
-        disc_area(MomentPoint(F(0), F(0), F(0)), Tile(0, 0))
+        disc_area(MomentPoint(F(0), F(0), F(0)), LatticeVector(0, 0))
 
 
 @given(lattice_vectors, small_rationals, small_rationals,
        st.fractions(min_value=F(1, 4), max_value=2, max_denominator=8),
-       st.builds(Tile, st.integers(-2, 2), st.integers(-2, 2)))
+       st.builds(LatticeVector, st.integers(-2, 2), st.integers(-2, 2)))
 @settings(max_examples=60)
 def test_disc_area_covariant(g, x1, x2, above, m):
     a = interior_point(x1, x2, above)
     b = gamma_act_moment(g, a)
     # the facet relabeling that matches the moment translation by g
-    assert disc_area(b, Tile(m.m1 - g.n1, m.m2 - g.n2)) == disc_area(a, m)
+    assert disc_area(b, LatticeVector(m.n1 - g.n1, m.n2 - g.n2)) == disc_area(a, m)
 
 
 def test_disc_series_at_axis_point():
@@ -100,23 +100,21 @@ def test_disc_series_invariant_under_action():
 
 
 def test_wall_degrees_example():
-    w = wall_degrees((Tile(0, 0), Tile(1, 0)))
+    w = wall_degrees((LatticeVector(0, 0), LatticeVector(1, 0)))
     assert w.degrees == {
-        Tile(1, -1): 1,
-        Tile(0, 1): 1,
-        Tile(0, 0): -1,
-        Tile(1, 0): -1,
+        LatticeVector(1, -1): 1,
+        LatticeVector(0, 1): 1,
+        LatticeVector(0, 0): -1,
+        LatticeVector(1, 0): -1,
     }
     with pytest.raises(ValueError):
-        wall_degrees((Tile(0, 0), Tile(2, 0)))
+        wall_degrees((LatticeVector(0, 0), LatticeVector(2, 0)))
 
 
 def test_wall_degrees_kernel_and_equivariance():
-    for edge in (
-        (Tile(0, 0), Tile(0, 1)),
-        (Tile(0, 0), Tile(1, -1)),
-        (Tile(2, -1), Tile(2, 0)),
-    ):
+    # one edge in each of the six neighbour directions
+    t = LatticeVector(2, -1)
+    for edge in ((t, t + delta) for delta in NEIGHBOURS):
         w = wall_degrees(edge)
         total = [0, 0, 0]
         for t, d in w.degrees.items():
@@ -127,16 +125,16 @@ def test_wall_degrees_kernel_and_equivariance():
         assert sorted(w.degrees.values()) == [-1, -1, 1, 1]
     # translation equivariance
     g = LatticeVector(1, -1)
-    base = wall_degrees((Tile(0, 0), Tile(1, 0)))
+    base = wall_degrees((LatticeVector(0, 0), LatticeVector(1, 0)))
     def relabel(t):  # the facet relabeling that matches the moment translation by g
-        return Tile(t.m1 - g.n1, t.m2 - g.n2)
+        return LatticeVector(t.n1 - g.n1, t.n2 - g.n2)
 
-    moved = wall_degrees((relabel(Tile(0, 0)), relabel(Tile(1, 0))))
+    moved = wall_degrees((relabel(LatticeVector(0, 0)), relabel(LatticeVector(1, 0))))
     assert moved.degrees == {relabel(t): d for t, d in base.degrees.items()}
 
 
 def test_g_series_rejects_single_wall_and_signs():
-    anchor = Tile(0, 0)
+    anchor = LatticeVector(0, 0)
     walls = wall_curves_window(3)
     singles = [SphereClass(tuple(sorted(w.degrees.items())), 1) for w in walls]
     assert not g_series(anchor, singles, 3).terms
@@ -193,7 +191,7 @@ def _multiset_classes(walls, anchor, max_total):
 )
 def test_admitted_classes_match_multiset_search(window, max_total):
     walls = wall_curves_window(window)
-    anchor = Tile(0, 0)
+    anchor = LatticeVector(0, 0)
     classes = admitted_classes(walls, anchor, max_total)
     found = {c.degrees: c.total_degree for c in classes}
     assert len(found) == len(classes)  # one class per degree map
@@ -202,10 +200,10 @@ def test_admitted_classes_match_multiset_search(window, max_total):
 
 def test_admitted_classes_reject_inconsistent_wall_counts():
     walls = wall_curves_window(3)
-    empty = WallCurve((Tile(0, 0), Tile(1, 0)), {})
-    assert admitted_classes(walls, Tile(0, 0), 3)
+    empty = WallCurve((LatticeVector(0, 0), LatticeVector(1, 0)), {})
+    assert admitted_classes(walls, LatticeVector(0, 0), 3)
     with pytest.raises(ValueError, match="walls"):
-        admitted_classes(walls + [empty], Tile(0, 0), 3)
+        admitted_classes(walls + [empty], LatticeVector(0, 0), 3)
 
 
 @pytest.mark.parametrize("window", [3, 5, 9])
@@ -217,7 +215,7 @@ def test_sphere_count_converges_in_window(window):
 
 
 def test_g_series_empty_candidates():
-    assert not g_series(Tile(0, 0), [], 4).terms
+    assert not g_series(LatticeVector(0, 0), [], 4).terms
     assert TauSeries.zero(4).exp() == TauSeries.one(4)
 
 

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -145,6 +146,12 @@ def test_norm_ball_matches_box_scan(bound, coset):
         if norm_form(modulus * n1 + r1, modulus * n2 + r2) <= bound
     }
     assert set(points) == want
+
+
+def test_norm_ball_half_width_is_exact():
+    # 4 * bound overflows a float here; the half-width must not
+    ball = enumerate_shifted_ball((0.5, 0.25), 10**200, sys.float_info.max)
+    assert ball == {LatticeVector(0, 0): 0.4375}
 
 
 def test_shifted_ball_and_coset_minimum():

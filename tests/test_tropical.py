@@ -24,10 +24,8 @@ from mirrorlab.tropical import (
     GAMMA_PP_ACTION,
     HEX_GEN,
     IDENTITY_MAP,
-    BoundaryPoint,
     ChartLabel,
     MonomialMap,
-    Tile,
     V0,
     chart,
     facet,
@@ -35,7 +33,6 @@ from mirrorlab.tropical import (
     gamma_chart_action,
     polytope_contains_strictly,
     svg_tiling,
-    tile_of,
     tile_vertices,
     trop_phi,
 )
@@ -143,7 +140,7 @@ small_denominator_rationals = st.builds(F, st.integers(-72, 72), st.integers(1, 
 @st.composite
 def points_on_the_curve(draw):
     """A point of a hexagon edge of some tile: two or three maximizers tie."""
-    vs = tile_vertices(Tile(draw(st.integers(-4, 4)), draw(st.integers(-4, 4))))
+    vs = tile_vertices(LatticeVector(draw(st.integers(-4, 4)), draw(st.integers(-4, 4))))
     k = draw(st.integers(0, 5))
     s = draw(st.builds(F, st.integers(0, 12), st.integers(1, 12)).filter(lambda s: s <= 1))
     (ax, ay), (bx, by) = vs[k], vs[(k + 1) % 6]
@@ -165,32 +162,41 @@ def test_trop_phi_matches_fraction_oracle_on_the_curve(xi):
     assert (tv.value, tv.maximizers) == _trop_phi_fraction(xi)
 
 
+def test_trop_phi_matches_fraction_oracle_on_a_sixth_grid():
+    # every honeycomb vertex in [-3, 3]^2, and the ties of the reduced square
+    # such as (-3/2, -3/2), (-1, -1/2) and (1, 1)
+    grid = [F(k, 6) for k in range(-18, 19)]
+    for xi in ((x1, x2) for x1 in grid for x2 in grid):
+        tv = trop_phi(xi)
+        assert (tv.value, tv.maximizers) == _trop_phi_fraction(xi), xi
+
+
 def test_tile_of():
-    assert tile_of((F(0), F(0))) == Tile(0, 0)
-    assert tile_of((F(10), F(5))) == Tile(5, 0)
-    b = tile_of((F(1), F(0)))
-    assert isinstance(b, BoundaryPoint) and len(b.maximizers) == 3
+    assert trop_phi((F(0), F(0))).maximizers == (LatticeVector(0, 0),)
+    assert trop_phi((F(10), F(5))).maximizers == (LatticeVector(5, 0),)
+    assert len(trop_phi((F(1), F(0))).maximizers) == 3
 
 
 @given(rationals, rationals)
 @settings(max_examples=50)
 def test_tile_argmax_consistent_with_edges(x1, x2):
-    t = tile_of((x1, x2))
-    if isinstance(t, BoundaryPoint):
+    maximizers = trop_phi((x1, x2)).maximizers
+    if len(maximizers) > 1:
         return
-    c1, c2 = 2 * t.m1 + t.m2, t.m1 + 2 * t.m2
+    t = maximizers[0]
+    c1, c2 = 2 * t.n1 + t.n2, t.n1 + 2 * t.n2
     assert c1 - 1 <= x1 <= c1 + 1
     assert c2 - 1 <= x2 <= c2 + 1
-    assert (t.m1 - t.m2) - 1 <= x1 - x2 <= (t.m1 - t.m2) + 1
+    assert (t.n1 - t.n2) - 1 <= x1 - x2 <= (t.n1 - t.n2) + 1
 
 
 def test_facets():
-    assert facet(Tile(0, 0)).normal == (0, 0, 1)
-    assert facet(Tile(0, 0)).offset == 0
-    assert facet(Tile(1, 0)) .normal == (-1, 0, 1)
-    assert facet(Tile(1, 0)).offset == 1
-    assert facet(Tile(1, 1)).normal == (-1, -1, 1)
-    assert facet(Tile(1, 1)).offset == 3
+    assert facet(LatticeVector(0, 0)).normal == (0, 0, 1)
+    assert facet(LatticeVector(0, 0)).offset == 0
+    assert facet(LatticeVector(1, 0)) .normal == (-1, 0, 1)
+    assert facet(LatticeVector(1, 0)).offset == 1
+    assert facet(LatticeVector(1, 1)).normal == (-1, -1, 1)
+    assert facet(LatticeVector(1, 1)).offset == 3
 
 
 def test_polytope_membership():
@@ -227,12 +233,13 @@ def test_hex_generator_action_on_xy():
 def test_base_chart_table_matches_conventions():
     assert BASE_CHARTS[1] == ((0, 1, 1, 1), (0, -1, 0, -2), (1, 1, 0, 1))
     for k in range(6):
-        ch = chart(ChartLabel(Tile(0, 0), k))
+        ch = chart(ChartLabel(LatticeVector(0, 0), k))
         assert ch.coordinate_product() == V0
 
 
 def test_chart_product_is_v0_on_translates():
-    for m in (Tile(1, 0), Tile(0, -1), Tile(2, -1), Tile(-1, -1)):
+    for m in (LatticeVector(1, 0), LatticeVector(0, -1), LatticeVector(2, -1),
+              LatticeVector(-1, -1)):
         for k in range(6):
             assert chart(ChartLabel(m, k)).coordinate_product() == V0
 
@@ -274,9 +281,9 @@ def chart_transition(a, b):
 
 
 def test_transitions_fix_v0_and_compose():
-    a = ChartLabel(Tile(0, 0), 0)
-    b = ChartLabel(Tile(0, 0), 1)
-    c = ChartLabel(Tile(1, -1), 4)
+    a = ChartLabel(LatticeVector(0, 0), 0)
+    b = ChartLabel(LatticeVector(0, 0), 1)
+    c = ChartLabel(LatticeVector(1, -1), 4)
     for pair in ((a, b), (a, c), (b, c)):
         tr = chart_transition(*pair)
         assert tr.apply(V0) == V0
