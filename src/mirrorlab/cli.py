@@ -3,7 +3,7 @@
 One verification per invocation; reports are JSON (CSV/SVG for the table
 and tiling emitters) with deterministic bytes for a given argv.
 Rationals are emitted as "p/q" strings, floats with 17 significant digits.
-Exit codes: 0 pass, 1 fail, 2 indeterminate, 64 usage error.
+Exit codes: 0 pass, 1 fail, 2 indeterminate, 64 usage error, 70 internal error.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INDETERMINATE = 2
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70  # sysexits.h EX_SOFTWARE, as 64 is EX_USAGE
 
 _STATUS_CODE = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "indeterminate": EXIT_INDETERMINATE}
 
@@ -316,7 +317,13 @@ def run(argv: list[str] | None, stdout: BinaryIO | None = None) -> tuple[bytes, 
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run(argv, sys.stdout.buffer)[1]
+    try:
+        return run(argv, sys.stdout.buffer)[1]
+    except Exception:  # a crash is no verdict; exit 1 would read as "fail"
+        import traceback
+
+        traceback.print_exc()
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

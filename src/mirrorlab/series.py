@@ -283,24 +283,57 @@ def decomposition_padding(level: int) -> Fraction:
     return Fraction(max(_coset_min_norms(level).values()), level)
 
 
+# The 12 automorphisms of the norm form N, each as (a, b, c, d) for the map
+# (n1, n2) -> (a n1 + b n2, c n1 + d n2): the six powers of the rotation
+# (n1, n2) -> (-n2, n1 + n2), then each of them followed by the swap
+# (n1, n2) -> (n2, n1).
+_NORM_AUTOMORPHISMS = (
+    (1, 0, 0, 1), (0, -1, 1, 1), (-1, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, -1), (1, 1, -1, 0),
+    (0, 1, 1, 0), (1, 1, 0, -1), (1, 0, -1, -1), (0, -1, -1, 0), (-1, -1, 0, 1), (-1, 0, 1, 1),
+)
+
+
 def theta_products(
     l1: int, l2: int, cutoff: Rational
 ) -> dict[tuple[LatticeVector, LatticeVector], dict[LatticeVector, TauSeries]]:
     """Decompositions of every product (basis e1, level l1) * (basis e2, level l2).
 
-    Builds each of the l1^2 + l2^2 factor sections once, with enough extra
-    cutoff that every structure constant is complete up to `cutoff`
-    exactly.  Keys run over e1, then e2, each in `coset_reps` order, as in
-    `fukaya.mu2_closed`.
+    Two exact symmetries map the table to itself, C_{h e1, h e2}(h e) =
+    C_{e1, e2}(e), with indices taken mod their levels l1, l2 and l = l1 + l2:
+    each automorphism of N acting on all three indices, and each translation
+    by a g-torsion point u, g = gcd(l1, l2), which moves e1, e2 and e by
+    (l1/g)u, (l2/g)u and (l/g)u (Mumford, Tata Lectures on Theta I, ch. II).
+    So only the first pair of each orbit, in key order, is decomposed, and
+    every other pair of the orbit is a relabeling of it.  Each factor section
+    of those pairs is built once, on first use, with enough extra cutoff that
+    every structure constant is complete up to `cutoff` exactly.  Keys run
+    over e1, then e2, and each inner dict over e, all in `coset_reps` order,
+    as in `fukaya.mu2_closed`.
     """
     cutoff = Fraction(cutoff)
-    pad = decomposition_padding(l1 + l2)
-    f1, f2 = ({e: theta_section(e, l, cutoff + pad) for e in coset_reps(l)} for l in (l1, l2))
-    return {
-        (e1, e2): section_mul_decompose(s1, s2, cutoff)
-        for e1, s1 in f1.items()
-        for e2, s2 in f2.items()
-    }
+    level, g = l1 + l2, math.gcd(l1, l2)
+    pad = decomposition_padding(level)
+    section = functools.cache(lambda e, l: theta_section(e, l, cutoff + pad))
+    # h = (a, b, c, d, u1, u2) sends a level-l index e to A e + (l/g) u mod l.
+    group = [(*a, u1, u2) for a in _NORM_AUTOMORPHISMS for u2 in range(g) for u1 in range(g)]
+
+    def act(h: tuple[int, ...], e: LatticeVector, l: int) -> LatticeVector:
+        a, b, c, d, u1, u2 = h
+        s = l // g
+        return LatticeVector((a * e.n1 + b * e.n2 + s * u1) % l, (c * e.n1 + d * e.n2 + s * u2) % l)
+
+    reps1, reps2, reps = coset_reps(l1), coset_reps(l2), coset_reps(level)
+    table: dict[tuple[LatticeVector, LatticeVector], dict[LatticeVector, TauSeries]] = {}
+    for e1 in reps1:
+        for e2 in reps2:
+            if (e1, e2) in table:
+                continue
+            consts = section_mul_decompose(section(e1, l1), section(e2, l2), cutoff)
+            for h in group:
+                pair = act(h, e1, l1), act(h, e2, l2)
+                if pair not in table:
+                    table[pair] = {act(h, e, level): c for e, c in consts.items()}
+    return {(e1, e2): {e: table[e1, e2][e] for e in reps} for e1 in reps1 for e2 in reps2}
 
 
 def shifted_theta_value(

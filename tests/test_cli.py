@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from mirrorlab import cli, kahler
+from mirrorlab import cli, kahler, series
 
 
 def run(argv):
@@ -295,6 +295,18 @@ def test_out_flag_writes_file(tmp_path, capsysbinary):
     assert capsysbinary.readouterr().out == path.read_bytes()
 
 
+def test_crash_exits_70_not_fail(monkeypatch, capsysbinary):
+    def broken(s1, s2, cutoff):
+        raise AssertionError("inconsistent structure constant for representative (0, 0)")
+
+    monkeypatch.setattr(series, "section_mul_decompose", broken)
+    assert cli.main(["functor", "--i", "0", "--j", "1", "--k", "2", "--cutoff", "6"]) == 70
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err.startswith(b"Traceback")
+    assert b"AssertionError: inconsistent structure constant" in captured.err
+
+
 def test_unwritable_out_is_usage_error(tmp_path, capsys):
     for path in (tmp_path / "missing" / "x.json", tmp_path):
         _assert_usage_error(capsys, ["--out", str(path), "facets", "--radius", "0"], "--out")
@@ -352,8 +364,10 @@ def test_reports_match_golden_files(argv, name):
 
 # Past the goldens' level 3: the structure constants at levels 4 and 5 (the
 # two differential ops of perfbench's theta-exact workload) and the slowest
-# functor gap of that workload, (2, 3), by digest; the README's leibniz; and
-# monodromy at the sample count of the honeycomb workload, at two seeds.
+# functor gap of that workload, (2, 3), by digest; the README's leibniz;
+# monodromy at the sample count of the honeycomb workload, at two seeds; and
+# functor at gcd(l', l'') = 3 and 4, where the theta route relabels pairs by
+# 9 and 16 torsion translations.
 REPORT_DIGESTS = (
     (["differential", "--i", "0", "--j", "4", "--cutoff", "15"],
      "e4e3985efff8f09b6658df4c91ff5a237aa2b4340af11b989d2d6e2e588a8c03"),
@@ -367,6 +381,10 @@ REPORT_DIGESTS = (
      "8fc96a97dedbbee75e7a742a5381a09384cf2fb1577073cf6b4aac4c86854d7d"),
     (["monodromy", "--samples", "500", "--seed", "905735"],
      "6d0cae179d4beba5de1093cd669ef705cda9d8424593302a47a0cdf1872fab6f"),
+    (["functor", "--i", "0", "--j", "3", "--k", "6", "--cutoff", "30"],
+     "a35b55e3f83b51221afe5123fb0d03db325b97617ea34b411306d84361805878"),
+    (["functor", "--i", "0", "--j", "4", "--k", "8", "--cutoff", "12"],
+     "d2ae2ad37ee49f0f3f44ff65e97f408733d5311ece2b6812549271ffa5863002"),
 )
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from mirrorlab import series
+from mirrorlab import cli, series
 from mirrorlab.fukaya import (
     TriangleDatum,
     functor_check,
@@ -95,17 +95,33 @@ def test_mu2_matches_theta_route():
 
 
 def test_functor_builds_each_theta_section_once(monkeypatch):
-    # (0, 2, 5) has 2^2 + 3^2 = 13 basis sections for its 4 * 9 basis pairs
-    calls = Counter()
-    build = series.theta_section
+    # (0, 2, 5) has 4 * 9 basis pairs in 7 orbits: one decomposition per
+    # orbit, and no factor section built twice
+    sections, decompositions = Counter(), []
+    build, decompose = series.theta_section, series.section_mul_decompose
 
-    def counted(e, level, cutoff):
-        calls[e, level] += 1
+    def counted_build(e, level, cutoff):
+        sections[e, level] += 1
         return build(e, level, cutoff)
 
-    monkeypatch.setattr(series, "theta_section", counted)
+    def counted_decompose(s1, s2, cutoff):
+        decompositions.append((s1.level, s2.level))
+        return decompose(s1, s2, cutoff)
+
+    monkeypatch.setattr(series, "theta_section", counted_build)
+    monkeypatch.setattr(series, "section_mul_decompose", counted_decompose)
     assert functor_check(0, 2, 5, F(8)).all_match
-    assert len(calls) == 13 and sum(calls.values()) == 13
+    assert decompositions == [(2, 3)] * 7
+    assert set(sections.values()) == {1}
+
+
+def test_a_wrong_relabeling_fails_the_functor_check(monkeypatch):
+    # (n1, n2) -> (n2, -n1) does not preserve N, so it maps the theta table
+    # off itself; the triangle route still counts every pair and disagrees
+    autos = series._NORM_AUTOMORPHISMS
+    monkeypatch.setattr(series, "_NORM_AUTOMORPHISMS", (autos[0], (0, 1, -1, 0), *autos[1:]))
+    assert not functor_check(0, 2, 5, F(8)).all_match
+    assert cli.run(["functor", "--i", "0", "--j", "2", "--k", "5", "--cutoff", "8"])[1] == 1
 
 
 # Gaps (l', l''); the non-coprime ones have output reps whose coset is empty.

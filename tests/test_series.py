@@ -324,6 +324,53 @@ def test_decompose_validity_covers_padding(l1, l2):
             assert all(c.cutoff >= cutoff for c in cs.values())
 
 
+def test_norm_automorphisms_are_the_group_of_n():
+    # the literal is the group generated by the rotation (n1, n2) -> (-n2, n1 + n2)
+    # and the swap, and every element preserves N
+    def compose(p, q):  # p after q
+        a, b, c, d = p
+        e, f, g, h = q
+        return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+    group, frontier = {(1, 0, 0, 1)}, [(1, 0, 0, 1)]
+    while frontier:
+        m = frontier.pop()
+        for gen in ((0, -1, 1, 1), (0, 1, 1, 0)):
+            if (img := compose(gen, m)) not in group:
+                group.add(img)
+                frontier.append(img)
+    autos = series._NORM_AUTOMORPHISMS
+    assert len(autos) == 12 and set(autos) == group
+    for a, b, c, d in autos:
+        for n in coset_reps(3):
+            image = LatticeVector(a * n.n1 + b * n.n2, c * n.n1 + d * n.n2)
+            assert image.norm == n.norm
+
+
+def _unreduced_products(l1, l2, cutoff):
+    """theta_products without the symmetries: every basis pair decomposed."""
+    pad = decomposition_padding(l1 + l2)
+    f1, f2 = ({e: theta_section(e, l, cutoff + pad) for e in coset_reps(l)} for l in (l1, l2))
+    return {
+        (e1, e2): section_mul_decompose(s1, s2, cutoff)
+        for e1, s1 in f1.items()
+        for e2, s2 in f2.items()
+    }
+
+
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.fractions(min_value=0, max_value=8, max_denominator=3),
+)
+@settings(max_examples=30, deadline=None)
+def test_theta_products_equal_the_unreduced_table(l1, l2, cutoff):
+    # the orbit relabeling reproduces every decomposition, cutoffs included
+    got, want = theta_products(l1, l2, cutoff), _unreduced_products(l1, l2, cutoff)
+    assert got == want and list(got) == list(want)
+    assert all(list(row) == coset_reps(l1 + l2) for row in got.values())
+
+
 def _shell_sum(tau, a, e_min, r0):
     """sum_{r >= r0} 8(r+2) tau^max(e_min, a r^2), term by term.
 
