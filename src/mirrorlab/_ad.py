@@ -14,6 +14,7 @@ bit on some inputs, which would change report bytes.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -85,8 +86,9 @@ def where(mask: np.ndarray, a, b) -> D2:
     return D2(*(np.where(mask, x, y) for x, y in zip(*parts)))
 
 
-def _libm(fn, v: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(fn, v.tolist()), float, len(v))
+def _libm(fn, v: np.ndarray, *consts) -> np.ndarray:
+    """fn(x, *consts) for each element x of the 1-d v, through Python's libm floats."""
+    return np.fromiter(map(fn, v.tolist(), *map(repeat, consts)), float, len(v))
 
 
 def log(x: D2) -> D2:

@@ -17,7 +17,13 @@ only.  Conventions:
   G_ii = d^2F/dr_i^2 + (1/r_i) dF/dr_i,  G_ij = d^2F/dr_i dr_j,
   under which the deep interior block is T^2 diag(8/3, 8/3, 8/3);
 * positive definiteness is decided on the diagonally normalized matrix,
-  which is scale-invariant and numerically robust for graded matrices.
+  which is scale-invariant and numerically robust for graded matrices;
+* the certificate path runs on lanes, one row of three norms per sample:
+  `region_samples` draws an n x 3 array, `formula_key` gives each row one
+  integer code, and `_jets` evaluates each code's formula once, on that
+  code's rows.  Only + - * / and comparisons are numpy lane operations;
+  log, log1p and every ** go element by element through libm, as in `_ad`,
+  so each row has the bits it has alone.  A single point is a one-row block.
 
 The potential is invariant under the cyclic symmetry sigma: (x, y, z) ->
 (y, z, x) of the superpotential v0 = xyz.  On points, sigma moves the norm
@@ -38,6 +44,7 @@ derivative index.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -82,6 +89,11 @@ _ORBITS = (
     ("VIC", "IIC", "IVC"),
 )
 _ROTATION = {key: (orbit, k) for orbit in _ORBITS for k, key in enumerate(orbit)}
+# The labels of `formula_key`'s codes: code 3 j + k is sigma^k of orbit j's
+# first key, so sigma on codes stays inside each block of three; VII is 18.
+_KEYS = tuple(key for orbit in _ORBITS for key in orbit) + ("VII",)
+# The REGION_IDS index of each code's region.
+_REGION_OF = np.array([REGION_IDS.index(_FORMULA_TO_REGION.get(k, k)) for k in _KEYS])
 
 
 def _rotate(t: tuple, k: int) -> tuple:
@@ -89,18 +101,11 @@ def _rotate(t: tuple, k: int) -> tuple:
     return tuple(t[(i - k) % 3] for i in range(3))
 
 
-def _sigma(key: str, k: int) -> str:
-    """sigma^k of a formula key other than VII."""
-    orbit, j = _ROTATION[key]
-    return orbit[(j + k) % 3]
-
-
 class FiberPoint(NamedTuple):
     """Norms of the three toric coordinates, with the scale parameters.
 
     When the point represents a fiber of the superpotential the product of
-    the norms is T^l (checked by `on_fiber`); derivative machinery is free
-    to step off the fiber.
+    the norms is T^l; derivative machinery is free to step off the fiber.
     """
 
     r_x: float
@@ -115,9 +120,9 @@ class FiberPoint(NamedTuple):
         return (self.r_x, self.r_y, self.r_z)
 
     @property
-    def on_fiber(self) -> bool:
-        prod = self.r_x * self.r_y * self.r_z
-        return abs(prod - self.T ** self.l) <= 1e-12 * self.T ** self.l
+    def key(self) -> str:
+        """The point's formula key: `formula_key` of its one row."""
+        return _KEYS[formula_key(np.array([self.r]), self.profile)[0]]
 
     def logs(self) -> tuple[float, float, float]:
         """log_T of the three norms."""
@@ -254,61 +259,44 @@ def _smoothstep(t: D2) -> D2:
 # Region classification
 
 
-def _float_phis(q: FiberPoint) -> tuple[float, float, float]:
-    T = q.T
-    rx, ry, rz = q.r
-    px = math.log1p((T * rx) ** 2) - math.log1p((T * T * ry * rz) ** 2)
-    py = math.log1p((T * ry) ** 2) - math.log1p((T * T * rx * rz) ** 2)
-    pz = math.log1p((T * rz) ** 2) - math.log1p((T * T * rx * ry) ** 2)
-    return px, py, pz
+def formula_key(r: np.ndarray, prof: BumpProfile) -> np.ndarray:
+    """The formula code of each row of norms in the n x 3 r; its label is `_KEYS[code]`.
 
+    The labels split the IV and VI bands into thirds.  A row with two
+    moderate logs is g_yz rotated to its far coordinate, one with one is
+    axis_x rotated to it; the others compare the phi combinations d with
+    T^(l/4) (VII at or below) and classify sigma^-fam of the row, whose x
+    family dominates, by the band edges t0, t1.  Raises if a row has three
+    moderate logs.
+    """
+    T, n = prof.T, len(r)
+    logs = (_ad._libm(math.log, r.ravel()) / math.log(T)).reshape(n, 3)
+    moderate = logs <= MODERATE_LOG
+    count = moderate.sum(axis=1)
+    if (count == 3).any():
+        raise ValueError("point is not near a deep fiber")
+    code = np.where(count == 2, np.argmin(moderate, axis=1), 6 + np.argmax(moderate, axis=1))
+    deep = np.flatnonzero(count == 0)
+    rd = r[deep]
 
-def phi_xyz(q: FiberPoint) -> tuple[float, float, float]:
-    """The three log_T-normalized coordinate combinations."""
-    ln_t = math.log(q.T)
-    px, py, pz = _float_phis(q)
-    return (px / ln_t, py / ln_t, pz / ln_t)
+    def lp(x: np.ndarray) -> np.ndarray:  # log1p(x ** 2), both through libm
+        return _ad._libm(math.log1p, _ad._libm(pow, x.ravel(), 2)).reshape(x.shape)
 
-
-def formula_key(q: FiberPoint) -> str:
-    """Internal dispatch label (splits the IV and VI bands into thirds)."""
-    a, b, c = q.logs()
-    moderate = [i for i, v in enumerate((a, b, c)) if v <= MODERATE_LOG]
-    if len(moderate) >= 2:
-        if len(moderate) == 3:
-            raise ValueError("point is not near a deep fiber")
-        (far,) = {0, 1, 2} - set(moderate)
-        return _sigma("g_yz", far)
-    if len(moderate) == 1:
-        return _sigma("axis_x", moderate[0])
-    px, py, pz = _float_phis(q)
-    d_i = px - 0.5 * (py + pz)
-    d_iii = py - 0.5 * (px + pz)
-    d_v = pz - 0.5 * (px + py)
-    d_lo = q.T ** (q.l / 4)
-    if max(d_i, d_iii, d_v) <= d_lo:
-        return "VII"
-    prof = q.profile
-    t0, t1 = prof.t0, prof.t1
-    # Classify sigma^-fam(q), whose x family dominates, and rotate the label
-    # back.  A tie u == v < t1 puts all three logs within l/12 of l/3, which
-    # is VII (returned above), so no tie reaches the u <= v test below.
-    fam = max(range(3), key=lambda i: (d_i, d_iii, d_v)[i])
-    a, b, c = _rotate((a, b, c), -fam)
+    # phi_x = log1p((T r_x)^2) - log1p((T^2 r_y r_z)^2), and its rotations
+    phi = lp(T * rd) - lp(T * T * rd[:, [1, 0, 0]] * rd[:, [2, 2, 1]])
+    d = phi - 0.5 * (phi[:, [1, 0, 0]] + phi[:, [2, 2, 1]])  # d_I, d_III, d_V
+    # A tie u == v < t1 puts all three logs within l/12 of l/3, which is
+    # VII, so no tie reaches the u <= v test.
+    fam = np.argmax(d, axis=1)  # the first of equal maxima
+    a, b, c = np.take_along_axis(logs[deep], (fam[:, None] + np.arange(3)) % 3, axis=1).T
     u, v = b - a, c - a
-    if u >= t1 and v >= t1:
-        base = "I"
-    elif u <= v:
-        base = "IIA" if u >= t0 else "IIB"
-    else:
-        base = "VIC" if v >= t0 else "VIB"
-    return _sigma(base, fam)
-
-
-def region_classify(q: FiberPoint) -> str:
-    """The region identifier of a fiber point (IV and VI bands unsplit)."""
-    key = formula_key(q)
-    return _FORMULA_TO_REGION.get(key, key)
+    t0, t1 = prof.t0, prof.t1
+    # the codes of I, IIA, IIB, VIC and VIB, rotated by fam
+    base = np.where((u >= t1) & (v >= t1), 3,
+                    np.where(u <= v, np.where(u >= t0, 9, 12), np.where(v >= t0, 15, 14)))
+    base += (base + fam) % 3 - base % 3
+    code[deep] = np.where(d.max(axis=1) <= T ** (prof.l / 4), 18, base)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -378,31 +366,28 @@ def metric(q: FiberPoint, c_base: float = DEFAULT_C_BASE) -> MetricSample:
     that removes the flat direction where the fiber potential degenerates to
     a two-coordinate one.
     """
-    (key,), jets = _jets([q], q.profile)
+    codes, jets = _jets(np.array([q.r]), q.profile)
     mats, min_eigs = _metric_from_jets(jets, c_base)
-    return MetricSample(q, _FORMULA_TO_REGION.get(key, key), mats[0], float(min_eigs[0]))
+    return MetricSample(q, REGION_IDS[_REGION_OF[codes[0]]], mats[0], float(min_eigs[0]))
 
 
-def _jets(points: list[FiberPoint], prof: BumpProfile) -> tuple[list[str], tuple]:
-    """Formula keys and stacked jets of the potential F and the base term.
+def _jets(r: np.ndarray, prof: BumpProfile) -> tuple[np.ndarray, tuple]:
+    """Formula codes and stacked jets of the potential F and the base term at the norm rows r.
 
     The jets are (r, F.g, F.h, U.g, U.h) with one row per point, where U is
     |xyz|^2 and h is packed xx, xy, xz, yy, yz, zz.  The metric is linear in
     the base coefficient c (F + c U), so one set of jets serves every c.  F
-    is evaluated once per formula key, on the lanes of that key's points.
+    is evaluated once per formula code, on the lanes of that code's rows.
     """
-    keys = [formula_key(q) for q in points]
-    r = np.array([q.r for q in points]).reshape(len(points), 3)
+    codes = formula_key(r, prof)
     u = D2.var(r[:, 0], 0) * D2.var(r[:, 1], 1) * D2.var(r[:, 2], 2)
     u = u * u
-    f_g, f_h = np.empty((len(points), 3)), np.empty((len(points), 6))
-    lanes: dict[str, list[int]] = {}
-    for i, key in enumerate(keys):
-        lanes.setdefault(key, []).append(i)
-    for key, idx in lanes.items():
-        f = _potential_ad(r[idx], prof, key)
+    f_g, f_h = np.empty((len(r), 3)), np.empty((len(r), 6))
+    for code in np.flatnonzero(np.bincount(codes)).tolist():  # np.unique would import numpy.ma
+        idx = np.flatnonzero(codes == code)
+        f = _potential_ad(r[idx], prof, _KEYS[code])
         f_g[idx], f_h[idx] = f.g.T, f.h.T
-    return keys, (r, f_g, f_h, u.g.T, u.h.T)
+    return codes, (r, f_g, f_h, u.g.T, u.h.T)
 
 
 def _metric_from_jets(jets: tuple, c_base: float) -> tuple[np.ndarray, np.ndarray]:
@@ -461,7 +446,7 @@ def derivative_check(q: FiberPoint) -> tuple[float, float]:
     stencil = [moved()]
     stencil += [moved((i, s)) for i in range(3) for s in (h_grad, -h_grad)]
     stencil += [moved((i, si * h_hess), (j, sj * h_hess)) for i, j in pairs for si, sj in signs]
-    f = _potential_ad(stencil, q.profile, formula_key(q))
+    f = _potential_ad(stencil, q.profile, q.key)
     values = f.v.tolist()
     g_log = np.multiply(f.g[:, 0], q.r)
     h_log = _ad.hessian_matrix(f)[0] * np.outer(q.r, q.r) + np.diag(g_log)
@@ -488,7 +473,7 @@ def moment_coords(q: FiberPoint) -> tuple[float, float, float]:
     norms at fixed fiber; constants are pinned by the base-tile chart
     convention (no additive adjustment).
     """
-    return _moment(q, _potential_ad([q.r], q.profile, formula_key(q)))
+    return _moment(q, _potential_ad([q.r], q.profile, q.key))
 
 
 def _moment(q: FiberPoint, f: D2) -> tuple[float, float, float]:
@@ -504,7 +489,7 @@ def moment_shift_gamma_prime(q: FiberPoint) -> tuple[float, float]:
     the x-axis by -log|Tx|^2; composing the two (z-side minus x-side) must
     shift (xi1, xi2) by exactly (2, 1).
     """
-    base = _potential_ad([q.r], q.profile, formula_key(q))
+    base = _potential_ad([q.r], q.profile, q.key)
     rx = D2.var([q.r_x], 0)
     rz = D2.var([q.r_z], 2)
     cz = _moment(q, base - _ad.log(rz * rz * q.T * q.T))
@@ -578,8 +563,9 @@ _SAMPLER_DRAWS = {
     "VI": ("a", "IV"),
 }
 
-_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 2**32 - 1
+# PCG64's multiplier as uint64 (high, low) words
+_PCG64_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))
 
 
 def _hasher(const: int, mult: int):
@@ -593,11 +579,30 @@ def _hasher(const: int, mult: int):
     return hashmix
 
 
+def _mul_add(x: tuple, m: tuple, c: tuple) -> tuple:
+    """x * m + c mod 2**128 on lanes of (high, low) uint64 words.
+
+    The low words' product is taken in full through 32-bit limbs; of the
+    cross terms only the low halves reach the high word, so they wrap.
+    """
+    u32, m32 = np.uint64(32), np.uint64(_MASK32)
+    (xh, xl), (mh, ml), (ch, cl) = x, m, c
+    x1, x0, m1, m0 = xl >> u32, xl & m32, ml >> u32, ml & m32
+    p01, p10 = x0 * m1, x1 * m0
+    mid = (x0 * m0 >> u32) + (p01 & m32) + (p10 & m32)
+    hi = x1 * m1 + (p01 >> u32) + (p10 >> u32) + (mid >> u32) + xh * ml + xl * mh
+    lo = xl * ml + cl
+    return hi + ch + (lo < cl), lo
+
+
 def _uniform_pairs(seed: int, ridx: int, count: int) -> np.ndarray:
     """Row idx is `np.random.default_rng((seed, ridx, idx)).random(2)`, bit for bit.
 
-    numpy's SeedSequence (a pool of 4 uint32 words, one lane per idx), then
-    PCG64's seeding and two XSL-RR outputs per lane on Python ints.
+    numpy's SeedSequence on uint32 lanes (a pool of 4 words, one lane per
+    idx), then PCG64's seeding and two XSL-RR outputs on uint64 lanes, the
+    128-bit state as (high, low) words.  Every uint64 shift and mask operand
+    is an np.uint64: before NEP 50 (numpy 1.24), np.uint64 with a Python int
+    promotes to float64.
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, not {seed}")
@@ -625,18 +630,19 @@ def _uniform_pairs(seed: int, ridx: int, count: int) -> np.ndarray:
         for dst in range(4):
             pool[dst] = mix(pool[dst], hashmix(e))
     hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
-    w = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    # generate_state(4, uint64): PCG64's state is uint64s 0, 1, its stream 2, 3
-    out = []
-    for s1, s0, q1, q0 in zip(*((w[2 * k + 1] << 32 | w[2 * k]).tolist() for k in range(4))):
-        inc = (q1 << 65 | q0 << 1 | 1) & _MASK128
-        st = ((inc + (s1 << 64 | s0)) * _PCG64_MULT + inc) & _MASK128
-        for _ in range(2):
-            st = (st * _PCG64_MULT + inc) & _MASK128
-            x, rot = ((st >> 64) ^ st) & _MASK64, st >> 122
-            x = (x >> rot | x << (64 - rot)) & _MASK64
-            out.append((x >> 11) * 2.0**-53)
-    return np.array(out, np.float64).reshape(count, 2)
+    u64 = np.uint64
+    w = [hashmix(pool[i % 4]).astype(u64) for i in range(8)]
+    # generate_state(4, uint64) is s1, s0, q1, q0: PCG64's state, then its stream
+    s1, s0, q1, q0 = (w[2 * k + 1] << u64(32) | w[2 * k] for k in range(4))
+    inc = (q1 << u64(1) | q0 >> u64(63), q0 << u64(1) | u64(1))
+    st = _mul_add(_mul_add((s1, s0), (u64(0), u64(1)), inc), _PCG64_MULT, inc)  # (s + inc) M + inc
+    out = np.empty((max(count, 0), 2))
+    for j in range(2):
+        st = _mul_add(st, _PCG64_MULT, inc)
+        x, rot = st[0] ^ st[1], st[0] >> u64(58)
+        x = x >> rot | x << ((u64(64) - rot) & u64(63))
+        out[:, j] = (x >> u64(11)) * 2.0**-53
+    return out
 
 
 def region_samples(
@@ -646,15 +652,16 @@ def region_samples(
     T: float = DEFAULT_T,
     l: int = DEFAULT_L,
     p: int = DEFAULT_P,
-) -> list[FiberPoint]:
-    """Deterministic seeded samples from the region's sampler windows.
+) -> np.ndarray:
+    """Deterministic seeded samples from the region's sampler windows, as count x 3 norms.
 
     A sample near a band edge can classify elsewhere (a few IIB and IV
     samples are VII at the defaults; at l = 20 most are).  Sample idx
     takes its two uniform draws from the SeedSequence -> PCG64 stream of key
     (seed, region, idx), so the output does not depend on evaluation order
     and fewer samples are a prefix of more.  All count draws are computed at
-    once, bit for bit one `default_rng` per sample, without numpy.random.
+    once, bit for bit one `default_rng` per sample, without numpy.random;
+    row idx has the norms `FiberPoint.from_logs` builds from its logs.
     Raises for an empty window, a negative seed or over 2**32 samples.
     """
     if region not in REGION_IDS:
@@ -670,33 +677,31 @@ def region_samples(
                 f"(low {lo!r} >= high {hi!r})"
             )
     (lo1, hi1), (lo2, hi2) = windows
-    w1, w2 = hi1 - lo1, hi2 - lo2
-    ridx = REGION_IDS.index(region)
-    out = []
-    for u1, u2 in _uniform_pairs(seed, ridx, count).tolist():
-        s, t = lo1 + w1 * u1, lo2 + w2 * u2  # numpy's uniform(lo, hi), bit for bit
-        if family == "VII":
-            logs = (l / 3 + s, l / 3 + t, None)
-        elif family in ("I", "axis_x"):
-            # sigma^k of a point whose x log is s, with spread t between the
-            # other two
-            logs = _rotate((s, (l - s - t) / 2, (l - s + t) / 2), k)
-        elif family == "g_yz":
-            # two moderate logs in x < y < z order; the k-th closes the fiber
-            logs = [s, t]
-            logs.insert(k, l - s - t)
-        elif family in ("IIA", "IIB"):
-            logs = (s, s + t, None)
-        elif family == "IIC":
-            logs = (s + t, s, None)
-        elif family == "IV":
-            b, c = (s, s + t) if t >= 0 else (s - t, s)
-            logs = (l - b - c, b, c)
-        else:  # VI
-            c, a = (s, s + t) if t >= 0 else (s - t, s)
-            logs = (a, l - a - c, c)
-        out.append(FiberPoint.from_logs(*logs, T, l, p))
-    return out
+    u = _uniform_pairs(seed, REGION_IDS.index(region), count)
+    s, t = lo1 + (hi1 - lo1) * u[:, 0], lo2 + (hi2 - lo2) * u[:, 1]  # numpy's uniform(lo, hi)
+
+    def fiber(a, b):  # the third log closes the fiber
+        return a, b, l - a - b
+
+    if family == "VII":
+        logs = fiber(l / 3 + s, l / 3 + t)
+    elif family in ("I", "axis_x"):
+        # sigma^k of a point whose x log is s, with spread t between the
+        # other two
+        logs = _rotate((s, (l - s - t) / 2, (l - s + t) / 2), k)
+    elif family == "g_yz":
+        # two moderate logs in x < y < z order; the k-th closes the fiber
+        logs = [s, t]
+        logs.insert(k, l - s - t)
+    elif family in ("IIA", "IIB"):
+        logs = fiber(s, s + t)
+    elif family == "IIC":
+        logs = fiber(s + t, s)
+    else:  # IV and VI: (m, n) is (s, s + t) for t >= 0, else (s - t, s)
+        m, n = np.where(t >= 0, s, s - t), np.where(t >= 0, s + t, s)
+        logs = (l - m - n, m, n) if family == "IV" else (n, l - n - m, m)
+    logs = np.stack(logs, axis=1)
+    return _ad._libm(partial(pow, T), logs.ravel()).reshape(logs.shape)
 
 
 def metric_certificate(
@@ -737,7 +742,7 @@ def metric_certificate(
     certify = samples > 0 and c_base is not None
     status = "pass" if certify else "indeterminate"
     regions = {}
-    for region, (keys, jets) in zip(REGION_IDS, drawn):
+    for ridx, (region, (codes, jets)) in enumerate(zip(REGION_IDS, drawn)):
         worst = None
         worst_point = None
         broken = 0
@@ -752,7 +757,7 @@ def metric_certificate(
                 worst_point = list(FiberPoint(*jets[0][i].tolist(), T, l, p).logs())
         regions[region] = {
             "samples": samples,
-            "in_region": sum(_FORMULA_TO_REGION.get(k, k) == region for k in keys[:samples]),
+            "in_region": int(np.count_nonzero(_REGION_OF[codes[:samples]] == ridx)),
             "min_eig": worst,
             "worst_point": worst_point,
         }

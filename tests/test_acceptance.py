@@ -152,8 +152,8 @@ def test_criterion_6_metric_certificate():
     assert all(row["min_eig"] > 0 for row in cert["regions"].values())
     # analytic vs finite differences
     for region in REGION_IDS:
-        for q in region_samples(region, 2, seed=17):
-            rel_g, rel_h = derivative_check(q)
+        for r in region_samples(region, 2, seed=17).tolist():
+            rel_g, rel_h = derivative_check(FiberPoint(*r))
             assert rel_g <= 1e-6 and rel_h <= 1e-6
     # deep interior sample against the leading diagonal
     ms = metric(FiberPoint.from_logs(DEFAULT_L / 3, DEFAULT_L / 3))
@@ -166,8 +166,8 @@ def test_criterion_6_metric_certificate():
 
 
 def test_criterion_7_monodromy():
-    for q in region_samples("VII", 25, seed=7) + [FiberPoint(1.0, 1.0, 1.0)]:
-        assert abs(sum(transport_fractions(*q.r)) - 1.0) <= 1e-14
+    for r in region_samples("VII", 25, seed=7).tolist() + [[1.0, 1.0, 1.0]]:
+        assert abs(sum(transport_fractions(*r)) - 1.0) <= 1e-14
     corners = monodromy_corner_table()
     assert {monodromy_class(xi) for xi in corners.values()} == {
         (0, 0), (0, 1), (1, 0), (1, 1),

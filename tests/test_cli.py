@@ -415,7 +415,7 @@ _STARTUP_ARGVS = (
     ["metric-check", "--samples", "3", "--c-base", str(2.0 ** 139)],
     ["monodromy", "--samples", "8"],
 )
-_WATCHED = ("numpy", "numpy.random", "dataclasses", "mirrorlab.kahler", "mirrorlab._ad",
+_WATCHED = ("numpy", "numpy.random", "numpy.ma", "dataclasses", "mirrorlab.kahler", "mirrorlab._ad",
             "mirrorlab.gw", "mirrorlab.series", "mirrorlab.fukaya")
 _STARTUP_PROBE = """
 import contextlib, io, json, sys
@@ -455,8 +455,9 @@ def test_only_the_metric_commands_load_numpy():
     assert loaded["metric-check"] >= metric_layer
     assert [cmd for cmd, mods in loaded.items() if mods & metric_layer] == ["metric-check"]
     assert not any("dataclasses" in mods for mods in loaded.values())
-    # metric-check draws its samples without numpy's generators
-    assert not any("numpy.random" in mods for mods in loaded.values())
+    # metric-check draws its samples without numpy's generators, and groups
+    # them without np.unique, which loads the masked arrays (1.5 MB of RSS)
+    assert not any(mods & {"numpy.random", "numpy.ma"} for mods in loaded.values())
     for cmd in ("monodromy", "trop", "facets"):
         assert not loaded[cmd] & {"mirrorlab.gw", "mirrorlab.series"}, cmd
 

@@ -1,10 +1,12 @@
 import functools
+import importlib.util
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mirrorlab import _ad, kahler
@@ -29,9 +31,7 @@ from mirrorlab.kahler import (
     moment_coords,
     moment_shift_gamma_prime,
     monodromy_class,
-    phi_xyz,
     potential_value,
-    region_classify,
     region_samples,
 )
 from mirrorlab.tropical import monodromy_corner_table, transport_fractions
@@ -62,11 +62,76 @@ def center_point():
     return FiberPoint(r, r, r)
 
 
+def points(region, count, seed=kahler.DEFAULT_SEED, T=DEFAULT_T, l=DEFAULT_L, p=DEFAULT_P):
+    """The rows of `region_samples` as FiberPoints."""
+    return [FiberPoint(*r, T, l, p) for r in region_samples(region, count, seed, T, l, p).tolist()]
+
+
+def on_fiber(q):
+    """The product of the norms is T^l, to 1e-12 relative."""
+    prod = q.r_x * q.r_y * q.r_z
+    return abs(prod - q.T ** q.l) <= 1e-12 * q.T ** q.l
+
+
+def region_classify(q):
+    """The region identifier of a fiber point (IV and VI bands unsplit)."""
+    key = q.key
+    return kahler._FORMULA_TO_REGION.get(key, key)
+
+
+def _float_phis(q):
+    T = q.T
+    rx, ry, rz = q.r
+    px = math.log1p((T * rx) ** 2) - math.log1p((T * T * ry * rz) ** 2)
+    py = math.log1p((T * ry) ** 2) - math.log1p((T * T * rx * rz) ** 2)
+    pz = math.log1p((T * rz) ** 2) - math.log1p((T * T * rx * ry) ** 2)
+    return px, py, pz
+
+
+def phi_xyz(q):
+    """The three log_T-normalized coordinate combinations."""
+    ln_t = math.log(q.T)
+    px, py, pz = _float_phis(q)
+    return (px / ln_t, py / ln_t, pz / ln_t)
+
+
+def oracle_key(q):
+    """The per-point classifier that the lane `formula_key` replaced, kept as its oracle."""
+    a, b, c = q.logs()
+    moderate = [i for i, v in enumerate((a, b, c)) if v <= kahler.MODERATE_LOG]
+    if len(moderate) >= 2:
+        if len(moderate) == 3:
+            raise ValueError("point is not near a deep fiber")
+        (far,) = {0, 1, 2} - set(moderate)
+        return sigma("g_yz", far)
+    if len(moderate) == 1:
+        return sigma("axis_x", moderate[0])
+    px, py, pz = _float_phis(q)
+    d_i = px - 0.5 * (py + pz)
+    d_iii = py - 0.5 * (px + pz)
+    d_v = pz - 0.5 * (px + py)
+    d_lo = q.T ** (q.l / 4)
+    if max(d_i, d_iii, d_v) <= d_lo:
+        return "VII"
+    prof = q.profile
+    t0, t1 = prof.t0, prof.t1
+    fam = max(range(3), key=lambda i: (d_i, d_iii, d_v)[i])
+    a, b, c = kahler._rotate((a, b, c), -fam)
+    u, v = b - a, c - a
+    if u >= t1 and v >= t1:
+        base = "I"
+    elif u <= v:
+        base = "IIA" if u >= t0 else "IIB"
+    else:
+        base = "VIC" if v >= t0 else "VIB"
+    return sigma(base, fam)
+
+
 def test_fiber_point_invariant():
     q = center_point()
-    assert q.on_fiber
+    assert on_fiber(q)
     off = FiberPoint(q.r_x * 1.01, q.r_y, q.r_z)
-    assert not off.on_fiber
+    assert not on_fiber(off)
 
 
 def test_phi_symmetric_and_tiny_at_center():
@@ -78,7 +143,7 @@ def test_phi_symmetric_and_tiny_at_center():
 
 def test_phi_difference_identity():
     # phi_x - phi_y equals the potential difference over log T
-    for q in region_samples("I", 5, seed=3) + region_samples("g_xy", 5, seed=3):
+    for q in points("I", 5, seed=3) + points("g_xy", 5, seed=3):
         px, py, _ = phi_xyz(q)
         t, (rx, ry, rz) = q.T, q.r
         g_xz = (
@@ -105,17 +170,119 @@ def test_region_examples():
     assert region_classify(q) == "axis_z"
 
 
+def _metric_cert_draws():
+    """(count, seed) of every region draw of the metric-cert benchmark ops at seeds 1-20."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "ops.py"
+    spec = importlib.util.spec_from_file_location("perfbench_ops", path)
+    ops = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ops)
+    draws = set()
+    for seed in range(1, 21):
+        for argv in ops.workload_ops("metric-cert", seed):
+            opt = dict(zip(argv[1::2], argv[2::2]))
+            count = int(opt["--samples"])
+            if opt["--c-base"] == "auto":
+                count = max(count, kahler.CALIBRATION_SAMPLES)
+            draws.add((count, int(opt["--seed"])))
+    return sorted(draws)
+
+
+def test_formula_key_matches_oracle_on_every_metric_cert_draw():
+    prof = BumpProfile()
+    draws = _metric_cert_draws()
+    assert (300, 7) in draws and len(draws) > 2  # the auto op and the fixed op's seeds
+    for count, seed in draws:
+        for region in REGION_IDS:
+            rows = region_samples(region, count, seed)
+            want = [oracle_key(FiberPoint(*r)) for r in rows.tolist()]
+            assert [kahler._KEYS[c] for c in formula_key(rows, prof)] == want, (region, seed)
+
+
+def test_three_moderate_logs_raise():
+    prof = BumpProfile()
+    message = "^point is not near a deep fiber$"
+    for rows in ([[1.0, 1.0, 1.0]], [center_point().r, [0.5, 0.2, DEFAULT_T ** 1.5]]):
+        with pytest.raises(ValueError, match=message):
+            formula_key(np.array(rows), prof)
+        with pytest.raises(ValueError, match=message):
+            oracle_key(FiberPoint(*rows[-1]))
+    assert formula_key(np.empty((0, 3)), prof).shape == (0,)
+
+
+def _deep_terms(q):
+    """max(d_I, d_III, d_V) and the (u, v) that `oracle_key` compares with t0 and t1."""
+    px, py, pz = _float_phis(q)
+    d = (px - 0.5 * (py + pz), py - 0.5 * (px + pz), pz - 0.5 * (px + py))
+    fam = d.index(max(d))
+    a, b, c = kahler._rotate(q.logs(), -fam)
+    return max(d), b - a, c - a
+
+
+def _nudged(q, i, hit, steps=200):
+    """q with norm i moved by the fewest ulps (at most steps) at which hit holds; None if none."""
+    field = ("r_x", "r_y", "r_z")[i]
+    up = down = q[i]
+    for _ in range(steps + 1):
+        for x in (up, down):
+            if hit(moved := q._replace(**{field: x})):
+                return moved
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+    return None
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(["moderate", "u=t0", "u=t1", "v=t0", "v=t1", "d"]),
+    st.floats(0.0, 1.0),
+    st.floats(-1.0, 1.0),
+    st.integers(0, 2),
+)
+def test_formula_key_matches_oracle_on_band_edges(edge, x, y, k):
+    # Points whose recomputed logs or phis land exactly on a classifier edge:
+    # a log equal to MODERATE_LOG, u or v equal to t0 or t1, or max d equal
+    # to T^(l/4).  Built in the x family, rotated by sigma^k, then one norm
+    # is moved ulp by ulp until the edge holds in floats.
+    prof, l = BumpProfile(), DEFAULT_L
+    lo, hi = kahler.sampler_windows(l, DEFAULT_P)["a"]
+    a = lo + (hi - lo) * x  # a deep x log, as the I, II, IV and VI samplers draw
+    if edge == "moderate":
+        b = 3.5 + 4.5 * y  # at most 2 for a g region, else an axis
+        q, i = FiberPoint.from_logs(kahler.MODERATE_LOG, b), 0
+        hit = lambda q: kahler.MODERATE_LOG in q.logs()  # noqa: E731
+    elif edge == "d":
+        # log1p((T r_x)^2) = T^(l/4) up to rounding; the other phis are far smaller
+        r_x = math.sqrt(math.expm1(DEFAULT_T ** (l / 4))) / DEFAULT_T
+        a = math.log(r_x) / math.log(DEFAULT_T)
+        q, i = FiberPoint.from_logs(a, (l - a - 8 * y) / 2, (l - a + 8 * y) / 2)._replace(r_x=r_x), 0
+        hit = lambda q: _deep_terms(q)[0] == q.T ** (q.l / 4)  # noqa: E731
+    else:
+        side, band = edge.split("=")
+        e = getattr(prof, band)
+        i = 1 if side == "u" else 2
+        logs = [a, l - 2 * a - e]
+        logs.insert(i, a + e)
+        q = FiberPoint.from_logs(*logs)
+        hit = lambda q: _deep_terms(q)[i] == e  # noqa: E731
+    q = _nudged(q.rotated(k), (i + k) % 3, hit)
+    assume(q is not None)
+    field = ("r_x", "r_y", "r_z")[(i + k) % 3]
+    near = [q] + [q._replace(**{field: math.nextafter(q[(i + k) % 3], to)}) for to in (0.0, 1.0)]
+    got = formula_key(np.array([p.r for p in near]), prof)
+    assert [kahler._KEYS[c] for c in got] == [oracle_key(p) for p in near]
+    assert q.key == oracle_key(q)
+
+
 def test_sampler_classifier_agreement():
     # "in_region" is a recount of the certificate's own samples; at the
     # defaults a few IIB and IV samples near a band edge are VII
     rows = metric_certificate(samples=500, seed=7)["regions"]
     for region in REGION_IDS:
-        pts = region_samples(region, 500, seed=7)
-        assert all(q.on_fiber for q in pts)
+        pts = points(region, 500, seed=7)
+        assert all(on_fiber(q) for q in pts)
         count = sum(region_classify(q) == region for q in pts)
         assert rows[region]["in_region"] == count, region
-    assert region_classify(region_samples("IIB", 89, seed=7)[88]) == "VII"
-    assert region_classify(region_samples("IV", 46, seed=7)[45]) == "VII"
+    assert region_classify(points("IIB", 89, seed=7)[88]) == "VII"
+    assert region_classify(points("IV", 46, seed=7)[45]) == "VII"
     assert {r: row["in_region"] for r, row in rows.items() if row["in_region"] < 500} == {
         "IIB": 488, "IV": 496,
     }
@@ -138,15 +305,18 @@ def test_regions_without_their_own_samples_are_not_a_pass(c_base):
 
 
 def test_samples_are_seed_deterministic():
-    a = [q.r for q in region_samples("IIA", 5, seed=9)]
-    b = [q.r for q in region_samples("IIA", 5, seed=9)]
-    c = [q.r for q in region_samples("IIA", 5, seed=10)]
-    assert a == b
-    assert a != c
+    a = region_samples("IIA", 5, seed=9)
+    assert a.shape == (5, 3) and a.dtype == np.float64
+    assert a.tolist() == region_samples("IIA", 5, seed=9).tolist()
+    assert a.tolist() != region_samples("IIA", 5, seed=10).tolist()
+    assert a.tolist() == region_samples("IIA", 8, seed=9)[:5].tolist()  # a prefix of more
 
 
 def _uniform_sampler(region, count, seed, T, l, p):
-    """The per-sample `uniform` sampler that region_samples replaced, kept as its oracle."""
+    """The per-sample `uniform` sampler that region_samples replaced, kept as its oracle.
+
+    It returns `region_samples`' count x 3 array of norms.
+    """
     win = kahler.sampler_windows(l, p)
     orbit, k = kahler._ROTATION.get(region, ((region,), 0))
     ridx = REGION_IDS.index(region)
@@ -188,8 +358,8 @@ def _uniform_sampler(region, count, seed, T, l, p):
             d = u(*win["IV"])
             c, a = (m, m + d) if d >= 0 else (m - d, m)
             q = FiberPoint.from_logs(a, l - a - c, c, T, l, p)
-        out.append(q)
-    return out
+        out.append(q.r)
+    return np.array(out, float).reshape(-1, 3)
 
 
 @pytest.mark.parametrize("l", [40, 60])
@@ -198,16 +368,19 @@ def _uniform_sampler(region, count, seed, T, l, p):
 def test_samples_match_uniform_oracle(seed, l):
     for region in REGION_IDS:
         got = region_samples(region, 12, seed, DEFAULT_T, l, 17)
-        assert got == _uniform_sampler(region, 12, seed, DEFAULT_T, l, 17), region
+        want = _uniform_sampler(region, 12, seed, DEFAULT_T, l, 17)
+        assert got.shape == want.shape == (12, 3) and got.tobytes() == want.tobytes(), region
 
 
 @pytest.mark.parametrize("count", [0, 1, 500])
-def test_uniform_pairs_match_numpy_stream_bits(count):
+# one to five entropy words; 2 ** 32 - 1 and 2 ** 32 straddle the second word
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 128 + 1])
+def test_uniform_pairs_match_numpy_stream_bits(seed, count):
     for ridx in range(len(REGION_IDS)):
-        got = kahler._uniform_pairs(7, ridx, count)
+        got = kahler._uniform_pairs(seed, ridx, count)
         assert got.shape == (count, 2) and got.dtype == np.float64
         for idx in range(count):
-            gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((7, ridx, idx))))
+            gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, ridx, idx))))
             want = gen.random(2)
             assert (got[idx].view(np.uint64) == want.view(np.uint64)).all(), (ridx, idx)
 
@@ -221,7 +394,7 @@ def test_uniform_pairs_refuse_what_default_rng_refuses():
         region_samples("I", 1, seed=-(2 ** 40))
     # idx 2 ** 32 would be two entropy words; refused before anything is allocated
     assert kahler._uniform_pairs(7, 0, 0).shape == (0, 2)
-    assert region_samples("I", -1) == []  # a count <= 0 draws nothing, as range(count)
+    assert region_samples("I", -1).shape == (0, 3)  # a count <= 0 draws nothing, as range(count)
     with pytest.raises(ValueError, match=r"at most 2\*\*32 samples"):
         kahler._uniform_pairs(7, 0, 2 ** 32 + 1)
     with pytest.raises(ValueError, match=r"at most 2\*\*32 samples"):
@@ -249,7 +422,7 @@ def test_empty_sampler_window_is_named():
     with pytest.raises(ValueError, match=r"region VI: sampler window 'a' is empty"):
         region_samples("VI", 1, l=40, p=500)
     assert len(region_samples("VII", 3, l=40, p=500)) == 3  # VII draws from no named window
-    assert region_samples("IIB", 0, l=40, p=10) == []  # nothing drawn, nothing to refuse
+    assert region_samples("IIB", 0, l=40, p=10).shape == (0, 3)  # nothing drawn, nothing to refuse
 
 
 @pytest.mark.parametrize("c_base", [None, DEFAULT_C_BASE, "auto"])
@@ -305,7 +478,7 @@ def test_region_vii_leading_matrix():
 
 def test_metric_symmetric_and_region_tagged():
     for region in ("I", "IIB", "g_xy", "axis_z"):
-        q = region_samples(region, 1, seed=5)[0]
+        q = points(region, 1, seed=5)[0]
         ms = metric(q)
         assert np.allclose(ms.matrix, ms.matrix.T, atol=1e-10)
         assert ms.region == region
@@ -316,41 +489,41 @@ def test_each_point_is_evaluated_with_its_own_profile():
     q = FiberPoint.from_logs(13.0, 13.5, T=0.2)
     own = BumpProfile(DEFAULT_L, DEFAULT_P, 0.2)
     assert q.profile == own
-    key = formula_key(q)
+    key = q.key
     assert potential_value(q, key) == _tuple_potential(q, own, key).v
     eig = metric(q).min_eigenvalue
     assert eig == _metric_per_point(q, _tuple_jets(q, own), DEFAULT_C_BASE)[1]
     assert eig == pytest.approx(4.25e-7, rel=1e-3)
     assert derivative_check(q) == _derivative_check_per_point(q, own)
     # the default profile, of T = 0.1, would give another metric
-    other = kahler._metric_from_jets(kahler._jets([q], BumpProfile())[1], DEFAULT_C_BASE)[1]
+    other = kahler._metric_from_jets(kahler._jets(np.array([q.r]), BumpProfile())[1], DEFAULT_C_BASE)[1]
     assert other[0] == pytest.approx(1.06e-7, rel=1e-2)
 
 
 def test_metric_positive_on_modest_sample():
     for region in REGION_IDS:
-        for q in region_samples(region, 20, seed=13):
+        for q in points(region, 20, seed=13):
             assert metric(q).min_eigenvalue > 0, (region, q.logs())
 
 
 def test_derivative_cross_validation():
     for region in REGION_IDS:
-        for q in region_samples(region, 2, seed=21):
+        for q in points(region, 2, seed=21):
             rel_g, rel_h = derivative_check(q)
             assert rel_g < 1e-6, (region, rel_g)
             assert rel_h < 1e-6, (region, rel_h)
 
 
 def test_cyclic_equivariance():
-    q = region_samples("I", 1, seed=5)[0]
+    q = points("I", 1, seed=5)[0]
     assert q.rotated(1).r == (q.r_z, q.r_x, q.r_y)
     assert q.rotated(2).r == (q.r_y, q.r_z, q.r_x)
     for region in REGION_IDS:
-        for q in region_samples(region, 10, seed=5):
-            key = formula_key(q)
+        for q in points(region, 10, seed=5):
+            key = q.key
             for k in (1, 2):
                 qk = q.rotated(k)
-                assert formula_key(qk) == sigma(key, k), (region, k, q.logs())
+                assert qk.key == sigma(key, k), (region, k, q.logs())
                 value = potential_value(q, key)
                 if key == "VII":
                     # one symmetric body, summed in a fixed order: exact up to rounding
@@ -365,7 +538,7 @@ def test_seam_catalog_covers_every_formula_key():
         ("axis_x", "I"), ("g_xy", "axis_x"),
     }
     expected = {(sigma(a, k), sigma(b, k)) for a, b in base for k in range(3)}
-    got = {(formula_key(q1), formula_key(q2)) for q1, q2 in boundary_pair_catalog()}
+    got = {(q1.key, q2.key) for q1, q2 in boundary_pair_catalog()}
     assert got == expected
     keys = {key for pair in got for key in pair}
     assert keys == {key for orbit in ORBITS for key in orbit} | {"VII"}
@@ -373,7 +546,7 @@ def test_seam_catalog_covers_every_formula_key():
 
 def test_potential_continuity_across_seams():
     for q1, q2 in boundary_pair_catalog():
-        f1, f2 = (potential_value(q, formula_key(q)) for q in (q1, q2))
+        f1, f2 = (potential_value(q, q.key) for q in (q1, q2))
         assert abs(f1 - f2) <= 1e-9
 
 
@@ -400,7 +573,7 @@ def test_region_vii_against_interpolation_identity():
 def test_saturated_interpolation_rebuilds_pair_potential():
     # with the radial weights saturated and the odd weight at 1/2,
     # base + D + Theta/2 collapses to the two-coordinate potential
-    for q in region_samples("I", 5, seed=9):
+    for q in points("I", 5, seed=9):
         t, (rx, ry, rz) = q.T, q.r
         lp = math.log1p
         g_yz = lp((t * ry) ** 2) + lp((t * rz) ** 2) + lp((t * t * ry * rz) ** 2)
@@ -415,7 +588,7 @@ def test_saturated_interpolation_rebuilds_pair_potential():
 
 
 def test_moment_coords_monotone_and_symmetric():
-    for q in region_samples("I", 4, seed=3) + region_samples("VII", 4, seed=3):
+    for q in points("I", 4, seed=3) + points("VII", 4, seed=3):
         xi = moment_coords(q)
         step = 0.05
         q_up = FiberPoint(
@@ -433,7 +606,7 @@ def test_moment_coords_monotone_and_symmetric():
 
 def test_moment_gamma_prime_shift():
     for region in ("VII", "I", "IIB"):
-        q = region_samples(region, 1, seed=2)[0]
+        q = points(region, 1, seed=2)[0]
         shift = moment_shift_gamma_prime(q)
         assert shift[0] == pytest.approx(2.0, abs=1e-9)
         assert shift[1] == pytest.approx(1.0, abs=1e-9)
@@ -447,7 +620,7 @@ def test_transport_fractions():
     assert w == pytest.approx((100 / 102, 1 / 102, 1 / 102))
     tiny = transport_fractions(1e-9, 1.0, 1.0)
     assert tiny[0] == pytest.approx(1.0, abs=1e-14)
-    for q in region_samples("VII", 5, seed=4):
+    for q in points("VII", 5, seed=4):
         assert abs(sum(transport_fractions(*q.r)) - 1.0) <= 1e-14
 
 
@@ -488,7 +661,7 @@ def test_monodromy_consistent_with_transport_dominance():
 
 
 def test_harmonic_identities():
-    for q in region_samples("g_xy", 10, seed=5) + region_samples("VII", 10, seed=5):
+    for q in points("g_xy", 10, seed=5) + points("VII", 10, seed=5):
         assert abs(harmonic_difference_check(q)) <= 1e-12
         assert abs(harmonic_sixfold_check(q)) <= 1e-12
     q = FiberPoint(0.3, 1.0 / DEFAULT_T, 0.5)
@@ -496,7 +669,7 @@ def test_harmonic_identities():
 
 
 def test_hex_orbit_closes():
-    q = region_samples("VII", 1, seed=6)[0]
+    q = points("VII", 1, seed=6)[0]
     orbit = hex_orbit(q)
     assert len(orbit) == 6
     t = q.T
@@ -512,7 +685,7 @@ def test_certificate_statuses():
     cert = metric_certificate(samples=5)
     assert cert["status"] == "pass"
     for region, row in cert["regions"].items():
-        pts = region_samples(region, 5)
+        pts = points(region, 5)
         eigs = [metric(q).min_eigenvalue for q in pts]
         worst = eigs.index(min(eigs))  # the first of equal minima
         assert row["min_eig"] == eigs[worst]
@@ -690,7 +863,7 @@ def _tuple_potential(q, prof, key):
 def _tuple_jets(q, prof):
     """The tuple jets of F and of the base term |xyz|^2 at q."""
     u = TupleD2.var(q.r_x, 0) * TupleD2.var(q.r_y, 1) * TupleD2.var(q.r_z, 2)
-    return _tuple_potential(q, prof, formula_key(q)), u * u
+    return _tuple_potential(q, prof, q.key), u * u
 
 
 def _square(h):
@@ -713,9 +886,9 @@ def _metric_per_point(q, jets, c_base):
 
 def test_batched_finisher_is_bit_identical():
     prof = BumpProfile()
-    pts = [q for region in REGION_IDS for q in region_samples(region, 4, seed=19)]
-    keys, jets = kahler._jets(pts, prof)
-    assert keys == [formula_key(q) for q in pts]
+    pts = [q for region in REGION_IDS for q in points(region, 4, seed=19)]
+    codes, jets = kahler._jets(np.array([q.r for q in pts]), prof)
+    assert [kahler._KEYS[c] for c in codes] == [oracle_key(q) for q in pts]
     oracle = [_tuple_jets(q, prof) for q in pts]
     saw_inf = False
     for c in (0.0, 1.0, 2.0 ** 100, 2.0 ** 139):
@@ -767,7 +940,7 @@ def test_breakdown_makes_a_passing_certificate_indeterminate(monkeypatch):
 
 def test_calibration_matches_per_point_scan():
     prof = BumpProfile()
-    pts = [q for region in REGION_IDS for q in region_samples(region, 3)]
+    pts = [q for region in REGION_IDS for q in points(region, 3)]
     oracle = [_tuple_jets(q, prof) for q in pts]
     want = next(
         2.0 ** k
@@ -787,8 +960,8 @@ def _linear_scan(jets, margin):
 
 
 def _calibration_jets(seed, samples=60):
-    pts = [q for region in REGION_IDS for q in region_samples(region, samples, seed)]
-    return kahler._jets(pts, BumpProfile())[1]
+    pts = [q for region in REGION_IDS for q in points(region, samples, seed)]
+    return kahler._jets(np.array([q.r for q in pts]).reshape(-1, 3), BumpProfile())[1]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 7, 11, 99])
@@ -849,7 +1022,7 @@ def test_auto_certificate_without_a_power_of_two():
 
 def _derivative_check_per_point(q, prof, h_grad=1e-6, h_hess=1e-4):
     """`derivative_check` on the tuple jet, one evaluation per stencil point."""
-    key = formula_key(q)
+    key = q.key
 
     def f_at(*steps):
         d = [0.0, 0.0, 0.0]
@@ -878,7 +1051,7 @@ def test_derivative_check_matches_per_point_stencil():
     # the samples of acceptance criterion 6: the one-call stencil changes no bit
     prof = BumpProfile()
     for region in REGION_IDS:
-        for q in region_samples(region, 2, seed=17):
+        for q in points(region, 2, seed=17):
             assert derivative_check(q) == _derivative_check_per_point(q, prof)
 
 
@@ -956,14 +1129,14 @@ def test_profile_branch_edges_match_tuple_oracle():
                 assert _same_jet(lane, i, tuple_fn(TupleD2.var(x, index))), (lane_fn, x)
 
 
-_POOL = [q for region in REGION_IDS for q in region_samples(region, 2, seed=23)] + [
+_POOL = [q for region in REGION_IDS for q in points(region, 2, seed=23)] + [
     FiberPoint.from_logs(a, a + e) for a in (3.0, 4.6) for e in _EDGES
 ]
 
 
 @functools.cache
 def _pool_jets():
-    return kahler._jets(_POOL, BumpProfile())[1]
+    return kahler._jets(np.array([q.r for q in _POOL]), BumpProfile())[1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -971,8 +1144,8 @@ def _pool_jets():
 def test_jets_are_batch_independent(picks, rnd):
     full = _pool_jets()
     rnd.shuffle(picks)
-    keys, jets = kahler._jets([_POOL[i] for i in picks], BumpProfile())
-    assert keys == [formula_key(_POOL[i]) for i in picks]
+    codes, jets = kahler._jets(np.array([_POOL[i].r for i in picks]), BumpProfile())
+    assert [kahler._KEYS[c] for c in codes] == [oracle_key(_POOL[i]) for i in picks]
     for row, i in enumerate(picks):
         for got, want in zip(jets, full):
             assert got[row].tobytes() == want[i].tobytes()
