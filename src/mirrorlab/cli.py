@@ -74,7 +74,7 @@ def _float_tuple(text: str) -> tuple[float, ...]:
 
 _COUNT = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _POSITIVE = _checked(int, lambda v: v >= 1, "an integer >= 1")
-# kahler draws at most 2**32 samples per region
+# kahler refuses over 2**32 samples per region before it allocates its draws
 _SAMPLES = _checked(int, lambda v: 0 <= v <= 2**32, "an integer in [0, 2**32]")
 _UNIT = _checked(float, lambda v: 0.0 < v < 1.0, "a float in (0, 1)")
 _BOUND = _checked(Fraction, lambda v: v >= 0, "a rational >= 0")

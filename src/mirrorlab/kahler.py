@@ -550,7 +550,7 @@ def sampler_windows(l: int, p: int) -> dict[str, tuple[float, float]]:
 
 # The two windows each sampler draws from, in draw order: a (low, high) pair
 # or a `sampler_windows` key.  A region not listed is a rotation of the first
-# key of its orbit.
+# key of its orbit, and VI of IV.
 _SAMPLER_DRAWS = {
     "VII": ((-0.5, 0.5), (-0.5, 0.5)),
     "I": ("a", (-8.0, 8.0)),
@@ -560,89 +560,42 @@ _SAMPLER_DRAWS = {
     "IIB": ("a", "IIB"),
     "IIC": ("a", "IIA"),
     "IV": ("a", "IV"),
-    "VI": ("a", "IV"),
 }
 
-_MASK32 = 2**32 - 1
-# PCG64's multiplier as uint64 (high, low) words
-_PCG64_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's counter step
 
 
-def _hasher(const: int, mult: int):
-    """SeedSequence's hashmix on uint32 lanes, with its running constant."""
-    def hashmix(v: np.ndarray) -> np.ndarray:
-        nonlocal const
-        v = v ^ np.uint32(const)
-        const = const * mult & _MASK32
-        v = v * np.uint32(const)
-        return v ^ v >> 16
-    return hashmix
-
-
-def _mul_add(x: tuple, m: tuple, c: tuple) -> tuple:
-    """x * m + c mod 2**128 on lanes of (high, low) uint64 words.
-
-    The low words' product is taken in full through 32-bit limbs; of the
-    cross terms only the low halves reach the high word, so they wrap.
-    """
-    u32, m32 = np.uint64(32), np.uint64(_MASK32)
-    (xh, xl), (mh, ml), (ch, cl) = x, m, c
-    x1, x0, m1, m0 = xl >> u32, xl & m32, ml >> u32, ml & m32
-    p01, p10 = x0 * m1, x1 * m0
-    mid = (x0 * m0 >> u32) + (p01 & m32) + (p10 & m32)
-    hi = x1 * m1 + (p01 >> u32) + (p10 >> u32) + (mid >> u32) + xh * ml + xl * mh
-    lo = xl * ml + cl
-    return hi + ch + (lo < cl), lo
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function on uint64 lanes, mod 2**64."""
+    z = (z ^ z >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ z >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ z >> np.uint64(31)
 
 
 def _uniform_pairs(seed: int, ridx: int, count: int) -> np.ndarray:
-    """Row idx is `np.random.default_rng((seed, ridx, idx)).random(2)`, bit for bit.
+    """count x 2 uniforms in [0, 1) from a SplitMix64 counter stream keyed by (seed, ridx).
 
-    numpy's SeedSequence on uint32 lanes (a pool of 4 words, one lane per
-    idx), then PCG64's seeding and two XSL-RR outputs on uint64 lanes, the
-    128-bit state as (high, low) words.  Every uint64 shift and mask operand
-    is an np.uint64: before NEP 50 (numpy 1.24), np.uint64 with a Python int
-    promotes to float64.
+    The key starts at 0 and absorbs the 64-bit words of seed, least
+    significant first, then ridx: key = mix((key + gamma) ^ word).  Row idx
+    is mix(key + (2 idx + 1) gamma) and mix(key + (2 idx + 2) gamma), each
+    cut to its top 53 bits (Steele, Lea & Flood 2014; a counter-based
+    stream as in Salmon et al. 2011).  Every uint64 operand is an np.uint64:
+    before NEP 50 (numpy 1.24), np.uint64 with a Python int promotes to
+    float64.  Lane arithmetic wraps without a warning.
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, not {seed}")
-    if count > 2**32:  # idx 2**32 and up would take two entropy words
+    if count > 2**32:  # the CLI's --samples domain, refused before anything is allocated
         raise ValueError(f"at most 2**32 samples per region, not {count}")
-
-    def mix(x, y):
-        r = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
-        return r ^ r >> 16
-
-    words = [seed & _MASK32]  # the entropy (seed, ridx, idx) as uint32 words
-    while seed := seed >> 32:
-        words.append(seed & _MASK32)
-    # zero rows pad the pool; no rows for a count <= 0, as for range(count)
-    entropy = np.zeros((max(len(words) + 2, 4), max(count, 0)), np.uint32)
-    entropy[: len(words) + 1] = np.array(words + [ridx], np.uint32)[:, None]
-    entropy[len(words) + 1] = np.arange(count, dtype=np.uint32)
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(e) for e in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for e in entropy[4:]:  # entropy longer than the pool
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(e))
-    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
-    u64 = np.uint64
-    w = [hashmix(pool[i % 4]).astype(u64) for i in range(8)]
-    # generate_state(4, uint64) is s1, s0, q1, q0: PCG64's state, then its stream
-    s1, s0, q1, q0 = (w[2 * k + 1] << u64(32) | w[2 * k] for k in range(4))
-    inc = (q1 << u64(1) | q0 >> u64(63), q0 << u64(1) | u64(1))
-    st = _mul_add(_mul_add((s1, s0), (u64(0), u64(1)), inc), _PCG64_MULT, inc)  # (s + inc) M + inc
-    out = np.empty((max(count, 0), 2))
-    for j in range(2):
-        st = _mul_add(st, _PCG64_MULT, inc)
-        x, rot = st[0] ^ st[1], st[0] >> u64(58)
-        x = x >> rot | x << ((u64(64) - rot) & u64(63))
-        out[:, j] = (x >> u64(11)) * 2.0**-53
-    return out
+    words = [seed & 2**64 - 1]
+    while seed := seed >> 64:
+        words.append(seed & 2**64 - 1)
+    key = np.zeros(1, np.uint64)
+    for w in words + [ridx]:
+        key = _mix((key + _GAMMA) ^ np.uint64(w))
+    # no rows for a count <= 0, as for range(count)
+    steps = np.arange(1, 2 * max(count, 0) + 1, dtype=np.uint64).reshape(-1, 2)
+    return (_mix(key + steps * _GAMMA) >> np.uint64(11)) * 2.0**-53
 
 
 def region_samples(
@@ -657,17 +610,20 @@ def region_samples(
 
     A sample near a band edge can classify elsewhere (a few IIB and IV
     samples are VII at the defaults; at l = 20 most are).  Sample idx
-    takes its two uniform draws from the SeedSequence -> PCG64 stream of key
-    (seed, region, idx), so the output does not depend on evaluation order
-    and fewer samples are a prefix of more.  All count draws are computed at
-    once, bit for bit one `default_rng` per sample, without numpy.random;
-    row idx has the norms `FiberPoint.from_logs` builds from its logs.
-    Raises for an empty window, a negative seed or over 2**32 samples.
+    takes its two uniform draws from row idx of `_uniform_pairs(seed, r)`,
+    r the region's REGION_IDS index, so the output does not depend on
+    evaluation order and fewer samples are a prefix of more.  All count
+    draws are computed at once, without numpy.random; row idx has the norms
+    `FiberPoint.from_logs` builds from its logs.  IV and VI are sigma and
+    sigma^2 of one band draw.  Raises for an empty window, a negative seed
+    or over 2**32 samples.
     """
     if region not in REGION_IDS:
         raise ValueError(f"unknown region {region!r}")
     orbit, k = _ROTATION.get(region, ((region,), 0))  # IV, VI, VII: no orbit
     family = region if region in _SAMPLER_DRAWS else orbit[0]
+    if region in ("IV", "VI"):
+        family, k = "IV", 1 + (region == "VI")
     win = sampler_windows(l, p)
     windows = [win[w] if isinstance(w, str) else w for w in _SAMPLER_DRAWS[family]]
     for w, (lo, hi) in zip(_SAMPLER_DRAWS[family], windows):
@@ -678,7 +634,7 @@ def region_samples(
             )
     (lo1, hi1), (lo2, hi2) = windows
     u = _uniform_pairs(seed, REGION_IDS.index(region), count)
-    s, t = lo1 + (hi1 - lo1) * u[:, 0], lo2 + (hi2 - lo2) * u[:, 1]  # numpy's uniform(lo, hi)
+    s, t = lo1 + (hi1 - lo1) * u[:, 0], lo2 + (hi2 - lo2) * u[:, 1]
 
     def fiber(a, b):  # the third log closes the fiber
         return a, b, l - a - b
@@ -699,7 +655,7 @@ def region_samples(
         logs = fiber(s + t, s)
     else:  # IV and VI: (m, n) is (s, s + t) for t >= 0, else (s - t, s)
         m, n = np.where(t >= 0, s, s - t), np.where(t >= 0, s + t, s)
-        logs = (l - m - n, m, n) if family == "IV" else (n, l - n - m, m)
+        logs = _rotate((m, n, l - m - n), k)
     logs = np.stack(logs, axis=1)
     return _ad._libm(partial(pow, T), logs.ravel()).reshape(logs.shape)
 

@@ -274,8 +274,9 @@ def test_metric_check_float_domain(capsys):
 
 def test_metric_check_breakdown_is_not_a_usage_error():
     # a c_base whose metric overflows is a numerical breakdown, reported per
-    # region; the rows that stay finite still decide "fail" here
-    out, code = run(["metric-check", "--samples", "5", "--c-base", "1e308"])
+    # region; the rows that stay finite still decide "fail" here (at seed 3
+    # g_yz breaks down on all 5 samples)
+    out, code = run(["metric-check", "--seed", "3", "--samples", "5", "--c-base", "1e308"])
     rep = json.loads(out)
     assert code == 1 and rep["status"] == "fail"
     broken = {k: r["breakdowns"] for k, r in rep["regions"].items() if "breakdowns" in r}

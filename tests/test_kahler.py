@@ -1,6 +1,7 @@
 import functools
 import importlib.util
 import math
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -272,6 +273,26 @@ def test_formula_key_matches_oracle_on_band_edges(edge, x, y, k):
     assert q.key == oracle_key(q)
 
 
+# Rows exactly on a classifier edge under libm, each found by a search for
+# a row that numpy's routine for the same function moves off that edge (on
+# an x86-64 host with numpy 2.4 the lanes then give I):
+# - a log_T norm equal to MODERATE_LOG, which np.log in place of math.log misses;
+# - max d equal to T^(l/4), which np.log1p in place of math.log1p misses;
+# - max d equal to T^(l/4), which x * x in place of pow(x, 2) misses.
+@pytest.mark.parametrize("r, T, l, key", [
+    ((0.05787179344619736, 1.7516040587557488e-12, 1.7516040587557488e-12), 0.24056556995172307, 40, "axis_x"),
+    ((0.5790761346364421, 0.050051989559642796, 0.050051989559642796), 0.804144700695926, 30, "VII"),
+    ((0.12233568995542547, 3.001382470639913e-05, 3.001382470639913e-05), 0.4656645688129229, 30, "VII"),
+])
+def test_formula_key_keeps_libm_on_edges(r, T, l, key):
+    q = FiberPoint(*r, T, l, DEFAULT_P)
+    if key == "VII":
+        assert _deep_terms(q)[0] == T ** (l / 4)
+    else:
+        assert math.log(r[0]) / math.log(T) == kahler.MODERATE_LOG
+    assert kahler._KEYS[formula_key(np.array([r]), q.profile)[0]] == oracle_key(q) == key
+
+
 def test_sampler_classifier_agreement():
     # "in_region" is a recount of the certificate's own samples; at the
     # defaults a few IIB and IV samples near a band edge are VII
@@ -281,10 +302,10 @@ def test_sampler_classifier_agreement():
         assert all(on_fiber(q) for q in pts)
         count = sum(region_classify(q) == region for q in pts)
         assert rows[region]["in_region"] == count, region
-    assert region_classify(points("IIB", 89, seed=7)[88]) == "VII"
-    assert region_classify(points("IV", 46, seed=7)[45]) == "VII"
+    assert region_classify(points("IIB", 49, seed=7)[48]) == "VII"
+    assert region_classify(points("IV", 55, seed=7)[54]) == "VII"
     assert {r: row["in_region"] for r, row in rows.items() if row["in_region"] < 500} == {
-        "IIB": 488, "IV": 496,
+        "IIB": 485, "IV": 496, "VI": 497,
     }
 
 
@@ -312,20 +333,42 @@ def test_samples_are_seed_deterministic():
     assert a.tolist() == region_samples("IIA", 8, seed=9)[:5].tolist()  # a prefix of more
 
 
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK64 = 2 ** 64 - 1
+
+
+def _splitmix64(z):
+    """SplitMix64's output function on a Python int (Steele, Lea & Flood 2014)."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+    return z ^ z >> 31
+
+
+def _scalar_pairs(seed, ridx, count):
+    """`_uniform_pairs` one Python int at a time: the stream's oracle."""
+    nwords = max(1, -(-seed.bit_length() // 64))
+    key = 0
+    for w in [seed >> 64 * i & _MASK64 for i in range(nwords)] + [ridx]:
+        key = _splitmix64((key + _GAMMA & _MASK64) ^ w)
+    return [
+        tuple((_splitmix64(key + (2 * idx + j) * _GAMMA & _MASK64) >> 11) * 2.0 ** -53 for j in (1, 2))
+        for idx in range(count)
+    ]
+
+
 def _uniform_sampler(region, count, seed, T, l, p):
-    """The per-sample `uniform` sampler that region_samples replaced, kept as its oracle.
+    """A per-sample sampler on the scalar stream, kept as `region_samples`' oracle.
 
     It returns `region_samples`' count x 3 array of norms.
     """
     win = kahler.sampler_windows(l, p)
     orbit, k = kahler._ROTATION.get(region, ((region,), 0))
-    ridx = REGION_IDS.index(region)
     out = []
-    for idx in range(count):
-        rng = np.random.default_rng((seed, ridx, idx))
+    for pair in _scalar_pairs(seed, REGION_IDS.index(region), count):
+        draws = iter(pair)
 
         def u(lo, hi):
-            return float(rng.uniform(lo, hi))
+            return lo + (hi - lo) * next(draws)
 
         if region == "VII":
             a = l / 3 + u(-0.5, 0.5)
@@ -348,22 +391,18 @@ def _uniform_sampler(region, count, seed, T, l, p):
             b = u(*win["a"])
             th = u(*win["IIA"])
             q = FiberPoint.from_logs(b + th, b, None, T, l, p)
-        elif region == "IV":
-            m = u(*win["a"])
+        else:  # IV and VI: sigma and sigma^2 of (m, n, l - m - n)
+            s = u(*win["a"])
             d = u(*win["IV"])
-            b, c = (m, m + d) if d >= 0 else (m - d, m)
-            q = FiberPoint.from_logs(l - b - c, b, c, T, l, p)
-        else:  # VI
-            m = u(*win["a"])
-            d = u(*win["IV"])
-            c, a = (m, m + d) if d >= 0 else (m - d, m)
-            q = FiberPoint.from_logs(a, l - a - c, c, T, l, p)
+            m, n = (s, s + d) if d >= 0 else (s - d, s)
+            logs = kahler._rotate((m, n, l - m - n), 1 if region == "IV" else 2)
+            q = FiberPoint.from_logs(*logs, T, l, p)
         out.append(q.r)
     return np.array(out, float).reshape(-1, 3)
 
 
 @pytest.mark.parametrize("l", [40, 60])
-# 2 ** 64 + 5 and 2 ** 128 + 1 make entropy longer than SeedSequence's pool of 4 words
+# 2 ** 64 + 5 and 2 ** 128 + 1 key the stream with two and three seed words
 @pytest.mark.parametrize("seed", [0, 7, 999999, 2 ** 40 + 5, 2 ** 64 + 5, 2 ** 128 + 1])
 def test_samples_match_uniform_oracle(seed, l):
     for region in REGION_IDS:
@@ -372,27 +411,41 @@ def test_samples_match_uniform_oracle(seed, l):
         assert got.shape == want.shape == (12, 3) and got.tobytes() == want.tobytes(), region
 
 
+def test_splitmix64_known_answers():
+    # SplitMix64 from state 0: its first three outputs
+    want = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    states = np.arange(1, 4, dtype=np.uint64) * kahler._GAMMA
+    assert kahler._mix(states).tolist() == want
+    assert [_splitmix64(k * _GAMMA & _MASK64) for k in (1, 2, 3)] == want
+    assert kahler._uniform_pairs(7, 0, 2)[0].tolist() == [0.5570122015098184, 0.14612911130338602]
+    assert kahler._uniform_pairs(2 ** 128 + 1, 14, 2)[0].tolist() == [0.053264633406472583, 0.7598401191056807]
+
+
 @pytest.mark.parametrize("count", [0, 1, 500])
-# one to five entropy words; 2 ** 32 - 1 and 2 ** 32 straddle the second word
-@pytest.mark.parametrize("seed", [0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 128 + 1])
-def test_uniform_pairs_match_numpy_stream_bits(seed, count):
+# one to three seed words; 2 ** 64 - 1 and 2 ** 64 straddle the second word
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 5, 2 ** 128 + 1])
+def test_uniform_pairs_match_scalar_splitmix64(seed, count):
     for ridx in range(len(REGION_IDS)):
         got = kahler._uniform_pairs(seed, ridx, count)
         assert got.shape == (count, 2) and got.dtype == np.float64
-        for idx in range(count):
-            gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, ridx, idx))))
-            want = gen.random(2)
-            assert (got[idx].view(np.uint64) == want.view(np.uint64)).all(), (ridx, idx)
+        want = np.array(_scalar_pairs(seed, ridx, count), float).reshape(-1, 2)
+        assert got.tobytes() == want.tobytes(), ridx
 
 
-def test_uniform_pairs_refuse_what_default_rng_refuses():
-    with pytest.raises(ValueError):
-        np.random.default_rng((-1, 0, 0))
+def test_uniform_pairs_wrap_without_warnings():
+    # uint64 lanes wrap mod 2 ** 64; no scalar overflow warning, no float promotion
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got = kahler._uniform_pairs(2 ** 128 + 1, 3, 500)
+    assert got.tobytes() == np.array(_scalar_pairs(2 ** 128 + 1, 3, 500)).tobytes()
+
+
+def test_uniform_pairs_refuse_bad_seeds_and_counts():
     with pytest.raises(ValueError, match="non-negative"):
         kahler._uniform_pairs(-1, 0, 3)
     with pytest.raises(ValueError, match="non-negative"):
         region_samples("I", 1, seed=-(2 ** 40))
-    # idx 2 ** 32 would be two entropy words; refused before anything is allocated
+    # the CLI's --samples domain; refused before anything is allocated
     assert kahler._uniform_pairs(7, 0, 0).shape == (0, 2)
     assert region_samples("I", -1).shape == (0, 3)  # a count <= 0 draws nothing, as range(count)
     with pytest.raises(ValueError, match=r"at most 2\*\*32 samples"):
