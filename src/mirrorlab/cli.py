@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import BinaryIO
@@ -22,6 +23,10 @@ EXIT_USAGE = 64
 EXIT_SOFTWARE = 70  # sysexits.h EX_SOFTWARE, as 64 is EX_USAGE
 
 _STATUS_CODE = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "indeterminate": EXIT_INDETERMINATE}
+
+
+class UsageError(ValueError):
+    """An argv outside a command's domain; its message names the flags."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,7 +98,7 @@ _C_BASE = _checked(lambda t: t if t == "auto" else float(t),
 
 def _functor(args: argparse.Namespace) -> tuple[str, dict]:
     if not args.i < args.j < args.k:
-        raise ValueError(f"--i, --j, --k must satisfy i < j < k, got {args.i}, {args.j}, {args.k}")
+        raise UsageError(f"--i, --j, --k must satisfy i < j < k, got {args.i}, {args.j}, {args.k}")
     from .fukaya import functor_check
 
     rep = functor_check(args.i, args.j, args.k, args.cutoff)
@@ -106,7 +111,7 @@ def _trop(args: argparse.Namespace) -> bytes:
     try:
         return tropical.svg_tiling(args.window).encode()
     except ValueError as exc:  # the window is too small to draw
-        raise ValueError(f"--window: {exc}") from None
+        raise UsageError(f"--window: {exc}") from None
 
 
 def _facets(args: argparse.Namespace) -> bytes:
@@ -123,7 +128,7 @@ def _disc_series(args: argparse.Namespace) -> tuple[str, dict]:
     phi = trop_phi((a.xi1, a.xi2))
     if not a.eta > phi.value:
         inside = ",".join(map(str, a))
-        raise ValueError(f"--A must lie strictly inside the moment body, got {inside!r}")
+        raise UsageError(f"--A must lie strictly inside the moment body, got {inside!r}")
     from . import gw
 
     cutoff = args.cutoff
@@ -151,7 +156,7 @@ def _sphere_c(args: argparse.Namespace) -> tuple[str, dict]:
 
 def _check_level(args: argparse.Namespace) -> None:
     if args.j - args.i < 2:
-        raise ValueError(f"--j must be at least --i + 2, got --i {args.i} --j {args.j}")
+        raise UsageError(f"--j must be at least --i + 2, got --i {args.i} --j {args.j}")
 
 
 def _differential(args: argparse.Namespace) -> tuple[str, dict]:
@@ -178,13 +183,13 @@ def _metric_check(args: argparse.Namespace) -> tuple[str, dict]:
     # the smallest sampled norm r is about T^(l+2), and the Hessian of log r holds -1/r^2
     if l + 2 > math.log(sys.float_info.min) / (2 * math.log(T)):
         least = sys.float_info.min
-        raise ValueError(f"--T {T!r} --l {l}: T^(2(l+2)) must be a normal float (>= {least:.2g})")
+        raise UsageError(f"--T {T!r} --l {l}: T^(2(l+2)) must be a normal float (>= {least:.2g})")
     empty = [k for k, (lo, hi) in kahler.sampler_windows(l, p).items() if lo >= hi]
     if empty:
-        raise ValueError(f"--l {l} --p {p}: empty sampler windows {', '.join(empty)}")
+        raise UsageError(f"--l {l} --p {p}: empty sampler windows {', '.join(empty)}")
     deep = 3 * kahler.MODERATE_LOG  # below it a fiber point can have three moderate logs
     if l <= deep:
-        raise ValueError(f"--l must exceed {deep:g} (a deep fiber), got {l}")
+        raise UsageError(f"--l must exceed {deep:g} (a deep fiber), got {l}")
     seed = kahler.DEFAULT_SEED if args.seed is None else args.seed
     body = kahler.metric_certificate(T, l, p, args.samples, seed, args.c_base)
     return body["status"], body
@@ -226,11 +231,12 @@ def _monodromy(args: argparse.Namespace) -> tuple[str, dict]:
 
 # Each flag's type parses and checks its own domain, so parsing alone refuses
 # it, naming the flag.  Each command's handler, set by set_defaults, takes
-# (args): it checks what relates two flags or needs a layer (a ValueError names
+# (args): it checks what relates two flags or needs a layer (a UsageError names
 # the flags), fills its defaults and runs its layers, imported inside the
 # handler so that a command loads only what it runs: metric-check alone loads
-# kahler and numpy, and monodromy, trop and facets run on tropical alone.  It
-# returns the report's (status, body), or the bytes of the SVG/CSV emitters.
+# kahler and numpy (on one OpenBLAS thread, set by main), and monodromy, trop
+# and facets run on tropical alone.  It returns the report's (status, body),
+# or the bytes of the SVG/CSV emitters.
 def build_parser() -> _Parser:
     parser = _Parser(prog="mirrorlab", description=__doc__)
     parser.add_argument("--out", help="write the report to this path")
@@ -291,14 +297,15 @@ def run(argv: list[str] | None, stdout: BinaryIO | None = None) -> tuple[bytes, 
     """Execute one command; returns (output bytes, exit code).
 
     The report is also written to --out when given, else to the binary
-    stream stdout if one is passed.  A ValueError from the command means an
-    argument outside its domain, which is a usage error.
+    stream stdout if one is passed.  A UsageError from the command means an
+    argument outside its domain, which is a usage error; any other exception
+    is a fault of the program and propagates.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         result = args.handler(args)
-    except ValueError as exc:
+    except UsageError as exc:
         parser.error(str(exc))
     if isinstance(result, bytes):
         out, code = result, EXIT_PASS
@@ -317,6 +324,12 @@ def run(argv: list[str] | None, stdout: BinaryIO | None = None) -> tuple[bytes, 
 
 
 def main(argv: list[str] | None = None) -> int:
+    # numpy's OpenBLAS starts a worker thread per core when it loads, but the
+    # one LAPACK call, eigvalsh on batches of 3x3 matrices, runs a matrix at a
+    # time, so the pool never works; starting it costs each metric-check
+    # process 60-95 ms (2 vCPUs).  Set here, at the process entry, so that
+    # callers of run keep their environment; an explicit value is kept.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         return run(argv, sys.stdout.buffer)[1]
     except Exception:  # a crash is no verdict; exit 1 would read as "fail"

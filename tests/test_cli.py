@@ -308,6 +308,25 @@ def test_crash_exits_70_not_fail(monkeypatch, capsysbinary):
     assert b"AssertionError: inconsistent structure constant" in captured.err
 
 
+def test_layer_invariant_exits_70_not_usage(monkeypatch, capsysbinary):
+    # an empty wall reaches a degree map at two wall counts, and admitted_classes
+    # raises its ValueError: a fault of the data, not of the argv
+    from mirrorlab import gw
+
+    window = gw.wall_curves_window
+    empty = gw.WallCurve((gw.LatticeVector(0, 0), gw.LatticeVector(1, 0)), {})
+    monkeypatch.setattr(gw, "wall_curves_window", lambda radius: window(radius) + [empty])
+    argv = ["sphere-c", "--max-order", "3", "--window", "3"]
+    with pytest.raises(ValueError, match="degree map reached with"):
+        run(argv)
+    assert cli.main(argv) == 70
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err.startswith(b"Traceback")
+    assert b"ValueError: degree map reached with" in captured.err
+    assert b"mirrorlab: error:" not in captured.err
+
+
 def test_unwritable_out_is_usage_error(tmp_path, capsys):
     for path in (tmp_path / "missing" / "x.json", tmp_path):
         _assert_usage_error(capsys, ["--out", str(path), "facets", "--radius", "0"], "--out")
@@ -386,6 +405,13 @@ REPORT_DIGESTS = (
      "a35b55e3f83b51221afe5123fb0d03db325b97617ea34b411306d84361805878"),
     (["functor", "--i", "0", "--j", "4", "--k", "8", "--cutoff", "12"],
      "d2ae2ad37ee49f0f3f44ff65e97f408733d5311ece2b6812549271ffa5863002"),
+    # the two metric-check ops of perfbench's metric-cert workload at seed 1.
+    # These bytes depend on the host's libm (log, log1p, pow) and LAPACK's
+    # eigvalsh; a host that differs here is a finding (ROADMAP J(c))
+    (["metric-check", "--c-base", "auto", "--samples", "300", "--seed", "7"],
+     "d2991f249e1cfcd28c47e4cf3b5cd8ba35096e86583e30460db99ebc7518b02e"),
+    (["metric-check", "--c-base", "6.96898287454082e+41", "--samples", "500", "--seed", "215045"],
+     "69128859d0abc93384ccdaae3c777df8c7abaaa376ccfdda984cc811731ca252"),
 )
 
 
@@ -429,14 +455,18 @@ print(json.dumps([result, [m for m in json.loads(sys.argv[2]) if m in sys.module
 """
 
 
+def _child_env():
+    """This process's environment, with this checkout's src on PYTHONPATH."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def _startup(argv):
     """cli.run(argv) in a fresh process: its [stdout, exit code] (None if it
     exited), the watched modules it loaded, and its stderr."""
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-c", _STARTUP_PROBE, json.dumps(argv), json.dumps(_WATCHED)],
-        env=env, capture_output=True, text=True, check=True, timeout=300,
+        env=_child_env(), capture_output=True, text=True, check=True, timeout=300,
     )
     result, modules = json.loads(proc.stdout)
     return result, set(modules), proc.stderr
@@ -461,6 +491,44 @@ def test_only_the_metric_commands_load_numpy():
     assert not any(mods & {"numpy.random", "numpy.ma"} for mods in loaded.values())
     for cmd in ("monodromy", "trop", "facets"):
         assert not loaded[cmd] & {"mirrorlab.gw", "mirrorlab.series"}, cmd
+
+
+_MAIN_PROBE = """
+import json, os, sys
+from mirrorlab import cli
+code = cli.main(json.loads(sys.argv[1]))
+task = "/proc/self/task"
+threads = len(os.listdir(task)) if os.path.isdir(task) else None
+sys.stdout.buffer.write(json.dumps([code, os.environ.get("OPENBLAS_NUM_THREADS"), threads]).encode())
+"""
+
+
+def _main_in_fresh_process(argv, openblas_threads):
+    """cli.main(argv) in a fresh process with OPENBLAS_NUM_THREADS set to
+    openblas_threads, or unset if None: its stdout bytes, exit code, the
+    variable after the run, and its thread count (None without /proc)."""
+    env = _child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    proc = subprocess.run([sys.executable, "-c", _MAIN_PROBE, json.dumps(argv)],
+                          env=env, capture_output=True, check=True, timeout=300)
+    out, _, meta = proc.stdout.rpartition(b"\n")
+    code, variable, threads = json.loads(meta)
+    return out + b"\n", code, variable, threads
+
+
+def test_main_runs_openblas_on_one_thread():
+    # main sets OPENBLAS_NUM_THREADS=1 before numpy loads, so OpenBLAS starts
+    # no worker pool; a value set outside is kept, and does not move the bytes
+    argv = next(a for a in _STARTUP_ARGVS if a[0] == "metric-check")
+    out, code, variable, threads = _main_in_fresh_process(argv, None)
+    assert (out, code) == run(argv) and code == 0
+    assert variable == "1"
+    if threads is not None:
+        assert threads == 1
+    kept = _main_in_fresh_process(argv, "2")
+    assert kept[:3] == (out, code, "2")
 
 
 def test_flag_domain_errors_load_no_layer(capsys):
