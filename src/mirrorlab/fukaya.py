@@ -11,7 +11,6 @@ must agree exactly, term for term.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -24,7 +23,7 @@ from .lattice import (
     kappa,
     lambda_map,
 )
-from .series import TauSeries, theta_products
+from .series import ScaledSeries, theta_products
 
 
 class TriangleDatum(NamedTuple):
@@ -106,13 +105,13 @@ def triangles_up_to(
     bound, out = Fraction(max_area) * l * lp * lpp, []
     for e in coset_reps(l):
         for a in enumerate_shifted_ball((lpp * e.n1, lpp * e.n2), l, bound):
-            out.append(TriangleDatum(i, j, k, e, a))
+            out.append(TriangleDatum(i, j, k, e, LatticeVector(*a)))
     return out
 
 
 def mu2_closed(
     i: int, j: int, k: int, cutoff: Rational
-) -> dict[tuple[LatticeVector, LatticeVector, LatticeVector], TauSeries]:
+) -> dict[tuple[LatticeVector, LatticeVector, LatticeVector], ScaledSeries]:
     """Triangle-count series for the products of all pairs of basis morphisms.
 
     The value at (e1, e2, e) is the coefficient of output representative e
@@ -122,23 +121,26 @@ def mu2_closed(
     those congruences for exactly one pair, e1 = (a + e) mod l' and
     e2 = -a mod l'', so one ball per e, N(l a + l'' e) <= cutoff l l' l'',
     serves every pair.  The exponent is the integer N(l a + l'' e) over
-    the fixed denominator l l' l''.  Keys run over e1, then e2, then e, each
-    in `coset_reps` order.
+    the fixed denominator l l' l'', and each value holds its integer terms.
+    Keys run over e1, then e2, then e, each in `coset_reps` order.
     """
     if not i < j < k:
         raise ValueError("slopes must satisfy i < j < k")
     lp, lpp, l = j - i, k - j, k - i
     cutoff = Fraction(cutoff)
     reps, bound = coset_reps(l), cutoff * l * lp * lpp
-    counts: dict[tuple[LatticeVector, LatticeVector, LatticeVector], Counter[int]] = {}
+    # keyed by plain pairs, which hash and compare as the LatticeVectors
+    counts: dict[tuple[tuple[int, int], tuple[int, int], LatticeVector], dict[int, int]] = {}
     for e in reps:
-        for a, norm in enumerate_shifted_ball((lpp * e.n1, lpp * e.n2), l, bound).items():
-            e1 = LatticeVector((a.n1 + e.n1) % lp, (a.n2 + e.n2) % lp)
-            e2 = LatticeVector(-a.n1 % lpp, -a.n2 % lpp)
-            counts.setdefault((e1, e2, e), Counter())[norm] += 1
+        n1, n2 = e
+        for (a1, a2), norm in enumerate_shifted_ball((lpp * n1, lpp * n2), l, bound).items():
+            c = counts.setdefault((((a1 + n1) % lp, (a2 + n2) % lp), (-a1 % lpp, -a2 % lpp), e), {})
+            c[norm] = c.get(norm, 0) + 1
     den = l * lp * lpp
+    found = {key: ScaledSeries(tuple(sorted(c.items())), den, cutoff) for key, c in counts.items()}
+    empty = ScaledSeries((), den, cutoff)  # most keys when gcd(l', l'') > 1
     return {
-        key: TauSeries.from_scaled(counts.get(key, {}), den, cutoff)
+        key: found.get(key, empty)
         for key in itertools.product(coset_reps(lp), coset_reps(lpp), reps)
     }
 
@@ -182,8 +184,10 @@ class FunctorReport(NamedTuple):
 def functor_check(i: int, j: int, k: int, cutoff: Rational) -> FunctorReport:
     """Compare both product computations for every basis pair of (i, j, k).
 
-    Both sides are cut at `cutoff`, so their terms compare directly.
-    Discrepancies are report content, not exceptions.
+    Both sides are cut at `cutoff` and count over the same denominator
+    l l' l'', so their integer terms compare directly; the `Fraction`s of
+    a pair are built only for its mismatch text.  Discrepancies are report
+    content, not exceptions.
     """
     if not i < j < k:
         raise ValueError("slopes must satisfy i < j < k")
@@ -196,7 +200,7 @@ def functor_check(i: int, j: int, k: int, cutoff: Rational) -> FunctorReport:
         for rep in reps:
             a, b = theta[rep], tri[e1, e2, rep]
             if a.terms != b.terms:
-                mismatch = f"rep ({rep.n1},{rep.n2}): theta {a} vs triangles {b}"
+                mismatch = f"rep ({rep.n1},{rep.n2}): theta {a.series()} vs triangles {b.series()}"
                 break
         results.append(PairResult(e1, e2, mismatch is None, mismatch))
     return FunctorReport(i, j, k, cutoff, tuple(results))

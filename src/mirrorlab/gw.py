@@ -26,6 +26,7 @@ from .lattice import (
 )
 from .series import (
     NumericValue,
+    ScaledSeries,
     TauSeries,
     shell_tail,
     shifted_theta_value,
@@ -96,7 +97,7 @@ def wall_curves_window(radius: Rational) -> list[WallCurve]:
     tiles = enumerate_shifted_ball((0, 0), 1, radius)
     return [
         wall_degrees((t, t + delta))
-        for t in sorted(tiles)
+        for t in map(LatticeVector._make, sorted(tiles))
         for delta in NEIGHBOURS
         if delta > (0, 0) and t + delta in tiles  # each edge from its lesser tile
     ]
@@ -231,13 +232,13 @@ class DifferentialTable(NamedTuple):
     """Structure constants of multiplication by the defining section.
 
     entries[input rep e][output rep e~] is the tau-series coefficient T_e~(e)
-    in s * theta_e = sum over e~ of T_e~(e) theta_e~; `leibniz_check`
-    evaluates it at tau as it stands.
+    in s * theta_e = sum over e~ of T_e~(e) theta_e~, as integer terms;
+    the report and `leibniz_check` read it as a TauSeries.
     """
 
     level: int
     cutoff: Fraction
-    entries: dict[LatticeVector, dict[LatticeVector, TauSeries]]
+    entries: dict[LatticeVector, dict[LatticeVector, ScaledSeries]]
 
     def to_json(self) -> dict:
         return {
@@ -247,7 +248,7 @@ class DifferentialTable(NamedTuple):
                 {
                     "e_in": [e.n1, e.n2],
                     "out": [
-                        {"e_out": [f.n1, f.n2], "series": ts.to_json()}
+                        {"e_out": [f.n1, f.n2], "series": ts.series().to_json()}
                         for f, ts in sorted(row.items())
                     ],
                 }
@@ -348,7 +349,7 @@ def leibniz_check(
         lhs = s.times(n[level - 1][e])
         rhs = rhs_tail = 0.0
         for f, ts in table.entries[e].items():
-            term = NumericValue(ts.evaluate(tau), t_tail).times(n[level][f])
+            term = NumericValue(ts.series().evaluate(tau), t_tail).times(n[level][f])
             rhs += term.value
             rhs_tail += term.tail_bound
         items.append(

@@ -99,7 +99,7 @@ def gamma_act_moment(g: LatticeVector, p: MomentPoint) -> MomentPoint:
 
 def enumerate_shifted_ball(
     residue: tuple[int, int], modulus: int, bound: Rational
-) -> dict[LatticeVector, int | float]:
+) -> dict[tuple[int, int], int | float]:
     """All n with N(modulus n + residue) <= bound, each mapped to that norm.
 
     The only place a norm bound becomes a coordinate box: N(w) >= (3/4) w_i^2,
@@ -107,7 +107,9 @@ def enumerate_shifted_ball(
     the norm reads it here, evaluated once.  An integer residue and modulus
     with an exact bound B = p/q are tested on integers, q N <= p.  A float
     residue (modulus 1 for shifted_theta_value) or bound is tested in floats
-    as given.  Points are in row-major order, n1 outer.
+    as given.  Points are plain pairs (n1, n2), which cost a tenth of a
+    LatticeVector to build and equal and hash as one, in row-major order,
+    n1 outer.
     """
     r1, r2 = residue
     if bound < 0:
@@ -122,7 +124,7 @@ def enumerate_shifted_ball(
             w2 = modulus * n2 + r2
             norm = w1 * w1 + w1 * w2 + w2 * w2
             if q * norm <= p:
-                out[LatticeVector(n1, n2)] = norm
+                out[n1, n2] = norm
     return out
 
 

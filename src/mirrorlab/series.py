@@ -2,9 +2,11 @@
 
 A TauSeries is a finite sum of c * tau^e with rational c and e, together
 with an explicit cutoff: exponents above the cutoff are unknown, not zero.
-Theta sections are stored as Laurent data: a map from integer x-exponent
-(in the basis where the lattice pairing is integral) to the integer terms
-{x: c} of sum c tau^(x/den), over the section's own denominator den.
+The exact engine keeps exponents as integers over a fixed denominator: a
+ScaledSeries holds the integer terms (x, c) of sum c tau^(x/den), and theta
+sections are stored as Laurent data, a map from integer x-exponent (in the
+basis where the lattice pairing is integral) to the integer terms {x: c}
+over the section's own denominator den.
 """
 
 from __future__ import annotations
@@ -43,12 +45,6 @@ class TauSeries(NamedTuple):
                 continue
             acc[e] = acc.get(e, Fraction(0)) + c
         terms = tuple(sorted((e, c) for e, c in acc.items() if c != 0))
-        return TauSeries(terms, cutoff)
-
-    @staticmethod
-    def from_scaled(acc: dict[int, Rational], den: int, cutoff: Fraction) -> "TauSeries":
-        """The series sum c tau^(x/den) over acc's items x: c, all x/den <= cutoff."""
-        terms = tuple((Fraction(x, den), Fraction(c)) for x, c in sorted(acc.items()) if c)
         return TauSeries(terms, cutoff)
 
     @staticmethod
@@ -103,7 +99,12 @@ class TauSeries(NamedTuple):
         return self.terms[0] if self.terms else None
 
     def evaluate(self, tau: float) -> float:
-        return float(sum(float(c) * tau ** float(e) for e, c in self.terms))
+        # Left to right: sum() of floats compensates its rounding from
+        # Python 3.12 on, so the report bytes would depend on the version.
+        total = 0.0
+        for e, c in self.terms:
+            total += float(c) * tau ** float(e)
+        return total
 
     def exp(self) -> "TauSeries":
         """exp of a series with positive integer exponents, truncated.
@@ -135,6 +136,19 @@ class TauSeries(NamedTuple):
         return f"{body} (+O(tau^{self.cutoff}))"
 
 
+class ScaledSeries(NamedTuple):
+    """sum c tau^(x/den) over integer terms (x, c), nonzero c in increasing x,
+    known up to `cutoff`; `series()` builds its `Fraction`s, for a report."""
+
+    terms: tuple[tuple[int, int], ...]
+    den: int
+    cutoff: Fraction
+
+    def series(self) -> TauSeries:
+        den = self.den
+        return TauSeries(tuple((Fraction(x, den), Fraction(c)) for x, c in self.terms), self.cutoff)
+
+
 class LaurentSection(NamedTuple):
     """A section of a level-`level` theta bundle as Laurent data in x.
 
@@ -149,9 +163,6 @@ class LaurentSection(NamedTuple):
     cutoff: Fraction
     den: int
     coeffs: dict[tuple[int, int], dict[int, int]]
-
-    def series(self, key: tuple[int, int]) -> TauSeries:
-        return TauSeries.from_scaled(self.coeffs[key], self.den, self.cutoff)
 
 
 class NumericValue(NamedTuple):
@@ -181,8 +192,8 @@ def theta_section(e: LatticeVector, level: int, cutoff: Rational) -> LaurentSect
     cutoff = Fraction(cutoff)
     # level * N(n + e/level) = N(w)/level with w = level*n + e; the key is -w.
     coeffs = {
-        (-(level * n.n1 + e.n1), -(level * n.n2 + e.n2)): {norm: 1}
-        for n, norm in enumerate_shifted_ball(e, level, cutoff * level).items()
+        (-(level * n1 + e.n1), -(level * n2 + e.n2)): {norm: 1}
+        for (n1, n2), norm in enumerate_shifted_ball(e, level, cutoff * level).items()
     }
     return LaurentSection(level, cutoff, level, coeffs)
 
@@ -191,29 +202,31 @@ def section_mul(s1: LaurentSection, s2: LaurentSection) -> LaurentSection:
     """Product section; level adds, cutoff is the minimum of the factors'.
 
     The product runs on integer exponents over den = lcm(s1.den, s2.den),
-    after one rescale of each factor's exponents by den // s.den.
+    after one rescale of each factor's exponents by den // s.den.  Each
+    factor's terms are sorted by exponent, so the inner loop stops at the
+    first pair past the cutoff.
     """
     cutoff = min(s1.cutoff, s2.cutoff)
     den = math.lcm(s1.den, s2.den)
     limit = math.floor(cutoff * den)
     f1, f2 = (
-        [(k, [(x * (den // s.den), c) for x, c in t.items()]) for k, t in s.coeffs.items()]
+        sorted((x * (den // s.den), k, c) for k, t in s.coeffs.items() for x, c in t.items())
         for s in (s1, s2)
     )
     acc: dict[tuple[int, int], dict[int, int]] = {}
-    for k1, t1 in f1:
-        for k2, t2 in f2:
-            for x1, c1 in t1:
-                for x2, c2 in t2:
-                    if x1 + x2 <= limit:
-                        terms = acc.setdefault((k1[0] + k2[0], k1[1] + k2[1]), {})
-                        terms[x1 + x2] = terms.get(x1 + x2, 0) + c1 * c2
+    for x1, (a1, b1), c1 in f1:
+        for x2, (a2, b2), c2 in f2:
+            x = x1 + x2
+            if x > limit:
+                break
+            terms = acc.setdefault((a1 + a2, b1 + b2), {})
+            terms[x] = terms.get(x, 0) + c1 * c2
     return LaurentSection(s1.level + s2.level, cutoff, den, acc)
 
 
 def section_mul_decompose(
     s1: LaurentSection, s2: LaurentSection, cutoff: Rational
-) -> dict[LatticeVector, TauSeries]:
+) -> dict[LatticeVector, ScaledSeries]:
     """Structure constants C_e with  s1*s2 = sum_e C_e * (basis section e).
 
     Works by matching the product against the x-exponent lattices of the
@@ -222,8 +235,9 @@ def section_mul_decompose(
     class must agree on the overlap of its validity ranges.  Exponents are
     compared and shifted as integers over D = l*l1*l2, which the
     structure-constant exponents' denominators divide, and cut at
-    floor(cutoff*D) before each C_e is built.  C_e is known up to the
-    smaller of cutoff and the product's cutoff minus the basis exponent.
+    floor(cutoff*D), and each C_e is returned as integer terms over D.
+    C_e is known up to the smaller of cutoff and the product's cutoff minus
+    the basis exponent.  Keys run over e in `coset_reps` order.
     """
     cutoff = Fraction(cutoff)
     level = s1.level + s2.level
@@ -236,14 +250,20 @@ def section_mul_decompose(
     # One pass groups the keys by class, each with D times its basis
     # exponent, base.  Every term of a key lies in the key's own validity
     # range: shifted by -base, its exponent is at most limit - base.
-    classes: dict[LatticeVector, list[tuple[int, dict[int, int]]]] = {}
-    for key, terms in prod.coeffs.items():
-        rep = LatticeVector(-key[0] % level, -key[1] % level)
-        base = (key[0] * key[0] + key[0] * key[1] + key[1] * key[1]) * s1.level * s2.level
-        classes.setdefault(rep, []).append((base, terms))
+    classes: dict[tuple[int, int], list[tuple[int, dict[int, int]]]] = {}
+    scale = s1.level * s2.level
+    for (k1, k2), terms in prod.coeffs.items():
+        base = (k1 * k1 + k1 * k2 + k2 * k2) * scale
+        classes.setdefault((-k1 % level, -k2 % level), []).append((base, terms))
     cut = math.floor(cutoff * den)
     out = {}
-    for rep, members in classes.items():
+    for rep, n_min in _coset_min_norms(level).items():
+        members = classes.get(rep)
+        if members is None:
+            # Representatives whose minimal basis exponent exceeds the cutoff
+            # do not appear in the truncated product: zero series.
+            out[rep] = ScaledSeries((), den, min(cutoff, prod.cutoff - Fraction(n_min, level)))
+            continue
         # The smallest basis exponent (the first of equal ones) leaves the
         # largest validity range; that key gives the constant, and every
         # other key must equal it on the other key's range.
@@ -256,16 +276,11 @@ def section_mul_decompose(
                 or [const.get(x * up - b) for x in t] != [*t.values()]
             ):
                 raise AssertionError(f"inconsistent structure constant for representative {rep}")
-        out[rep] = TauSeries.from_scaled(
-            {y: const[y] for y in ys[: bisect.bisect_right(ys, cut)]},
+        out[rep] = ScaledSeries(
+            tuple((y, const[y]) for y in ys[: bisect.bisect_right(ys, cut)] if const[y]),
             den,
             min(cutoff, prod.cutoff - Fraction(base, den)),
         )
-    # Representatives whose minimal basis exponent exceeds the cutoff simply
-    # do not appear in the truncated product; report them as zero series.
-    for rep, n_min in _coset_min_norms(level).items():
-        if rep not in out:
-            out[rep] = TauSeries.zero(min(cutoff, prod.cutoff - Fraction(n_min, level)))
     return out
 
 
@@ -295,7 +310,7 @@ _NORM_AUTOMORPHISMS = (
 
 def theta_products(
     l1: int, l2: int, cutoff: Rational
-) -> dict[tuple[LatticeVector, LatticeVector], dict[LatticeVector, TauSeries]]:
+) -> dict[tuple[LatticeVector, LatticeVector], dict[LatticeVector, ScaledSeries]]:
     """Decompositions of every product (basis e1, level l1) * (basis e2, level l2).
 
     Two exact symmetries map the table to itself, C_{h e1, h e2}(h e) =
@@ -317,13 +332,15 @@ def theta_products(
     # h = (a, b, c, d, u1, u2) sends a level-l index e to A e + (l/g) u mod l.
     group = [(*a, u1, u2) for a in _NORM_AUTOMORPHISMS for u2 in range(g) for u1 in range(g)]
 
-    def act(h: tuple[int, ...], e: LatticeVector, l: int) -> LatticeVector:
+    # Relabeled indices are plain pairs, which hash and compare as the
+    # LatticeVectors of the returned keys.
+    def act(h: tuple[int, ...], e: tuple[int, int], l: int) -> tuple[int, int]:
         a, b, c, d, u1, u2 = h
         s = l // g
-        return LatticeVector((a * e.n1 + b * e.n2 + s * u1) % l, (c * e.n1 + d * e.n2 + s * u2) % l)
+        return (a * e[0] + b * e[1] + s * u1) % l, (c * e[0] + d * e[1] + s * u2) % l
 
     reps1, reps2, reps = coset_reps(l1), coset_reps(l2), coset_reps(level)
-    table: dict[tuple[LatticeVector, LatticeVector], dict[LatticeVector, TauSeries]] = {}
+    table: dict[tuple[tuple[int, int], ...], dict[tuple[int, int], ScaledSeries]] = {}
     for e1 in reps1:
         for e2 in reps2:
             if (e1, e2) in table:

@@ -325,7 +325,7 @@ def facet_csv(radius: Rational) -> str:
     """Facet table m1,m2,nu1,nu2,nu3,alpha for all tiles with N(m) <= radius."""
     rows = ["m1,m2,nu1,nu2,nu3,alpha"]
     ball = enumerate_shifted_ball((0, 0), 1, radius)  # each tile's N(m)
-    for n in sorted(ball, key=lambda n: (ball[n], n.n1, n.n2)):
-        f = facet(n)
-        rows.append(f"{n.n1},{n.n2},{f.normal[0]},{f.normal[1]},{f.normal[2]},{f.offset}")
+    for n1, n2 in sorted(ball, key=lambda n: (ball[n], n)):
+        f = facet(LatticeVector(n1, n2))
+        rows.append(f"{n1},{n2},{f.normal[0]},{f.normal[1]},{f.normal[2]},{f.offset}")
     return "\n".join(rows) + "\n"

@@ -10,6 +10,8 @@ import sys
 import pytest
 
 from mirrorlab import cli, kahler, series
+from report_digests import digest as report_digest
+from report_digests import read_manifest
 
 
 def run(argv):
@@ -382,37 +384,12 @@ def test_reports_match_golden_files(argv, name):
     assert out == (pathlib.Path(__file__).parent / "data" / name).read_bytes()
 
 
-# Past the goldens' level 3: the structure constants at levels 4 and 5 (the
-# two differential ops of perfbench's theta-exact workload) and the slowest
-# functor gap of that workload, (2, 3), by digest; the README's leibniz;
-# monodromy at the sample count of the honeycomb workload, at two seeds; and
-# functor at gcd(l', l'') = 3 and 4, where the theta route relabels pairs by
-# 9 and 16 torsion translations.
-REPORT_DIGESTS = (
-    (["differential", "--i", "0", "--j", "4", "--cutoff", "15"],
-     "e4e3985efff8f09b6658df4c91ff5a237aa2b4340af11b989d2d6e2e588a8c03"),
-    (["differential", "--i", "0", "--j", "5", "--cutoff", "20"],
-     "8a4542fb560797c535cbe02c953bdcae714311e947e60e1cc5e3eb35d6b6c72b"),
-    (["functor", "--i", "0", "--j", "2", "--k", "5", "--cutoff", "20"],
-     "6bbbecd003c49104e12b1844f559323ed5d7f836203c190e63e9f11f5a260b57"),
-    (["leibniz", "--i", "0", "--j", "2", "--x", "1,1", "--tau", "0.1", "--cutoff", "15"],
-     "bea75f4b55b9aae4e8e8caf0cea6ecee4a21e317c72b2c5e27ce05113ad30f00"),
-    (["monodromy", "--samples", "500"],
-     "8fc96a97dedbbee75e7a742a5381a09384cf2fb1577073cf6b4aac4c86854d7d"),
-    (["monodromy", "--samples", "500", "--seed", "905735"],
-     "6d0cae179d4beba5de1093cd669ef705cda9d8424593302a47a0cdf1872fab6f"),
-    (["functor", "--i", "0", "--j", "3", "--k", "6", "--cutoff", "30"],
-     "a35b55e3f83b51221afe5123fb0d03db325b97617ea34b411306d84361805878"),
-    (["functor", "--i", "0", "--j", "4", "--k", "8", "--cutoff", "12"],
-     "d2ae2ad37ee49f0f3f44ff65e97f408733d5311ece2b6812549271ffa5863002"),
-    # the two metric-check ops of perfbench's metric-cert workload at seed 1.
-    # These bytes depend on the host's libm (log, log1p, pow) and LAPACK's
-    # eigvalsh; a host that differs here is a finding (ROADMAP J(c))
-    (["metric-check", "--c-base", "auto", "--samples", "300", "--seed", "7"],
-     "d2991f249e1cfcd28c47e4cf3b5cd8ba35096e86583e30460db99ebc7518b02e"),
-    (["metric-check", "--c-base", "6.96898287454082e+41", "--samples", "500", "--seed", "215045"],
-     "69128859d0abc93384ccdaae3c777df8c7abaaa376ccfdda984cc811731ca252"),
-)
+# The rows of the report-digest manifest, tests/data/report_digests.tsv,
+# that tier-1 compares; `tests/report_digests.py --check` compares them all.
+MANIFEST = read_manifest()
+# The pinned rows, one case each: past the goldens' levels.
+REPORT_DIGESTS = [(argv, sha) for name, _, sha, argv in MANIFEST if name == "pinned"]
+_TIER1_SETS = {"readme", "edge", *(f"seed{n}" for n in range(1, 6))}
 
 
 @pytest.mark.parametrize("argv, digest", REPORT_DIGESTS)
@@ -420,6 +397,17 @@ def test_reports_match_digests(argv, digest):
     out, code = run(argv)
     assert code == 0
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+def test_manifest_rows_through_seed_5():
+    rows = [row for row in MANIFEST if row[0] in _TIER1_SETS]
+    assert {row[0] for row in rows} == _TIER1_SETS
+    differ = [
+        f"{name} {shlex.join(argv)}: exit {got[0]} sha256 {got[1]}"
+        for name, code, sha, argv in rows
+        if (got := report_digest(argv)) != (code, sha)
+    ]
+    assert not differ
 
 
 def test_metric_check_fail_exit_code():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction as F
@@ -14,7 +15,8 @@ from mirrorlab.fukaya import (
     triangles_up_to,
 )
 from mirrorlab.lattice import LatticeVector, coset_reps, enumerate_shifted_ball, norm_form
-from mirrorlab.series import TauSeries, theta_products
+from mirrorlab.series import ScaledSeries, TauSeries, theta_products
+from series_view import tau_series
 
 
 def test_triangle_area_examples():
@@ -58,7 +60,7 @@ def _mu2_crt(i, j, k, e1, e2, cutoff):
             residue = (l * r1 + lpp * e.n1, l * r2 + lpp * e.n2)
             for norm in enumerate_shifted_ball(residue, l * big, bound).values():
                 counts[norm] += 1
-        out[e] = TauSeries.from_scaled(counts, l * lp * lpp, F(cutoff))
+        out[e] = ScaledSeries(tuple(sorted(counts.items())), l * lp * lpp, F(cutoff))
     return out
 
 
@@ -77,7 +79,7 @@ def _pair(table, e1, e2):
 def test_mu2_leading_series():
     e0 = LatticeVector(0, 0)
     m = mu2_closed(0, 1, 2, F(10))
-    assert [(e, c) for e, c in m[e0, e0, e0].terms][:3] == [
+    assert [(e, c) for e, c in tau_series(m[e0, e0, e0]).terms][:3] == [
         (F(0), F(1)),
         (F(2), F(6)),
         (F(6), F(6)),
@@ -85,8 +87,8 @@ def test_mu2_leading_series():
 
 
 def test_mu2_matches_theta_route():
-    table = mu2_closed(0, 1, 3, F(12))
-    products = theta_products(1, 2, F(12))
+    table = tau_series(mu2_closed(0, 1, 3, F(12)))
+    products = tau_series(theta_products(1, 2, F(12)))
     for e1 in coset_reps(1):
         for e2 in coset_reps(2):
             theta = products[e1, e2]
@@ -120,8 +122,19 @@ def test_a_wrong_relabeling_fails_the_functor_check(monkeypatch):
     # off itself; the triangle route still counts every pair and disagrees
     autos = series._NORM_AUTOMORPHISMS
     monkeypatch.setattr(series, "_NORM_AUTOMORPHISMS", (autos[0], (0, 1, -1, 0), *autos[1:]))
-    assert not functor_check(0, 2, 5, F(8)).all_match
-    assert cli.run(["functor", "--i", "0", "--j", "2", "--k", "5", "--cutoff", "8"])[1] == 1
+    report = functor_check(0, 2, 5, F(8))
+    assert not report.all_match
+    first = next(p for p in report.pairs if not p.matches)
+    # the text is built only on a mismatch, so nothing else pins it
+    assert (first.e1, first.e2) == ((0, 0), (0, 2))
+    assert first.first_mismatch == (
+        "rep (1,0): theta 1*tau^62/15 (+O(tau^8)) vs triangles 0 (+O(tau^8))"
+    )
+    out, code = cli.run(["functor", "--i", "0", "--j", "2", "--k", "5", "--cutoff", "8"])
+    assert code == 1
+    assert hashlib.sha256(out).hexdigest() == (
+        "6faf17d317b8c791deabfa5d3ddaa5c8b0af1b923af2569b935e7520992dfd9e"
+    )
 
 
 # Gaps (l', l''); the non-coprime ones have output reps whose coset is empty.
@@ -135,7 +148,8 @@ def _mu2_ball_filter(i, j, k, e1, e2, cutoff):
     for e in coset_reps(l):
         shift = (F(lpp * e.n1, l), F(lpp * e.n2, l))
         pairs = []
-        for a in enumerate_shifted_ball((lpp * e.n1, lpp * e.n2), l, cutoff * l * lp * lpp):
+        ball = enumerate_shifted_ball((lpp * e.n1, lpp * e.n2), l, cutoff * l * lp * lpp)
+        for a in map(LatticeVector._make, ball):
             if (a.n1 - e1.n1 + e.n1) % lp or (a.n2 - e1.n2 + e.n2) % lp:
                 continue
             if (a.n1 + e2.n1) % lpp or (a.n2 + e2.n2) % lpp:
@@ -154,7 +168,7 @@ def test_mu2_matches_ball_filter(gap):
     empty = 0
     for e1 in coset_reps(lp):
         for e2 in coset_reps(lpp):
-            got = _pair(table, e1, e2)
+            got = tau_series(_pair(table, e1, e2))
             want = _mu2_ball_filter(-1, lp - 1, lp + lpp - 1, e1, e2, cutoff)
             assert list(got) == list(want)
             for rep, series in want.items():
@@ -192,7 +206,7 @@ def test_mu2_invalid_reps():
 
 def test_mu2_zero_exponent_location():
     # an order-zero term appears only where the weight argument can vanish
-    for (e1, e2, e), series in mu2_closed(0, 2, 3, F(8)).items():
+    for (e1, e2, e), series in tau_series(mu2_closed(0, 2, 3, F(8))).items():
         if e2 == LatticeVector(0, 0) and series.coefficient(0):
             # (l''/l) e + a = 0 requires e = 0 mod l when gcd(l, l'') = 1
             assert (e.n1 * 1) % 3 == 0 and (e.n2 * 1) % 3 == 0
@@ -227,8 +241,8 @@ def test_functor_check_prefix_stability():
     assert small.all_match and big.all_match
     # matched prefixes never change when the cutoff grows
     e0 = LatticeVector(0, 0)
-    lo = theta_products(1, 2, F(6))[e0, e0]
-    hi = theta_products(1, 2, F(12))[e0, e0]
+    lo = tau_series(theta_products(1, 2, F(6))[e0, e0])
+    hi = tau_series(theta_products(1, 2, F(12))[e0, e0])
     for rep, series in lo.items():
         assert hi[rep].truncate(F(6)) == series
 

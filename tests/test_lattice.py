@@ -104,10 +104,11 @@ def test_gamma_act_is_group_action(g, h, x1, x2, eta):
 
 
 def test_norm_ball_counts():
-    assert [(v.n1, v.n2) for v in enumerate_shifted_ball((0, 0), 1, 0)] == [(0, 0)]
+    assert [(n1, n2) for n1, n2 in enumerate_shifted_ball((0, 0), 1, 0)] == [(0, 0)]
+    assert type(next(iter(enumerate_shifted_ball((0, 0), 1, 0)))) is tuple  # plain pairs
     assert len(enumerate_shifted_ball((0, 0), 1, 1)) == 7
     assert len(enumerate_shifted_ball((0, 0), 1, 3)) == 13
-    norms = sorted(v.norm for v in enumerate_shifted_ball((0, 0), 1, 3))
+    norms = sorted(LatticeVector(*v).norm for v in enumerate_shifted_ball((0, 0), 1, 3))
     assert 2 not in norms  # norm two is not represented
 
 
@@ -131,11 +132,11 @@ def test_norm_ball_matches_box_scan(bound, coset):
     points = enumerate_shifted_ball((r1, r2), modulus, bound)
     # every input also gives each point's tested norm N(modulus n + residue)
     if isinstance(r1, float):
-        assert all(q == norm_form(n.n1 + r1, n.n2 + r2) for n, q in points.items())
+        assert all(q == norm_form(n1 + r1, n2 + r2) for (n1, n2), q in points.items())
     else:
         assert all(
-            type(q) is int and q == norm_form(modulus * n.n1 + r1, modulus * n.n2 + r2)
-            for n, q in points.items()
+            type(q) is int and q == norm_form(modulus * n1 + r1, modulus * n2 + r2)
+            for (n1, n2), q in points.items()
         )
     # on the ball |modulus n_i + r_i| <= sqrt(4 bound/3) < 2 isqrt(bound) + 4, and |r_i| <= 30
     half = (2 * math.isqrt(int(bound)) + 34) // modulus + 2
@@ -156,7 +157,7 @@ def test_norm_ball_half_width_is_exact():
 
 def test_shifted_ball_and_coset_minimum():
     pts = enumerate_shifted_ball((1, 0), 2, 1)  # N(n + (1/2, 0)) <= 1/4
-    assert {(v.n1, v.n2) for v in pts} == {(0, 0), (-1, 0)}
+    assert {(n1, n2) for n1, n2 in pts} == {(0, 0), (-1, 0)}
     assert min_norm_in_coset((1, 0), 2) == 1
     assert min_norm_in_coset((0, 0), 3) == 0
     assert min_norm_in_coset((2, 2), 3) == norm_form(F(-1), F(-1))

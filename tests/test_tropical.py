@@ -110,7 +110,8 @@ def test_periodicity_exact(x1, x2, g):
 def test_argmax_dominates_brute_force(x1, x2):
     tv = trop_phi((x1, x2))
     best = max(
-        x1 * n.n1 + x2 * n.n2 - n.norm for n in enumerate_shifted_ball((0, 0), 1, 600)
+        x1 * n.n1 + x2 * n.n2 - n.norm
+        for n in map(LatticeVector._make, enumerate_shifted_ball((0, 0), 1, 600))
     )
     assert tv.value == best
 
