@@ -9,10 +9,10 @@ Exit codes: 0 pass, 1 fail, 2 indeterminate, 64 usage error, 70 internal error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
+from _json import encode_basestring_ascii as _quote
 from fractions import Fraction
 from typing import BinaryIO
 
@@ -37,21 +37,63 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _fmt(value):
-    """Canonical JSON-safe rendering: Fractions as p/q, floats at 17 digits."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, dict):
-        return {k: _fmt(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_fmt(v) for v in value]
-    return value
-
-
 def emit(report: dict) -> bytes:
-    return (json.dumps(_fmt(report), indent=2) + "\n").encode()
+    """The report as JSON in json.dumps(..., indent=2)'s layout, in one pass.
+
+    A Fraction is written as the string "p/q" and a float as the string of
+    its 17 significant digits; a tuple (a NamedTuple too) as a list.  Strings
+    are quoted by the C routine that json.encoder uses, so the bytes are
+    json's, and no command loads the json package.  Every report key is a
+    str, and any other key raises TypeError, where json would coerce it.
+    """
+    parts: list[str] = []
+    write = parts.append
+
+    def value(v, indent: str) -> None:
+        if isinstance(v, str):
+            write(_quote(v))
+        elif isinstance(v, Fraction):
+            write(f'"{v}"')  # digits, "-" and "/": nothing to escape
+        elif isinstance(v, float):
+            write(f'"{v:.17g}"')  # digits, "-", "+", ".", "e", "nan" or "inf"
+        elif isinstance(v, dict):
+            if not v:
+                write("{}")
+                return
+            inner = indent + "  "
+            sep = "{" + inner
+            for k, item in v.items():
+                if not isinstance(k, str):
+                    raise TypeError(f"report keys must be str, not {type(k).__name__}")
+                write(sep + _quote(k) + ": ")
+                value(item, inner)
+                sep = "," + inner
+            write(indent + "}")
+        elif isinstance(v, (list, tuple)):
+            if not v:
+                write("[]")
+                return
+            inner = indent + "  "
+            sep = "[" + inner
+            for item in v:
+                write(sep)
+                value(item, inner)
+                sep = "," + inner
+            write(indent + "]")
+        elif v is None:
+            write("null")
+        elif v is True:
+            write("true")
+        elif v is False:
+            write("false")
+        elif isinstance(v, int):
+            write(int.__repr__(v))
+        else:
+            raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+    value(report, "\n")
+    write("\n")
+    return "".join(parts).encode()
 
 
 def _checked(parse, ok, must: str):
@@ -161,9 +203,9 @@ def _check_level(args: argparse.Namespace) -> None:
 
 def _differential(args: argparse.Namespace) -> tuple[str, dict]:
     _check_level(args)
-    from . import gw
+    from .series import differential_table  # the theta route alone: no gw, no tropical
 
-    return "pass", gw.differential_table(args.i, args.j, args.cutoff).to_json()
+    return "pass", differential_table(args.i, args.j, args.cutoff).to_json()
 
 
 def _leibniz(args: argparse.Namespace) -> tuple[str, dict]:

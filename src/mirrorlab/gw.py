@@ -5,8 +5,9 @@ per facet; its area is height above the facet plane, <A, nu> + alpha.  The
 generating series of these areas reproduces the defining theta sum.  Sphere
 corrections live on wall curves (the P^1 dual to a honeycomb edge); their
 generating series exponentiates to the correction factor C with constant
-term 1.  Multiplying by the defining section on the theta basis gives the
-differential table, checked against a numeric Leibniz identity.
+term 1.  The differential table, multiplication by the defining section on
+the theta basis, lives in `series`; here it is checked against a numeric
+Leibniz identity.
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ from .lattice import (
 )
 from .series import (
     NumericValue,
-    ScaledSeries,
     TauSeries,
+    differential_table,
     shell_tail,
     shifted_theta_value,
-    theta_products,
 )
 from .tropical import NEIGHBOURS, facet, polytope_contains_strictly
 
@@ -226,45 +226,6 @@ def sphere_count_C(max_order: int, window: Rational = 9) -> TauSeries:
     if c.coefficient(0) != 1:
         raise AssertionError("sphere count lost its leading 1")
     return c
-
-
-class DifferentialTable(NamedTuple):
-    """Structure constants of multiplication by the defining section.
-
-    entries[input rep e][output rep e~] is the tau-series coefficient T_e~(e)
-    in s * theta_e = sum over e~ of T_e~(e) theta_e~, as integer terms;
-    the report and `leibniz_check` read it as a TauSeries.
-    """
-
-    level: int
-    cutoff: Fraction
-    entries: dict[LatticeVector, dict[LatticeVector, ScaledSeries]]
-
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "cutoff": str(self.cutoff),
-            "entries": [
-                {
-                    "e_in": [e.n1, e.n2],
-                    "out": [
-                        {"e_out": [f.n1, f.n2], "series": ts.series().to_json()}
-                        for f, ts in sorted(row.items())
-                    ],
-                }
-                for e, row in sorted(self.entries.items())
-            ],
-        }
-
-
-def differential_table(i: int, j: int, cutoff: Rational) -> DifferentialTable:
-    """Coefficients of (defining section) * (level l-1 basis) on the level-l basis."""
-    level = j - i
-    if level < 2:
-        raise ValueError("need j - i >= 2")
-    cutoff = Fraction(cutoff)
-    entries = {e: consts for (_, e), consts in theta_products(1, level - 1, cutoff).items()}
-    return DifferentialTable(level, cutoff, entries)
 
 
 class LeibnizReport(NamedTuple):

@@ -6,7 +6,8 @@ The exact engine keeps exponents as integers over a fixed denominator: a
 ScaledSeries holds the integer terms (x, c) of sum c tau^(x/den), and theta
 sections are stored as Laurent data, a map from integer x-exponent (in the
 basis where the lattice pairing is integral) to the integer terms {x: c}
-over the section's own denominator den.
+over the section's own denominator den.  The differential, multiplication by
+the defining section on the theta basis, is a slice of the theta products.
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ class TauSeries(NamedTuple):
             acc[e] = acc.get(e, Fraction(0)) + c
         terms = tuple(sorted((e, c) for e, c in acc.items() if c != 0))
         return TauSeries(terms, cutoff)
-
-    @staticmethod
-    def zero(cutoff: Rational) -> "TauSeries":
-        return TauSeries((), Fraction(cutoff))
 
     @staticmethod
     def one(cutoff: Rational) -> "TauSeries":
@@ -138,7 +135,9 @@ class TauSeries(NamedTuple):
 
 class ScaledSeries(NamedTuple):
     """sum c tau^(x/den) over integer terms (x, c), nonzero c in increasing x,
-    known up to `cutoff`; `series()` builds its `Fraction`s, for a report."""
+    known up to `cutoff`; `series()` builds its `Fraction`s, for a mismatch
+    text or a float evaluation, and `to_json()` writes TauSeries' report
+    without them."""
 
     terms: tuple[tuple[int, int], ...]
     den: int
@@ -147,6 +146,14 @@ class ScaledSeries(NamedTuple):
     def series(self) -> TauSeries:
         den = self.den
         return TauSeries(tuple((Fraction(x, den), Fraction(c)) for x, c in self.terms), self.cutoff)
+
+    def to_json(self) -> dict:
+        """`self.series().to_json()`: each exponent x/den in lowest terms."""
+        den, terms = self.den, []
+        for x, c in self.terms:
+            g = math.gcd(x, den)
+            terms.append([str(x // g) if g == den else f"{x // g}/{den // g}", str(c)])
+        return {"cutoff": str(self.cutoff), "terms": terms}
 
 
 class LaurentSection(NamedTuple):
@@ -351,6 +358,45 @@ def theta_products(
                 if pair not in table:
                     table[pair] = {act(h, e, level): c for e, c in consts.items()}
     return {(e1, e2): {e: table[e1, e2][e] for e in reps} for e1 in reps1 for e2 in reps2}
+
+
+class DifferentialTable(NamedTuple):
+    """Structure constants of multiplication by the defining section.
+
+    entries[input rep e][output rep e~] is the tau-series coefficient T_e~(e)
+    in s * theta_e = sum over e~ of T_e~(e) theta_e~, as integer terms.
+    """
+
+    level: int
+    cutoff: Fraction
+    entries: dict[LatticeVector, dict[LatticeVector, ScaledSeries]]
+
+    def to_json(self) -> dict:
+        return {
+            "level": self.level,
+            "cutoff": str(self.cutoff),
+            "entries": [
+                {
+                    "e_in": [e.n1, e.n2],
+                    "out": [
+                        {"e_out": [f.n1, f.n2], "series": ts.to_json()}
+                        for f, ts in sorted(row.items())
+                    ],
+                }
+                for e, row in sorted(self.entries.items())
+            ],
+        }
+
+
+def differential_table(i: int, j: int, cutoff: Rational) -> DifferentialTable:
+    """Coefficients of (defining section) * (level l-1 basis) on the level-l basis:
+    the e1 = 0 slice of theta_products(1, l-1), l = j - i."""
+    level = j - i
+    if level < 2:
+        raise ValueError("need j - i >= 2")
+    cutoff = Fraction(cutoff)
+    entries = {e: consts for (_, e), consts in theta_products(1, level - 1, cutoff).items()}
+    return DifferentialTable(level, cutoff, entries)
 
 
 def shifted_theta_value(

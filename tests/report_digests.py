@@ -3,15 +3,19 @@
 tests/data/report_digests.tsv has one row per distinct `mirrorlab` argv,
 under the first set that names it:
 
-  pinned      reports past the golden files' levels (see PINNED)
-  readme      the README's functor, differential and leibniz examples
-  edge        leibniz argvs whose tail bound underflows to 0
-  seed<N>     the theta-exact and honeycomb ops of perfbench/ops at seed N
+  pinned       reports past the golden files' levels (see PINNED)
+  readme       the README's functor, differential and leibniz examples
+  edge         leibniz argvs whose tail bound underflows to 0
+  seed<N>      the ops of perfbench/ops' three workloads at seed N
+  golden       the argvs of the golden report files in tests/data
+  metric-edge  metric-check at an overflowing c_base, at no samples, and at
+               the stress tier's sample count
 
 Each argv runs through `mirrorlab.cli.run` in this process.  A deliberate
 change of report bytes is a diff of the manifest, to be explained where
 the change is recorded.  The tier-1 tests compare the pinned, readme, edge
-and seed1-seed5 rows; --check compares every row.  From the repository root:
+and seed1-seed5 rows; --check compares every row.  The golden rows repeat
+what the golden files pin, so a change of their bytes shows here as well.  From the repository root:
 
     PYTHONPATH=src python tests/report_digests.py          # rewrite the manifest
     PYTHONPATH=src python tests/report_digests.py --check  # compare every row
@@ -57,7 +61,24 @@ EDGE = (
     "leibniz --i 0 --j 2 --x 0.5,1 --tau 1e-30",
     "leibniz --i 0 --j 2 --x 1e300,1 --tau 1e-300",
 )
+GOLDEN = (
+    "disc-series --A 0,0,1/2 --cutoff 15",
+    "sphere-c --max-order 4 --window 9",
+    "differential --i 0 --j 2 --cutoff 6",
+    "functor --i 0 --j 1 --k 2 --cutoff 6",
+    "functor --i 0 --j 2 --k 4 --cutoff 8",
+    "functor --i 0 --j 2 --k 5 --cutoff 8",
+    "differential --i 0 --j 3 --cutoff 8",
+    "trop --window=-3,-3,3,3",
+    "facets --radius 4",
+)
+METRIC_EDGE = (
+    "metric-check --seed 3 --samples 5 --c-base 1e308",
+    "metric-check --samples 0",
+    "metric-check --samples 2000 --c-base auto",
+)
 SEEDS = range(1, 21)
+WORKLOADS = ("theta-exact", "honeycomb", "metric-cert")
 
 
 def read_manifest(path: Path = MANIFEST) -> list[tuple[str, int, str, list[str]]]:
@@ -82,8 +103,9 @@ def argv_sets() -> list[tuple[str, list[str]]]:
     named = [("pinned", a) for a in PINNED] + [("readme", a) for a in README]
     named += [("edge", a) for a in EDGE]
     for seed in SEEDS:
-        for workload in ("theta-exact", "honeycomb"):
+        for workload in WORKLOADS:
             named += [(f"seed{seed}", shlex.join(op)) for op in workload_ops(workload, seed)]
+    named += [("golden", a) for a in GOLDEN] + [("metric-edge", a) for a in METRIC_EDGE]
     first: dict[str, str] = {}
     for name, argv in named:
         first.setdefault(argv, name)

@@ -1,3 +1,5 @@
+import ast
+import functools
 import hashlib
 import json
 import math
@@ -6,8 +8,12 @@ import pathlib
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mirrorlab import cli, kahler, series
 from report_digests import digest as report_digest
@@ -50,6 +56,75 @@ def test_json_rationals_are_strings():
     assert rep["series"]["terms"][0] == ["1/2", "1"]
     # round-trips through parse -> emit unchanged
     assert cli.emit(rep) == cli.emit(json.loads(cli.emit(rep)))
+
+
+def _fmt(value):
+    """The emitter's former first pass, kept as the oracle's half: Fractions
+    as p/q, floats at 17 digits, tuples as lists."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, dict):
+        return {k: _fmt(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_fmt(v) for v in value]
+    return value
+
+
+def _json_emit(report):
+    return (json.dumps(_fmt(report), indent=2) + "\n").encode()
+
+
+class _Pair(NamedTuple):
+    first: object
+    second: object
+
+
+# text with quotes, backslashes, control characters, DEL, non-BMP characters
+# and lone surrogates, which json's quoting escapes
+_TEXT = st.text(st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\x80", "\u2028", "\ud800", "\udfff",
+                     "\U0001f600"]),
+), max_size=8)
+_SCALARS = st.one_of(
+    _TEXT,
+    st.floats(),  # nan, +-inf, -0.0 and subnormals among them
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308]),
+    st.fractions(),
+    st.integers(),
+    st.integers(-10**1000, 10**1000),
+    st.booleans(),
+    st.none(),
+)
+_VALUES = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.builds(_Pair, inner, inner),
+    st.dictionaries(_TEXT, inner, max_size=4),
+), max_leaves=10)
+
+
+@settings(max_examples=60)
+@given(st.dictionaries(_TEXT, _VALUES, max_size=4))
+@example({})
+@example({
+    "": [], "{}": {}, "()": (), 'q"\\\x00\x1f\x7f\u2028\ud800\U0001f600': _Pair(None, [True, False]),
+    "printable": ['say "a\\b"', "/"],
+    "floats": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-310, 0.1, 1e300],
+    "fractions": (Fraction(-1, 3), Fraction(7), Fraction(10**30, 7)),
+    "ints": [0, -1, 10**400, -(10**400)],
+})
+def test_emit_matches_json_dumps(report):
+    assert cli.emit(report) == _json_emit(report)
+
+
+def test_emit_refuses_keys_that_are_not_str():
+    # json would coerce these keys to strings; every report key is a str
+    for report in ({1: "a"}, {"a": {None: 1}}, {"a": [{(0, 1): 1}]}, {"a": {1.5: 1}}):
+        with pytest.raises(TypeError):
+            cli.emit(report)
 
 
 def test_sphere_c_reports_window():
@@ -430,16 +505,19 @@ _STARTUP_ARGVS = (
     ["metric-check", "--samples", "3", "--c-base", str(2.0 ** 139)],
     ["monodromy", "--samples", "8"],
 )
-_WATCHED = ("numpy", "numpy.random", "numpy.ma", "dataclasses", "mirrorlab.kahler", "mirrorlab._ad",
-            "mirrorlab.gw", "mirrorlab.series", "mirrorlab.fukaya")
+_WATCHED = ("numpy", "numpy.random", "numpy.ma", "dataclasses", "json", "mirrorlab.kahler",
+            "mirrorlab._ad", "mirrorlab.gw", "mirrorlab.series", "mirrorlab.fukaya",
+            "mirrorlab.tropical", "mirrorlab.lattice")
+# The probe imports nothing that loads json, so that a command's own imports
+# show: it takes the argv as its arguments and prints a repr.
 _STARTUP_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from mirrorlab import cli
 result = None  # --help exits
 with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
-    out, code = cli.run(json.loads(sys.argv[1]))
+    out, code = cli.run(sys.argv[2:])
     result = [out.decode(), code]
-print(json.dumps([result, [m for m in json.loads(sys.argv[2]) if m in sys.modules]]))
+print(repr([result, [m for m in sys.argv[1].split() if m in sys.modules]]))
 """
 
 
@@ -449,15 +527,21 @@ def _child_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
-def _startup(argv):
-    """cli.run(argv) in a fresh process: its [stdout, exit code] (None if it
-    exited), the watched modules it loaded, and its stderr."""
+@functools.cache
+def _startup_run(argv):
     proc = subprocess.run(
-        [sys.executable, "-c", _STARTUP_PROBE, json.dumps(argv), json.dumps(_WATCHED)],
+        [sys.executable, "-c", _STARTUP_PROBE, " ".join(_WATCHED), *argv],
         env=_child_env(), capture_output=True, text=True, check=True, timeout=300,
     )
-    result, modules = json.loads(proc.stdout)
-    return result, set(modules), proc.stderr
+    result, modules = ast.literal_eval(proc.stdout)
+    return result, frozenset(modules), proc.stderr
+
+
+def _startup(argv):
+    """cli.run(argv) in a fresh process: its [stdout, exit code] (None if it
+    exited), the watched modules it loaded, and its stderr.  Each argv runs
+    once per test session."""
+    return _startup_run(tuple(argv))
 
 
 def test_only_the_metric_commands_load_numpy():
@@ -479,6 +563,20 @@ def test_only_the_metric_commands_load_numpy():
     assert not any(mods & {"numpy.random", "numpy.ma"} for mods in loaded.values())
     for cmd in ("monodromy", "trop", "facets"):
         assert not loaded[cmd] & {"mirrorlab.gw", "mirrorlab.series"}, cmd
+
+
+def test_no_command_loads_json_and_differential_only_the_theta_route():
+    # cli writes its reports with json's quoting routine alone; the json
+    # package compiles regexes on import, a few ms in every command's process
+    loaded = {argv[0]: _startup(argv)[1] for argv in _STARTUP_ARGVS}
+    assert not [cmd for cmd, mods in loaded.items() if "json" in mods]
+    # the differential is a slice of the theta products: lattice and series
+    assert loaded["differential"] >= {"mirrorlab.lattice", "mirrorlab.series"}
+    assert not loaded["differential"] & {"mirrorlab.gw", "mirrorlab.tropical"}
+    # perfbench traces the differential under gw's name
+    from mirrorlab import gw
+
+    assert gw.differential_table is series.differential_table
 
 
 _MAIN_PROBE = """

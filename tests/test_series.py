@@ -11,6 +11,7 @@ from mirrorlab.lattice import LatticeVector, coset_reps, min_norm_in_coset
 from mirrorlab.series import (
     LaurentSection,
     NumericValue,
+    ScaledSeries,
     TauSeries,
     decomposition_padding,
     section_mul,
@@ -30,7 +31,7 @@ def ts(pairs, cutoff):
 def test_add_examples():
     assert ts([(0, 1), (2, 6)], 5) + ts([(0, -1)], 5) == ts([(2, 6)], 5)
     x = ts([(1, 3)], 4)
-    assert x + TauSeries.zero(4) == x
+    assert x + TauSeries((), F(4)) == x
     a = ts([(0, 1), (1, 1)], 2)
     b = ts([(3, 1)], 3)
     assert a + b == ts([(0, 1), (1, 1)], 2)  # cutoff = min rule
@@ -73,6 +74,18 @@ def test_json_roundtrip_and_shape():
     assert obj == {"cutoff": "7/2", "terms": [["1/2", "2"], ["3/2", "-5"]]}
     back = json.loads(json.dumps(obj))
     assert ts([(F(e), F(c)) for e, c in back["terms"]], F(back["cutoff"])) == s
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(-10**20, 10**20)), max_size=6),
+    st.integers(1, 10**4),
+    st.fractions(min_value=0),
+)
+def test_scaled_json_matches_its_fraction_series(terms, den, cutoff):
+    # the exponents x/den in lowest terms, written from the integers
+    scaled = ScaledSeries(tuple(sorted(dict(terms).items())), den, cutoff)
+    assert scaled.to_json() == scaled.series().to_json()
 
 
 def test_theta_section_level_one():
@@ -179,7 +192,7 @@ def _decompose_fraction(prod, level, prod_cutoff, cutoff=None):
     for rep in coset_reps(level):
         if rep not in best:
             defect = F(min_norm_in_coset((-rep.n1, -rep.n2), level), level)
-            best[rep] = TauSeries.zero(prod_cutoff - defect)
+            best[rep] = TauSeries((), prod_cutoff - defect)
     if cutoff is not None:
         best = {rep: t.truncate(cutoff) for rep, t in best.items()}
     return {rep: best[rep] for rep in coset_reps(level)}  # in section_mul_decompose's order
