@@ -102,6 +102,7 @@ def log1p(x: D2) -> D2:
     return x._chain(_libm(math.log1p, v), d, -d * d)
 
 
+# No command runs it: perfbench/spans.py patches it (ROADMAP F(b)).
 def hessian_matrix(x: D2) -> np.ndarray:
     """The n x 3 x 3 Hessians of the lanes."""
     return x.h.T[:, HESSIAN_INDEX]

@@ -210,9 +210,9 @@ def _differential(args: argparse.Namespace) -> tuple[str, dict]:
 
 def _leibniz(args: argparse.Namespace) -> tuple[str, dict]:
     _check_level(args)
-    from . import gw
+    from .series import leibniz_check  # the theta route alone: no gw, no tropical
 
-    rep = gw.leibniz_check(args.i, args.j, args.x, args.tau, args.cutoff)
+    rep = leibniz_check(args.i, args.j, args.x, args.tau, args.cutoff)
     return rep.status, rep.to_json()
 
 

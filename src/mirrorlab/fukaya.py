@@ -2,10 +2,10 @@
 
 The slope-k Lagrangians intersect pairwise in (j-i)^2 points indexed by
 coset representatives.  Products of morphisms count triangles in the
-universal cover; each triangle carries the weight tau^area.  The area is
-computed two ways: geometrically from the symplectic form on the two edge
-vectors, and in closed form through the lattice quadratic weight.  The two
-must agree exactly, term for term.
+universal cover; each triangle carries the weight tau^area, in closed form
+through the lattice norm: (l/(l' l'')) N((l''/l) e + a) for the output
+representative e and the lattice translate a.  The functor identity compares
+these counts, term for term, with the theta structure constants.
 """
 
 from __future__ import annotations
@@ -14,99 +14,8 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .lattice import (
-    LatticeVector,
-    Rational,
-    Vec2,
-    coset_reps,
-    enumerate_shifted_ball,
-    kappa,
-    lambda_map,
-)
+from .lattice import LatticeVector, Rational, coset_reps, enumerate_shifted_ball
 from .series import ScaledSeries, theta_products
-
-
-class TriangleDatum(NamedTuple):
-    """A triangle contributing to the product for slopes i < j < k.
-
-    `e` indexes the output corner (level k - i); `gamma_a` is the lattice
-    translate distinguishing triangles with the same corners.
-    """
-
-    i: int
-    j: int
-    k: int
-    e: LatticeVector
-    gamma_a: LatticeVector
-
-    @property
-    def xi0(self) -> Vec2:
-        lp = self.j - self.i
-        lpp = self.k - self.j
-        l = self.k - self.i
-        es = self.e.std
-        gs = self.gamma_a.std
-        return (
-            Fraction(lpp, l * lp) * es[0] + Fraction(gs[0], lp),
-            Fraction(lpp, l * lp) * es[1] + Fraction(gs[1], lp),
-        )
-
-    def edges(self) -> list[tuple[Vec2, Vec2]]:
-        """The three edge vectors in R^4 = (base, angle); they sum to zero."""
-        lp = self.j - self.i
-        lpp = self.k - self.j
-        xi0 = self.xi0
-        lam = lambda_map(xi0)
-        # q -> p1 has base part xi0 and angle part -i * lambda(xi0);
-        # q -> p2 is (lp/lpp) * (xi0, -k * lambda(xi0)).
-        e1 = (xi0, (-self.i * lam[0], -self.i * lam[1]))
-        r = Fraction(lp, lpp)
-        qp2 = ((r * xi0[0], r * xi0[1]), (-self.k * r * lam[0], -self.k * r * lam[1]))
-        e2 = (
-            (qp2[0][0] - e1[0][0], qp2[0][1] - e1[0][1]),
-            (qp2[1][0] - e1[1][0], qp2[1][1] - e1[1][1]),
-        )
-        e3 = ((-qp2[0][0], -qp2[0][1]), (-qp2[1][0], -qp2[1][1]))
-        return [e1, e2, e3]
-
-
-def _omega(a: tuple[Vec2, Vec2], b: tuple[Vec2, Vec2]) -> Fraction:
-    """Standard form d(base) wedge d(angle) on R^4 vectors."""
-    (ab, aa), (bb, ba) = a, b
-    return ab[0] * ba[0] + ab[1] * ba[1] - aa[0] * bb[0] - aa[1] * bb[1]
-
-
-def triangle_area_oracle(t: TriangleDatum) -> Fraction:
-    """|1/2 omega(edge1, edge2)| evaluated directly on the lifted edges."""
-    e1, e2, _ = t.edges()
-    # q->p2 = e1 + e2.
-    qp2 = ((e1[0][0] + e2[0][0], e1[0][1] + e2[0][1]), (e1[1][0] + e2[1][0], e1[1][1] + e2[1][1]))
-    return abs(_omega(e1, qp2)) / 2
-
-
-def triangle_area_closed(t: TriangleDatum) -> Fraction:
-    """Closed-form area -(l/(l' l'')) kappa((l''/l) e + gamma_a)."""
-    lp = t.j - t.i
-    lpp = t.k - t.j
-    l = t.k - t.i
-    es = t.e.std
-    gs = t.gamma_a.std
-    arg = (Fraction(lpp, l) * es[0] + gs[0], Fraction(lpp, l) * es[1] + gs[1])
-    return -Fraction(l, lp * lpp) * kappa(arg)
-
-
-def triangles_up_to(
-    i: int, j: int, k: int, max_area: Rational
-) -> list[TriangleDatum]:
-    """All triangles for (i, j, k) with area at most max_area."""
-    if not i < j < k:
-        raise ValueError("slopes must satisfy i < j < k")
-    lp, lpp, l = j - i, k - j, k - i
-    bound, out = Fraction(max_area) * l * lp * lpp, []
-    for e in coset_reps(l):
-        for a in enumerate_shifted_ball((lpp * e.n1, lpp * e.n2), l, bound):
-            out.append(TriangleDatum(i, j, k, e, LatticeVector(*a)))
-    return out
 
 
 def mu2_closed(

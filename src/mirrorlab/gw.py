@@ -1,4 +1,4 @@
-"""Disc areas and counts, wall-curve sphere classes, and the differential.
+"""Disc areas and counts, and wall-curve sphere classes.
 
 A basepoint in the interior of the moment body bounds exactly one rigid disc
 per facet; its area is height above the facet plane, <A, nu> + alpha.  The
@@ -6,8 +6,7 @@ generating series of these areas reproduces the defining theta sum.  Sphere
 corrections live on wall curves (the P^1 dual to a honeycomb edge); their
 generating series exponentiates to the correction factor C with constant
 term 1.  The differential table, multiplication by the defining section on
-the theta basis, lives in `series`; here it is checked against a numeric
-Leibniz identity.
+the theta basis, and its numeric Leibniz check live in `series`.
 """
 
 from __future__ import annotations
@@ -20,21 +19,17 @@ from .lattice import (
     LatticeVector,
     MomentPoint,
     Rational,
-    coset_reps,
     enumerate_shifted_ball,
     lambda_map,
     norm_form,
 )
-from .series import (
-    NumericValue,
-    TauSeries,
-    differential_table,
-    shell_tail,
-    shifted_theta_value,
-)
+from .series import TauSeries
+# the span tracer patches these under gw's name; no gw code calls them (ROADMAP F(b))
+from .series import differential_table, leibniz_check
 from .tropical import NEIGHBOURS, facet, polytope_contains_strictly
 
 
+# No command runs it yet: disc-series may check each term with it (ROADMAP B(e)).
 def disc_area(a: MomentPoint, m: LatticeVector) -> Fraction:
     """Exact area <A, nu(F_m)> + alpha(F_m) of the disc hitting facet m."""
     if not polytope_contains_strictly(a):
@@ -226,101 +221,3 @@ def sphere_count_C(max_order: int, window: Rational = 9) -> TauSeries:
     if c.coefficient(0) != 1:
         raise AssertionError("sphere count lost its leading 1")
     return c
-
-
-class LeibnizReport(NamedTuple):
-    i: int
-    j: int
-    x: tuple[float, float]
-    tau: float
-    cutoff: float
-    items: tuple[dict, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(it["residual"] <= it["tail_bound"] for it in self.items)
-
-    @property
-    def status(self) -> str:
-        """Indeterminate if a value is not finite, or a tail bound admits
-        every residual that |lhs| + |rhs| allows.
-        """
-        for it in self.items:
-            lhs, rhs = abs(float(it["lhs"])), abs(float(it["rhs"]))
-            values = (lhs, rhs, it["residual"], it["tail_bound"])
-            if not all(map(math.isfinite, values)) or it["tail_bound"] >= lhs + rhs:
-                return "indeterminate"
-        return "pass" if self.passed else "fail"
-
-    def to_json(self) -> dict:
-        return {
-            "i": self.i,
-            "j": self.j,
-            "x": [repr(v) for v in self.x],
-            "tau": repr(self.tau),
-            "cutoff": repr(self.cutoff),
-            "passed": self.passed,
-            "items": list(self.items),
-        }
-
-
-def leibniz_check(
-    i: int,
-    j: int,
-    x_sample: tuple[float, float],
-    tau: float,
-    cutoff: Rational,
-) -> LeibnizReport:
-    """Numeric check that the differential table satisfies the Leibniz identity.
-
-    For each input rep e of level l-1 it compares
-        S * n_e(l-1, x)   vs   sum_f T_f(e) n_f(l, x)
-    with n_e(level, x) = sum over n of tau^(level * N(n + lam - e/level)),
-    lam = lambda(log_tau x), and S = n_0(1, x) the defining section.  Both
-    sides also carry the quasi-periodicity factor tau^kappa(log_tau x),
-    which cancels and is left out.  The residual must sit below the
-    combined truncation tail bound.
-    """
-    level = j - i
-    if level < 2:
-        raise ValueError("need j - i >= 2")
-    if not (0 < tau < 1):
-        raise ValueError("tau must lie in (0, 1)")
-    cutoff = Fraction(cutoff)
-    cut_f = float(cutoff)
-    log_tau = math.log(tau)
-    xi = (math.log(x_sample[0]) / log_tau, math.log(x_sample[1]) / log_tau)
-    lam = ((2 * xi[0] - xi[1]) / 3.0, (2 * xi[1] - xi[0]) / 3.0)
-    n = {
-        lv: {
-            e: shifted_theta_value(lv, (lam[0] - e.n1 / lv, lam[1] - e.n2 / lv), tau, cut_f)
-            for e in coset_reps(lv)
-        }
-        for lv in (1, level - 1, level)
-    }
-    s = n[1][LatticeVector(0, 0)]
-
-    table = differential_table(i, j, cutoff)
-    # Unknown tail of each structure-constant series: its terms are
-    # tau^(N(w)/(l(l-1))) over a lattice coset, and shells of radius r hold
-    # at most 8(r+2) of them, with N >= r^2/2.
-    t_tail = shell_tail(tau, 1.0 / (2.0 * level * (level - 1)), cut_f, 0)
-    items = []
-    for e in coset_reps(level - 1):
-        lhs = s.times(n[level - 1][e])
-        rhs = rhs_tail = 0.0
-        for f, ts in table.entries[e].items():
-            term = NumericValue(ts.series().evaluate(tau), t_tail).times(n[level][f])
-            rhs += term.value
-            rhs_tail += term.tail_bound
-        items.append(
-            {
-                "e_in": [e.n1, e.n2],
-                "lhs": repr(lhs.value),
-                "rhs": repr(rhs),
-                "residual": abs(lhs.value - rhs),
-                "tail_bound": lhs.tail_bound + rhs_tail,
-            }
-        )
-    return LeibnizReport(i, j, x_sample, tau, cut_f, tuple(items))
-

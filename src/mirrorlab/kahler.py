@@ -8,8 +8,8 @@ potential is continuous across region boundaries by construction.
 
 Everything here is double-precision numerics; the polar-coordinate metric is
 obtained by forward-mode differentiation of the exact regional formulas (no
-small-radius approximations), with finite differences as cross-validation
-only.  Conventions:
+small-radius approximations); the tests cross-validate it by finite
+differences.  Conventions:
 
 * all logarithms of norms are natural; the angular bump arguments are
   measured in log_T units (so derivative budgets scale like 1/l);
@@ -51,7 +51,7 @@ import numpy as np
 
 from . import _ad
 from ._ad import D2
-from .tropical import monodromy_class  # the public name the span tracer patches
+from .tropical import monodromy_class  # only for the span tracer's name (ROADMAP F(b))
 
 DEFAULT_T = 0.1
 DEFAULT_L = 40
@@ -119,7 +119,7 @@ class FiberPoint(NamedTuple):
     def r(self) -> tuple[float, float, float]:
         return (self.r_x, self.r_y, self.r_z)
 
-    @property
+    @property  # for ROADMAP I's gluing checks
     def key(self) -> str:
         """The point's formula key: `formula_key` of its one row."""
         return _KEYS[formula_key(np.array([self.r]), self.profile)[0]]
@@ -129,7 +129,7 @@ class FiberPoint(NamedTuple):
         ln_t = math.log(self.T)
         return tuple(math.log(r) / ln_t for r in self.r)
 
-    @staticmethod
+    @staticmethod  # for ROADMAP I's seam catalog
     def from_logs(
         a: float, b: float, c: float | None = None,
         T: float = DEFAULT_T, l: int = DEFAULT_L, p: int = DEFAULT_P,
@@ -139,11 +139,11 @@ class FiberPoint(NamedTuple):
             c = l - a - b
         return FiberPoint(T ** a, T ** b, T ** c, T, l, p)
 
-    def rotated(self, k: int) -> "FiberPoint":
+    def rotated(self, k: int) -> "FiberPoint":  # for ROADMAP I's seam catalog
         """sigma^k of the point: the norm of coordinate i moves to i + k."""
         return FiberPoint(*_rotate(self.r, k), self.T, self.l, self.p)
 
-    @property
+    @property  # for `metric` (traced) and ROADMAP I's gluing checks
     def profile(self) -> "BumpProfile":
         """The bump profile of the point's own T, l and p."""
         return BumpProfile(self.l, self.p, self.T)
@@ -162,10 +162,6 @@ class BumpProfile(NamedTuple):
     l: int = DEFAULT_L
     p: int = DEFAULT_P
     T: float = DEFAULT_T
-
-    @property
-    def d_inner(self) -> float:  # log_T of the interior boundary value
-        return self.l / 4
 
     @property
     def d_outer(self) -> float:
@@ -215,38 +211,6 @@ class BumpProfile(NamedTuple):
         """Angular blend in [0, 1]: 0 at the pure sector, 1 at the midband."""
         s = (self.t1 - theta) * (1.0 / (self.t1 - self.t0))
         return _smoothstep(s)
-
-    def derivative_budget(self, samples: int = 200) -> dict:
-        """Measured max log-derivatives of the profiles, with budget constants.
-
-        Reports c such that |d alpha / d(log arg)| <= c / l and the second
-        derivative is <= c^2 / l^2 at the sampled arguments.
-        """
-        out = {}
-        h = 1e-4
-
-        def norms(s: list[float]) -> D2:  # the radial profiles read the norm T^s
-            return D2.const([self.T ** x for x in s])
-
-        for name, fn, lo, hi in (
-            ("a3", lambda s: self.a3(norms(s)), self.d_outer, self.d_inner),
-            ("a5", lambda s: self.a5(norms(s)), self.d_outer, self.d_inner),
-            ("a4", lambda s: self.a4(D2.const(s)), -self.w_ramp - 1, self.w_ramp + 1),
-            ("a6", lambda s: self.a6(D2.const(s)), self.t0 - 1, self.t1 + 1),
-        ):
-            s = [lo + (hi - lo) * k / samples for k in range(samples + 1)]
-            f0, fp, fm = (fn(x).v.tolist() for x in (s, [x + h for x in s], [x - h for x in s]))
-            d1 = d2 = 0.0
-            for a, b, c in zip(f0, fp, fm):
-                d1 = max(d1, abs(b - c) / (2 * h))
-                d2 = max(d2, abs(b - 2 * a + c) / (h * h))
-            out[name] = {
-                "max_d1": d1,
-                "max_d2": d2,
-                "c1": d1 * self.l,
-                "c2": math.sqrt(max(d2, 0.0)) * self.l if d2 > 0 else 0.0,
-            }
-        return out
 
 
 def _smoothstep(t: D2) -> D2:
@@ -352,6 +316,8 @@ def _potential_ad(r, prof: BumpProfile, key: str) -> D2:
     return g_yz - a6 * near + prof.a3(d) * d + 0.5 * prof.a5(d) * (near - far - a6 * near)
 
 
+# No command runs `metric` or builds a MetricSample: perfbench/spans.py patches
+# `metric` (ROADMAP F(b)).
 class MetricSample(NamedTuple):
     point: FiberPoint
     region: str
@@ -424,46 +390,8 @@ def _metric_from_jets(jets: tuple, c_base: float) -> tuple[np.ndarray, np.ndarra
     return mats, min_eigs
 
 
-def derivative_check(q: FiberPoint) -> tuple[float, float]:
-    """Relative deviation of analytic vs central-difference log-derivatives.
-
-    Gradient step follows the stated 1e-6 in log r; the Hessian uses a
-    larger step, 1e-4, to stay above second-difference roundoff.
-    """
-    h_grad, h_hess = 1e-6, 1e-4
-
-    def moved(*steps: tuple[int, float]) -> list[float]:
-        """The norms after moving log r_i by s for each (i, s) in steps."""
-        d = [0.0, 0.0, 0.0]
-        for i, s in steps:
-            d[i] += s
-        return [r * math.exp(s) for r, s in zip(q.r, d)]
-
-    # One lane call on q's key: the centre, then the gradient steps, then
-    # the mixed steps (on the diagonal they take the step 2 h_hess).
-    pairs = [(i, j) for i in range(3) for j in range(i, 3)]
-    signs = [(si, sj) for si in (1, -1) for sj in (1, -1)]
-    stencil = [moved()]
-    stencil += [moved((i, s)) for i in range(3) for s in (h_grad, -h_grad)]
-    stencil += [moved((i, si * h_hess), (j, sj * h_hess)) for i, j in pairs for si, sj in signs]
-    f = _potential_ad(stencil, q.profile, q.key)
-    values = f.v.tolist()
-    g_log = np.multiply(f.g[:, 0], q.r)
-    h_log = _ad.hessian_matrix(f)[0] * np.outer(q.r, q.r) + np.diag(g_log)
-    fd_g = np.array([(values[1 + 2 * i] - values[2 + 2 * i]) / (2 * h_grad) for i in range(3)])
-    fd_h = np.zeros((3, 3))
-    for n, (i, j) in enumerate(pairs):
-        at = values[7 + 4 * n : 11 + 4 * n]
-        fd_h[i][j] = fd_h[j][i] = sum(
-            si * sj * v for (si, sj), v in zip(signs, at)
-        ) / (4 * h_hess ** 2)
-    rel_g = float(np.linalg.norm(g_log - fd_g) / max(np.linalg.norm(g_log), 1e-300))
-    rel_h = float(np.linalg.norm(h_log - fd_h) / max(np.linalg.norm(h_log), 1e-300))
-    return rel_g, rel_h
-
-
 # ---------------------------------------------------------------------------
-# Moment coordinates and chart gluing
+# Moment coordinates and chart gluing; no command runs them yet (ROADMAP I)
 
 
 def moment_coords(q: FiberPoint) -> tuple[float, float, float]:
@@ -738,11 +666,7 @@ def metric_certificate(
     }
 
 
-def potential_value(q: FiberPoint, key: str) -> float:
-    """Potential evaluated with an explicit region formula (for seam tests)."""
-    return float(_potential_ad([q.r], q.profile, key).v[0])
-
-
+# The seams of the gluing checks above; no command runs it yet (ROADMAP I).
 def boundary_pair_catalog(
     T: float = DEFAULT_T, l: int = DEFAULT_L, p: int = DEFAULT_P, eps: float = 1e-8
 ) -> list[tuple[FiberPoint, FiberPoint]]:
@@ -809,6 +733,7 @@ def _least_power_of_two(jets: tuple, margin: float) -> float | None:
     return None
 
 
+# No command runs it: perfbench/spans.py patches it (ROADMAP F(b)).
 def calibrate_c_base(
     T: float = DEFAULT_T, l: int = DEFAULT_L, p: int = DEFAULT_P, seed: int = DEFAULT_SEED
 ) -> float | None:

@@ -38,9 +38,6 @@ class LatticeVector(NamedTuple):
     def __add__(self, other: "LatticeVector") -> "LatticeVector":
         return LatticeVector(self.n1 + other.n1, self.n2 + other.n2)
 
-    def __neg__(self) -> "LatticeVector":
-        return LatticeVector(-self.n1, -self.n2)
-
 
 class MomentPoint(NamedTuple):
     """Moment coordinates (xi1, xi2, eta), exact rationals."""
@@ -59,15 +56,6 @@ def lambda_map(v: Vec2) -> Vec2:
     return ((2 * a - b) / 3, (2 * b - a) / 3)
 
 
-def kappa(v: Vec2) -> Fraction:
-    """Quadratic weight -1/2 <v, lambda(v)> of a standard-coordinate vector.
-
-    With (p, q) = lambda(v), v = (2p + q, p + 2q), so <v, lambda(v)> = 2 N(p, q);
-    on a lattice vector n1*g' + n2*g'' this is -(n1^2 + n1 n2 + n2^2).
-    """
-    return -norm_form(*lambda_map(v))
-
-
 def norm_form(w1: Fraction, w2: Fraction) -> Fraction:
     """N(w) = w1^2 + w1 w2 + w2^2 on (possibly rational) basis coordinates."""
     return w1 * w1 + w1 * w2 + w2 * w2
@@ -81,20 +69,6 @@ def coset_reps(level: int) -> list[LatticeVector]:
     if level < 1:
         raise ValueError("level must be a positive integer")
     return [LatticeVector(e1, e2) for e2 in range(level) for e1 in range(level)]
-
-
-def gamma_act_moment(g: LatticeVector, p: MomentPoint) -> MomentPoint:
-    """Translate a moment point by a lattice vector.
-
-    The action is (xi, eta) -> (xi - g_std, eta - kappa(g) - <xi, lambda(g)>);
-    it is an exact group action and preserves membership in the moment body
-    eta >= trop(xi).
-    """
-    gs = g.std
-    xi1 = Fraction(p.xi1) - gs[0]
-    xi2 = Fraction(p.xi2) - gs[1]
-    eta = Fraction(p.eta) + g.norm - (Fraction(p.xi1) * g.n1 + Fraction(p.xi2) * g.n2)
-    return MomentPoint(xi1, xi2, eta)
 
 
 def enumerate_shifted_ball(

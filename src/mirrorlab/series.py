@@ -7,7 +7,9 @@ ScaledSeries holds the integer terms (x, c) of sum c tau^(x/den), and theta
 sections are stored as Laurent data, a map from integer x-exponent (in the
 basis where the lattice pairing is integral) to the integer terms {x: c}
 over the section's own denominator den.  The differential, multiplication by
-the defining section on the theta basis, is a slice of the theta products.
+the defining section on the theta basis, is a slice of the theta products;
+`leibniz_check` tests it against a numeric Leibniz identity, with the
+truncated lattice sums and their tail bounds.
 """
 
 from __future__ import annotations
@@ -30,7 +32,10 @@ from .lattice import (
 class TauSeries(NamedTuple):
     """Finite tau-polynomial with rational exponents and a knowledge cutoff.
 
-    `+` and `*` are series arithmetic, not tuple concatenation and repetition.
+    `*` is the series product, not tuple repetition.  No command multiplies
+    TauSeries; `*` stays because perfbench/spans.py patches it (ROADMAP F(b)).
+    There is no series sum: `+` raises TypeError instead of joining the
+    tuples, and from_terms(a.terms + b.terms, cutoff) adds.
     """
 
     terms: tuple[tuple[Fraction, Fraction], ...]  # (exponent, coefficient)
@@ -52,9 +57,7 @@ class TauSeries(NamedTuple):
     def one(cutoff: Rational) -> "TauSeries":
         return TauSeries.from_terms([(0, 1)], cutoff)
 
-    def __add__(self, other: "TauSeries") -> "TauSeries":
-        cutoff = min(self.cutoff, other.cutoff)
-        return TauSeries.from_terms(list(self.terms) + list(other.terms), cutoff)
+    __add__ = None
 
     def __mul__(self, other: "TauSeries") -> "TauSeries":
         # The unknown tail of either factor contaminates products above the
@@ -68,32 +71,12 @@ class TauSeries(NamedTuple):
                     pairs.append((e, c1 * c2))
         return TauSeries.from_terms(pairs, cutoff)
 
-    def scale(self, c: Rational) -> "TauSeries":
-        c = Fraction(c)
-        if c == 0:
-            return TauSeries((), self.cutoff)
-        return TauSeries(tuple((e, k * c) for e, k in self.terms), self.cutoff)
-
-    def shift(self, delta: Rational) -> "TauSeries":
-        """Multiply by tau^delta (moves the cutoff along with the terms)."""
-        delta = Fraction(delta)
-        return TauSeries(tuple((e + delta, c) for e, c in self.terms), self.cutoff + delta)
-
-    def truncate(self, cutoff: Rational) -> "TauSeries":
-        cutoff = Fraction(cutoff)
-        if cutoff >= self.cutoff:
-            return self
-        return TauSeries(tuple((e, c) for e, c in self.terms if e <= cutoff), cutoff)
-
     def coefficient(self, e: Rational) -> Fraction:
         e = Fraction(e)
         for ee, c in self.terms:
             if ee == e:
                 return c
         return Fraction(0)
-
-    def leading(self) -> tuple[Fraction, Fraction] | None:
-        return self.terms[0] if self.terms else None
 
     def evaluate(self, tau: float) -> float:
         # Left to right: sum() of floats compensates its rounding from
@@ -437,3 +420,100 @@ def shell_tail(tau: float, a: float, e_min: float, r0: int) -> float:
     integral = tau ** (a * r2 * r2) * (0.5 / c + math.sqrt(math.pi / c) * scaled)
     x = max(r2, math.sqrt(1.0 + 0.5 / c) - 1.0)  # f peaks where 2c x (x + 2) = 1
     return 8.0 * (flat + integral + (x + 2.0) * tau ** (a * x * x)) * (1.0 + 1e-12)
+
+
+class LeibnizReport(NamedTuple):
+    i: int
+    j: int
+    x: tuple[float, float]
+    tau: float
+    cutoff: float
+    items: tuple[dict, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(it["residual"] <= it["tail_bound"] for it in self.items)
+
+    @property
+    def status(self) -> str:
+        """Indeterminate if a value is not finite, or a tail bound admits
+        every residual that |lhs| + |rhs| allows.
+        """
+        for it in self.items:
+            lhs, rhs = abs(float(it["lhs"])), abs(float(it["rhs"]))
+            values = (lhs, rhs, it["residual"], it["tail_bound"])
+            if not all(map(math.isfinite, values)) or it["tail_bound"] >= lhs + rhs:
+                return "indeterminate"
+        return "pass" if self.passed else "fail"
+
+    def to_json(self) -> dict:
+        return {
+            "i": self.i,
+            "j": self.j,
+            "x": [repr(v) for v in self.x],
+            "tau": repr(self.tau),
+            "cutoff": repr(self.cutoff),
+            "passed": self.passed,
+            "items": list(self.items),
+        }
+
+
+def leibniz_check(
+    i: int,
+    j: int,
+    x_sample: tuple[float, float],
+    tau: float,
+    cutoff: Rational,
+) -> LeibnizReport:
+    """Numeric check that the differential table satisfies the Leibniz identity.
+
+    For each input rep e of level l-1 it compares
+        S * n_e(l-1, x)   vs   sum_f T_f(e) n_f(l, x)
+    with n_e(level, x) = sum over n of tau^(level * N(n + lam - e/level)),
+    lam = lambda(log_tau x), and S = n_0(1, x) the defining section.  Both
+    sides also carry the quasi-periodicity factor tau^kappa(log_tau x),
+    which cancels and is left out.  The residual must sit below the
+    combined truncation tail bound.
+    """
+    level = j - i
+    if level < 2:
+        raise ValueError("need j - i >= 2")
+    if not (0 < tau < 1):
+        raise ValueError("tau must lie in (0, 1)")
+    cutoff = Fraction(cutoff)
+    cut_f = float(cutoff)
+    log_tau = math.log(tau)
+    xi = (math.log(x_sample[0]) / log_tau, math.log(x_sample[1]) / log_tau)
+    lam = ((2 * xi[0] - xi[1]) / 3.0, (2 * xi[1] - xi[0]) / 3.0)
+    n = {
+        lv: {
+            e: shifted_theta_value(lv, (lam[0] - e.n1 / lv, lam[1] - e.n2 / lv), tau, cut_f)
+            for e in coset_reps(lv)
+        }
+        for lv in (1, level - 1, level)
+    }
+    s = n[1][LatticeVector(0, 0)]
+
+    table = differential_table(i, j, cutoff)
+    # Unknown tail of each structure-constant series: its terms are
+    # tau^(N(w)/(l(l-1))) over a lattice coset, and shells of radius r hold
+    # at most 8(r+2) of them, with N >= r^2/2.
+    t_tail = shell_tail(tau, 1.0 / (2.0 * level * (level - 1)), cut_f, 0)
+    items = []
+    for e in coset_reps(level - 1):
+        lhs = s.times(n[level - 1][e])
+        rhs = rhs_tail = 0.0
+        for f, ts in table.entries[e].items():
+            term = NumericValue(ts.series().evaluate(tau), t_tail).times(n[level][f])
+            rhs += term.value
+            rhs_tail += term.tail_bound
+        items.append(
+            {
+                "e_in": [e.n1, e.n2],
+                "lhs": repr(lhs.value),
+                "rhs": repr(rhs),
+                "residual": abs(lhs.value - rhs),
+                "tail_bound": lhs.tail_bound + rhs_tail,
+            }
+        )
+    return LeibnizReport(i, j, x_sample, tau, cut_f, tuple(items))

@@ -140,7 +140,8 @@ def transport_fractions(r_x: float, r_y: float, r_z: float) -> tuple[float, floa
 
 
 # ---------------------------------------------------------------------------
-# Monomial chart algebra over the group generated by x, y, z, T.
+# Monomial chart algebra over the group generated by x, y, z, T; no command
+# runs it yet (ROADMAP I).
 # The fiber product v0 = xyz has exponent vector (1, 1, 1, 0).
 
 

@@ -572,11 +572,14 @@ def test_no_command_loads_json_and_differential_only_the_theta_route():
     assert not [cmd for cmd, mods in loaded.items() if "json" in mods]
     # the differential is a slice of the theta products: lattice and series
     assert loaded["differential"] >= {"mirrorlab.lattice", "mirrorlab.series"}
-    assert not loaded["differential"] & {"mirrorlab.gw", "mirrorlab.tropical"}
-    # perfbench traces the differential under gw's name
+    # leibniz checks the differential on the same route
+    for cmd in ("differential", "leibniz"):
+        assert not loaded[cmd] & {"mirrorlab.gw", "mirrorlab.tropical"}, cmd
+    # perfbench traces both under gw's name
     from mirrorlab import gw
 
     assert gw.differential_table is series.differential_table
+    assert gw.leibniz_check is series.leibniz_check
 
 
 _MAIN_PROBE = """

@@ -22,7 +22,6 @@ from mirrorlab.kahler import (
     FiberPoint,
     boundary_pair_catalog,
     calibrate_c_base,
-    derivative_check,
     formula_key,
     harmonic_difference_check,
     harmonic_sixfold_check,
@@ -32,10 +31,10 @@ from mirrorlab.kahler import (
     moment_coords,
     moment_shift_gamma_prime,
     monodromy_class,
-    potential_value,
     region_samples,
 )
 from mirrorlab.tropical import monodromy_corner_table, transport_fractions
+from _oracles import derivative_budget, derivative_check, potential_value
 
 
 # The sigma-orbits of the formula keys, sigma: (x, y, z) -> (y, z, x).
@@ -498,9 +497,9 @@ def at(fn, *args):
 def test_bump_profile_contracts():
     prof = BumpProfile()
     # ranges at saturation
-    assert at(prof.a3, DEFAULT_T ** prof.d_inner * 0.99) == [pytest.approx(2 / 3)]
+    assert at(prof.a3, DEFAULT_T ** (prof.l / 4) * 0.99) == [pytest.approx(2 / 3)]
     assert at(prof.a3, DEFAULT_T ** prof.d_outer * 1.01) == [pytest.approx(1.0)]
-    assert at(prof.a5, DEFAULT_T ** prof.d_inner * 0.99) == [pytest.approx(0.0)]
+    assert at(prof.a5, DEFAULT_T ** (prof.l / 4) * 0.99) == [pytest.approx(0.0)]
     assert at(prof.a5, DEFAULT_T ** prof.d_outer * 1.01) == [pytest.approx(1.0)]
     assert at(prof.a4, 0.1, 0.3, 0.49) == [0.0, 0.0, 0.0]
     assert at(prof.a4, prof.w_ramp + 0.1) == [0.5]
@@ -515,7 +514,7 @@ def test_bump_profile_contracts():
 
 def test_bump_derivative_budget():
     prof = BumpProfile()
-    budget = prof.derivative_budget()
+    budget = derivative_budget(prof)
     for name, row in budget.items():
         assert row["max_d1"] <= row["c1"] / prof.l + 1e-12
         assert row["c1"] < 60  # order p, not order l
@@ -1166,7 +1165,7 @@ def test_profile_branch_edges_match_tuple_oracle():
     prof = BumpProfile()
     ws = [0.0, -0.0, 0.3, -0.3, 0.5, -0.5, 1.2, -1.2, prof.w_ramp, -prof.w_ramp, 9.0, -9.0]
     thetas = [prof.t1, prof.t0, prof.t1 + 0.2, prof.t0 - 0.2, (prof.t0 + prof.t1) / 2]
-    ds = [-1.0, -0.0, 0.0, DEFAULT_T ** prof.d_outer, DEFAULT_T ** prof.d_inner, 1e-12, 0.5]
+    ds = [-1.0, -0.0, 0.0, DEFAULT_T ** prof.d_outer, DEFAULT_T ** (prof.l / 4), 1e-12, 0.5]
     ts = [0.0, -0.0, 1.0, -0.5, 0.25, 0.75, 1.5]
     cases = (
         (prof.a4, lambda x: _t_a4(prof, x), ws),

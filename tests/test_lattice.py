@@ -10,12 +10,11 @@ from mirrorlab.lattice import (
     MomentPoint,
     coset_reps,
     enumerate_shifted_ball,
-    gamma_act_moment,
-    kappa,
     lambda_map,
     min_norm_in_coset,
     norm_form,
 )
+from _oracles import gamma_act_moment, kappa
 
 small_ints = st.integers(min_value=-6, max_value=6)
 lattice_vectors = st.builds(LatticeVector, small_ints, small_ints)
