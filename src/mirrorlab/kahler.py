@@ -21,9 +21,10 @@ differences.  Conventions:
 * the certificate path runs on lanes, one row of three norms per sample:
   `region_samples` draws an n x 3 array, `formula_key` gives each row one
   integer code, and `_jets` evaluates each code's formula once, on that
-  code's rows.  Only + - * / and comparisons are numpy lane operations;
-  log, log1p and every ** go element by element through libm, as in `_ad`,
-  so each row has the bits it has alone.  A single point is a one-row block.
+  code's rows, each shared sub-jet once.  Only + - * / and comparisons are
+  numpy lane operations; log, log1p and every ** go element by element
+  through libm, as in `_ad`, so each row has the bits it has alone, also
+  where the calibration batches it at several powers of two as c_base.
 
 The potential is invariant under the cyclic symmetry sigma: (x, y, z) ->
 (y, z, x) of the superpotential v0 = xyz.  On points, sigma moves the norm
@@ -51,7 +52,6 @@ import numpy as np
 
 from . import _ad
 from ._ad import D2
-from .tropical import monodromy_class  # only for the span tracer's name (ROADMAP F(b))
 
 DEFAULT_T = 0.1
 DEFAULT_L = 40
@@ -94,6 +94,14 @@ _ROTATION = {key: (orbit, k) for orbit in _ORBITS for k, key in enumerate(orbit)
 _KEYS = tuple(key for orbit in _ORBITS for key in orbit) + ("VII",)
 # The REGION_IDS index of each code's region.
 _REGION_OF = np.array([REGION_IDS.index(_FORMULA_TO_REGION.get(k, k)) for k in _KEYS])
+
+
+def __getattr__(name: str):
+    """tropical's `monodromy_class` on demand, for the span tracer's name (ROADMAP F(b))."""
+    if name != "monodromy_class":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .tropical import monodromy_class  # loading kahler does not compile tropical
+    return monodromy_class
 
 
 def _rotate(t: tuple, k: int) -> tuple:
@@ -183,13 +191,13 @@ class BumpProfile(NamedTuple):
     def w_ramp(self) -> float:
         return 0.5 + self.l / (2 * self.p)
 
-    def a3(self, d: D2) -> D2:
-        """Radial weight in [2/3, 1]; 2/3 at the interior, 1 at the outer edge."""
-        return 1.0 - _smoothstep(self._radial_s(d)) * (1.0 / 3.0)
+    def a3_a5(self, d: D2) -> tuple[D2, D2]:
+        """Radial weight a3 in [2/3, 1] and gate a5 in [0, 1], from one smoothstep.
 
-    def a5(self, d: D2) -> D2:
-        """Radial gate in [0, 1]; 0 at the interior, 1 at the outer edge."""
-        return 1.0 - _smoothstep(self._radial_s(d))
+        Both are 1 at the outer edge; at the interior a3 is 2/3, a5 is 0.
+        """
+        s = _smoothstep(self._radial_s(d))
+        return 1.0 - s * (1.0 / 3.0), 1.0 - s
 
     def _radial_s(self, d: D2) -> D2:
         interior = d.v <= 0.0  # clamped to 1; the log reads 1.0 there instead of d
@@ -279,32 +287,35 @@ def _potential_ad(r, prof: BumpProfile, key: str) -> D2:
     def lp(k: int, u: D2) -> D2:
         return _ad.log1p(u * u * T ** (2 * k))
 
-    def g(u: D2, v: D2) -> D2:  # the two-coordinate toric potential
-        return lp(1, u) + lp(1, v) + lp(2, u * v)
-
     def w(u: D2, v: D2) -> D2:  # log_T(|u| / |v|), an angular profile argument
         return (_ad.log(u) - _ad.log(v)) * (1.0 / ln_t)
 
+    # Each lp jet is taken once; g(u, v) = lp(1, u) + lp(1, v) + lp(2, u v).
     if key == "VII":
         rx, ry, rz = r
-        return (g(rx, ry) + g(rx, rz) + g(ry, rz)) * (1.0 / 3.0)
+        lx, ly, lz = lp(1, rx), lp(1, ry), lp(1, rz)
+        return ((lx + ly + lp(2, rx * ry)) + (lx + lz + lp(2, rx * rz))
+                + (ly + lz + lp(2, ry * rz))) * (1.0 / 3.0)
     if key not in _ROTATION:
         raise ValueError(f"unknown region formula {key!r}")
     orbit, k = _ROTATION[key]
     # The x-family formula of the orbit, on the norms read in sigma^-k order.
     x, y, z = _rotate(r, -k)
-    g_yz = g(y, z)
+    ly, lz, lyz = lp(1, y), lp(1, z), lp(2, y * z)
+    g_yz = ly + lz + lyz
     if orbit[0] == "g_yz":
         return g_yz
-    px = lp(1, x) - lp(2, y * z)
-    py = lp(1, y) - lp(2, x * z)
-    pz = lp(1, z) - lp(2, x * y)
+    px = lp(1, x) - lyz
+    py = ly - lp(2, x * z)
+    pz = lz - lp(2, x * y)
     if orbit[0] == "IIB":
         d = px + py - pz * 0.5
-        return (g_yz - py) + prof.a3(d) * d - 0.5 * prof.a5(d) * pz
+        a3, a5 = prof.a3_a5(d)
+        return (g_yz - py) + a3 * d - 0.5 * a5 * pz
     d_x = px - (py + pz) * 0.5
     if orbit[0] == "I":
-        return g_yz + prof.a3(d_x) * d_x + prof.a4(w(z, y)) * prof.a5(d_x) * (py - pz)
+        a3, a5 = prof.a3_a5(d_x)
+        return g_yz + a3 * d_x + prof.a4(w(z, y)) * a5 * (py - pz)
     if orbit[0] == "axis_x":
         return g_yz + d_x + prof.a4(w(z, y)) * (py - pz)
     # IIA blends toward the xy band as r_y / r_x grows, VIC toward the zx band.
@@ -313,7 +324,8 @@ def _potential_ad(r, prof: BumpProfile, key: str) -> D2:
     else:
         a6, near, far = prof.a6(-w(x, z)), pz, py
     d = d_x + 1.5 * a6 * near
-    return g_yz - a6 * near + prof.a3(d) * d + 0.5 * prof.a5(d) * (near - far - a6 * near)
+    a3, a5 = prof.a3_a5(d)
+    return g_yz - a6 * near + a3 * d + 0.5 * a5 * (near - far - a6 * near)
 
 
 # No command runs `metric` or builds a MetricSample: perfbench/spans.py patches
@@ -356,22 +368,24 @@ def _jets(r: np.ndarray, prof: BumpProfile) -> tuple[np.ndarray, tuple]:
     return codes, (r, f_g, f_h, u.g.T, u.h.T)
 
 
-def _metric_from_jets(jets: tuple, c_base: float) -> tuple[np.ndarray, np.ndarray]:
+def _metric_from_jets(jets: tuple, c_base: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Metric matrices and normalized min-eigenvalues at stacked jets.
 
-    G = Hess(F + c U) + diag(grad(F + c U) / r), with the base term skipped
-    when c is zero; a row whose diagonal is not positive gets -inf, the rest
-    the least eigenvalue of the diagonally normalized matrix.  A row whose
-    matrix or normalized matrix is not finite (the float range broke down,
-    as at a huge c) gets nan and never reaches eigvalsh.  Each row takes the
-    same float operations in the same order as a lone point, so batching
+    G = Hess(F + c U) + diag(grad(F + c U) / r), c_base one c or an array of
+    one c per row, with the base term skipped when every c is zero; a row
+    whose diagonal is not positive gets -inf, the rest the least eigenvalue
+    of the diagonally normalized matrix.  A row whose matrix or normalized
+    matrix is not finite (the float range broke down, as at a huge c) gets
+    nan and never reaches eigvalsh.  Each row takes the same float
+    operations in the same order as a lone point at its c, so batching
     changes no bits.
     """
     r, f_g, f_h, u_g, u_h = jets
     with np.errstate(over="ignore", invalid="ignore"):
-        if c_base:
-            f_g = f_g + u_g * c_base
-            f_h = f_h + u_h * c_base
+        c = np.asarray(c_base, dtype=float).reshape(-1, 1)
+        if c.any():
+            f_g = f_g + u_g * c
+            f_h = f_h + u_h * c
         n = len(r)
         grad_term = np.zeros((n, 3, 3))
         grad_term[:, range(3), range(3)] = np.divide(f_g, r)
@@ -711,25 +725,36 @@ def _least_power_of_two(jets: tuple, margin: float) -> float | None:
     """Smallest 2^k, -80 <= k < 200, at which every row's min-eigenvalue clears margin.
 
     Equal to trying every row at every power, with less work: the rows that
-    failed the last power are tried first, and while one of them still
-    fails the power fails with no other row evaluated; the full batch runs
-    only once they all pass.  `_metric_from_jets` gives a row the same bits
-    in any batch, so the subsets decide exactly as the full batch would.
-    None without rows: no row, no evidence for any power.
+    failed the last power are watched, and while one of them still fails
+    the power fails with no other row evaluated; the full batch runs only
+    once they all pass.  Each watched row is tried at the next m powers in
+    one batch, m = max(1, (n - 1) // watched) for n rows, so no batch
+    exceeds the full one; the rule is replayed power by power on its pass
+    matrix (pass is not monotone in c: no power is skipped).  A row has the
+    same bits in any batch and at a c of its own, so this decides exactly
+    as the full batches would.  None without rows: no evidence for a power.
     """
-    if not len(jets[0]):
+    n = len(jets[0])
+    if not n:
         return None
-    watch = np.arange(0)  # rows that failed the last power
-    for k in range(-80, 200):
-        c = 2.0 ** k
+    watch, k = np.arange(0), -80  # the rows that failed the last power, and the power
+    while k < 200:
         if len(watch):
-            rows = tuple(a[watch] for a in jets)
-            watch = watch[~(_metric_from_jets(rows, c)[1] > margin)]
-            if len(watch):
+            m = min(max(1, (n - 1) // len(watch)), 200 - k)
+            idx = np.tile(watch, m)  # each watched row at k, then at k + 1, ...
+            cs = np.repeat(np.ldexp(1.0, np.arange(k, k + m)), len(watch))
+            fails = ~(_metric_from_jets(tuple(a[idx] for a in jets), cs)[1] > margin)
+            # still[j]: the watched rows that failed every power from k to k + j
+            still = np.logical_and.accumulate(fails.reshape(m, -1), axis=0)
+            passed = np.flatnonzero(~still.any(axis=1))
+            if not len(passed):
+                watch, k = watch[still[-1]], k + m
                 continue
-        watch = np.flatnonzero(~(_metric_from_jets(jets, c)[1] > margin))
+            k += int(passed[0])
+        watch = np.flatnonzero(~(_metric_from_jets(jets, 2.0 ** k)[1] > margin))
         if not len(watch):
-            return c
+            return 2.0 ** k
+        k += 1
     return None
 
 

@@ -3,7 +3,7 @@
 No command runs these: the geometric triangle-area oracle, which checks the
 closed-form exponents of `fukaya.mu2_closed`; the lattice quadratic weight
 and the lattice action on moment coordinates; and the finite-difference
-checks of the Kähler potential's jets.
+checks of the Kähler potential's jets, and the plain calibration scan.
 """
 
 import math
@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from mirrorlab import _ad
+from mirrorlab import _ad, kahler
 from mirrorlab._ad import D2
 from mirrorlab.kahler import BumpProfile, FiberPoint, _potential_ad
 from mirrorlab.lattice import (
@@ -146,8 +146,8 @@ def derivative_budget(prof: BumpProfile, samples: int = 200) -> dict:
         return D2.const([prof.T ** x for x in s])
 
     for name, fn, lo, hi in (
-        ("a3", lambda s: prof.a3(norms(s)), prof.d_outer, prof.l / 4),
-        ("a5", lambda s: prof.a5(norms(s)), prof.d_outer, prof.l / 4),
+        ("a3", lambda s: prof.a3_a5(norms(s))[0], prof.d_outer, prof.l / 4),
+        ("a5", lambda s: prof.a3_a5(norms(s))[1], prof.d_outer, prof.l / 4),
         ("a4", lambda s: prof.a4(D2.const(s)), -prof.w_ramp - 1, prof.w_ramp + 1),
         ("a6", lambda s: prof.a6(D2.const(s)), prof.t0 - 1, prof.t1 + 1),
     ):
@@ -207,3 +207,19 @@ def derivative_check(q: FiberPoint) -> tuple[float, float]:
 def potential_value(q: FiberPoint, key: str) -> float:
     """Potential evaluated with an explicit region formula (for seam tests)."""
     return float(_potential_ad([q.r], q.profile, key).v[0])
+
+
+def least_power_of_two_scan(jets: tuple, margin: float) -> float | None:
+    """The least 2^k, -80 <= k < 200, at which every row's min-eigenvalue clears margin.
+
+    Every row at every power, one full batch per power: the scan that
+    `kahler._least_power_of_two` does with watched rows and windows of
+    powers.  None without rows or without such a power.
+    """
+    if not len(jets[0]):
+        return None
+    return next(
+        (2.0 ** k for k in range(-80, 200)
+         if np.all(kahler._metric_from_jets(jets, 2.0 ** k)[1] > margin)),
+        None,
+    )

@@ -166,6 +166,19 @@ def test_leibniz_vacuous_tail_is_indeterminate():
     )
 
 
+def test_leibniz_tail_below_twice_the_values_is_still_indeterminate():
+    # the tail is 1.73 times |lhs| + |rhs|: it bounds no residual that the
+    # values allow, so a passing residual checks nothing
+    out, code = run(
+        ["leibniz", "--i", "0", "--j", "2", "--x", "1,1", "--tau", "0.1", "--cutoff", "2"]
+    )
+    rep = json.loads(out)
+    assert code == 2 and rep["status"] == "indeterminate" and rep["passed"] is True
+    (item,) = rep["items"]
+    values = abs(float(item["lhs"])) + abs(float(item["rhs"]))
+    assert values <= float(item["tail_bound"]) < 2 * values
+
+
 def test_metric_check_failed_calibration_is_indeterminate():
     # at T = 0.5 no power of two certifies the calibration points
     out, code = run(["metric-check", "--T", "0.5", "--samples", "2"])
@@ -239,6 +252,11 @@ def test_disc_series_leading_term_is_tropical(monkeypatch):
     out, code = run(["disc-series", "--A", "0,0,5", "--cutoff", "2"])
     rep = json.loads(out)
     assert code == 0 and rep["tropical_lead"] == ["5", "1"] and rep["series"]["terms"] == []
+    # a least area equal to the cutoff is inside it: the series opens with it
+    out, code = run(["disc-series", "--A", "0,0,2", "--cutoff", "2"])
+    rep = json.loads(out)
+    assert code == 0 and rep["status"] == "pass"
+    assert rep["tropical_lead"] == ["2", "1"] == rep["series"]["terms"][0]
     # the norm-ball route losing the disc of the nearest facet fails the check
     from mirrorlab import gw
 
@@ -556,6 +574,8 @@ def test_only_the_metric_commands_load_numpy():
                 assert code == 0 and json.loads(out)["status"] == "pass"
     metric_layer = {"numpy", "mirrorlab.kahler", "mirrorlab._ad"}
     assert loaded["metric-check"] >= metric_layer
+    # kahler serves tropical's monodromy_class to the span tracer on demand
+    assert "mirrorlab.tropical" not in loaded["metric-check"]
     assert [cmd for cmd, mods in loaded.items() if mods & metric_layer] == ["metric-check"]
     assert not any("dataclasses" in mods for mods in loaded.values())
     # metric-check draws its samples without numpy's generators, and groups
@@ -572,7 +592,9 @@ def test_no_command_loads_json_and_differential_only_the_theta_route():
     assert not [cmd for cmd, mods in loaded.items() if "json" in mods]
     # the differential is a slice of the theta products: lattice and series
     assert loaded["differential"] >= {"mirrorlab.lattice", "mirrorlab.series"}
-    # leibniz checks the differential on the same route
+    # leibniz checks the differential on the same route; both sides of its
+    # identity are free of the sphere count C, so it searches no sphere
+    # classes: it never loads gw
     for cmd in ("differential", "leibniz"):
         assert not loaded[cmd] & {"mirrorlab.gw", "mirrorlab.tropical"}, cmd
     # perfbench traces both under gw's name

@@ -46,6 +46,7 @@ HELD = {
     "gw.disc_area": "ROADMAP B(e): disc-series may check each term by its facet area",
     "series.TauSeries.__str__": "runs only on a failing identity: functor's mismatch text",
     "kahler.FiberPoint.profile": "called by kahler.metric, which spans.TRACED patches, and by I",
+    "kahler.__getattr__": "span tracer's name, ROADMAP F(b)",
     **{f"kahler.{name}": _I for name in (
         "FiberPoint.key", "FiberPoint.from_logs", "FiberPoint.rotated", "moment_coords",
         "_moment", "moment_shift_gamma_prime", "harmonic_difference_check", "hex_orbit",

@@ -16,6 +16,7 @@ from mirrorlab.kahler import (
     DEFAULT_C_BASE,
     DEFAULT_L,
     DEFAULT_P,
+    DEFAULT_SEED,
     DEFAULT_T,
     REGION_IDS,
     BumpProfile,
@@ -34,7 +35,12 @@ from mirrorlab.kahler import (
     region_samples,
 )
 from mirrorlab.tropical import monodromy_corner_table, transport_fractions
-from _oracles import derivative_budget, derivative_check, potential_value
+from _oracles import (
+    derivative_budget,
+    derivative_check,
+    least_power_of_two_scan,
+    potential_value,
+)
 
 
 # The sigma-orbits of the formula keys, sigma: (x, y, z) -> (y, z, x).
@@ -494,13 +500,19 @@ def at(fn, *args):
     return fn(D2.const(args)).v.tolist()
 
 
+def radial(prof, i):
+    """a3 (i = 0) or a5 (i = 1) of the profile, from `BumpProfile.a3_a5`."""
+    return lambda d: prof.a3_a5(d)[i]
+
+
 def test_bump_profile_contracts():
     prof = BumpProfile()
+    a3, a5 = radial(prof, 0), radial(prof, 1)
     # ranges at saturation
-    assert at(prof.a3, DEFAULT_T ** (prof.l / 4) * 0.99) == [pytest.approx(2 / 3)]
-    assert at(prof.a3, DEFAULT_T ** prof.d_outer * 1.01) == [pytest.approx(1.0)]
-    assert at(prof.a5, DEFAULT_T ** (prof.l / 4) * 0.99) == [pytest.approx(0.0)]
-    assert at(prof.a5, DEFAULT_T ** prof.d_outer * 1.01) == [pytest.approx(1.0)]
+    assert at(a3, DEFAULT_T ** (prof.l / 4) * 0.99) == [pytest.approx(2 / 3)]
+    assert at(a3, DEFAULT_T ** prof.d_outer * 1.01) == [pytest.approx(1.0)]
+    assert at(a5, DEFAULT_T ** (prof.l / 4) * 0.99) == [pytest.approx(0.0)]
+    assert at(a5, DEFAULT_T ** prof.d_outer * 1.01) == [pytest.approx(1.0)]
     assert at(prof.a4, 0.1, 0.3, 0.49) == [0.0, 0.0, 0.0]
     assert at(prof.a4, prof.w_ramp + 0.1) == [0.5]
     for w in (0.6, 1.0, 5.0):
@@ -990,6 +1002,26 @@ def test_breakdown_makes_a_passing_certificate_indeterminate(monkeypatch):
                for r in got["regions"].values())
 
 
+def test_a_zero_min_eigenvalue_fails_the_certificate(monkeypatch):
+    # no real draw gives exactly 0.0; a matrix with a zero eigenvalue is not
+    # positive definite, so one such row fails the whole certificate
+    finisher = kahler._metric_from_jets
+    calls = []
+
+    def third_region_singular(jets, c):
+        mats, min_eigs = finisher(jets, c)
+        calls.append(None)
+        if len(calls) == 3:
+            min_eigs[1] = 0.0
+        return mats, min_eigs
+
+    monkeypatch.setattr(kahler, "_metric_from_jets", third_region_singular)
+    got = metric_certificate(samples=3, c_base=DEFAULT_C_BASE)
+    assert got["status"] == "fail"
+    assert [r for r, row in got["regions"].items() if row["min_eig"] <= 0] == [REGION_IDS[2]]
+    assert got["regions"][REGION_IDS[2]]["min_eig"] == 0.0
+
+
 def test_calibration_matches_per_point_scan():
     prof = BumpProfile()
     pts = [q for region in REGION_IDS for q in points(region, 3)]
@@ -1002,15 +1034,6 @@ def test_calibration_matches_per_point_scan():
     assert kahler._least_power_of_two(_calibration_jets(7, samples=3), 1e-9) == want
 
 
-def _linear_scan(jets, margin):
-    """Every row at every power of two: the scan `_least_power_of_two` replaced."""
-    return next(
-        (2.0 ** k for k in range(-80, 200)
-         if np.all(kahler._metric_from_jets(jets, 2.0 ** k)[1] > margin)),
-        None,
-    )
-
-
 def _calibration_jets(seed, samples=60):
     pts = [q for region in REGION_IDS for q in points(region, samples, seed)]
     return kahler._jets(np.array([q.r for q in pts]).reshape(-1, 3), BumpProfile())[1]
@@ -1019,7 +1042,7 @@ def _calibration_jets(seed, samples=60):
 @pytest.mark.parametrize("seed", [1, 2, 3, 7, 11, 99])
 def test_watch_list_scan_matches_linear_scan(seed):
     jets = _calibration_jets(seed)
-    want = _linear_scan(jets, 1e-9)
+    want = least_power_of_two_scan(jets, 1e-9)
     assert kahler._least_power_of_two(jets, 1e-9) == want
     assert calibrate_c_base(seed=seed) == want
 
@@ -1030,7 +1053,7 @@ def test_watch_list_scan_at_larger_margins(margin, found):
     # so a power passing the watched rows must still be tried on every row;
     # at 1.0 no row can clear, as the normalized diagonal is 1.
     jets = _calibration_jets(7, samples=10)
-    want = _linear_scan(jets, margin)
+    want = least_power_of_two_scan(jets, margin)
     assert (want is not None) == found
     assert kahler._least_power_of_two(jets, margin) == want
 
@@ -1055,6 +1078,56 @@ def test_calibration_takes_few_full_batches(monkeypatch):
     full = len(REGION_IDS) * kahler.CALIBRATION_SAMPLES
     assert rows.count(full) <= 3
     assert max(rows) == full
+
+
+@pytest.mark.parametrize("T, l, p, seed", [
+    *((DEFAULT_T, DEFAULT_L, DEFAULT_P, seed) for seed in range(1, 6)),
+    (DEFAULT_T, 24, DEFAULT_P, DEFAULT_SEED),
+    (0.2, 60, 20, DEFAULT_SEED),
+    (0.5, DEFAULT_L, DEFAULT_P, DEFAULT_SEED),  # no power of two certifies
+])
+def test_calibration_matches_full_batch_scan(T, l, p, seed):
+    r = np.concatenate(
+        [region_samples(region, kahler.CALIBRATION_SAMPLES, seed, T, l, p) for region in REGION_IDS]
+    )
+    jets = kahler._jets(r, BumpProfile(l, p, T))[1]
+    want = least_power_of_two_scan(jets, kahler.CALIBRATION_MARGIN)
+    assert (want is None) == (T == 0.5)
+    assert kahler._least_power_of_two(jets, kahler.CALIBRATION_MARGIN) == want
+    assert calibrate_c_base(T, l, p, seed) == want
+
+
+def _counting_finisher(monkeypatch):
+    """Patch `_metric_from_jets` to record the row count of each call; returns the list."""
+    rows = []
+    finisher = kahler._metric_from_jets
+
+    def counted(jets, c):
+        rows.append(len(jets[0]))
+        return finisher(jets, c)
+
+    monkeypatch.setattr(kahler, "_metric_from_jets", counted)
+    return rows
+
+
+def test_calibration_tries_powers_in_few_batches(monkeypatch):
+    rows = _counting_finisher(monkeypatch)
+    assert calibrate_c_base() == DEFAULT_C_BASE
+    assert len(rows) <= 40
+    assert max(rows) == len(REGION_IDS) * kahler.CALIBRATION_SAMPLES
+
+
+def test_calibration_when_every_row_fails_the_first_power(monkeypatch):
+    # every row is watched after the first power, so each window holds one power
+    jets = _calibration_jets(7, samples=10)
+    fails = ~(kahler._metric_from_jets(jets, 2.0 ** -80)[1] > 1e-9)
+    jets = tuple(a[fails] for a in jets)
+    assert len(jets[0]) > 1
+    want = least_power_of_two_scan(jets, 1e-9)
+    assert want is not None
+    rows = _counting_finisher(monkeypatch)
+    assert kahler._least_power_of_two(jets, 1e-9) == want
+    assert max(rows) == len(jets[0])
 
 
 @pytest.mark.parametrize("samples", [0, 20, 60, 300])
@@ -1170,8 +1243,8 @@ def test_profile_branch_edges_match_tuple_oracle():
     cases = (
         (prof.a4, lambda x: _t_a4(prof, x), ws),
         (prof.a6, lambda x: _t_a6(prof, x), thetas),
-        (prof.a3, lambda x: _t_a3(prof, x), ds),
-        (prof.a5, lambda x: _t_a5(prof, x), ds),
+        (radial(prof, 0), lambda x: _t_a3(prof, x), ds),
+        (radial(prof, 1), lambda x: _t_a5(prof, x), ds),
         (kahler._smoothstep, _t_smoothstep, ts),
     )
     for lane_fn, tuple_fn, args in cases:
