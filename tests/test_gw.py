@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -291,6 +295,27 @@ def test_leibniz_identity():
     assert rep.passed
     for item in rep.items:
         assert item["residual"] < item["tail_bound"]
+
+
+_LEIBNIZ_PROBE = """
+import sys
+from fractions import Fraction
+from mirrorlab.series import leibniz_check
+assert leibniz_check(0, 2, (1.0, 1.0), 0.1, Fraction(12)).passed
+print(sorted(m for m in ("mirrorlab.gw", "mirrorlab.tropical") if m in sys.modules))
+"""
+
+
+def test_leibniz_searches_no_sphere_classes():
+    # both sides of the identity are free of the sphere count C: in a fresh
+    # process, leibniz_check never loads gw, where the sphere classes live
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LEIBNIZ_PROBE],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    assert proc.stdout.split() == ["[]"]
 
 
 def test_leibniz_cutoff_zero_counts_flat_configurations():
