@@ -13,7 +13,6 @@ import math
 import os
 import sys
 from _json import encode_basestring_ascii as _quote
-from fractions import Fraction
 from typing import BinaryIO
 
 EXIT_PASS = 0
@@ -46,13 +45,14 @@ def emit(report: dict) -> bytes:
     json's, and no command loads the json package.  Every report key is a
     str, and any other key raises TypeError, where json would coerce it.
     """
+    fraction = getattr(sys.modules.get("fractions"), "Fraction", ())  # () if never loaded
     parts: list[str] = []
     write = parts.append
 
     def value(v, indent: str) -> None:
         if isinstance(v, str):
             write(_quote(v))
-        elif isinstance(v, Fraction):
+        elif isinstance(v, fraction):
             write(f'"{v}"')  # digits, "-" and "/": nothing to escape
         elif isinstance(v, float):
             write(f'"{v:.17g}"')  # digits, "-", "+", ".", "e", "nan" or "inf"
@@ -111,8 +111,13 @@ def _checked(parse, ok, must: str):
     return convert
 
 
-def _fractions(text: str) -> list[Fraction]:
-    return [Fraction(p.strip()) for p in text.split(",")]
+def _rational(text: str):
+    from fractions import Fraction  # on use: metric-check's flags are ints and floats
+    return Fraction(text)
+
+
+def _fractions(text: str) -> list:
+    return [_rational(p.strip()) for p in text.split(",")]
 
 
 def _float_tuple(text: str) -> tuple[float, ...]:
@@ -124,9 +129,9 @@ _POSITIVE = _checked(int, lambda v: v >= 1, "an integer >= 1")
 # kahler refuses over 2**32 samples per region before it allocates its draws
 _SAMPLES = _checked(int, lambda v: 0 <= v <= 2**32, "an integer in [0, 2**32]")
 _UNIT = _checked(float, lambda v: 0.0 < v < 1.0, "a float in (0, 1)")
-_BOUND = _checked(Fraction, lambda v: v >= 0, "a rational >= 0")
+_BOUND = _checked(_rational, lambda v: v >= 0, "a rational >= 0")
 # leibniz truncates its lattice sums in floats
-_FLOAT_BOUND = _checked(Fraction, lambda v: v >= 0 and math.isfinite(v),
+_FLOAT_BOUND = _checked(_rational, lambda v: v >= 0 and math.isfinite(v),
                         "a rational >= 0 that fits in a float")
 _MOMENT = _checked(_fractions, lambda v: len(v) == 3, "3 comma-separated rationals")
 _WINDOW = _checked(_float_tuple, lambda v: len(v) == 4,
@@ -163,6 +168,7 @@ def _facets(args: argparse.Namespace) -> bytes:
 
 
 def _disc_series(args: argparse.Namespace) -> tuple[str, dict]:
+    from fractions import Fraction
     from .lattice import MomentPoint
     from .tropical import trop_phi
 
@@ -251,13 +257,13 @@ def _monodromy(args: argparse.Namespace) -> tuple[str, dict]:
     anti = []
     rng = random.Random(args.seed)
     while len(anti) < args.samples:
-        xi = (Fraction(rng.randrange(-4000, 4000), 1000), Fraction(rng.randrange(-4000, 4000), 1000))
-        try:
-            plus = tropical.monodromy_class(xi)
-            minus = tropical.monodromy_class((-xi[0], -xi[1]))
-        except ValueError:
+        # xi = (p1, p2)/1000; the class of the tile m holding xi is -m
+        p1, p2 = rng.randrange(-4000, 4000), rng.randrange(-4000, 4000)
+        plus = tropical.trop_scaled(p1, p2, 1000)[1]
+        minus = tropical.trop_scaled(-p1, -p2, 1000)[1]
+        if len(plus) > 1 or len(minus) > 1:
             continue  # on the tropical curve; resample
-        anti.append(plus == (-minus[0], -minus[1]))
+        anti.append(plus[0] == (-minus[0].n1, -minus[0].n2))
     ok = ok and all(anti)
     fracs = tropical.transport_fractions(1.0, 1.0, 1.0)
     ok = ok and abs(sum(fracs) - 1.0) <= 1e-14

@@ -5,8 +5,8 @@ per facet; its area is height above the facet plane, <A, nu> + alpha.  The
 generating series of these areas reproduces the defining theta sum.  Sphere
 corrections live on wall curves (the P^1 dual to a honeycomb edge); their
 generating series exponentiates to the correction factor C with constant
-term 1.  The differential table, multiplication by the defining section on
-the theta basis, and its numeric Leibniz check live in `series`.
+term 1.  Both are TauSeries (`tau`); the differential table and its Leibniz
+check are in `series`, which gw loads only for the span tracer's names.
 """
 
 from __future__ import annotations
@@ -23,10 +23,16 @@ from .lattice import (
     lambda_map,
     norm_form,
 )
-from .series import TauSeries
-# the span tracer patches these under gw's name; no gw code calls them (ROADMAP F(b))
-from .series import differential_table, leibniz_check
+from .tau import TauSeries
 from .tropical import NEIGHBOURS, facet, polytope_contains_strictly
+
+
+def __getattr__(name: str):
+    """series' `differential_table` and `leibniz_check`, for the span tracer (ROADMAP F(b))."""
+    if name not in ("differential_table", "leibniz_check"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import series  # loading gw does not compile the theta engine
+    return getattr(series, name)
 
 
 # No command runs it yet: disc-series may check each term with it (ROADMAP B(e)).
@@ -153,17 +159,21 @@ def admitted_classes(
     cancels at most two units of deficit, which prunes the rest.  Each
     degree state is expanded once (a visited set); since every wall sphere
     has area one, a state reached at two wall counts is inconsistent data
-    and raises.
+    and raises, as does a wall degree other than +1 or -1.
     """
     tiles = sorted({t for w in walls for t in w.degrees} | {anchor})
     index = {t: i for i, t in enumerate(tiles)}
     a = index[anchor]
     moves = [tuple((index[t], d) for t, d in w.degrees.items()) for w in walls]
+    if any(d not in (1, -1) for move in moves for _, d in move):
+        raise ValueError("wall degrees must be +1 or -1")
+    # each wall's -1 tiles and +1 tiles (its wings) off the anchor
+    minus = [tuple(i for i, d in move if d < 0 and i != a) for move in moves]
+    plus = [tuple(i for i, d in move if d > 0 and i != a) for move in moves]
     repairs: list[list[int]] = [[] for _ in tiles]  # walls with tile i as a wing
-    for k, move in enumerate(moves):
-        for i, d in move:
-            if d > 0:
-                repairs[i].append(k)
+    for k, wings in enumerate(plus):
+        for i in wings:
+            repairs[i].append(k)
     openers = [k for k, move in enumerate(moves) if any(i == a for i, _ in move)]
     deg = [0] * len(tiles)
     seen: dict[tuple[int, ...], int] = {}
@@ -187,15 +197,21 @@ def admitted_classes(
             branch = repairs[next(i for i, d in enumerate(deg) if d < 0 and i != a)]
         else:
             branch = range(len(moves))
+        budget = 2 * (max_total - depth - 1)
         for k in branch:
+            # -1 on a degree <= 0 adds a unit of deficit, +1 on one < 0 removes one
             after = deficit
+            for i in minus[k]:
+                if deg[i] <= 0:
+                    after += 1
+            for i in plus[k]:
+                if deg[i] < 0:
+                    after -= 1
+            if after > budget:
+                continue
             for i, d in moves[k]:
-                old = deg[i]
-                deg[i] = old + d
-                if i != a:
-                    after += max(-old - d, 0) - max(-old, 0)
-            if after <= 2 * (max_total - depth - 1):
-                rec(depth + 1, after)
+                deg[i] += d
+            rec(depth + 1, after)
             for i, d in moves[k]:
                 deg[i] -= d
 

@@ -1,13 +1,12 @@
-"""Tropicalized theta function, honeycomb tiling, moment body, toric charts.
+"""Tropicalized theta function, honeycomb tiling, moment body, monodromy.
 
 The tropicalization phi(xi) = max over lattice n of  <xi, n> - N(n)  cuts the
 plane into a honeycomb of hexagonal tiles.  A tile is the LatticeVector m
 whose term wins on it: it is centred at m.std, shares an edge with each of
 the six tiles m + NEIGHBOURS, and carries a facet of the moment body
-eta >= phi(xi) with normal (-m1, -m2, 1) and offset N(m) = m.norm.  Vertex
-charts of the body are monomial coordinate systems in x, y, z, T glued by
-unimodular monomial maps.  The monodromy class of the torus fibration over
-tile m is fixed by the tile alone: -m.
+eta >= phi(xi) with normal (-m1, -m2, 1) and offset N(m) = m.norm.  The
+monodromy class of the torus fibration over tile m is fixed by the tile
+alone: -m.  The algebra of the body's vertex charts is in `charts`.
 """
 
 from __future__ import annotations
@@ -48,16 +47,20 @@ HEX_VERTEX_OFFSETS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
 
 
 def trop_phi(xi: Vec2) -> TropValue:
-    """Max of <xi, n> - N(n) with all maximizers, exact.
-
-    Reduces xi to the fundamental domain first (periodicity), where only 0
-    and NEIGHBOURS can win, then translates the answer back.  The search
-    runs on integers: xi scaled by the lcm d of its denominators, which also
-    clears those of the reduced point.
-    """
+    """Max of <xi, n> - N(n) with all maximizers, exact; `trop_scaled` on a common denominator."""
     x1, x2 = Fraction(xi[0]), Fraction(xi[1])
     d = math.lcm(x1.denominator, x2.denominator)
     p1, p2 = x1.numerator * (d // x1.denominator), x2.numerator * (d // x2.denominator)
+    value, maxim = trop_scaled(p1, p2, d)
+    return TropValue(Fraction(value, d), maxim)
+
+
+def trop_scaled(p1: int, p2: int, d: int) -> tuple[int, tuple[LatticeVector, ...]]:
+    """d * phi(xi) and the sorted maximizers of phi at xi = (p1/d, p2/d), d >= 1.
+
+    Reduces xi to the fundamental domain (periodicity), where only 0 and
+    NEIGHBOURS can win, and translates the answer back, all on integers.
+    """
     # g = floor(lambda(xi) + 1/2); (a1, a2) = d * r for r = xi - g_std.
     g1 = (4 * p1 - 2 * p2 + 3 * d) // (6 * d)
     g2 = (4 * p2 - 2 * p1 + 3 * d) // (6 * d)
@@ -78,13 +81,13 @@ def trop_phi(xi: Vec2) -> TropValue:
             arg.append((n1, n2))
     assert best is not None
     maxim = tuple(sorted(LatticeVector(n1 + g1, n2 + g2) for n1, n2 in arg))
-    # phi(xi) = phi(r) + N(g) + <r, g> by periodicity; cross-check against
-    # the direct value at a translated maximizer.
-    value = Fraction(best + d * (g1 * g1 + g1 * g2 + g2 * g2) + a1 * g1 + a2 * g2, d)
+    # d phi(xi) = d phi(r) + d N(g) + <d r, g> by periodicity; cross-check
+    # against the direct value at a translated maximizer.
+    value = best + d * (g1 * g1 + g1 * g2 + g2 * g2) + a1 * g1 + a2 * g2
     m = maxim[0]
-    if value != x1 * m.n1 + x2 * m.n2 - m.norm:
-        raise AssertionError(f"trop_phi{xi!r}: periodic value {value} is not the direct one")
-    return TropValue(value, maxim)
+    if value != p1 * m.n1 + p2 * m.n2 - d * m.norm:
+        raise AssertionError(f"trop_scaled{(p1, p2, d)}: periodic value {value} is not the direct one")
+    return value, maxim
 
 
 def tile_vertices(t: LatticeVector) -> list[tuple[int, int]]:
@@ -137,128 +140,6 @@ def transport_fractions(r_x: float, r_y: float, r_z: float) -> tuple[float, floa
     inv = (r_x ** -2.0, r_y ** -2.0, r_z ** -2.0)
     s = sum(inv)
     return (inv[0] / s, inv[1] / s, inv[2] / s)
-
-
-# ---------------------------------------------------------------------------
-# Monomial chart algebra over the group generated by x, y, z, T; no command
-# runs it yet (ROADMAP I).
-# The fiber product v0 = xyz has exponent vector (1, 1, 1, 0).
-
-
-Monomial = tuple[int, int, int, int]  # exponents of (x, y, z, T)
-
-V0: Monomial = (1, 1, 1, 0)
-
-
-def monomial_mul(*ms: Monomial) -> Monomial:
-    out = [0, 0, 0, 0]
-    for m in ms:
-        for i in range(4):
-            out[i] += m[i]
-    return tuple(out)  # type: ignore[return-value]
-
-
-def _cross(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, int, int]:
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
-
-
-def _dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
-    return sum(p * q for p, q in zip(u, v))
-
-
-class MonomialMap(NamedTuple):
-    """A substitution x, y, z -> monomials (T fixed), acting on exponents."""
-
-    x: Monomial
-    y: Monomial
-    z: Monomial
-
-    def apply(self, m: Monomial) -> Monomial:
-        out = [0, 0, 0, m[3]]
-        for coeff, img in zip(m[:3], (self.x, self.y, self.z)):
-            for i in range(4):
-                out[i] += coeff * img[i]
-        return tuple(out)  # type: ignore[return-value]
-
-    def compose(self, other: "MonomialMap") -> "MonomialMap":
-        """self after other: (self . other)(m) = self(other(m))."""
-        return MonomialMap(self.apply(other.x), self.apply(other.y), self.apply(other.z))
-
-    def inverse(self) -> "MonomialMap":
-        """Exact inverse; the xyz block of every chart map is unimodular.
-
-        With a, b, c the columns of the xyz block A (the images' exponents)
-        and t the T-exponent row, A^-1 has rows b x c, c x a, a x b over
-        det A = a . (b x c), and the inverse's T row is -t A^-1.
-        """
-        a, b, c = (img[:3] for img in (self.x, self.y, self.z))
-        rows = (_cross(b, c), _cross(c, a), _cross(a, b))
-        det = _dot(a, rows[0])
-        if det not in (1, -1):
-            raise ValueError("monomial map is not invertible over the integers")
-        t = (self.x[3], self.y[3], self.z[3])
-        cols = [tuple(det * row[k] for row in rows) for k in range(3)]
-        return MonomialMap(*(col + (-_dot(t, col),) for col in cols))
-
-    def __pow__(self, k: int) -> "MonomialMap":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = IDENTITY_MAP
-        for _ in range(k):
-            out = self.compose(out)
-        return out
-
-
-IDENTITY_GENS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
-IDENTITY_MAP = MonomialMap(*IDENTITY_GENS)
-
-# Hexagon rotation: x -> T^-2 y^-1, y -> T x y, z -> T y z.  Preserves v0
-# and has order six.
-HEX_GEN = MonomialMap((0, -1, 0, -2), (1, 1, 0, 1), (0, 1, 1, 1))
-
-# One-tile translations on the toric coordinates: the generator actions
-# scale coordinates by powers of T and v0.
-GAMMA_P_ACTION = MonomialMap((2, 1, 1, 3), (0, 1, 0, 0), (-1, -1, 0, -3))
-GAMMA_PP_ACTION = MonomialMap((1, 0, 0, 0), (1, 2, 1, 3), (-1, -1, 0, -3))
-
-
-def gamma_chart_action(g: LatticeVector) -> MonomialMap:
-    """Monomial substitution realizing a lattice translation of charts."""
-    return (GAMMA_PP_ACTION ** g.n2).compose(GAMMA_P_ACTION ** g.n1)
-
-
-# The six vertex charts of the base tile, as coordinate monomial triples.
-BASE_CHARTS: dict[int, tuple[Monomial, Monomial, Monomial]] = {
-    0: ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)),
-    1: ((0, 1, 1, 1), (0, -1, 0, -2), (1, 1, 0, 1)),      # T v0 x^-1, T^-2 y^-1, T v0 z^-1
-    2: ((1, 0, 0, 0), (1, 2, 1, 3), (-1, -1, 0, -3)),     # x, T^3 v0 y, T^-3 v0^-1 z
-    3: ((-1, 0, 0, -2), (0, -1, 0, -2), (2, 2, 1, 4)),    # T^-2 x^-1, T^-2 y^-1, T^4 v0^2 z^-1
-    4: ((2, 1, 1, 3), (0, 1, 0, 0), (-1, -1, 0, -3)),     # T^3 v0 x, y, T^-3 v0^-1 z
-    5: ((-1, 0, 0, -2), (1, 0, 1, 1), (1, 1, 0, 1)),      # T^-2 x^-1, T v0 y^-1, T v0 z^-1
-}
-
-
-class ChartLabel(NamedTuple):
-    tile: LatticeVector
-    k: int  # vertex index mod 6
-
-
-class Chart(NamedTuple):
-    """Coordinate functions of a vertex chart, as global monomials."""
-
-    label: ChartLabel
-    coords: tuple[Monomial, Monomial, Monomial]
-
-    def coordinate_product(self) -> Monomial:
-        return monomial_mul(*self.coords)
-
-
-def chart(label: ChartLabel) -> Chart:
-    """The chart at the given tile vertex; tile translates act by monomials."""
-    k = label.k % 6
-    base = BASE_CHARTS[k]
-    coords = tuple(gamma_chart_action(label.tile).apply(m) for m in base)
-    return Chart(label, coords)  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------

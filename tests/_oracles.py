@@ -2,8 +2,9 @@
 
 No command runs these: the geometric triangle-area oracle, which checks the
 closed-form exponents of `fukaya.mu2_closed`; the lattice quadratic weight
-and the lattice action on moment coordinates; and the finite-difference
-checks of the Kähler potential's jets, and the plain calibration scan.
+and the lattice action on moment coordinates; the box search of the
+tropical maximum; and the finite-difference checks of the Kähler
+potential's jets, and the plain calibration scan.
 """
 
 import math
@@ -131,6 +132,22 @@ def gamma_act_moment(g: LatticeVector, p: MomentPoint) -> MomentPoint:
     xi2 = Fraction(p.xi2) - gs[1]
     eta = Fraction(p.eta) + g.norm - (Fraction(p.xi1) * g.n1 + Fraction(p.xi2) * g.n2)
     return MomentPoint(xi1, xi2, eta)
+
+
+def trop_box(p1: int, p2: int, d: int) -> tuple[int, tuple[LatticeVector, ...]]:
+    """d * max over lattice n of <xi, n> - N(n) at xi = (p1/d, p2/d), and the
+    sorted n that attain it, by a search over a box: n = 0 gives 0, and
+    N(n) >= (3/4)|n|_inf^2, so every maximizer has |n|_inf <= (4/3)|xi|_1.
+    """
+    reach = -(-4 * (abs(p1) + abs(p2)) // (3 * d)) + 1
+    box = range(-reach, reach + 1)
+    values = {
+        LatticeVector(n1, n2): p1 * n1 + p2 * n2 - d * (n1 * n1 + n1 * n2 + n2 * n2)
+        for n1 in box
+        for n2 in box
+    }
+    top = max(values.values())
+    return top, tuple(sorted(n for n, v in values.items() if v == top))
 
 
 def derivative_budget(prof: BumpProfile, samples: int = 200) -> dict:

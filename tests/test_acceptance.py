@@ -184,7 +184,7 @@ def test_criterion_7_monodromy():
 
 
 def test_criterion_8_chart_algebra():
-    from mirrorlab.tropical import (
+    from mirrorlab.charts import (
         ChartLabel,
         HEX_GEN,
         IDENTITY_MAP,

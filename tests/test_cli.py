@@ -221,20 +221,20 @@ def test_monodromy_command():
 
 
 def test_monodromy_draws_reach_the_antisymmetry_check(monkeypatch):
-    # a tile map off by one on the half-plane xi1 > 1, where no corner point
-    # lies: only the random draws can see it
+    # a tile map off by one on the half-plane xi1 = p1/d > 1, where no corner
+    # point lies: only the random draws can see it
     from mirrorlab import tropical
 
-    trop_phi = tropical.trop_phi
+    trop_scaled = tropical.trop_scaled
 
-    def skewed(xi):
-        tv = trop_phi(xi)
-        if xi[0] > 1 and len(tv.maximizers) == 1:
-            (m,) = tv.maximizers
-            return tv._replace(maximizers=(m._replace(n1=m.n1 + 1),))
-        return tv
+    def skewed(p1, p2, d):
+        value, maxim = trop_scaled(p1, p2, d)
+        if p1 > d and len(maxim) == 1:
+            (m,) = maxim
+            return value, (m._replace(n1=m.n1 + 1),)
+        return value, maxim
 
-    monkeypatch.setattr(tropical, "trop_phi", skewed)
+    monkeypatch.setattr(tropical, "trop_scaled", skewed)
     out, code = run(["monodromy", "--samples", "500"])
     rep = json.loads(out)
     assert code == 1 and rep["status"] == "fail"
@@ -523,9 +523,10 @@ _STARTUP_ARGVS = (
     ["metric-check", "--samples", "3", "--c-base", str(2.0 ** 139)],
     ["monodromy", "--samples", "8"],
 )
-_WATCHED = ("numpy", "numpy.random", "numpy.ma", "dataclasses", "json", "mirrorlab.kahler",
-            "mirrorlab._ad", "mirrorlab.gw", "mirrorlab.series", "mirrorlab.fukaya",
-            "mirrorlab.tropical", "mirrorlab.lattice")
+_WATCHED = ("numpy", "numpy.random", "numpy.ma", "dataclasses", "json", "fractions", "decimal",
+            "mirrorlab.kahler", "mirrorlab._ad", "mirrorlab.gw", "mirrorlab.series",
+            "mirrorlab.fukaya", "mirrorlab.tropical", "mirrorlab.lattice", "mirrorlab.tau",
+            "mirrorlab.charts")
 # The probe imports nothing that loads json, so that a command's own imports
 # show: it takes the argv as its arguments and prints a repr.
 _STARTUP_PROBE = """
@@ -583,6 +584,15 @@ def test_only_the_metric_commands_load_numpy():
     assert not any(mods & {"numpy.random", "numpy.ma"} for mods in loaded.values())
     for cmd in ("monodromy", "trop", "facets"):
         assert not loaded[cmd] & {"mirrorlab.gw", "mirrorlab.series"}, cmd
+    # the disc and sphere counts are TauSeries, which tau holds without the
+    # theta engine of series
+    for cmd in ("sphere-c", "disc-series"):
+        assert "mirrorlab.tau" in loaded[cmd] and "mirrorlab.series" not in loaded[cmd], cmd
+    # no command runs the chart algebra (ROADMAP I)
+    assert not any("mirrorlab.charts" in mods for mods in loaded.values())
+    # metric-check's flags are ints and floats, and its report holds no
+    # Fraction: cli loads fractions (and with it decimal) only on use
+    assert not loaded["metric-check"] & {"fractions", "decimal"}
 
 
 def test_no_command_loads_json_and_differential_only_the_theta_route():

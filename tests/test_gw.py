@@ -210,6 +210,10 @@ def test_admitted_classes_reject_inconsistent_wall_counts():
     assert admitted_classes(walls, LatticeVector(0, 0), 3)
     with pytest.raises(ValueError, match="walls"):
         admitted_classes(walls + [empty], LatticeVector(0, 0), 3)
+    # the search moves the deficit by comparisons, which hold for unit degrees only
+    double = WallCurve(walls[0].edge, {t: 2 * d for t, d in walls[0].degrees.items()})
+    with pytest.raises(ValueError, match="wall degrees must be"):
+        admitted_classes(walls + [double], LatticeVector(0, 0), 3)
 
 
 @pytest.mark.parametrize("window", [3, 5, 9])

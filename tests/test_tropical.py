@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mirrorlab.lattice import (
@@ -17,7 +17,7 @@ from mirrorlab.lattice import (
     lambda_map,
     norm_form,
 )
-from mirrorlab.tropical import (
+from mirrorlab.charts import (
     BASE_CHARTS,
     GAMMA_P_ACTION,
     GAMMA_PP_ACTION,
@@ -27,15 +27,18 @@ from mirrorlab.tropical import (
     MonomialMap,
     V0,
     chart,
+    gamma_chart_action,
+)
+from mirrorlab.tropical import (
     facet,
     facet_csv,
-    gamma_chart_action,
     polytope_contains_strictly,
     svg_tiling,
     tile_vertices,
     trop_phi,
+    trop_scaled,
 )
-from _oracles import gamma_act_moment
+from _oracles import gamma_act_moment, trop_box
 
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=16)
 lattice_vectors = st.builds(
@@ -170,6 +173,45 @@ def test_trop_phi_matches_fraction_oracle_on_a_sixth_grid():
     for xi in ((x1, x2) for x1 in grid for x2 in grid):
         tv = trop_phi(xi)
         assert (tv.value, tv.maximizers) == _trop_phi_fraction(xi), xi
+
+
+# xi = (p1/d, p2/d) with |xi|_inf <= 8, so that the box search stays small
+scaled_points = st.integers(1, 16).flatmap(
+    lambda d: st.tuples(st.integers(-8 * d, 8 * d), st.integers(-8 * d, 8 * d), st.just(d))
+)
+# a vertex, an edge point, and the ties of the reduced square at d = 6
+_TIES = ((1, 0, 1), (1, 1, 1), (-9, -9, 6), (-6, -3, 6), (6, 3, 6))
+
+
+@given(scaled_points)
+@example((1, 0, 1))
+@example((-9, -9, 6))
+@settings(max_examples=200)
+def test_trop_scaled_is_trop_phi_times_d(p):
+    p1, p2, d = p
+    tv = trop_phi((F(p1, d), F(p2, d)))
+    assert trop_scaled(p1, p2, d) == (d * tv.value, tv.maximizers)
+
+
+@given(scaled_points, st.integers(2, 60))
+@example((1, 1, 1), 7)
+@settings(max_examples=100)
+def test_trop_scaled_is_invariant_under_scaling(p, k):
+    p1, p2, d = p
+    value, maxim = trop_scaled(p1, p2, d)
+    assert trop_scaled(k * p1, k * p2, k * d) == (k * value, maxim)
+
+
+@given(scaled_points)
+@settings(max_examples=100)
+def test_trop_scaled_matches_box_search(p):
+    assert trop_scaled(*p) == trop_box(*p)
+
+
+@pytest.mark.parametrize("p", _TIES)
+def test_trop_scaled_matches_box_search_on_ties(p):
+    value, maxim = trop_scaled(*p)
+    assert len(maxim) >= 2 and (value, maxim) == trop_box(*p)
 
 
 def test_tile_of():
