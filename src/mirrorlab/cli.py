@@ -260,20 +260,17 @@ def _monodromy(args: argparse.Namespace) -> tuple[str, dict]:
         # xi = (p1, p2)/1000; the class of the tile m holding xi is -m
         p1, p2 = rng.randrange(-4000, 4000), rng.randrange(-4000, 4000)
         plus = tropical.trop_scaled(p1, p2, 1000)[1]
+        if len(plus) > 1:
+            continue  # on the tropical curve, and so is -xi, as N(-n) = N(n); resample
         minus = tropical.trop_scaled(-p1, -p2, 1000)[1]
-        if len(plus) > 1 or len(minus) > 1:
-            continue  # on the tropical curve; resample
         anti.append(plus[0] == (-minus[0].n1, -minus[0].n2))
     ok = ok and all(anti)
-    fracs = tropical.transport_fractions(1.0, 1.0, 1.0)
-    ok = ok and abs(sum(fracs) - 1.0) <= 1e-14
     status = "fail" if not ok else "pass" if anti else "indeterminate"
     return status, {
         "corners": corner_rows,
         "seed": args.seed,
         "antisymmetry_samples": args.samples,
         "antisymmetry_all": all(anti) if anti else None,
-        "fractions_sum_error": abs(sum(fracs) - 1.0),
     }
 
 

@@ -96,12 +96,10 @@ def functor_check(i: int, j: int, k: int, cutoff: Rational) -> FunctorReport:
     Both sides are cut at `cutoff` and count over the same denominator
     l l' l'', so their integer terms compare directly; the `Fraction`s of
     a pair are built only for its mismatch text.  Discrepancies are report
-    content, not exceptions.
+    content, not exceptions.  mu2_closed refuses slopes out of order.
     """
-    if not i < j < k:
-        raise ValueError("slopes must satisfy i < j < k")
-    cutoff = Fraction(cutoff)
     tri = mu2_closed(i, j, k, cutoff)
+    cutoff = Fraction(cutoff)
     reps = sorted(coset_reps(k - i))
     results = []
     for (e1, e2), theta in theta_products(j - i, k - j, cutoff).items():

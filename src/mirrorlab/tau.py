@@ -35,10 +35,6 @@ class TauSeries(NamedTuple):
         terms = tuple(sorted((e, c) for e, c in acc.items() if c != 0))
         return TauSeries(terms, cutoff)
 
-    @staticmethod
-    def one(cutoff: Fraction) -> "TauSeries":
-        return TauSeries.from_terms([(0, 1)], cutoff)
-
     __add__ = None
 
     def __mul__(self, other: "TauSeries") -> "TauSeries":

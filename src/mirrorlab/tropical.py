@@ -70,16 +70,14 @@ def trop_scaled(p1: int, p2: int, d: int) -> tuple[int, tuple[LatticeVector, ...
     # N(u) <= 3/4 and the winners are the n nearest u.  Any n other than 0 and
     # NEIGHBOURS has N(n) >= 3, so N(n - u) >= (sqrt 3 - sqrt(3/4))^2 = 3/4
     # >= N(0 - u); equality needs u = (-1/2, -1/2), where n = (-1, 0) is nearer.
-    best = None
-    arg: list[tuple[int, int]] = []
-    for n1, n2 in ((0, 0), *NEIGHBOURS):
+    best, arg = 0, [(0, 0)]  # the value at n = 0
+    for n1, n2 in NEIGHBOURS:
         val = a1 * n1 + a2 * n2 - d * (n1 * n1 + n1 * n2 + n2 * n2)
-        if best is None or val > best:
+        if val > best:
             best = val
             arg = [(n1, n2)]
         elif val == best:
             arg.append((n1, n2))
-    assert best is not None
     maxim = tuple(sorted(LatticeVector(n1 + g1, n2 + g2) for n1, n2 in arg))
     # d phi(xi) = d phi(r) + d N(g) + <d r, g> by periodicity; cross-check
     # against the direct value at a translated maximizer.

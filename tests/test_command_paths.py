@@ -48,6 +48,7 @@ HELD = {
     "kahler.FiberPoint.profile": "called by kahler.metric, which spans.TRACED patches, and by I",
     "kahler.__getattr__": "span tracer's name, ROADMAP F(b)",
     "gw.__getattr__": "span tracer's name, ROADMAP F(b)",
+    "tropical.transport_fractions": "acceptance criterion 7 checks it, ROADMAP B(d)",
     **{f"kahler.{name}": _I for name in (
         "FiberPoint.key", "FiberPoint.from_logs", "FiberPoint.rotated", "moment_coords",
         "_moment", "moment_shift_gamma_prime", "harmonic_difference_check", "hex_orbit",

@@ -192,6 +192,13 @@ def test_mu2_table_matches_crt_reference(triple, cutoff):
     assert all(type(key[0]) is LatticeVector for key in table)
 
 
+def test_functor_check_refuses_slopes_out_of_order():
+    # mu2_closed, its first call, refuses them for it
+    for slopes in ((0, 2, 1), (0, 0, 1), (1, 1, 1)):
+        with pytest.raises(ValueError, match=r"slopes must satisfy i < j < k"):
+            functor_check(*slopes, F(4))
+
+
 def test_mu2_invalid_reps():
     # representatives are no longer an input: the table covers every pair
     with pytest.raises(ValueError):

@@ -204,6 +204,20 @@ def test_admitted_classes_match_multiset_search(window, max_total):
     assert found == _multiset_classes(walls, anchor, max_total)
 
 
+def test_window_3_reaches_every_class_through_order_8():
+    # ROADMAP K(a): through order 8 the admitted classes use only walls whose
+    # tiles have N(m) <= 3; test_admitted_classes_match_multiset_search stays
+    # the independent oracle of the search itself
+    anchor = LatticeVector(0, 0)
+    near, far = wall_curves_window(3), wall_curves_window(7)
+    for order in range(1, 9):
+        classes = {c.degrees: c.total_degree for c in admitted_classes(near, anchor, order)}
+        assert classes == {c.degrees: c.total_degree for c in admitted_classes(far, anchor, order)}
+    assert len(classes) == 203
+    # window 1 is too small at order 8, so the comparison can fail
+    assert len(admitted_classes(wall_curves_window(1), anchor, 8)) == 152
+
+
 def test_admitted_classes_reject_inconsistent_wall_counts():
     walls = wall_curves_window(3)
     empty = WallCurve((LatticeVector(0, 0), LatticeVector(1, 0)), {})
@@ -226,12 +240,12 @@ def test_sphere_count_converges_in_window(window):
 
 def test_g_series_empty_candidates():
     assert not g_series(LatticeVector(0, 0), [], 4).terms
-    assert TauSeries((), F(4)).exp() == TauSeries.one(4)
+    assert TauSeries((), F(4)).exp() == TauSeries.from_terms([(0, 1)], 4)
 
 
 def test_sphere_count_constant_term():
     c = sphere_count_C(0)
-    assert c == TauSeries.one(0)
+    assert c == TauSeries.from_terms([(0, 1)], 0)
     c3 = sphere_count_C(3)
     assert c3.coefficient(0) == 1
     assert c3.coefficient(1) == 0
@@ -243,10 +257,10 @@ def test_sphere_count_constant_term():
 def test_sphere_count_invertible_leading_one():
     c = sphere_count_C(3)
     # invert the truncated series; the product must be 1 up to the cutoff
-    inv = TauSeries.one(3)
+    inv = TauSeries.from_terms([(0, 1)], 3)
     for _ in range(4):
         inv = TauSeries.from_terms([*inv.terms, (0, 1), *((e, -k) for e, k in (c * inv).terms)], 3)
-    assert (c * inv) == TauSeries.one(3)
+    assert (c * inv) == TauSeries.from_terms([(0, 1)], 3)
 
 
 def test_differential_table_level_two_matches_product():

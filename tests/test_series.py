@@ -1,9 +1,10 @@
 import json
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mirrorlab import series
@@ -403,14 +404,19 @@ def test_theta_products_equal_the_unreduced_table(l1, l2, cutoff):
     assert all(list(row) == coset_reps(l1 + l2) for row in got.values())
 
 
+def _fraction_sum(terms) -> F:
+    """The exact sum of float terms, each read as the rational it is."""
+    return sum(map(F, terms), F(0))
+
+
 def _shell_sum(tau, a, e_min, r0):
-    """sum_{r >= r0} 8(r+2) tau^max(e_min, a r^2), term by term.
+    """sum_{r >= r0} 8(r+2) tau^max(e_min, a r^2), term by term, exactly.
 
     Stops at the row past which every exponent exceeds 800/|log tau|, so
     every later term underflows to zero.
     """
     last = math.isqrt(math.ceil((e_min + 800.0 / -math.log(tau)) / a)) + 1
-    return sum(8.0 * (r + 2) * tau ** max(e_min, a * r * r) for r in range(r0, last + 1))
+    return _fraction_sum(8.0 * (r + 2) * tau ** max(e_min, a * r * r) for r in range(r0, last + 1))
 
 
 @given(
@@ -419,6 +425,8 @@ def _shell_sum(tau, a, e_min, r0):
     cutoff=st.floats(min_value=0.0, max_value=40.0),
     r0=st.integers(min_value=0, max_value=12),
 )
+# without its 1 + 1e-12 the closed form lands below the exact sum here
+@example(tau=0.14, level=5, cutoff=23.0, r0=3)
 @settings(max_examples=200, deadline=None)
 def test_shell_tail_bounds_the_shell_sum(tau, level, cutoff, r0):
     callers = (
@@ -459,3 +467,51 @@ def test_shifted_theta_value_sums_each_norm_once(level, w, tau, cutoff):
     for n1, n2 in enumerate_shifted_ball(w, 1, cutoff / level):
         total += tau ** (level * norm_form(n1 + w[0], n2 + w[1]))
     assert shifted_theta_value(level, w, tau, cutoff).value == total
+
+
+@given(
+    level=st.integers(1, 4),
+    w=st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+    tau=st.floats(0.05, 0.9),
+    cutoff=st.floats(0, 8),
+)
+# a tail that starts two shells past the stated r0 falls below the dropped terms here
+@example(level=4, w=(0.15821267819709073, -0.8366840777138687),
+         tau=0.11925284743350652, cutoff=0.19357431959381266)
+@settings(max_examples=300, deadline=None)
+def test_shifted_theta_tail_bounds_the_dropped_terms(level, w, tau, cutoff):
+    from mirrorlab.lattice import enumerate_shifted_ball
+
+    # the dropped terms out to a cutoff where their weight has fallen by e^-40
+    far = cutoff + 40.0 / -math.log(tau)
+    kept = enumerate_shifted_ball(w, 1, cutoff / level)
+    dropped = [tau ** (level * q)
+               for n, q in enumerate_shifted_ball(w, 1, far / level).items() if n not in kept]
+    assert shifted_theta_value(level, w, tau, cutoff).tail_bound >= _fraction_sum(dropped)
+
+
+@given(
+    level=st.integers(2, 4),
+    tau=st.floats(0.05, 0.5),
+    cutoff=st.fractions(min_value=0, max_value=3, max_denominator=4),
+)
+# a structure tail that starts at shell 3 falls below the terms past this cutoff
+@example(level=2, tau=0.08925712560066804, cutoff=F(0))
+@settings(max_examples=100, deadline=None)
+def test_structure_tail_bounds_the_terms_past_the_cutoff(level, tau, cutoff):
+    calls = []
+
+    def recorded(tau, a, e_min, r0):
+        calls.append((a, shell_tail(tau, a, e_min, r0)))
+        return calls[-1][1]
+
+    with mock.patch.object(series, "shell_tail", recorded):
+        series.leibniz_check(0, level, (1.0, 1.0), tau, cutoff)
+    # shifted_theta_value's tails have a = level / 2 >= 1/2; the structure
+    # tail has a = 1/(2 l (l - 1))
+    (bound,) = [b for a, b in calls if a < 0.5]
+    # what a larger cutoff adds, out to where tau^8 <= 2^-8 of the first term
+    for row in series.differential_table(0, level, cutoff + 8).entries.values():
+        for ts in row.values():
+            past = [c * F(tau ** (x / ts.den)) for x, c in ts.terms if F(x, ts.den) > cutoff]
+            assert bound >= sum(past, F(0))
