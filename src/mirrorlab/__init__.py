@@ -5,5 +5,3 @@ lattice, tropical honeycomb geometry of the moment body, disc and sphere
 counting series, a sampled positivity certificate for the interpolated
 Kähler metric, and the fiber monodromy table.
 """
-
-__version__ = "0.1.0"

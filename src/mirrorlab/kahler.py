@@ -58,7 +58,7 @@ DEFAULT_L = 40
 DEFAULT_P = 17
 DEFAULT_SEED = 7
 # Smallest power of two making every sampled normalized eigenvalue positive
-# with margin at the defaults; frozen from calibrate_c_base().
+# with margin at the defaults: the c_base of metric-check's --c-base auto.
 DEFAULT_C_BASE = 2.0 ** 139
 # Per-region sample count and eigenvalue margin of the calibration.
 CALIBRATION_SAMPLES = 60
@@ -389,7 +389,7 @@ def _metric_from_jets(jets: tuple, c_base: float | np.ndarray) -> tuple[np.ndarr
         n = len(r)
         grad_term = np.zeros((n, 3, 3))
         grad_term[:, range(3), range(3)] = np.divide(f_g, r)
-        mats = f_h[:, _ad.HESSIAN_INDEX] + grad_term
+        mats = _ad.hessian_matrix(f_h) + grad_term
         diag = np.diagonal(mats, axis1=1, axis2=2)
         finite = np.isfinite(mats).all(axis=(1, 2))
         ok = finite & ~np.any(diag <= 0, axis=1)
@@ -636,7 +636,7 @@ def metric_certificate(
             np.concatenate([a[:CALIBRATION_SAMPLES] for a in parts])
             for parts in zip(*(jets for _, jets in drawn))
         )
-        c_base = _least_power_of_two(stacked, CALIBRATION_MARGIN)
+        c_base = calibrate_c_base(stacked, CALIBRATION_MARGIN)
     certify = samples > 0 and c_base is not None
     status = "pass" if certify else "indeterminate"
     regions = {}
@@ -721,9 +721,10 @@ def boundary_pair_catalog(
     return [(q1.rotated(k), q2.rotated(k)) for k in range(3) for q1, q2 in seams]
 
 
-def _least_power_of_two(jets: tuple, margin: float) -> float | None:
+def calibrate_c_base(jets: tuple, margin: float) -> float | None:
     """Smallest 2^k, -80 <= k < 200, at which every row's min-eigenvalue clears margin.
 
+    `metric_certificate`'s c_base "auto", at its stacked calibration jets.
     Equal to trying every row at every power, with less work: the rows that
     failed the last power are watched, and while one of them still fails
     the power fails with no other row evaluated; the full batch runs only
@@ -756,16 +757,3 @@ def _least_power_of_two(jets: tuple, margin: float) -> float | None:
             return 2.0 ** k
         k += 1
     return None
-
-
-# No command runs it: perfbench/spans.py patches it (ROADMAP F(b)).
-def calibrate_c_base(
-    T: float = DEFAULT_T, l: int = DEFAULT_L, p: int = DEFAULT_P, seed: int = DEFAULT_SEED
-) -> float | None:
-    """The c_base that `metric_certificate` calibrates with c_base "auto".
-
-    The smallest power of two at which the min-eigenvalues of the first
-    CALIBRATION_SAMPLES samples of every region all clear
-    CALIBRATION_MARGIN; None if no power in [2^-80, 2^200) does.
-    """
-    return metric_certificate(T, l, p, 0, seed, "auto")["c_base"]

@@ -14,8 +14,7 @@ from typing import Iterable, NamedTuple
 class TauSeries(NamedTuple):
     """Finite tau-polynomial with rational exponents and a knowledge cutoff.
 
-    `*` is the series product, not tuple repetition.  No command multiplies
-    TauSeries; `*` stays for perfbench/spans.py, which patches it (ROADMAP F(b)).
+    `*` is the series product, not tuple repetition; `exp` sums its powers.
     There is no series sum: `+` raises TypeError instead of joining the
     tuples, and from_terms(a.terms + b.terms, cutoff) adds.
     """
@@ -67,19 +66,17 @@ class TauSeries(NamedTuple):
     def exp(self) -> "TauSeries":
         """exp of a series with positive integer exponents, truncated.
 
-        Uses the recursion (exp f)' = f' exp f on integer degrees.
+        The sum of f^k / k! over the powers f^k that have a term at or below
+        the cutoff: f^k opens at k times f's least exponent, so past the
+        first power without one, none has.
         """
         if any(e.denominator != 1 or e <= 0 for e, _ in self.terms):
             raise ValueError("exp requires positive integer exponents")
-        n = math.floor(self.cutoff)
-        f = [Fraction(0)] * (n + 1)
-        for e, c in self.terms:
-            f[int(e)] = c
-        g = [Fraction(0)] * (n + 1)
-        g[0] = Fraction(1)
-        for k in range(1, n + 1):
-            g[k] = sum(Fraction(j) * f[j] * g[k - j] for j in range(1, k + 1)) / k
-        return TauSeries.from_terms([(Fraction(k), g[k]) for k in range(n + 1)], self.cutoff)
+        terms, power, k = [(Fraction(0), Fraction(1))], self, 1
+        while power.terms:
+            terms += [(e, c / math.factorial(k)) for e, c in power.terms]
+            power, k = power * self, k + 1
+        return TauSeries.from_terms(terms, self.cutoff)
 
     def to_json(self) -> dict:
         return {

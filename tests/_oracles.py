@@ -208,7 +208,7 @@ def derivative_check(q: FiberPoint) -> tuple[float, float]:
     f = _potential_ad(stencil, q.profile, q.key)
     values = f.v.tolist()
     g_log = np.multiply(f.g[:, 0], q.r)
-    h_log = _ad.hessian_matrix(f)[0] * np.outer(q.r, q.r) + np.diag(g_log)
+    h_log = _ad.hessian_matrix(f.h.T)[0] * np.outer(q.r, q.r) + np.diag(g_log)
     fd_g = np.array([(values[1 + 2 * i] - values[2 + 2 * i]) / (2 * h_grad) for i in range(3)])
     fd_h = np.zeros((3, 3))
     for n, (i, j) in enumerate(pairs):
@@ -230,7 +230,7 @@ def least_power_of_two_scan(jets: tuple, margin: float) -> float | None:
     """The least 2^k, -80 <= k < 200, at which every row's min-eigenvalue clears margin.
 
     Every row at every power, one full batch per power: the scan that
-    `kahler._least_power_of_two` does with watched rows and windows of
+    `kahler.calibrate_c_base` does with watched rows and windows of
     powers.  None without rows or without such a power.
     """
     if not len(jets[0]):

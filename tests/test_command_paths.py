@@ -4,9 +4,10 @@ A fresh process sets `sys.setprofile`, imports mirrorlab and runs
 `cli.run` in process on one argv per command shape.  Each def of the
 package's files (function, method, property or nested function; lambdas
 and comprehensions are not counted) must have run, or be kept for a
-reason: a name that `perfbench/spans.py` patches (read from its TRACED,
-not copied), or an entry of HELD.  A HELD entry that runs, or names no
-def, fails the test too, so the list cannot rot.
+reason in HELD.  A HELD entry that runs, or names no def, fails the test
+too, so the list cannot rot.  Every name that `perfbench/spans.py`
+patches (read from its TRACED, not copied) must resolve, but a traced def
+is held like any other.
 """
 
 import ast
@@ -45,6 +46,7 @@ _I = "ROADMAP I: the chart algebra and the gluing checks wait for a command"
 HELD = {
     "gw.disc_area": "ROADMAP B(e): disc-series may check each term by its facet area",
     "tau.TauSeries.__str__": "runs only on a failing identity: functor's mismatch text",
+    "kahler.metric": "span tracer's name and acceptance criterion 6, ROADMAP F(b)",
     "kahler.FiberPoint.profile": "called by kahler.metric, which spans.TRACED patches, and by I",
     "kahler.__getattr__": "span tracer's name, ROADMAP F(b)",
     "gw.__getattr__": "span tracer's name, ROADMAP F(b)",
@@ -83,20 +85,15 @@ def _defs() -> dict[tuple[str, int], str]:
     return out
 
 
-def _traced() -> set[tuple[str, int]]:
-    """The defs that spans.TRACED patches, by the code they run."""
+def _resolve_traced() -> None:
+    """Look up every name that spans.TRACED patches; a renamed one raises AttributeError."""
     spec = importlib.util.spec_from_file_location("_spans_for_guard", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    codes = set()
     for _, module, attr in spans.TRACED:
         owner = importlib.import_module(module)
         for part in attr.split("."):
             owner = getattr(owner, part)
-        code = getattr(owner, "__code__", None)
-        if code is not None:  # numpy's eigvalsh is not a def of ours
-            codes.add((str(pathlib.Path(code.co_filename).resolve()), code.co_firstlineno))
-    return codes
 
 
 # Sets the profile before mirrorlab loads, so that defs run at import count;
@@ -139,9 +136,8 @@ def test_every_def_runs_under_a_command_or_is_held():
     defs = _defs()
     codes, ran = _run_commands()
     assert codes == [0] * (len(ARGVS) - 1) + [64, 0]  # only the usage error exits 64
-    traced = _traced()
-    unheld = sorted(name for key, name in defs.items()
-                    if key not in ran and key not in traced and name not in HELD)
+    _resolve_traced()
+    unheld = sorted(name for key, name in defs.items() if key not in ran and name not in HELD)
     assert not unheld, f"defined in src/mirrorlab but run by no command: {unheld}"
     runs = {name: key in ran for key, name in defs.items()}
     gone = [name for name in HELD if name not in runs]

@@ -111,6 +111,15 @@ def test_functor_builds_each_theta_section_once(monkeypatch):
     assert set(sections.values()) == {1}
 
 
+def test_functor_identity_with_torsion_and_a_slope_gap_of_three():
+    # gcd(3, 3) = 3, so the theta route relabels by torsion translations;
+    # l' = 3 is the least gap at which e1 = (a + e) mod l' differs from
+    # (a - e) mod l', so the triangle route's CRT is pinned too
+    report = functor_check(0, 3, 6, F(8))
+    assert len(report.pairs) == 81
+    assert report.all_match
+
+
 def test_a_wrong_relabeling_fails_the_functor_check(monkeypatch):
     # (n1, n2) -> (n2, -n1) does not preserve N, so it maps the theta table
     # off itself; the triangle route still counts every pair and disagrees

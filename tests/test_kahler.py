@@ -764,8 +764,13 @@ def test_certificate_statuses():
     assert empty["coverage"]["samples_per_region"] == 0
 
 
+def auto_c_base(T=DEFAULT_T, l=DEFAULT_L, p=DEFAULT_P, seed=DEFAULT_SEED):
+    """The c_base that `metric_certificate` calibrates with c_base "auto"."""
+    return metric_certificate(T, l, p, 0, seed, "auto")["c_base"]
+
+
 def test_calibration_is_power_of_two():
-    c = calibrate_c_base()
+    c = auto_c_base()
     assert math.log2(c) == int(math.log2(c))
     assert c == DEFAULT_C_BASE
 
@@ -1031,7 +1036,7 @@ def test_calibration_matches_per_point_scan():
         for k in range(-80, 200)
         if all(_metric_per_point(q, tj, 2.0 ** k)[1] > 1e-9 for q, tj in zip(pts, oracle))
     )
-    assert kahler._least_power_of_two(_calibration_jets(7, samples=3), 1e-9) == want
+    assert calibrate_c_base(_calibration_jets(7, samples=3), 1e-9) == want
 
 
 def _calibration_jets(seed, samples=60):
@@ -1043,8 +1048,8 @@ def _calibration_jets(seed, samples=60):
 def test_watch_list_scan_matches_linear_scan(seed):
     jets = _calibration_jets(seed)
     want = least_power_of_two_scan(jets, 1e-9)
-    assert kahler._least_power_of_two(jets, 1e-9) == want
-    assert calibrate_c_base(seed=seed) == want
+    assert calibrate_c_base(jets, 1e-9) == want
+    assert auto_c_base(seed=seed) == want
 
 
 @pytest.mark.parametrize("margin, found", [(1e-6, True), (1e-4, False), (1.0, False)])
@@ -1055,14 +1060,14 @@ def test_watch_list_scan_at_larger_margins(margin, found):
     jets = _calibration_jets(7, samples=10)
     want = least_power_of_two_scan(jets, margin)
     assert (want is not None) == found
-    assert kahler._least_power_of_two(jets, margin) == want
+    assert calibrate_c_base(jets, margin) == want
 
 
 def test_calibration_without_points_certifies_no_power():
     # with no rows every power would pass vacuously; none is evidence for one
     jets = _calibration_jets(7, samples=0)
     assert len(jets[0]) == 0
-    assert kahler._least_power_of_two(jets, 1e-9) is None
+    assert calibrate_c_base(jets, 1e-9) is None
 
 
 def test_calibration_takes_few_full_batches(monkeypatch):
@@ -1074,7 +1079,7 @@ def test_calibration_takes_few_full_batches(monkeypatch):
         return finisher(jets, c)
 
     monkeypatch.setattr(kahler, "_metric_from_jets", counted)
-    assert calibrate_c_base() == DEFAULT_C_BASE
+    assert auto_c_base() == DEFAULT_C_BASE
     full = len(REGION_IDS) * kahler.CALIBRATION_SAMPLES
     assert rows.count(full) <= 3
     assert max(rows) == full
@@ -1093,8 +1098,8 @@ def test_calibration_matches_full_batch_scan(T, l, p, seed):
     jets = kahler._jets(r, BumpProfile(l, p, T))[1]
     want = least_power_of_two_scan(jets, kahler.CALIBRATION_MARGIN)
     assert (want is None) == (T == 0.5)
-    assert kahler._least_power_of_two(jets, kahler.CALIBRATION_MARGIN) == want
-    assert calibrate_c_base(T, l, p, seed) == want
+    assert calibrate_c_base(jets, kahler.CALIBRATION_MARGIN) == want
+    assert auto_c_base(T, l, p, seed) == want
 
 
 def _counting_finisher(monkeypatch):
@@ -1112,7 +1117,7 @@ def _counting_finisher(monkeypatch):
 
 def test_calibration_tries_powers_in_few_batches(monkeypatch):
     rows = _counting_finisher(monkeypatch)
-    assert calibrate_c_base() == DEFAULT_C_BASE
+    assert auto_c_base() == DEFAULT_C_BASE
     assert len(rows) <= 40
     assert max(rows) == len(REGION_IDS) * kahler.CALIBRATION_SAMPLES
 
@@ -1126,20 +1131,20 @@ def test_calibration_when_every_row_fails_the_first_power(monkeypatch):
     want = least_power_of_two_scan(jets, 1e-9)
     assert want is not None
     rows = _counting_finisher(monkeypatch)
-    assert kahler._least_power_of_two(jets, 1e-9) == want
+    assert calibrate_c_base(jets, 1e-9) == want
     assert max(rows) == len(jets[0])
 
 
 @pytest.mark.parametrize("samples", [0, 20, 60, 300])
 def test_auto_certificate_shares_the_calibration_draw(samples):
     for seed in (7, 3):
-        want = metric_certificate(samples=samples, seed=seed, c_base=calibrate_c_base(seed=seed))
+        want = metric_certificate(samples=samples, seed=seed, c_base=auto_c_base(seed=seed))
         assert metric_certificate(samples=samples, seed=seed, c_base="auto") == want
 
 
 def test_auto_certificate_without_a_power_of_two():
     # at T = 0.5 no power of two certifies the calibration points
-    assert calibrate_c_base(T=0.5) is None
+    assert auto_c_base(T=0.5) is None
     cert = metric_certificate(T=0.5, samples=2, c_base="auto")
     assert cert == metric_certificate(T=0.5, samples=2, c_base=None)
     assert cert["status"] == "indeterminate" and cert["c_base"] is None
