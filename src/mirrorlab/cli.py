@@ -9,6 +9,7 @@ Exit codes: 0 pass, 1 fail, 2 indeterminate, 64 usage error, 70 internal error.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -382,6 +383,10 @@ def main(argv: list[str] | None = None) -> int:
 
         traceback.print_exc()
         return EXIT_SOFTWARE
+    finally:
+        # what is alive now lives until exit; frozen, it is skipped by the
+        # collections of interpreter teardown (7-15 ms a process, 2 vCPUs)
+        gc.freeze()
 
 
 if __name__ == "__main__":

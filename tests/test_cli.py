@@ -614,19 +614,21 @@ def test_no_command_loads_json_and_differential_only_the_theta_route():
 
 
 _MAIN_PROBE = """
-import json, os, sys
+import gc, json, os, sys
 from mirrorlab import cli
 code = cli.main(json.loads(sys.argv[1]))
 task = "/proc/self/task"
 threads = len(os.listdir(task)) if os.path.isdir(task) else None
-sys.stdout.buffer.write(json.dumps([code, os.environ.get("OPENBLAS_NUM_THREADS"), threads]).encode())
+sys.stdout.buffer.write(json.dumps([code, os.environ.get("OPENBLAS_NUM_THREADS"), threads,
+                                    gc.get_freeze_count(), gc.isenabled()]).encode())
 """
 
 
 def _main_in_fresh_process(argv, openblas_threads):
     """cli.main(argv) in a fresh process with OPENBLAS_NUM_THREADS set to
     openblas_threads, or unset if None: its stdout bytes, exit code, the
-    variable after the run, and its thread count (None without /proc)."""
+    variable after the run, its thread count (None without /proc), and,
+    after the run, the GC's frozen object count and whether it is enabled."""
     env = _child_env()
     env.pop("OPENBLAS_NUM_THREADS", None)
     if openblas_threads is not None:
@@ -634,21 +636,70 @@ def _main_in_fresh_process(argv, openblas_threads):
     proc = subprocess.run([sys.executable, "-c", _MAIN_PROBE, json.dumps(argv)],
                           env=env, capture_output=True, check=True, timeout=300)
     out, _, meta = proc.stdout.rpartition(b"\n")
-    code, variable, threads = json.loads(meta)
-    return out + b"\n", code, variable, threads
+    code, variable, threads, frozen, gc_enabled = json.loads(meta)
+    return out + b"\n", code, variable, threads, frozen, gc_enabled
 
 
 def test_main_runs_openblas_on_one_thread():
     # main sets OPENBLAS_NUM_THREADS=1 before numpy loads, so OpenBLAS starts
     # no worker pool; a value set outside is kept, and does not move the bytes
     argv = next(a for a in _STARTUP_ARGVS if a[0] == "metric-check")
-    out, code, variable, threads = _main_in_fresh_process(argv, None)
+    out, code, variable, threads, frozen, gc_enabled = _main_in_fresh_process(argv, None)
     assert (out, code) == run(argv) and code == 0
     assert variable == "1"
     if threads is not None:
         assert threads == 1
+    # as it returns, main moves what is alive to the GC's permanent
+    # generation, which interpreter teardown's collections skip; it never
+    # disables the GC, so a command's peak memory is what it was
+    assert frozen > 0 and gc_enabled
     kept = _main_in_fresh_process(argv, "2")
     assert kept[:3] == (out, code, "2")
+
+
+# The wrapper closes its fd 1 and execs the interpreter on its arguments, so
+# that `python -m mirrorlab.cli` starts with no stdout at all.
+_CLOSED_STDOUT = "import os, sys; os.close(1); os.execv(sys.executable, [sys.executable, *sys.argv[1:]])"
+
+
+def _module_entry(argv, closed_stdout=False):
+    """`python -m mirrorlab.cli argv` in a fresh process: its stdout bytes,
+    exit code and stderr lines."""
+    wrapper = ["-c", _CLOSED_STDOUT] if closed_stdout else []
+    proc = subprocess.run([sys.executable, *wrapper, "-m", "mirrorlab.cli", *argv],
+                          env=_child_env(), capture_output=True, timeout=300)
+    return proc.stdout, proc.returncode, proc.stderr.decode().splitlines()
+
+
+def test_module_entry_gives_run_bytes_and_exit_codes(tmp_path, monkeypatch, capsys):
+    # the process entry (`python -m mirrorlab.cli`, which perfbench runs, and
+    # the console script's cli.main) writes run's bytes and exits with run's
+    # code: pass, fail, indeterminate, usage error and internal error
+    for argv, code in (
+        (["functor", "--i", "0", "--j", "1", "--k", "2", "--cutoff", "6"], 0),
+        # the tail bound underflows to 0 (ROADMAP A); no other argv exits 1 today
+        (["leibniz", "--i", "0", "--j", "2", "--x", "0.5,1", "--tau", "1e-30"], 1),
+        (["leibniz", "--i", "0", "--j", "2", "--x", "1,1", "--tau", "0.1", "--cutoff", "2"], 2),
+    ):
+        out, got, _ = _module_entry(argv)
+        assert (out, got) == run(argv) and got == code, argv
+    argv = ["monodromy", "--samples", "abc"]
+    last = _assert_usage_error(capsys, argv, "--samples")
+    out, got, err = _module_entry(argv)
+    assert (out, got, err[-1]) == (b"", 64, last)
+    # the help's layout follows the terminal width, which COLUMNS fixes for both
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    assert _module_entry(["--help"])[:2] == (capsys.readouterr().out.encode(), 0)
+    path = tmp_path / "facets.csv"
+    out, got, _ = _module_entry(["--out", str(path), "facets", "--radius", "1"])
+    assert (out, got) == (b"", 0)
+    assert path.read_bytes() == run(["facets", "--radius", "1"])[0]
+    # with fd 1 closed, sys.stdout is None: a crash, so exit 70 with a traceback
+    out, got, err = _module_entry(["facets", "--radius", "1"], closed_stdout=True)
+    assert (out, got, err[0]) == (b"", 70, "Traceback (most recent call last):")
 
 
 def test_flag_domain_errors_load_no_layer(capsys):
