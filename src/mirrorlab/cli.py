@@ -3,38 +3,33 @@
 One verification per invocation; reports are JSON (CSV/SVG for the table
 and tiling emitters) with deterministic bytes for a given argv.
 Rationals are emitted as "p/q" strings, floats with 17 significant digits.
-Exit codes: 0 pass, 1 fail, 2 indeterminate, 64 usage error, 70 internal error.
+Exit codes: 0 pass, 1 fail, 2 indeterminate, 64 usage error, 70 internal
+error, 74 a failed write of the report or the help to stdout.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
+import io
 import math
 import os
 import sys
 from _json import encode_basestring_ascii as _quote
-from typing import BinaryIO
+from types import SimpleNamespace
+from typing import BinaryIO, NoReturn
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INDETERMINATE = 2
 EXIT_USAGE = 64
 EXIT_SOFTWARE = 70  # sysexits.h EX_SOFTWARE, as 64 is EX_USAGE
+EXIT_IOERR = 74  # sysexits.h EX_IOERR
 
 _STATUS_CODE = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "indeterminate": EXIT_INDETERMINATE}
 
 
 class UsageError(ValueError):
     """An argv outside a command's domain; its message names the flags."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage errors carry a dedicated exit code
-        self.print_usage(sys.stderr)
-        # one prefix for every usage error, a subcommand parser's ("mirrorlab trop") too
-        print(f"mirrorlab: error: {message}", file=sys.stderr)
-        sys.exit(EXIT_USAGE)
 
 
 def emit(report: dict) -> bytes:
@@ -51,13 +46,10 @@ def emit(report: dict) -> bytes:
     write = parts.append
 
     def value(v, indent: str) -> None:
-        if isinstance(v, str):
+        t = type(v)  # exact types first: an isinstance test of the Fraction ABC is slow
+        if t is str:
             write(_quote(v))
-        elif isinstance(v, fraction):
-            write(f'"{v}"')  # digits, "-" and "/": nothing to escape
-        elif isinstance(v, float):
-            write(f'"{v:.17g}"')  # digits, "-", "+", ".", "e", "nan" or "inf"
-        elif isinstance(v, dict):
+        elif t is dict:
             if not v:
                 write("{}")
                 return
@@ -70,7 +62,7 @@ def emit(report: dict) -> bytes:
                 value(item, inner)
                 sep = "," + inner
             write(indent + "}")
-        elif isinstance(v, (list, tuple)):
+        elif t is list or t is tuple:
             if not v:
                 write("[]")
                 return
@@ -81,16 +73,21 @@ def emit(report: dict) -> bytes:
                 value(item, inner)
                 sep = "," + inner
             write(indent + "]")
+        elif t is int:
+            write(int.__repr__(v))
+        elif t is float:
+            write(f'"{v:.17g}"')  # digits, "-", "+", ".", "e", "nan" or "inf"
+        elif t is bool:
+            write("true" if v else "false")
         elif v is None:
             write("null")
-        elif v is True:
-            write("true")
-        elif v is False:
-            write("false")
-        elif isinstance(v, int):
-            write(int.__repr__(v))
-        else:
-            raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+        elif isinstance(v, fraction):
+            write(f'"{v}"')  # digits, "-" and "/": nothing to escape
+        else:  # a subclass, such as a NamedTuple of tuple, is written as its base
+            base = next((b for b in (str, float, dict, list, tuple, int) if isinstance(v, b)), None)
+            if base is None:
+                raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+            value(base(v), indent)
 
     value(report, "\n")
     write("\n")
@@ -98,17 +95,19 @@ def emit(report: dict) -> bytes:
 
 
 def _checked(parse, ok, must: str):
-    """An argparse type: parse(text) if ok accepts it; argparse names the flag on error."""
+    """A flag's type: convert(flag, text) is parse(text) if ok accepts it,
+    else a UsageError that names the flag; convert.must is the domain."""
 
-    def convert(text: str):
+    def convert(flag: str, text: str):
         try:
             value = parse(text)
             if ok(value):
                 return value
         except (ArithmeticError, ValueError):  # unparsable, 1/0, or too large for a float
             pass
-        raise argparse.ArgumentTypeError(f"must be {must}, got {text!r}")
+        raise UsageError(f"argument {flag}: must be {must}, got {text!r}")
 
+    convert.must = must
     return convert
 
 
@@ -125,6 +124,8 @@ def _float_tuple(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in _fractions(text))
 
 
+_PATH = _checked(str, lambda v: True, "a path")
+_INT = _checked(int, lambda v: True, "an integer")
 _COUNT = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _POSITIVE = _checked(int, lambda v: v >= 1, "an integer >= 1")
 # kahler refuses over 2**32 samples per region before it allocates its draws
@@ -144,7 +145,7 @@ _C_BASE = _checked(lambda t: t if t == "auto" else float(t),
                    "auto or a finite float >= 0")
 
 
-def _functor(args: argparse.Namespace) -> tuple[str, dict]:
+def _functor(args: SimpleNamespace) -> tuple[str, dict]:
     if not args.i < args.j < args.k:
         raise UsageError(f"--i, --j, --k must satisfy i < j < k, got {args.i}, {args.j}, {args.k}")
     from .fukaya import functor_check
@@ -153,7 +154,7 @@ def _functor(args: argparse.Namespace) -> tuple[str, dict]:
     return "pass" if rep.all_match else "fail", rep.to_json()
 
 
-def _trop(args: argparse.Namespace) -> bytes:
+def _trop(args: SimpleNamespace) -> bytes:
     from . import tropical
 
     try:
@@ -162,13 +163,13 @@ def _trop(args: argparse.Namespace) -> bytes:
         raise UsageError(f"--window: {exc}") from None
 
 
-def _facets(args: argparse.Namespace) -> bytes:
+def _facets(args: SimpleNamespace) -> bytes:
     from . import tropical
 
     return tropical.facet_csv(args.radius).encode()
 
 
-def _disc_series(args: argparse.Namespace) -> tuple[str, dict]:
+def _disc_series(args: SimpleNamespace) -> tuple[str, dict]:
     from fractions import Fraction
     from .lattice import MomentPoint
     from .tropical import trop_phi
@@ -190,7 +191,7 @@ def _disc_series(args: argparse.Namespace) -> tuple[str, dict]:
     return status, body
 
 
-def _sphere_c(args: argparse.Namespace) -> tuple[str, dict]:
+def _sphere_c(args: SimpleNamespace) -> tuple[str, dict]:
     from . import gw
 
     series = gw.sphere_count_C(args.max_order, args.window)
@@ -203,19 +204,19 @@ def _sphere_c(args: argparse.Namespace) -> tuple[str, dict]:
     return "pass" if series.coefficient(0) == 1 else "fail", body
 
 
-def _check_level(args: argparse.Namespace) -> None:
+def _check_level(args: SimpleNamespace) -> None:
     if args.j - args.i < 2:
         raise UsageError(f"--j must be at least --i + 2, got --i {args.i} --j {args.j}")
 
 
-def _differential(args: argparse.Namespace) -> tuple[str, dict]:
+def _differential(args: SimpleNamespace) -> tuple[str, dict]:
     _check_level(args)
     from .series import differential_table  # the theta route alone: no gw, no tropical
 
     return "pass", differential_table(args.i, args.j, args.cutoff).to_json()
 
 
-def _leibniz(args: argparse.Namespace) -> tuple[str, dict]:
+def _leibniz(args: SimpleNamespace) -> tuple[str, dict]:
     _check_level(args)
     from .series import leibniz_check  # the theta route alone: no gw, no tropical
 
@@ -223,7 +224,7 @@ def _leibniz(args: argparse.Namespace) -> tuple[str, dict]:
     return rep.status, rep.to_json()
 
 
-def _metric_check(args: argparse.Namespace) -> tuple[str, dict]:
+def _metric_check(args: SimpleNamespace) -> tuple[str, dict]:
     from . import kahler  # the domain of --l and --p is kahler's sampler windows
 
     T = kahler.DEFAULT_T if args.T is None else args.T
@@ -244,7 +245,7 @@ def _metric_check(args: argparse.Namespace) -> tuple[str, dict]:
     return body["status"], body
 
 
-def _monodromy(args: argparse.Namespace) -> tuple[str, dict]:
+def _monodromy(args: SimpleNamespace) -> tuple[str, dict]:
     import random
 
     from . import tropical
@@ -275,84 +276,152 @@ def _monodromy(args: argparse.Namespace) -> tuple[str, dict]:
     }
 
 
-# Each flag's type parses and checks its own domain, so parsing alone refuses
-# it, naming the flag.  Each command's handler, set by set_defaults, takes
-# (args): it checks what relates two flags or needs a layer (a UsageError names
-# the flags), fills its defaults and runs its layers, imported inside the
-# handler so that a command loads only what it runs: metric-check alone loads
-# kahler and numpy (on one OpenBLAS thread, set by main), and monodromy, trop
-# and facets run on tropical alone.  It returns the report's (status, body),
-# or the bytes of the SVG/CSV emitters.
-def build_parser() -> _Parser:
-    parser = _Parser(prog="mirrorlab", description=__doc__)
-    parser.add_argument("--out", help="write the report to this path")
-    sub = parser.add_subparsers(dest="command", required=True)
+_REQUIRED = object()  # the default of a flag that must be given
 
-    def command(name: str, handler, help: str) -> _Parser:
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(handler=handler)
-        return p
+# Each command: its handler, its help line and its flags, each with its type
+# and its default: a text that the type parses, None for a default that the
+# handler fills, or _REQUIRED.  A flag's type checks the flag's own domain, so
+# parsing alone refuses it, naming the flag.  The handler takes the parsed
+# flags as attributes (--max-order as max_order): it checks what relates two
+# flags or needs a layer (a UsageError names the flags), fills its defaults
+# and runs its layers, imported inside the handler so that a command loads
+# only what it runs: metric-check alone loads kahler and numpy (on one
+# OpenBLAS thread, set by main), and monodromy, trop and facets run on
+# tropical alone.  It returns the report's (status, body), or the bytes of
+# the SVG/CSV emitters.
+COMMANDS = {
+    "functor": (_functor, "theta structure constants vs triangle counts", {
+        "--i": (_INT, _REQUIRED), "--j": (_INT, _REQUIRED), "--k": (_INT, _REQUIRED),
+        "--cutoff": (_BOUND, "20"),
+    }),
+    "trop": (_trop, "tropical tiling as SVG", {"--window": (_WINDOW, "-3,-3,3,3")}),
+    "facets": (_facets, "facet table as CSV", {"--radius": (_BOUND, "1")}),
+    "disc-series": (_disc_series, "disc areas at an interior basepoint", {
+        "--A": (_MOMENT, _REQUIRED), "--cutoff": (_BOUND, "15"),  # --A is xi1,xi2,eta
+    }),
+    "sphere-c": (_sphere_c, "sphere-correction series", {
+        "--max-order": (_COUNT, "4"), "--window": (_BOUND, "9"),
+    }),
+    "differential": (_differential, "multiplication-by-section table", {
+        "--i": (_INT, _REQUIRED), "--j": (_INT, _REQUIRED), "--cutoff": (_BOUND, "15"),
+    }),
+    "leibniz": (_leibniz, "numeric Leibniz identity check", {
+        "--i": (_INT, _REQUIRED), "--j": (_INT, _REQUIRED), "--x": (_X, "1,1"),
+        "--tau": (_UNIT, "0.1"), "--cutoff": (_FLOAT_BOUND, "15"),
+    }),
+    # --T, --l, --p and --seed default to kahler.DEFAULT_T, _L, _P and _SEED
+    "metric-check": (_metric_check, "sampled positive-definiteness certificate", {
+        "--T": (_UNIT, None), "--l": (_POSITIVE, None), "--p": (_POSITIVE, None),
+        "--samples": (_SAMPLES, "500"), "--seed": (_COUNT, None), "--c-base": (_C_BASE, "auto"),
+    }),
+    # --seed seeds random.Random for the draws
+    "monodromy": (_monodromy, "corner classes and antisymmetry", {
+        "--samples": (_COUNT, "50"), "--seed": (_COUNT, "7"),
+    }),
+}
 
-    p = command("functor", _functor, "theta structure constants vs triangle counts")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--cutoff", type=_BOUND, default="20")
 
-    p = command("trop", _trop, "tropical tiling as SVG")
-    p.add_argument("--window", type=_WINDOW, default="-3,-3,3,3")
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The argv as the flags that the command's handler reads (--max-order
+    as max_order), with command, out and help.
 
-    p = command("facets", _facets, "facet table as CSV")
-    p.add_argument("--radius", type=_BOUND, default="1")
+    --out comes before the command, the command's flags after it.  A flag's
+    value follows it, as --flag VALUE or --flag=VALUE; it may begin with "-"
+    but not with "--".  A flag given twice keeps its last value.  Parsing
+    stops at -h or --help.  Raises UsageError, naming the flag.
+    """
+    command, flags, values = None, {"--out": (_PATH, None)}, {"--out": None}
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return SimpleNamespace(command=command, help=True)
+        flag, eq, text = token.partition("=")
+        if flag in flags:
+            if not eq:
+                text = next(tokens, None)
+                if text is None or text.startswith("--"):
+                    raise UsageError(f"argument {flag}: expected one value")
+            values[flag] = flags[flag][0](flag, text)
+        elif command is None and token in COMMANDS:
+            command, flags = token, COMMANDS[token][2]
+            values.update((name, default if default is None else convert(name, default))
+                          for name, (convert, default) in flags.items() if default is not _REQUIRED)
+        elif command is None and not token.startswith("-"):
+            raise UsageError(f"invalid command {token!r} (choose from {', '.join(COMMANDS)})")
+        else:
+            raise UsageError(f"unrecognized argument {flag}")
+    if command is None:
+        raise UsageError(f"a command is required (choose from {', '.join(COMMANDS)})")
+    missing = [flag for flag in flags if flag not in values]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(command=command, help=False,
+                           **{flag[2:].replace("-", "_"): v for flag, v in values.items()})
 
-    p = command("disc-series", _disc_series, "disc areas at an interior basepoint")
-    p.add_argument("--A", type=_MOMENT, required=True, help="xi1,xi2,eta as rationals")
-    p.add_argument("--cutoff", type=_BOUND, default="15")
 
-    p = command("sphere-c", _sphere_c, "sphere-correction series")
-    p.add_argument("--max-order", type=_COUNT, default=4)
-    p.add_argument("--window", type=_BOUND, default="9")
+def _help(command: str | None) -> str:
+    """The help of mirrorlab, or of one command, written from COMMANDS alone."""
+    if command is None:
+        usage, text = "COMMAND [--flag VALUE ...]", __doc__
+        rows = [(name, line) for name, (_, line, _) in COMMANDS.items()]
+        rows += [("-h, --help", "print this help, or after a command its flags"),
+                 ("--out PATH", "write the report to PATH instead of stdout")]
+    else:
+        _, text, flags = COMMANDS[command]
+        usage = f"{command} [--flag VALUE ...]"
+        rows = [(flag, f"{convert.must}; " + ("required" if default is _REQUIRED else
+                                              f"default {default or 'from kahler'}"))
+                for flag, (convert, default) in flags.items()]
+    width = 2 + max(len(name) for name, _ in rows)
+    return "\n".join([f"usage: mirrorlab [--out PATH] {usage}", "", text.strip(), "",
+                      *(f"  {name:<{width}}{line}" for name, line in rows), "",
+                      "A flag's value follows it, as --flag VALUE or --flag=VALUE.", ""])
 
-    p = command("differential", _differential, "multiplication-by-section table")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--cutoff", type=_BOUND, default="15")
 
-    p = command("leibniz", _leibniz, "numeric Leibniz identity check")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--x", type=_X, default="1,1")
-    p.add_argument("--tau", type=_UNIT, default=0.1)
-    p.add_argument("--cutoff", type=_FLOAT_BOUND, default="15")
+def _fail(code: int, message: str) -> NoReturn:
+    print(f"mirrorlab: error: {message}", file=sys.stderr)
+    raise SystemExit(code)
 
-    p = command("metric-check", _metric_check, "sampled positive-definiteness certificate")
-    p.add_argument("--T", type=_UNIT)  # --T, --l, --p default to kahler.DEFAULT_T/L/P
-    p.add_argument("--l", type=_POSITIVE)
-    p.add_argument("--p", type=_POSITIVE)
-    p.add_argument("--samples", type=_SAMPLES, default=500)
-    p.add_argument("--seed", type=_COUNT, default=None)
-    p.add_argument("--c-base", type=_C_BASE, default="auto")
 
-    p = command("monodromy", _monodromy, "corner classes and antisymmetry")
-    p.add_argument("--samples", type=_COUNT, default=50)
-    p.add_argument("--seed", type=_COUNT, default=7)  # random.Random's seed for the draws
-    return parser
+def _write(stdout: BinaryIO, data: bytes) -> None:
+    """Write the report or the help to stdout; a failed write exits 74."""
+    try:
+        stdout.write(data)
+        stdout.flush()  # a full device fails here, not in the flush at exit
+    except (OSError, ValueError) as exc:  # ValueError: the stream is closed
+        # a buffered stream keeps what it could not write, and the flush at
+        # interpreter exit would fail again and exit 120: point its fd at
+        # devnull, so that flush succeeds and the exit code stays 74
+        try:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, stdout.fileno())
+            os.close(null)
+        except (OSError, ValueError):  # no fd (io.UnsupportedOperation is both), or closed
+            pass
+        _fail(EXIT_IOERR, f"stdout: {exc}")
 
 
 def run(argv: list[str] | None, stdout: BinaryIO | None = None) -> tuple[bytes, int]:
     """Execute one command; returns (output bytes, exit code).
 
     The report is also written to --out when given, else to the binary
-    stream stdout if one is passed.  A UsageError from the command means an
-    argument outside its domain, which is a usage error; any other exception
-    is a fault of the program and propagates.
+    stream stdout if one is passed.  -h or --help writes the help to stdout,
+    if passed, and raises SystemExit(0).  A usage error raises
+    SystemExit(64), and a failed write to stdout SystemExit(74), each after
+    one `mirrorlab: error:` line on stderr.  A UsageError from the command
+    means an argument outside its domain, which is a usage error; any other
+    exception is a fault of the program and propagates.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        result = args.handler(args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if args.help:
+            text = _help(args.command).encode()
+            if stdout is not None:
+                _write(stdout, text)
+            raise SystemExit(EXIT_PASS)
+        result = COMMANDS[args.command][0](args)
     except UsageError as exc:
-        parser.error(str(exc))
+        _fail(EXIT_USAGE, str(exc))
     if isinstance(result, bytes):
         out, code = result, EXIT_PASS
     else:
@@ -363,9 +432,9 @@ def run(argv: list[str] | None, stdout: BinaryIO | None = None) -> tuple[bytes, 
             with open(args.out, "wb") as fh:
                 fh.write(out)
         except OSError as exc:
-            parser.error(f"--out: {exc}")
+            _fail(EXIT_USAGE, f"--out: {exc}")
     elif stdout is not None:
-        stdout.write(out)
+        _write(stdout, out)
     return out, code
 
 
@@ -377,7 +446,12 @@ def main(argv: list[str] | None = None) -> int:
     # callers of run keep their environment; an explicit value is kept.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
-        return run(argv, sys.stdout.buffer)[1]
+        if sys.stdout is None:  # fd 1 was closed at start-up
+            stdout = io.BytesIO()
+            stdout.close()  # so that a write of the report or the help fails: exit 74
+        else:
+            stdout = sys.stdout.buffer
+        return run(argv, stdout)[1]
     except Exception:  # a crash is no verdict; exit 1 would read as "fail"
         import traceback
 

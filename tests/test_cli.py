@@ -1,6 +1,7 @@
 import ast
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -426,6 +427,71 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
         _assert_usage_error(capsys, ["--out", str(path), "facets", "--radius", "0"], "--out")
 
 
+def test_parse_forms_and_usage_errors(capsys):
+    # --flag VALUE and --flag=VALUE agree, in any order; a value may begin
+    # with "-"; a flag given twice keeps its last value
+    functor = run(["functor", "--i", "0", "--j", "1", "--k", "2", "--cutoff", "6"])
+    for argv in (
+        ["functor", "--i=0", "--j", "1", "--k=2", "--cutoff=6"],
+        ["functor", "--cutoff", "6", "--k", "2", "--j", "1", "--i", "0"],
+        ["functor", "--i", "5", "--j", "1", "--k", "2", "--cutoff", "6", "--i", "0"],
+    ):
+        assert run(argv) == functor, argv
+    out, code = run(["leibniz", "--i", "-4", "--j", "-2", "--cutoff", "6"])
+    assert (out, code) == run(["leibniz", "--i=-4", "--j=-2", "--cutoff=6"])
+    assert code == 0 and [json.loads(out)[k] for k in "ij"] == [-4, -2]
+    out, code = run(["disc-series", "--A=-2,1,21/8", "--cutoff", "4"])
+    assert (out, code) == run(["disc-series", "--A", "-2,1,21/8", "--cutoff", "4"])
+    assert code == 0 and json.loads(out)["A"] == ["-2", "1", "21/8"]
+    # usage errors name the flag: unknown, abbreviated, misplaced, missing a
+    # value, or required and missing; a token that no flag takes
+    for argv, flag in (
+        (["functor", "--i", "0", "--j", "1", "--k", "2", "--q", "1"], "--q"),
+        (["functor", "--i", "0", "--j", "1", "--k", "2", "--q=1"], "--q"),
+        (["functor", "--i", "0", "--j", "1", "--k", "2", "--cut", "6"], "--cut"),
+        (["--ou", "x", "facets"], "--ou"),
+        (["facets", "--out", "x"], "--out"),
+        (["functor", "--i", "0", "--j", "1", "--k"], "--k"),
+        (["functor", "--i", "--j", "1", "--k", "2"], "--i"),
+        (["functor", "--j", "1", "--k", "2"], "--i"),
+        (["disc-series", "--cutoff", "4"], "--A"),
+        (["facets", "1"], "argument 1"),
+        ([], "command"),
+    ):
+        _assert_usage_error(capsys, argv, flag)
+    # -h or --help, before or after the command, prints the help and exits 0,
+    # whatever follows it
+    top = _help_bytes(["--help"]).decode()
+    assert _help_bytes(["-h", "functor", "--q"]).decode() == top
+    assert all(f"  {name}  " in top for name in cli.COMMANDS)
+    functor_help = _help_bytes(["functor", "--help"]).decode()
+    assert _help_bytes(["functor", "--i", "0", "-h", "--q"]).decode() == functor_help
+    rows = dict(line.split(None, 1) for line in functor_help.splitlines() if line.startswith("  --"))
+    assert rows == {"--i": "an integer; required", "--j": "an integer; required",
+                    "--k": "an integer; required", "--cutoff": "a rational >= 0; default 20"}
+    assert not capsys.readouterr().out  # in process, the help goes to the stdout given
+
+
+class _FullDevice(io.BytesIO):
+    def write(self, data):
+        raise OSError(28, "No space left on device")
+
+
+def test_failed_write_to_stdout_exits_74(capsys):
+    # run writes the report and the help to the stdout it is given by one
+    # path: a full device or a closed stream is an I/O error, exit 74
+    closed = io.BytesIO()
+    closed.close()
+    for argv in (["facets", "--radius", "1"], ["--help"], ["functor", "--help"]):
+        for stdout in (_FullDevice(), closed):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                cli.run(argv, stdout)
+            assert exc.value.code == 74, argv
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("mirrorlab: error: stdout: "), argv
+
+
 def test_readme_examples_exit_zero():
     readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```")[1]
@@ -523,6 +589,7 @@ _STARTUP_ARGVS = (
     ["monodromy", "--samples", "8"],
 )
 _WATCHED = ("numpy", "numpy.random", "numpy.ma", "dataclasses", "json", "fractions", "decimal",
+            "argparse", "gettext", "locale",
             "mirrorlab.kahler", "mirrorlab._ad", "mirrorlab.gw", "mirrorlab.series",
             "mirrorlab.fukaya", "mirrorlab.tropical", "mirrorlab.lattice", "mirrorlab.tau",
             "mirrorlab.charts")
@@ -599,6 +666,9 @@ def test_no_command_loads_json_and_differential_only_the_theta_route():
     # package compiles regexes on import, a few ms in every command's process
     loaded = {argv[0]: _startup(argv)[1] for argv in _STARTUP_ARGVS}
     assert not [cmd for cmd, mods in loaded.items() if "json" in mods]
+    # cli parses argv from its own command table: argparse, and the gettext
+    # and locale that its help strings load, cost every process about 3 ms
+    assert not [cmd for cmd, mods in loaded.items() if mods & {"argparse", "gettext", "locale"}]
     # the differential is a slice of the theta products: lattice and series
     assert loaded["differential"] >= {"mirrorlab.lattice", "mirrorlab.series"}
     # leibniz checks the differential on the same route; both sides of its
@@ -662,16 +732,44 @@ def test_main_runs_openblas_on_one_thread():
 _CLOSED_STDOUT = "import os, sys; os.close(1); os.execv(sys.executable, [sys.executable, *sys.argv[1:]])"
 
 
-def _module_entry(argv, closed_stdout=False):
+def _module_entry(argv, closed_stdout=False, device=None, broken_pipe=False, unbuffered=None):
     """`python -m mirrorlab.cli argv` in a fresh process: its stdout bytes,
-    exit code and stderr lines."""
+    exit code and stderr lines.  With closed_stdout it starts with fd 1
+    closed; with device, its stdout is that file, such as /dev/full; with
+    broken_pipe, a pipe whose read end is closed.  unbuffered sets
+    PYTHONUNBUFFERED (True) or removes it (False), so that sys.stdout is
+    buffered as in a plain shell; None keeps this process's setting."""
     wrapper = ["-c", _CLOSED_STDOUT] if closed_stdout else []
-    proc = subprocess.run([sys.executable, *wrapper, "-m", "mirrorlab.cli", *argv],
-                          env=_child_env(), capture_output=True, timeout=300)
-    return proc.stdout, proc.returncode, proc.stderr.decode().splitlines()
+    command = [sys.executable, *wrapper, "-m", "mirrorlab.cli", *argv]
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered or (unbuffered is None and os.environ.get("PYTHONUNBUFFERED")):
+        env["PYTHONUNBUFFERED"] = "1"
+    if broken_pipe:
+        read, sink = os.pipe()
+        os.close(read)
+    elif device is not None:
+        sink = os.open(device, os.O_WRONLY)
+    else:
+        proc = subprocess.run(command, env=env, capture_output=True, timeout=300)
+        return proc.stdout, proc.returncode, proc.stderr.decode().splitlines()
+    try:
+        proc = subprocess.run(command, env=env, stdout=sink, stderr=subprocess.PIPE, timeout=300)
+    finally:
+        os.close(sink)
+    return b"", proc.returncode, proc.stderr.decode().splitlines()
 
 
-def test_module_entry_gives_run_bytes_and_exit_codes(tmp_path, monkeypatch, capsys):
+def _help_bytes(argv):
+    """The help that cli.run(argv) writes to the stdout it is given, as it exits 0."""
+    stdout = io.BytesIO()
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv, stdout)
+    assert exc.value.code == 0, argv
+    return stdout.getvalue()
+
+
+def test_module_entry_gives_run_bytes_and_exit_codes(tmp_path, capsys):
     # the process entry (`python -m mirrorlab.cli`, which perfbench runs, and
     # the console script's cli.main) writes run's bytes and exits with run's
     # code: pass, fail, indeterminate, usage error and internal error
@@ -687,19 +785,29 @@ def test_module_entry_gives_run_bytes_and_exit_codes(tmp_path, monkeypatch, caps
     last = _assert_usage_error(capsys, argv, "--samples")
     out, got, err = _module_entry(argv)
     assert (out, got, err[-1]) == (b"", 64, last)
-    # the help's layout follows the terminal width, which COLUMNS fixes for both
-    monkeypatch.setenv("COLUMNS", "80")
-    with pytest.raises(SystemExit) as exc:
-        run(["--help"])
-    assert exc.value.code == 0
-    assert _module_entry(["--help"])[:2] == (capsys.readouterr().out.encode(), 0)
+    # the help is fixed text, whatever the terminal's width
+    help_text = _help_bytes(["--help"])
+    assert _module_entry(["--help"])[:2] == (help_text, 0)
     path = tmp_path / "facets.csv"
     out, got, _ = _module_entry(["--out", str(path), "facets", "--radius", "1"])
     assert (out, got) == (b"", 0)
     assert path.read_bytes() == run(["facets", "--radius", "1"])[0]
-    # with fd 1 closed, sys.stdout is None: a crash, so exit 70 with a traceback
-    out, got, err = _module_entry(["facets", "--radius", "1"], closed_stdout=True)
-    assert (out, got, err[0]) == (b"", 70, "Traceback (most recent call last):")
+    # a failed write of the report or the help to stdout is an I/O error,
+    # exit 74 with one line: fd 1 closed (sys.stdout is None), a closed pipe
+    # or a full device.  Buffered or not: a buffered stdout keeps the bytes
+    # it could not write, and the flush at exit must not fail again (exit 120)
+    sinks = [{"closed_stdout": True}, {"broken_pipe": True}]
+    if os.path.exists("/dev/full"):
+        sinks.append({"device": "/dev/full"})
+    for argv in (["facets", "--radius", "1"], ["--help"]):
+        for sink in sinks:
+            for unbuffered in (False, True):
+                out, got, err = _module_entry(argv, unbuffered=unbuffered, **sink)
+                assert (out, got, len(err)) == (b"", 74, 1), (argv, sink, unbuffered, err)
+                assert err[0].startswith("mirrorlab: error: stdout: "), (argv, sink, unbuffered)
+    # with --out, stdout is not written, so a closed fd 1 does not matter
+    out, got, _ = _module_entry(["--out", str(path), "facets", "--radius", "0"], closed_stdout=True)
+    assert got == 0 and path.read_bytes() == run(["facets", "--radius", "0"])[0]
 
 
 def test_flag_domain_errors_load_no_layer(capsys):

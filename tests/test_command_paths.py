@@ -24,7 +24,8 @@ SPANS = ROOT / "perfbench" / "spans.py"
 
 # One argv per command shape.  functor 0 2 4 has gcd(l', l'') = 2, where
 # most triangle keys are empty; sphere-c at order 0 returns the constant
-# series; the reversed slopes are a usage error, which exits.
+# series; --help prints the help and exits 0; the reversed slopes are a
+# usage error, which exits 64.
 ARGVS = (
     ["functor", "--i", "0", "--j", "1", "--k", "2", "--cutoff", "6"],
     ["functor", "--i", "0", "--j", "2", "--k", "4", "--cutoff", "4"],
@@ -38,6 +39,7 @@ ARGVS = (
     ["metric-check", "--samples", "3", "--c-base", "auto"],
     ["metric-check", "--samples", "3", "--c-base", str(2.0 ** 139)],
     ["monodromy", "--samples", "8"],
+    ["--help"],
     ["functor", "--i", "2", "--j", "1", "--k", "3"],
 )
 
