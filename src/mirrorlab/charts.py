@@ -1,7 +1,7 @@
 """Vertex charts of the moment body: monomial coordinate systems in x, y, z,
 T, glued by unimodular monomial maps on exponent vectors (x, y, z, T), T
 fixed; each chart's coordinate product is v0 = xyz.  No command runs or
-loads this module yet (ROADMAP I)."""
+loads this module yet (ROADMAP T(b))."""
 
 from __future__ import annotations
 

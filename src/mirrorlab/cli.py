@@ -237,9 +237,19 @@ def _metric_check(args: SimpleNamespace) -> tuple[str, dict]:
     empty = [k for k, (lo, hi) in kahler.sampler_windows(l, p).items() if lo >= hi]
     if empty:
         raise UsageError(f"--l {l} --p {p}: empty sampler windows {', '.join(empty)}")
-    deep = 3 * kahler.MODERATE_LOG  # below it a fiber point can have three moderate logs
-    if l <= deep:
-        raise UsageError(f"--l must exceed {deep:g} (a deep fiber), got {l}")
+    # On the axis seam log_T r_x = m = MODERATE_LOG, the axis_x formula
+    # g_yz + d + a4 (py - pz) is I's g_yz + a3 d + a4 a5 (py - pz) only where
+    # I's radial gate is saturated, a3 = a5 = 1: log_T d <= d_outer.  Where
+    # the y and z logs are equal, d = log1p(T^(2 + 2m)) - O(T^l), so the rule
+    # below is leading-order; it is necessary, not sufficient (ROADMAP I(c)).
+    # T^(2 + 2m) >= T^(2(l+2)) is a normal float, by the check above.  As
+    # log1p(x) < x, the rule implies l/4 > d_outer > 2 + 2m, so l > 24 and no
+    # fiber point has three moderate logs.
+    outer = kahler.BumpProfile(l, p, T).d_outer
+    glue = math.log(math.log1p(T ** (2 + 2 * kahler.MODERATE_LOG))) / math.log(T)
+    if outer < glue:
+        raise UsageError(f"--T {T!r} --l {l} --p {p}: the potential does not glue on the "
+                         f"axis seam unless l/4 - l/p >= {glue:.9g}, got {outer:.9g}")
     seed = kahler.DEFAULT_SEED if args.seed is None else args.seed
     body = kahler.metric_certificate(T, l, p, args.samples, seed, args.c_base)
     return body["status"], body

@@ -1,10 +1,14 @@
-"""Piecewise Kähler potential, metric certification, and moment coordinates.
+"""Piecewise Kähler potential and its sampled metric certification.
 
 The potential on a fiber interpolates between the three two-coordinate toric
 potentials g_xy, g_xz, g_yz near a chart vertex, through bump functions of
-radial and angular combinations of the coordinate norms.  All interpolation
+radial and angular combinations of the coordinate norms.  The interpolation
 identities used for gluing hold exactly at the bump endpoints, so the
-potential is continuous across region boundaries by construction.
+potential is continuous across a seam where the bumps of both formulas sit
+at their endpoints.  That is not automatic: on the axis seam, a log_T norm
+equal to MODERATE_LOG, the axis formula equals its deep neighbour only if
+the neighbour's radial gate is saturated there, which metric-check requires
+of its T, l and p.
 
 Everything here is double-precision numerics; the polar-coordinate metric is
 obtained by forward-mode differentiation of the exact regional formulas (no
@@ -127,31 +131,12 @@ class FiberPoint(NamedTuple):
     def r(self) -> tuple[float, float, float]:
         return (self.r_x, self.r_y, self.r_z)
 
-    @property  # for ROADMAP I's gluing checks
-    def key(self) -> str:
-        """The point's formula key: `formula_key` of its one row."""
-        return _KEYS[formula_key(np.array([self.r]), self.profile)[0]]
-
     def logs(self) -> tuple[float, float, float]:
         """log_T of the three norms."""
         ln_t = math.log(self.T)
         return tuple(math.log(r) / ln_t for r in self.r)
 
-    @staticmethod  # for ROADMAP I's seam catalog
-    def from_logs(
-        a: float, b: float, c: float | None = None,
-        T: float = DEFAULT_T, l: int = DEFAULT_L, p: int = DEFAULT_P,
-    ) -> "FiberPoint":
-        """Build from log_T norms; omitting c closes the fiber constraint."""
-        if c is None:
-            c = l - a - b
-        return FiberPoint(T ** a, T ** b, T ** c, T, l, p)
-
-    def rotated(self, k: int) -> "FiberPoint":  # for ROADMAP I's seam catalog
-        """sigma^k of the point: the norm of coordinate i moves to i + k."""
-        return FiberPoint(*_rotate(self.r, k), self.T, self.l, self.p)
-
-    @property  # for `metric` (traced) and ROADMAP I's gluing checks
+    @property  # for `metric`, which perfbench/spans.py patches
     def profile(self) -> "BumpProfile":
         """The bump profile of the point's own T, l and p."""
         return BumpProfile(self.l, self.p, self.T)
@@ -405,72 +390,6 @@ def _metric_from_jets(jets: tuple, c_base: float | np.ndarray) -> tuple[np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# Moment coordinates and chart gluing; no command runs them yet (ROADMAP I)
-
-
-def moment_coords(q: FiberPoint) -> tuple[float, float, float]:
-    """Action coordinates from the potential's log-derivatives.
-
-    Oriented so both base coordinates are increasing in the corresponding
-    norms at fixed fiber; constants are pinned by the base-tile chart
-    convention (no additive adjustment).
-    """
-    return _moment(q, _potential_ad([q.r], q.profile, q.key))
-
-
-def _moment(q: FiberPoint, f: D2) -> tuple[float, float, float]:
-    """Action coordinates from the log-derivatives of the 1-lane potential f at q."""
-    fx, fy, fz = (gi * ri for gi, ri in zip(f.g[:, 0].tolist(), q.r))
-    return (0.5 * (fx - fz), 0.5 * (fy - fz), 0.5 * fz)
-
-
-def moment_shift_gamma_prime(q: FiberPoint) -> tuple[float, float]:
-    """Base-coordinate shift produced by the one-tile chart change.
-
-    Gluing across the z-axis changes the potential by -log|Tz|^2 and across
-    the x-axis by -log|Tx|^2; composing the two (z-side minus x-side) must
-    shift (xi1, xi2) by exactly (2, 1).
-    """
-    base = _potential_ad([q.r], q.profile, q.key)
-    rx = D2.var([q.r_x], 0)
-    rz = D2.var([q.r_z], 2)
-    cz = _moment(q, base - _ad.log(rz * rz * q.T * q.T))
-    cx = _moment(q, base - _ad.log(rx * rx * q.T * q.T))
-    return (cz[0] - cx[0], cz[1] - cx[1])
-
-
-def harmonic_difference_check(q: FiberPoint) -> float:
-    """Residue of the pullback identity for the two-coordinate potential.
-
-    The hexagon generator sends (x, y) to (T^-2 y^-1, T x y); its pullback
-    of g_xy differs from g_xy by the harmonic term -log|Ty|^2, so the
-    returned combination vanishes identically.
-    """
-    t, ry = q.T, q.r_y
-    return (
-        math.log1p((1.0 / (t * ry)) ** 2)
-        - math.log1p((t * ry) ** 2)
-        + math.log((t * ry) ** 2)
-    )
-
-
-def hex_orbit(q: FiberPoint) -> list[tuple[float, float, float]]:
-    """Norm triples along the order-six hexagon rotation orbit of q."""
-    t = q.T
-    out = [(q.r_x, q.r_y, q.r_z)]
-    for _ in range(5):
-        rx, ry, rz = out[-1]
-        out.append((1.0 / (t * t * ry), t * rx * ry, t * ry * rz))
-    return out
-
-
-def harmonic_sixfold_check(q: FiberPoint) -> float:
-    """Sum of the six single-step pullback corrections; telescopes to zero."""
-    t = q.T
-    return sum(-math.log((t * ry) ** 2) for _, ry, _ in hex_orbit(q))
-
-
-# ---------------------------------------------------------------------------
 # Region samplers and the positivity certificate
 
 
@@ -555,8 +474,8 @@ def region_samples(
     takes its two uniform draws from row idx of `_uniform_pairs(seed, r)`,
     r the region's REGION_IDS index, so the output does not depend on
     evaluation order and fewer samples are a prefix of more.  All count
-    draws are computed at once, without numpy.random; row idx has the norms
-    `FiberPoint.from_logs` builds from its logs.  IV and VI are sigma and
+    draws are computed at once, without numpy.random; row idx holds T ** x
+    for each of its three logs x.  IV and VI are sigma and
     sigma^2 of one band draw.  Raises for an empty window, a negative seed
     or over 2**32 samples.
     """
@@ -678,47 +597,6 @@ def metric_certificate(
                      "windows": sampler_windows(l, p)},
         "regions": regions,
     }
-
-
-# The seams of the gluing checks above; no command runs it yet (ROADMAP I).
-def boundary_pair_catalog(
-    T: float = DEFAULT_T, l: int = DEFAULT_L, p: int = DEFAULT_P, eps: float = 1e-8
-) -> list[tuple[FiberPoint, FiberPoint]]:
-    """Point pairs straddling every region seam by eps in log coordinates.
-
-    The regional formulas agree exactly on the seams (bump endpoints), so
-    the potential jump across each pair is bounded by eps times a local
-    derivative scale.  The seams of the x family, of VII and of the x axis
-    are placed by hand; sigma and sigma^2 carry them to all the others.
-    """
-    prof = BumpProfile(l, p, T)
-    t0, t1 = prof.t0, prof.t1
-    a_mid = (l / 8 - l / (2 * p) - 1 + l / 8 - 1) / 2
-    a_inner = l / 8 - 1  # log_T D = l/4 there
-
-    def sym(a: float) -> FiberPoint:
-        return FiberPoint.from_logs(a, (l - a) / 2, (l - a) / 2, T, l, p)
-
-    def xfam(a: float, th: float) -> FiberPoint:
-        return FiberPoint.from_logs(a, a + th, None, T, l, p)
-
-    def yfam(b: float, th_x: float) -> FiberPoint:
-        # th_x = a - b toward the x sector
-        return FiberPoint.from_logs(b + th_x, b, None, T, l, p)
-
-    seams = [
-        (sym(a_inner - eps), sym(a_inner + eps)),            # I <-> VII
-        (xfam(a_mid, t1 + eps), xfam(a_mid, t1 - eps)),      # I <-> IIA
-        (xfam(a_mid, t0 + eps), xfam(a_mid, t0 - eps)),      # IIA <-> IIB
-        (xfam(a_mid, -t0 + eps), xfam(a_mid, -t0 - eps)),    # IIB <-> IIC
-        (yfam(a_mid, t1 - eps), yfam(a_mid, t1 + eps)),      # IIC <-> III
-        (sym(2.0 - eps), sym(2.0 + eps)),                    # axis_x <-> clamped I
-        (
-            FiberPoint.from_logs(0.5, 2.0 - eps, None, T, l, p),
-            FiberPoint.from_logs(0.5, 2.0 + eps, None, T, l, p),
-        ),                                                   # g_xy <-> axis_x
-    ]
-    return [(q1.rotated(k), q2.rotated(k)) for k in range(3) for q1, q2 in seams]
 
 
 def calibrate_c_base(jets: tuple, margin: float) -> float | None:

@@ -133,13 +133,6 @@ def monodromy_corner_table() -> dict[tuple[int, int], tuple[Fraction, Fraction]]
     }
 
 
-def transport_fractions(r_x: float, r_y: float, r_z: float) -> tuple[float, float, float]:
-    """Monodromy phase fractions r_i^-2 / sum r_j^-2 of the three norms; they sum to one."""
-    inv = (r_x ** -2.0, r_y ** -2.0, r_z ** -2.0)
-    s = sum(inv)
-    return (inv[0] / s, inv[1] / s, inv[2] / s)
-
-
 # ---------------------------------------------------------------------------
 # Emitters
 

@@ -3,8 +3,13 @@
 No command runs these: the geometric triangle-area oracle, which checks the
 closed-form exponents of `fukaya.mu2_closed`; the lattice quadratic weight
 and the lattice action on moment coordinates; the box search of the
-tropical maximum; and the finite-difference checks of the Kähler
-potential's jets, and the plain calibration scan.
+tropical maximum and the monodromy transport fractions; the
+finite-difference checks of the Kähler potential's jets, and the plain
+calibration scan; and the chart gluing of the potential: a fiber point's
+formula key, built from its logs or rotated by sigma, its moment
+coordinates and their shift under the chart change, the harmonic pullback
+identities along the hexagon orbit, and the catalog of point pairs that
+straddle every region seam.
 """
 
 import math
@@ -15,7 +20,15 @@ import numpy as np
 
 from mirrorlab import _ad, kahler
 from mirrorlab._ad import D2
-from mirrorlab.kahler import BumpProfile, FiberPoint, _potential_ad
+from mirrorlab.kahler import (
+    DEFAULT_L,
+    DEFAULT_P,
+    DEFAULT_T,
+    BumpProfile,
+    FiberPoint,
+    _potential_ad,
+    _rotate,
+)
 from mirrorlab.lattice import (
     LatticeVector,
     MomentPoint,
@@ -150,6 +163,33 @@ def trop_box(p1: int, p2: int, d: int) -> tuple[int, tuple[LatticeVector, ...]]:
     return top, tuple(sorted(n for n, v in values.items() if v == top))
 
 
+def transport_fractions(r_x: float, r_y: float, r_z: float) -> tuple[float, float, float]:
+    """Monodromy phase fractions r_i^-2 / sum r_j^-2 of the three norms; they sum to one."""
+    inv = (r_x ** -2.0, r_y ** -2.0, r_z ** -2.0)
+    s = sum(inv)
+    return (inv[0] / s, inv[1] / s, inv[2] / s)
+
+
+def point_key(q: FiberPoint) -> str:
+    """The point's formula key: `kahler.formula_key` of its one row."""
+    return kahler._KEYS[kahler.formula_key(np.array([q.r]), q.profile)[0]]
+
+
+def from_logs(
+    a: float, b: float, c: float | None = None,
+    T: float = DEFAULT_T, l: int = DEFAULT_L, p: int = DEFAULT_P,
+) -> FiberPoint:
+    """The point of log_T norms a, b, c; omitting c closes the fiber constraint."""
+    if c is None:
+        c = l - a - b
+    return FiberPoint(T ** a, T ** b, T ** c, T, l, p)
+
+
+def rotated(q: FiberPoint, k: int) -> FiberPoint:
+    """sigma^k of the point: the norm of coordinate i moves to i + k."""
+    return FiberPoint(*_rotate(q.r, k), q.T, q.l, q.p)
+
+
 def derivative_budget(prof: BumpProfile, samples: int = 200) -> dict:
     """Measured max log-derivatives of the profiles, with budget constants.
 
@@ -205,7 +245,7 @@ def derivative_check(q: FiberPoint) -> tuple[float, float]:
     stencil = [moved()]
     stencil += [moved((i, s)) for i in range(3) for s in (h_grad, -h_grad)]
     stencil += [moved((i, si * h_hess), (j, sj * h_hess)) for i, j in pairs for si, sj in signs]
-    f = _potential_ad(stencil, q.profile, q.key)
+    f = _potential_ad(stencil, q.profile, point_key(q))
     values = f.v.tolist()
     g_log = np.multiply(f.g[:, 0], q.r)
     h_log = _ad.hessian_matrix(f.h.T)[0] * np.outer(q.r, q.r) + np.diag(g_log)
@@ -240,3 +280,114 @@ def least_power_of_two_scan(jets: tuple, margin: float) -> float | None:
          if np.all(kahler._metric_from_jets(jets, 2.0 ** k)[1] > margin)),
         None,
     )
+
+
+def moment_coords(q: FiberPoint) -> tuple[float, float, float]:
+    """Action coordinates from the potential's log-derivatives.
+
+    Oriented so both base coordinates are increasing in the corresponding
+    norms at fixed fiber; constants are pinned by the base-tile chart
+    convention (no additive adjustment).
+    """
+    return _moment(q, _potential_ad([q.r], q.profile, point_key(q)))
+
+
+def _moment(q: FiberPoint, f: D2) -> tuple[float, float, float]:
+    """Action coordinates from the log-derivatives of the 1-lane potential f at q."""
+    fx, fy, fz = (gi * ri for gi, ri in zip(f.g[:, 0].tolist(), q.r))
+    return (0.5 * (fx - fz), 0.5 * (fy - fz), 0.5 * fz)
+
+
+def moment_shift_gamma_prime(q: FiberPoint) -> tuple[float, float]:
+    """Base-coordinate shift produced by the one-tile chart change.
+
+    Gluing across the z-axis changes the potential by -log|Tz|^2 and across
+    the x-axis by -log|Tx|^2; composing the two (z-side minus x-side) must
+    shift (xi1, xi2) by exactly (2, 1).
+    """
+    base = _potential_ad([q.r], q.profile, point_key(q))
+    rx = D2.var([q.r_x], 0)
+    rz = D2.var([q.r_z], 2)
+    cz = _moment(q, base - _ad.log(rz * rz * q.T * q.T))
+    cx = _moment(q, base - _ad.log(rx * rx * q.T * q.T))
+    return (cz[0] - cx[0], cz[1] - cx[1])
+
+
+def harmonic_difference_check(q: FiberPoint) -> float:
+    """Residue of the pullback identity for the two-coordinate potential.
+
+    The hexagon generator sends (x, y) to (T^-2 y^-1, T x y); its pullback
+    of g_xy differs from g_xy by the harmonic term -log|Ty|^2, so the
+    returned combination vanishes identically.
+    """
+    t, ry = q.T, q.r_y
+    return (
+        math.log1p((1.0 / (t * ry)) ** 2)
+        - math.log1p((t * ry) ** 2)
+        + math.log((t * ry) ** 2)
+    )
+
+
+def hex_orbit(q: FiberPoint) -> list[tuple[float, float, float]]:
+    """Norm triples along the order-six hexagon rotation orbit of q."""
+    t = q.T
+    out = [(q.r_x, q.r_y, q.r_z)]
+    for _ in range(5):
+        rx, ry, rz = out[-1]
+        out.append((1.0 / (t * t * ry), t * rx * ry, t * ry * rz))
+    return out
+
+
+def harmonic_sixfold_check(q: FiberPoint) -> float:
+    """Sum of the six single-step pullback corrections; telescopes to zero."""
+    t = q.T
+    return sum(-math.log((t * ry) ** 2) for _, ry, _ in hex_orbit(q))
+
+
+def boundary_pair_catalog(
+    T: float = DEFAULT_T, l: int = DEFAULT_L, p: int = DEFAULT_P, eps: float = 1e-8
+) -> list[tuple[FiberPoint, FiberPoint]]:
+    """Point pairs straddling every region seam by eps in log coordinates.
+
+    Where the regional formulas agree on a seam (bump endpoints), the
+    potential jump across each pair is bounded by eps times a local
+    derivative scale.  The seams of the x family, of VII and of the x axis
+    are placed on the line where the y and z logs are equal, or at the
+    middle of the deep sampler window; sigma and sigma^2 carry them to all
+    the others.  All but I <-> VII sit where the classifier compares a log
+    with a constant; that one is found by bisection, as log_T D = l/4 at
+    a = l/8 - 1 only to leading order in T.
+    """
+    prof = BumpProfile(l, p, T)
+    t0, t1 = prof.t0, prof.t1
+    a_mid = (l / 8 - l / (2 * p) - 1 + l / 8 - 1) / 2
+
+    def sym(a: float) -> FiberPoint:
+        return from_logs(a, (l - a) / 2, (l - a) / 2, T, l, p)
+
+    lo, hi = l / 8 - 2, l / 8  # I at lo, VII at hi
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if point_key(sym(mid)) == "I" else (lo, mid)
+    a_inner = (lo + hi) / 2
+
+    def xfam(a: float, th: float) -> FiberPoint:
+        return from_logs(a, a + th, None, T, l, p)
+
+    def yfam(b: float, th_x: float) -> FiberPoint:
+        # th_x = a - b toward the x sector
+        return from_logs(b + th_x, b, None, T, l, p)
+
+    seams = [
+        (sym(a_inner - eps), sym(a_inner + eps)),            # I <-> VII
+        (xfam(a_mid, t1 + eps), xfam(a_mid, t1 - eps)),      # I <-> IIA
+        (xfam(a_mid, t0 + eps), xfam(a_mid, t0 - eps)),      # IIA <-> IIB
+        (xfam(a_mid, -t0 + eps), xfam(a_mid, -t0 - eps)),    # IIB <-> IIC
+        (yfam(a_mid, t1 - eps), yfam(a_mid, t1 + eps)),      # IIC <-> III
+        (sym(2.0 - eps), sym(2.0 + eps)),                    # axis_x <-> clamped I
+        (
+            from_logs(0.5, 2.0 - eps, None, T, l, p),
+            from_logs(0.5, 2.0 + eps, None, T, l, p),
+        ),                                                   # g_xy <-> axis_x
+    ]
+    return [(rotated(q1, k), rotated(q2, k)) for k in range(3) for q1, q2 in seams]

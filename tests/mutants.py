@@ -1,9 +1,10 @@
 """Mutation checks as data: every row of tests/data/mutants.tsv must be killed.
 
-Each row of the manifest is one edit of the source (a mutant): a name, the
-file (relative to the repository root), a text that occurs in that file
-exactly once, its replacement, the pytest node ids that must fail under the
-edit (space-separated), and the reason the row exists.  In the text and its
+Each row of the manifest is one edit of the source, or of a reference
+check in tests/_oracles.py (a mutant): a name, the file (relative to the
+repository root), a text that occurs in that file exactly once, its
+replacement, the pytest node ids that must fail under the edit
+(space-separated), and the reason the row exists.  In the text and its
 replacement, "\\n" stands for a newline, "\\t" for a tab and "\\\\" for a
 backslash.
 

@@ -5,7 +5,9 @@ under the first set that names it:
 
   pinned       reports past the golden files' levels (see PINNED)
   readme       the README's functor, differential and leibniz examples
-  edge         leibniz argvs whose tail bound underflows to 0
+  edge         leibniz argvs whose tail bound underflows to 0, and
+               metric-check at profiles that do and do not glue on the
+               axis seam (a usage error: exit 64, no stdout)
   seed<N>      the ops of perfbench/ops' three workloads at seed N
   golden       the argvs of the golden report files in tests/data
   metric-edge  metric-check at an overflowing c_base, at no samples, and at
@@ -60,6 +62,9 @@ README = (
 EDGE = (
     "leibniz --i 0 --j 2 --x 0.5,1 --tau 1e-30",
     "leibniz --i 0 --j 2 --x 1e300,1 --tau 1e-300",
+    "metric-check --l 31 --samples 5",
+    "metric-check --T 0.9 --samples 5",
+    "metric-check --l 32 --samples 50",
 )
 GOLDEN = (
     "disc-series --A 0,0,1/2 --cutoff 15",
@@ -88,10 +93,14 @@ def read_manifest(path: Path = MANIFEST) -> list[tuple[str, int, str, list[str]]
 
 
 def digest(argv: list[str]) -> tuple[int, str]:
-    """The exit code and stdout sha256 of one argv, run in this process."""
+    """The exit code and stdout sha256 of one argv, run in this process;
+    a usage error writes nothing to stdout."""
     from mirrorlab import cli
 
-    out, code = cli.run(argv)
+    try:
+        out, code = cli.run(argv)
+    except SystemExit as exc:
+        out, code = b"", exc.code
     return code, hashlib.sha256(out).hexdigest()
 
 

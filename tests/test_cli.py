@@ -332,6 +332,14 @@ def test_usage_error_exit_code(capsys):
         (["disc-series"], "--A"),
     ):
         _assert_usage_error(capsys, argv, flag)
+    # profiles whose potential does not glue on the axis seam: the message
+    # names all three flags
+    for argv in (["--l", "31"], ["--l", "6"], ["--T", "0.1", "--l", "30", "--p", "20"],
+                 ["--T", "0.9"]):
+        err = _assert_usage_error(capsys, ["metric-check", *argv], "--T")
+        assert "--l" in err and "--p" in err, argv
+    out, code = run(["metric-check", "--l", "32", "--samples", "5"])
+    assert code == 0 and json.loads(out)["l"] == 32
 
 
 def _assert_usage_error(capsys, argv, flag):
@@ -654,7 +662,7 @@ def test_only_the_metric_commands_load_numpy():
     # theta engine of series
     for cmd in ("sphere-c", "disc-series"):
         assert "mirrorlab.tau" in loaded[cmd] and "mirrorlab.series" not in loaded[cmd], cmd
-    # no command runs the chart algebra (ROADMAP I)
+    # no command runs the chart algebra (ROADMAP T(b))
     assert not any("mirrorlab.charts" in mods for mods in loaded.values())
     # metric-check's flags are ints and floats, and its report holds no
     # Fraction: cli loads fractions (and with it decimal) only on use

@@ -44,22 +44,15 @@ ARGVS = (
 )
 
 # Defs that no command runs, each with the reason it stays.
-_I = "ROADMAP I: the chart algebra and the gluing checks wait for a command"
+_T = "ROADMAP T(b): the chart algebra waits for the facets verdict"
 HELD = {
     "gw.disc_area": "ROADMAP B(e): disc-series may check each term by its facet area",
     "tau.TauSeries.__str__": "runs only on a failing identity: functor's mismatch text",
     "kahler.metric": "span tracer's name and acceptance criterion 6, ROADMAP F(b)",
-    "kahler.FiberPoint.profile": "called by kahler.metric, which spans.TRACED patches, and by I",
+    "kahler.FiberPoint.profile": "called by kahler.metric, which spans.TRACED patches",
     "kahler.__getattr__": "span tracer's name, ROADMAP F(b)",
     "gw.__getattr__": "span tracer's name, ROADMAP F(b)",
-    "tropical.transport_fractions": "acceptance criterion 7 checks it, ROADMAP B(d)",
-    **{f"kahler.{name}": _I for name in (
-        "FiberPoint.key", "FiberPoint.from_logs", "FiberPoint.rotated", "moment_coords",
-        "_moment", "moment_shift_gamma_prime", "harmonic_difference_check", "hex_orbit",
-        "harmonic_sixfold_check", "boundary_pair_catalog", "boundary_pair_catalog.sym",
-        "boundary_pair_catalog.xfam", "boundary_pair_catalog.yfam",
-    )},
-    **{f"charts.{name}": _I for name in (
+    **{f"charts.{name}": _T for name in (
         "monomial_mul", "_cross", "_dot", "MonomialMap.apply", "MonomialMap.compose",
         "MonomialMap.inverse", "MonomialMap.__pow__", "gamma_chart_action",
         "Chart.coordinate_product", "chart",

@@ -21,25 +21,29 @@ from mirrorlab.kahler import (
     REGION_IDS,
     BumpProfile,
     FiberPoint,
-    boundary_pair_catalog,
     calibrate_c_base,
     formula_key,
-    harmonic_difference_check,
-    harmonic_sixfold_check,
-    hex_orbit,
     metric,
     metric_certificate,
-    moment_coords,
-    moment_shift_gamma_prime,
     monodromy_class,
     region_samples,
 )
-from mirrorlab.tropical import monodromy_corner_table, transport_fractions
+from mirrorlab.tropical import monodromy_corner_table
 from _oracles import (
+    boundary_pair_catalog,
     derivative_budget,
     derivative_check,
+    from_logs,
+    harmonic_difference_check,
+    harmonic_sixfold_check,
+    hex_orbit,
     least_power_of_two_scan,
+    moment_coords,
+    moment_shift_gamma_prime,
+    point_key,
     potential_value,
+    rotated,
+    transport_fractions,
 )
 
 
@@ -81,7 +85,7 @@ def on_fiber(q):
 
 def region_classify(q):
     """The region identifier of a fiber point (IV and VI bands unsplit)."""
-    key = q.key
+    key = point_key(q)
     return kahler._FORMULA_TO_REGION.get(key, key)
 
 
@@ -170,9 +174,9 @@ def test_phi_difference_identity():
 def test_region_examples():
     assert region_classify(center_point()) == "VII"
     a = (DEFAULT_L / 4 - DEFAULT_L / (2 * DEFAULT_P)) / 2 - 1
-    q = FiberPoint.from_logs(a, (DEFAULT_L - a) / 2, (DEFAULT_L - a) / 2)
+    q = from_logs(a, (DEFAULT_L - a) / 2, (DEFAULT_L - a) / 2)
     assert region_classify(q) == "I"
-    q = FiberPoint.from_logs((DEFAULT_L + 1) / 2 - 1, (DEFAULT_L + 1) / 2 + 1, -1.0)
+    q = from_logs((DEFAULT_L + 1) / 2 - 1, (DEFAULT_L + 1) / 2 + 1, -1.0)
     assert region_classify(q) == "axis_z"
 
 
@@ -253,13 +257,13 @@ def test_formula_key_matches_oracle_on_band_edges(edge, x, y, k):
     a = lo + (hi - lo) * x  # a deep x log, as the I, II, IV and VI samplers draw
     if edge == "moderate":
         b = 3.5 + 4.5 * y  # at most 2 for a g region, else an axis
-        q, i = FiberPoint.from_logs(kahler.MODERATE_LOG, b), 0
+        q, i = from_logs(kahler.MODERATE_LOG, b), 0
         hit = lambda q: kahler.MODERATE_LOG in q.logs()  # noqa: E731
     elif edge == "d":
         # log1p((T r_x)^2) = T^(l/4) up to rounding; the other phis are far smaller
         r_x = math.sqrt(math.expm1(DEFAULT_T ** (l / 4))) / DEFAULT_T
         a = math.log(r_x) / math.log(DEFAULT_T)
-        q, i = FiberPoint.from_logs(a, (l - a - 8 * y) / 2, (l - a + 8 * y) / 2)._replace(r_x=r_x), 0
+        q, i = from_logs(a, (l - a - 8 * y) / 2, (l - a + 8 * y) / 2)._replace(r_x=r_x), 0
         hit = lambda q: _deep_terms(q)[0] == q.T ** (q.l / 4)  # noqa: E731
     else:
         side, band = edge.split("=")
@@ -267,15 +271,15 @@ def test_formula_key_matches_oracle_on_band_edges(edge, x, y, k):
         i = 1 if side == "u" else 2
         logs = [a, l - 2 * a - e]
         logs.insert(i, a + e)
-        q = FiberPoint.from_logs(*logs)
+        q = from_logs(*logs)
         hit = lambda q: _deep_terms(q)[i] == e  # noqa: E731
-    q = _nudged(q.rotated(k), (i + k) % 3, hit)
+    q = _nudged(rotated(q, k), (i + k) % 3, hit)
     assume(q is not None)
     field = ("r_x", "r_y", "r_z")[(i + k) % 3]
     near = [q] + [q._replace(**{field: math.nextafter(q[(i + k) % 3], to)}) for to in (0.0, 1.0)]
     got = formula_key(np.array([p.r for p in near]), prof)
     assert [kahler._KEYS[c] for c in got] == [oracle_key(p) for p in near]
-    assert q.key == oracle_key(q)
+    assert point_key(q) == oracle_key(q)
 
 
 # Rows exactly on a classifier edge under libm, each found by a search for
@@ -378,30 +382,30 @@ def _uniform_sampler(region, count, seed, T, l, p):
         if region == "VII":
             a = l / 3 + u(-0.5, 0.5)
             b = l / 3 + u(-0.5, 0.5)
-            q = FiberPoint.from_logs(a, b, None, T, l, p)
+            q = from_logs(a, b, None, T, l, p)
         elif orbit[0] in ("I", "axis_x"):
             a = u(*win["a"]) if orbit[0] == "I" else u(-1.0, 1.0)
             w = u(-8.0, 8.0) if orbit[0] == "I" else u(-3.0, 3.0)
             logs = kahler._rotate((a, (l - a - w) / 2, (l - a + w) / 2), k)
-            q = FiberPoint.from_logs(*logs, T, l, p)
+            q = from_logs(*logs, T, l, p)
         elif orbit[0] == "g_yz":
             logs = [u(-1.0, 1.0), u(-1.0, 1.0)]
             logs.insert(k, l - logs[0] - logs[1])
-            q = FiberPoint.from_logs(*logs, T, l, p)
+            q = from_logs(*logs, T, l, p)
         elif region in ("IIA", "IIB"):
             a = u(*win["a"])
             th = u(*win[region])
-            q = FiberPoint.from_logs(a, a + th, None, T, l, p)
+            q = from_logs(a, a + th, None, T, l, p)
         elif region == "IIC":
             b = u(*win["a"])
             th = u(*win["IIA"])
-            q = FiberPoint.from_logs(b + th, b, None, T, l, p)
+            q = from_logs(b + th, b, None, T, l, p)
         else:  # IV and VI: sigma and sigma^2 of (m, n, l - m - n)
             s = u(*win["a"])
             d = u(*win["IV"])
             m, n = (s, s + d) if d >= 0 else (s - d, s)
             logs = kahler._rotate((m, n, l - m - n), 1 if region == "IV" else 2)
-            q = FiberPoint.from_logs(*logs, T, l, p)
+            q = from_logs(*logs, T, l, p)
         out.append(q.r)
     return np.array(out, float).reshape(-1, 3)
 
@@ -550,10 +554,10 @@ def test_metric_symmetric_and_region_tagged():
 
 def test_each_point_is_evaluated_with_its_own_profile():
     # a T = 0.2 point is classified and evaluated with the profile of T = 0.2
-    q = FiberPoint.from_logs(13.0, 13.5, T=0.2)
+    q = from_logs(13.0, 13.5, T=0.2)
     own = BumpProfile(DEFAULT_L, DEFAULT_P, 0.2)
     assert q.profile == own
-    key = q.key
+    key = point_key(q)
     assert potential_value(q, key) == _tuple_potential(q, own, key).v
     eig = metric(q).min_eigenvalue
     assert eig == _metric_per_point(q, _tuple_jets(q, own), DEFAULT_C_BASE)[1]
@@ -580,14 +584,14 @@ def test_derivative_cross_validation():
 
 def test_cyclic_equivariance():
     q = points("I", 1, seed=5)[0]
-    assert q.rotated(1).r == (q.r_z, q.r_x, q.r_y)
-    assert q.rotated(2).r == (q.r_y, q.r_z, q.r_x)
+    assert rotated(q, 1).r == (q.r_z, q.r_x, q.r_y)
+    assert rotated(q, 2).r == (q.r_y, q.r_z, q.r_x)
     for region in REGION_IDS:
         for q in points(region, 10, seed=5):
-            key = q.key
+            key = point_key(q)
             for k in (1, 2):
-                qk = q.rotated(k)
-                assert qk.key == sigma(key, k), (region, k, q.logs())
+                qk = rotated(q, k)
+                assert point_key(qk) == sigma(key, k), (region, k, q.logs())
                 value = potential_value(q, key)
                 if key == "VII":
                     # one symmetric body, summed in a fixed order: exact up to rounding
@@ -596,33 +600,90 @@ def test_cyclic_equivariance():
                     assert potential_value(qk, sigma(key, k)) == value
 
 
-def test_seam_catalog_covers_every_formula_key():
+# Profiles (T, l, p) that metric-check accepts: the defaults, the least l
+# that glues at T = 0.1, a smaller T with a wider band, and T = 0.5.
+GLUED = [(0.1, 40, 17), (0.1, 32, 17), (0.05, 60, 20), (0.5, 40, 17)]
+SEAM_EPS = 1e-8  # boundary_pair_catalog's default
+
+
+def seam_jump_ratio(q1, q2, eps=SEAM_EPS):
+    """|F(q1) - F(q2)|, each by its point's own formula, over 2 eps |ln T|
+    times the larger l1 norm of F's gradient in log r.
+
+    The points differ by at most 2 eps in each log_T norm, so a potential
+    that glues jumps by at most that bound to first order: the ratio is at
+    most about 1.  A seam where the two formulas differ shows as a jump
+    that no step of 2 eps explains.
+    """
+    values, slopes = [], []
+    for q in (q1, q2):
+        f = kahler._potential_ad([q.r], q.profile, point_key(q))
+        values.append(float(f.v[0]))
+        slopes.append(float(np.abs(f.g[:, 0] * q.r).sum()))
+    return abs(values[0] - values[1]) / (2 * eps * abs(math.log(q1.T)) * max(slopes))
+
+
+@pytest.mark.parametrize("T, l, p", GLUED)
+def test_seam_catalog_covers_every_formula_key(T, l, p):
     base = {
         ("I", "VII"), ("I", "IIA"), ("IIA", "IIB"), ("IIB", "IIC"), ("IIC", "III"),
         ("axis_x", "I"), ("g_xy", "axis_x"),
     }
     expected = {(sigma(a, k), sigma(b, k)) for a, b in base for k in range(3)}
-    got = {(q1.key, q2.key) for q1, q2 in boundary_pair_catalog()}
+    got = {(point_key(q1), point_key(q2)) for q1, q2 in boundary_pair_catalog(T, l, p)}
     assert got == expected
     keys = {key for pair in got for key in pair}
     assert keys == {key for orbit in ORBITS for key in orbit} | {"VII"}
 
 
-def test_potential_continuity_across_seams():
-    for q1, q2 in boundary_pair_catalog():
-        f1, f2 = (potential_value(q, q.key) for q in (q1, q2))
+@pytest.mark.parametrize("T, l, p", GLUED)
+def test_potential_continuity_across_seams(T, l, p):
+    for q1, q2 in boundary_pair_catalog(T, l, p):
+        f1, f2 = (potential_value(q, point_key(q)) for q in (q1, q2))
         assert abs(f1 - f2) <= 1e-9
+        assert seam_jump_ratio(q1, q2) <= 2, (point_key(q1), point_key(q2))
+
+
+@pytest.mark.parametrize("T, l, p", GLUED)
+def test_potential_continuity_along_the_axis_seam(T, l, p):
+    # log_T r_x = MODERATE_LOG with the y log b across (2, l - 4): the
+    # catalog's axis pair sits at b = c only, and this walk also meets the
+    # borders of axis_x with IIA, IIB, VIB and VIC
+    m, met = kahler.MODERATE_LOG, set()
+    for i in range(1, 400):
+        b = m + (l - 3 * m) * i / 400
+        q1 = from_logs(m - SEAM_EPS, b, None, T, l, p)
+        q2 = from_logs(m + SEAM_EPS, b, None, T, l, p)
+        met.add(point_key(q2))
+        assert point_key(q1) == "axis_x"
+        assert seam_jump_ratio(q1, q2) <= 2, (b, point_key(q2))
+    assert met == {"I", "IIA", "IIB", "VIB", "VIC"}
+
+
+def test_seam_oracle_reports_the_axis_jump_that_metric_check_refuses():
+    # at l 31 the neighbour's radial gate is not saturated on the axis seam
+    # (cli._metric_check refuses the profile): the jump, 2.1e-10, is under
+    # the absolute bound above, and some 2,000 times the gradient step
+    T, l, p = 0.1, 31, 17
+    ratios = {(point_key(q1), point_key(q2)): seam_jump_ratio(q1, q2)
+              for q1, q2 in boundary_pair_catalog(T, l, p)}
+    axis = {(sigma("axis_x", k), sigma("I", k)) for k in range(3)}
+    assert {pair for pair, ratio in ratios.items() if ratio > 2} == axis
+    assert min(ratios[pair] for pair in axis) > 1000
+    q1, q2 = (from_logs(kahler.MODERATE_LOG + e, (l - 2) / 2, None, T, l, p)
+              for e in (-SEAM_EPS, SEAM_EPS))
+    assert abs(potential_value(q1, "axis_x") - potential_value(q2, "I")) < 1e-9
 
 
 def test_seam_formula_agreement_exact():
     prof = BumpProfile()
     l = DEFAULT_L
-    q = FiberPoint.from_logs(l / 8 - 1, (l - (l / 8 - 1)) / 2, None)
+    q = from_logs(l / 8 - 1, (l - (l / 8 - 1)) / 2, None)
     assert abs(potential_value(q, "I") - potential_value(q, "VII")) < 1e-20
     a = 3.4
-    q = FiberPoint.from_logs(a, a + prof.t1, None)
+    q = from_logs(a, a + prof.t1, None)
     assert potential_value(q, "I") == potential_value(q, "IIA")
-    q = FiberPoint.from_logs(a, a + prof.t0, None)
+    q = from_logs(a, a + prof.t0, None)
     assert potential_value(q, "IIA") == potential_value(q, "IIB")
 
 
@@ -663,7 +724,7 @@ def test_moment_coords_monotone_and_symmetric():
             q.r_x, q.r_y * math.exp(step), q.r_z * math.exp(-step), q.T, q.l, q.p
         )
         assert moment_coords(q_up_y)[1] > xi[1]
-    qs = FiberPoint.from_logs(14.0, 14.0)
+    qs = from_logs(14.0, 14.0)
     xi = moment_coords(qs)
     assert xi[0] == pytest.approx(xi[1], abs=1e-15)
 
@@ -715,9 +776,9 @@ def test_monodromy_antisymmetry_and_boundary():
 def test_monodromy_consistent_with_transport_dominance():
     # deep in a tile the dominant inverse-square fraction names the class
     probes = {
-        (0, 0): FiberPoint.from_logs(1.0, 1.0, None),    # z tiny
-        (1, 0): FiberPoint.from_logs(38.0, 1.0, 1.0),    # x tiny
-        (0, 1): FiberPoint.from_logs(1.0, 38.0, 1.0),    # y tiny
+        (0, 0): from_logs(1.0, 1.0, None),    # z tiny
+        (1, 0): from_logs(38.0, 1.0, 1.0),    # x tiny
+        (0, 1): from_logs(1.0, 38.0, 1.0),    # y tiny
     }
     for cls, q in probes.items():
         w = transport_fractions(*q.r)
@@ -932,7 +993,7 @@ def _tuple_potential(q, prof, key):
 def _tuple_jets(q, prof):
     """The tuple jets of F and of the base term |xyz|^2 at q."""
     u = TupleD2.var(q.r_x, 0) * TupleD2.var(q.r_y, 1) * TupleD2.var(q.r_z, 2)
-    return _tuple_potential(q, prof, q.key), u * u
+    return _tuple_potential(q, prof, point_key(q)), u * u
 
 
 def _square(h):
@@ -1152,7 +1213,7 @@ def test_auto_certificate_without_a_power_of_two():
 
 def _derivative_check_per_point(q, prof, h_grad=1e-6, h_hess=1e-4):
     """`derivative_check` on the tuple jet, one evaluation per stencil point."""
-    key = q.key
+    key = point_key(q)
 
     def f_at(*steps):
         d = [0.0, 0.0, 0.0]
@@ -1233,7 +1294,7 @@ fiber_logs = st.one_of(
 @given(st.sampled_from(FORMULA_KEYS), st.lists(fiber_logs, min_size=1, max_size=6))
 def test_lane_jets_match_tuple_oracle(key, logs):
     prof = BumpProfile()
-    pts = [FiberPoint.from_logs(*abc) for abc in logs]
+    pts = [from_logs(*abc) for abc in logs]
     lane = kahler._potential_ad([q.r for q in pts], prof, key)
     for i, q in enumerate(pts):
         assert _same_jet(lane, i, _tuple_potential(q, prof, key)), (key, q.logs())
@@ -1260,7 +1321,7 @@ def test_profile_branch_edges_match_tuple_oracle():
 
 
 _POOL = [q for region in REGION_IDS for q in points(region, 2, seed=23)] + [
-    FiberPoint.from_logs(a, a + e) for a in (3.0, 4.6) for e in _EDGES
+    from_logs(a, a + e) for a in (3.0, 4.6) for e in _EDGES
 ]
 
 
